@@ -88,23 +88,19 @@ def principal_pair(
     history = []
     theta_prev = None
     increment = np.inf
-    x0_v = None
-    x0_u = None
     for it in range(1, max_iter + 1):
         f = ScalarField(grid, rho.values * u)
-        u_field, v_field = solve_navier(op, f, rel_tol=rel_tol, x0_v=x0_v, x0_u=x0_u)
+        u_field, v_field = solve_navier(op, f, rel_tol=rel_tol)
         w = u_field.values
-        vv = v_field.values
         if np.any(w <= 0.0):
             raise EigenError("iterate lost positivity", iterations=it)
         scale = np.max(np.abs(w))
         u = w / scale
-        v = vv / scale
+        v = v_field.values / scale
         num = float(np.sum(v * v)) * cell
         den = float(np.sum(rho.values * u * u)) * cell
         theta = num / den
         history.append(theta)
-        x0_v, x0_u = vv, w
         if theta_prev is not None:
             increment = abs(theta - theta_prev)
             if increment <= tol * theta:

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
-from scipy.optimize import brentq
 
 # direction order used for stencil neighbors and cut fractions
 WEST, EAST, SOUTH, NORTH = 0, 1, 2, 3
@@ -541,6 +540,10 @@ def _cut_fraction(spec, x, y, hx, hy):
         # neighbor sits exactly on the boundary (level == 0 excluded it
         # from the interior); treat as a full link with zero Dirichlet data
         return 1.0
+    # imported here: uncut grids never search for a crossing, and the
+    # import costs about 13 MB of resident memory
+    from scipy.optimize import brentq
+
     t = brentq(g, 0.0, 1.0, xtol=1e-12, rtol=8.9e-16)
     if t <= 0.0:
         raise GeometryError("degenerate cut fraction at node (%g, %g)" % (x, y))

@@ -14,13 +14,8 @@ from .poisson import DEFAULT_REL_TOL, solve_dirichlet
 FORMULATION = "second-order-system"
 
 
-def solve_navier(op, f, rel_tol=DEFAULT_REL_TOL, x0_v=None, x0_u=None):
-    """Return ``(u, v)`` with ``v`` the discrete ``-lap u`` and ``lap^2 u = f``.
-
-    ``x0_v``/``x0_u`` warm-start the two inner solves (value arrays, not
-    fields); results are independent of the starts up to the solver
-    residual contract.
-    """
-    v = solve_dirichlet(op, f, rel_tol=rel_tol, x0=x0_v)
-    u = solve_dirichlet(op, v, rel_tol=rel_tol, x0=x0_u)
+def solve_navier(op, f, rel_tol=DEFAULT_REL_TOL):
+    """Return ``(u, v)`` with ``v`` the discrete ``-lap u`` and ``lap^2 u = f``."""
+    v = solve_dirichlet(op, f, rel_tol=rel_tol)
+    u = solve_dirichlet(op, v, rel_tol=rel_tol)
     return u, v

@@ -20,7 +20,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import _kernels
 from .fields import ScalarField
 from .geometry import EAST, NORTH, SOUTH, WEST
 
@@ -30,10 +29,9 @@ DEFAULT_REL_TOL = 1e-10
 class SolveError(RuntimeError):
     """Linear solve failed to reach the requested residual."""
 
-    def __init__(self, message, achieved=None, iterations=None):
+    def __init__(self, message, achieved=None):
         super().__init__(message)
         self.achieved = achieved
-        self.iterations = iterations
 
 
 class GridMismatchError(ValueError):
@@ -43,37 +41,32 @@ class GridMismatchError(ValueError):
 class DiscreteLaplacian:
     """CSR operator over interior nodes, plus solver plumbing.
 
-    The factorization cache (curved-boundary path) is built lazily and is
+    The sparse LU factorization is built lazily on the first solve and is
     read-only afterward, so one operator can serve many solves.
     """
 
-    def __init__(self, grid, indptr, indices, data):
+    def __init__(self, grid, matrix):
         self.grid = grid
         self.grid_tag = grid.tag
-        self.indptr = indptr
-        self.indices = indices
-        self.data = data
         self.n = grid.n
         self.has_cut = grid.has_cut
-        self._diag = data[_diag_positions(indptr, indices)]
-        self._inv_diag = 1.0 / self._diag
+        self._csr = matrix
         self._lu = None
 
-    @property
-    def symmetric(self):
-        return not self.has_cut
-
     def as_csr(self):
-        return sp.csr_matrix(
-            (self.data, self.indices, self.indptr), shape=(self.n, self.n)
-        )
+        return self._csr
 
     def matvec(self, values):
-        return _kernels.csr_matvec(self.indptr, self.indices, self.data, values)
+        return self._csr @ values
 
     def _factorization(self):
         if self._lu is None:
-            self._lu = spla.splu(self.as_csr().tocsc())
+            # the stencil pattern is symmetric even where the cut-cell
+            # values are not, so a minimum-degree ordering of A^T + A
+            # keeps the fill, and with it the memory, well below COLAMD's
+            self._lu = spla.splu(
+                self._csr.tocsc(), permc_spec="MMD_AT_PLUS_A", panel_size=1
+            )
         return self._lu
 
 
@@ -121,19 +114,19 @@ def assemble_laplacian(grid):
     mat.sum_duplicates()
     mat.sort_indices()
 
-    op = DiscreteLaplacian(grid, mat.indptr, mat.indices.astype(np.int64), mat.data)
-    _assert_m_matrix(grid, op)
-    return op
+    _assert_m_matrix(grid, mat)
+    return DiscreteLaplacian(grid, mat)
 
 
-def _assert_m_matrix(grid, op):
-    off = op.data.copy()
-    off[_diag_positions(op.indptr, op.indices)] = 0.0
+def _assert_m_matrix(grid, mat):
+    pos = _diag_positions(mat.indptr, mat.indices)
+    diag = mat.data[pos]
+    off = mat.data.copy()
+    off[pos] = 0.0
     if off.size and off.max() > 0.0:
-        bad = np.searchsorted(op.indptr, int(np.argmax(off)), side="right") - 1
+        bad = np.searchsorted(mat.indptr, int(np.argmax(off)), side="right") - 1
         raise AssertionError("positive off-diagonal in row %d" % bad)
-    offdiag_sum = -np.add.reduceat(off, op.indptr[:-1])
-    diag = op._diag
+    offdiag_sum = -np.add.reduceat(off, mat.indptr[:-1])
     if np.any(diag <= 0.0):
         raise AssertionError("non-positive diagonal entry")
     if np.any(diag + 1e-12 * diag < offdiag_sum):
@@ -149,13 +142,12 @@ def apply_laplacian(op, w):
     return ScalarField(w.grid, op.matvec(w.values))
 
 
-def solve_dirichlet(op, f, rel_tol=DEFAULT_REL_TOL, x0=None):
+def solve_dirichlet(op, f, rel_tol=DEFAULT_REL_TOL):
     """Solve ``A w = f`` to ``||A w - f|| <= rel_tol * ||f||``.
 
-    Symmetric operators (no boundary cuts) go through Jacobi-preconditioned
-    CG; cut operators use a cached sparse LU factorization. Either way the
-    residual contract is verified on the true residual, and the default
-    sequential path is deterministic.
+    Every operator goes through its cached sparse LU factorization; the
+    residual contract is verified on the true residual, and the solve is
+    deterministic.
     """
     _check_grid(op, f)
     if not (0.0 < rel_tol <= 1e-4):
@@ -165,44 +157,6 @@ def solve_dirichlet(op, f, rel_tol=DEFAULT_REL_TOL, x0=None):
     if b_norm == 0.0:
         return ScalarField(f.grid, np.zeros(op.n))
 
-    if op.symmetric:
-        x = _solve_cg(op, b, b_norm, rel_tol, x0)
-    else:
-        x = _solve_lu(op, b, b_norm, rel_tol)
-    return ScalarField(f.grid, x)
-
-
-def _solve_cg(op, b, b_norm, rel_tol, x0):
-    max_iter = int(20 * np.sqrt(op.n)) + 1000
-    x = np.zeros(op.n) if x0 is None else np.asarray(x0, dtype=float).copy()
-    total_iters = 0
-    # a few restarts guard against recursive-residual drift
-    for _ in range(3):
-        x, it, _ = _kernels.pcg(
-            op.indptr,
-            op.indices,
-            op.data,
-            op._inv_diag,
-            b,
-            x,
-            rel_tol,
-            max_iter - total_iters,
-        )
-        total_iters += it
-        true_res = float(np.linalg.norm(op.matvec(x) - b))
-        if true_res <= rel_tol * b_norm:
-            return x
-        if total_iters >= max_iter:
-            break
-    raise SolveError(
-        "CG did not reach rel_tol=%.1e in %d iterations (achieved %.3e)"
-        % (rel_tol, total_iters, true_res / b_norm),
-        achieved=true_res / b_norm,
-        iterations=total_iters,
-    )
-
-
-def _solve_lu(op, b, b_norm, rel_tol):
     lu = op._factorization()
     x = lu.solve(b)
     res = float(np.linalg.norm(op.matvec(x) - b))
@@ -216,7 +170,7 @@ def _solve_lu(op, b, b_norm, rel_tol):
                 "direct solve residual %.3e exceeds rel_tol" % (res / b_norm),
                 achieved=res / b_norm,
             )
-    return x
+    return ScalarField(f.grid, x)
 
 
 def _check_grid(op, field):

@@ -38,15 +38,6 @@ def make_strip_grid(n_nodes, delta):
     )
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    """Trigger JIT compilation once so timed tests measure solves, not
-    compilation."""
-    grid = pl.build_grid(pl.unit_square(), 9)
-    op = pl.assemble_laplacian(grid)
-    pl.solve_dirichlet(op, pl.constant_field(grid, 1.0))
-
-
 def orbit_aligned_mass(spec, nodes_per_side, h, H, fill=0.5, passes=2):
     """Mass near ``fill`` of the admissible bracket whose threshold cut
     falls between reflection orbits of the converged ordering."""

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import platelab as pl
-from platelab import _kernels
 from platelab.fields import ScalarField, constant_field, field_from_function
 from platelab.poisson import GridMismatchError, SolveError, solve_dirichlet
 from conftest import make_strip_grid
@@ -98,7 +98,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("spec,nps", [(pl.disk(1.0), 33), (pl.unit_square(), 33)])
     def test_deterministic_bitwise(self, spec, nps):
-        # covers both solver paths: direct factorization (cut grids) and CG
+        # one factorization per operator, reused: cut (disk) and uncut (square)
         g = pl.build_grid(spec, nps)
         op = pl.assemble_laplacian(g)
         f = field_from_function(g, lambda x, y: np.exp(x) + y)
@@ -118,13 +118,30 @@ class TestSolve:
         g = pl.build_grid(pl.unit_square(), 9)
         op = pl.assemble_laplacian(g)
 
-        def stuck(indptr, indices, data, inv_diag, b, x0, rel_tol, max_iter):
-            return x0.copy(), max_iter, 1.0
+        class Wrong:
+            def solve(self, b):
+                return np.zeros_like(b)
 
-        monkeypatch.setattr(_kernels, "pcg", stuck)
+        monkeypatch.setattr(op, "_lu", Wrong())
         with pytest.raises(SolveError) as err:
             solve_dirichlet(op, constant_field(g, 1.0))
-        assert err.value.achieved is not None
+        assert err.value.achieved == pytest.approx(1.0)
+
+    def test_uncut_grid_reuses_cached_factorization(self, monkeypatch):
+        g = pl.build_grid(pl.unit_square(), 17)
+        op = pl.assemble_laplacian(g)
+        f = constant_field(g, 1.0)
+        w1 = solve_dirichlet(op, f)
+        lu = op._lu
+        assert lu is not None
+
+        def refactor(*args, **kwargs):
+            raise AssertionError("operator factorized twice")
+
+        monkeypatch.setattr(spla, "splu", refactor)
+        w2 = solve_dirichlet(op, f)
+        assert op._lu is lu
+        assert np.array_equal(w1.values, w2.values)
 
 
 class TestMaximumPrinciple:
@@ -182,31 +199,3 @@ class TestApply:
         with pytest.raises(GridMismatchError):
             pl.apply_laplacian(op, constant_field(g2, 1.0))
 
-
-class TestKernelPaths:
-    def test_matvec_paths_agree_to_rounding(self):
-        g = pl.build_grid(pl.disk(1.0), 33)
-        op = pl.assemble_laplacian(g)
-        x = np.random.default_rng(1).normal(size=op.n)
-        ref = _kernels.csr_matvec_numpy(op.indptr, op.indices, op.data, x)
-        scale = np.max(np.abs(ref))
-        if _kernels.USE_NUMBA:
-            jit = _kernels.csr_matvec_numba(op.indptr, op.indices, op.data, x)
-            assert np.max(np.abs(ref - jit)) <= 1e-14 * scale
-        assert np.max(np.abs(ref - op.as_csr() @ x)) <= 1e-14 * scale
-
-    def test_pcg_paths_both_converge(self):
-        g = pl.build_grid(pl.unit_square(), 33)
-        op = pl.assemble_laplacian(g)
-        b = np.random.default_rng(2).normal(size=op.n)
-        x0 = np.zeros(op.n)
-        xp, itp, resp = _kernels.pcg_numpy(
-            op.indptr, op.indices, op.data, op._inv_diag, b, x0, 1e-10, 10000
-        )
-        assert resp <= 1e-10
-        if _kernels.USE_NUMBA:
-            xn, itn, resn = _kernels.pcg_numba(
-                op.indptr, op.indices, op.data, op._inv_diag, b, x0, 1e-10, 10000
-            )
-            assert resn <= 1e-10
-            assert np.max(np.abs(xn - xp)) <= 1e-8 * np.max(np.abs(xp))
