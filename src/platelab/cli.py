@@ -23,10 +23,10 @@ import numpy as np
 
 from . import __version__, diagnostics, geometry
 from .fields import ScalarField
-from .geometry import build_grid
+from .geometry import DomainSpec, GeometryError, build_grid
 from .optimizer import OptimizeOptions, OptimalPair, optimize
-from .radial import radial_optimize
-from .rearrange import DensityField
+from .radial import RadialError, radial_optimize
+from .rearrange import DensityField, RearrangeError
 
 VALID_CHECKS = (
     "symmetry",
@@ -41,6 +41,7 @@ SYMMETRY_TOL = 1e-6
 MONOTONICITY_TOL = 1e-10
 MOVING_PLANE_TOL = 1e-8
 RIGIDITY_CV_MAX = 0.01
+CONVERGED = ("theta-converged", "rho-fixed")
 
 
 class CliUsageError(Exception):
@@ -98,12 +99,18 @@ def _build_parser():
     return p
 
 
+# --domain value -> the flags holding its parameters, in DomainSpec order
+_DOMAIN_FLAGS = {
+    "disk": ("radius",),
+    "annulus": ("inner", "radius"),
+    "ellipse": ("semi_x", "semi_y"),
+    "rectangle": ("width", "height"),
+    "stadium": ("length", "cap_radius"),
+}
+
+
 def _add_domain_flags(ps):
-    ps.add_argument(
-        "--domain",
-        required=True,
-        choices=["disk", "square", "rectangle", "ellipse", "annulus", "stadium"],
-    )
+    ps.add_argument("--domain", required=True, choices=["square", *_DOMAIN_FLAGS])
     ps.add_argument("--radius", type=float, default=1.0, help="disk/annulus outer radius")
     ps.add_argument("--inner", type=float, default=None, help="annulus inner radius")
     ps.add_argument("--semi-x", type=float, default=1.0)
@@ -115,50 +122,12 @@ def _add_domain_flags(ps):
 
 
 def _domain_from_args(args):
-    if args.domain == "disk":
-        return geometry.disk(args.radius)
     if args.domain == "square":
         return geometry.unit_square()
-    if args.domain == "rectangle":
-        return geometry.rectangle(args.width, args.height)
-    if args.domain == "ellipse":
-        return geometry.ellipse(args.semi_x, args.semi_y)
-    if args.domain == "annulus":
-        if args.inner is None:
-            raise CliUsageError("error: --inner is required for --domain annulus")
-        return geometry.annulus(args.inner, args.radius)
-    if args.domain == "stadium":
-        return geometry.stadium(args.length, args.cap_radius)
-    raise CliUsageError("error: unknown domain %r" % (args.domain,))
-
-
-def _domain_to_json(spec):
-    return {
-        "kind": spec.kind,
-        "params": list(spec.params),
-        "center": list(spec.center),
-        "axes": [[ax.dim, ax.offset] for ax in spec.axes],
-    }
-
-
-def _domain_from_json(d):
-    maker = {
-        "disk": lambda p: geometry.disk(p[0]),
-        "annulus": lambda p: geometry.annulus(p[0], p[1]),
-        "ellipse": lambda p: geometry.ellipse(p[0], p[1]),
-        "stadium": lambda p: geometry.stadium(p[0], p[1]),
-    }
-    kind = d["kind"]
-    if kind == "rectangle":
-        return geometry.rectangle(d["params"][0], d["params"][1], center=tuple(d["center"]))
-    if kind not in maker:
-        raise CliUsageError("error: unknown domain kind %r in report" % (kind,))
-    spec = maker[kind](d["params"])
-    if list(spec.center) != list(d["center"]):
-        spec = geometry.DomainSpec(
-            spec.kind, spec.params, tuple(d["center"]), spec.axes
-        )
-    return spec
+    params = [getattr(args, name) for name in _DOMAIN_FLAGS[args.domain]]
+    if None in params:  # --inner is the one domain flag without a default
+        raise CliUsageError("error: --inner is required for --domain %s" % args.domain)
+    return DomainSpec.from_dict({"kind": args.domain, "params": params})
 
 
 def _fmt(v):
@@ -190,7 +159,7 @@ def _write_pgm(path, grid, values):
 
 
 def _run_solve(args):
-    spec = None if args.radial else _domain_from_args(args)
+    spec = _domain_from_args(args)
     opts = OptimizeOptions(
         theta_tol=args.theta_tol,
         max_outer=args.max_outer,
@@ -199,7 +168,7 @@ def _run_solve(args):
         seed=args.seed,
     )
     report = {
-        "domain": None,
+        "domain": spec.to_dict(),
         "h": args.h,
         "H": args.Hd,
         "mass": args.mass,
@@ -214,16 +183,9 @@ def _run_solve(args):
     }
 
     if args.radial:
-        if args.domain == "disk":
-            kind, radii = "disk", (args.radius,)
-        elif args.domain == "annulus":
-            if args.inner is None:
-                raise CliUsageError("error: --inner is required for --domain annulus")
-            kind, radii = "annulus", (args.inner, args.radius)
-        else:
-            raise CliUsageError("error: --radial supports disk and annulus only")
-        res = radial_optimize(kind, radii, args.h, args.Hd, args.mass, n_r=args.nr, opts=opts)
-        report["domain"] = {"kind": kind, "params": list(radii), "center": [0.0, 0.0], "axes": []}
+        res = radial_optimize(
+            spec.kind, spec.params, args.h, args.Hd, args.mass, n_r=args.nr, opts=opts
+        )
         report["grid"] = args.nr
         report["theta"] = res.theta
         report["t"] = res.t
@@ -236,7 +198,6 @@ def _run_solve(args):
         pair, solve_report = optimize(
             spec, args.grid, args.h, args.Hd, args.mass, opts=opts
         )
-        report["domain"] = _domain_to_json(spec)
         report["grid"] = args.grid
         report["theta"] = pair.theta
         report["t"] = pair.t
@@ -266,7 +227,7 @@ def _run_solve(args):
             fh.write(text + "\n")
     else:
         print(text)
-    return 0 if report["termination"] in ("theta-converged", "rho-fixed") else 2
+    return 0 if report["termination"] in CONVERGED else 2
 
 
 def _load_fields_csv(path, grid):
@@ -313,7 +274,7 @@ def _run_verify(args):
         report = json.load(fh)
     if report.get("radial"):
         raise CliUsageError("error: verify supports 2-D reports only")
-    spec = _domain_from_json(report["domain"])
+    spec = DomainSpec.from_dict(report["domain"])
     grid = build_grid(spec, int(report["grid"]))
     u_vals, v_vals, rho_vals = _load_fields_csv(args.fields, grid)
     u = ScalarField(grid, u_vals)
@@ -435,7 +396,7 @@ def _run_sweep(args):
                 "%s,%s,%s,%s,%s,%s\n"
                 % (_fmt(row[0]), _fmt(row[1]), _fmt(row[2]), _fmt(row[3]), row[4], row[5])
             )
-    return 0
+    return 0 if all(row[5] in CONVERGED for row in rows) else 2
 
 
 def main(argv=None):
@@ -455,6 +416,9 @@ def main(argv=None):
             return _run_sweep(args)
     except CliUsageError as exc:
         print(exc, file=sys.stderr)
+        return 1
+    except (GeometryError, RearrangeError, RadialError) as exc:  # bad input values
+        print("error: %s" % exc, file=sys.stderr)
         return 1
     except Exception as exc:  # solver/IO failures: report, non-zero exit
         print("error: %s" % exc, file=sys.stderr)

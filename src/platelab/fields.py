@@ -35,9 +35,6 @@ class ScalarField:
     def norm_inf(self):
         return float(np.max(np.abs(self.values))) if self.grid.n else 0.0
 
-    def with_values(self, values):
-        return ScalarField(self.grid, values)
-
 
 def constant_field(grid, value=1.0):
     return ScalarField(grid, np.full(grid.n, float(value)))

@@ -2,9 +2,9 @@
 
 A domain is described by an analytic level function (negative inside,
 positive outside) rather than a mesh, so boundary crossings and normals
-are exact to root-finder tolerance. Grids are uniform lattices masked to
-the interior, with per-direction cut fractions for links that cross the
-boundary.
+are closed-form. Grids are uniform lattices masked to the interior, with
+per-direction cut fractions for links that cross the boundary. Everything
+that depends on the kind of domain sits in one table of ``Shape`` records.
 
 Reflections are always with respect to axis-aligned planes ``{x = lam}``
 or ``{y = lam}``; domains needing another direction should be rotated at
@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy import ndimage
@@ -26,6 +27,7 @@ _STEPS = ((-1, 0), (1, 0), (0, -1), (0, 1))
 
 _AXIS_SYMMETRY_TOL = 1e-12
 _CAP_BISECT_TOL = 1e-10
+_BOUNDARY_LEVEL_TOL = 1e-12  # in units of the spacing
 
 
 class GeometryError(ValueError):
@@ -55,6 +57,235 @@ class Axis:
             raise GeometryError("axis dim must be 0 or 1, got %r" % (self.dim,))
 
 
+# ---------------------------------------------------------------- shape table
+
+
+@dataclass(frozen=True)
+class Shape:
+    """Everything that depends on the kind of a domain.
+
+    ``level``, ``gradient``, ``distance`` and ``chords`` take coordinates
+    relative to the domain's centre; ``bbox`` and ``loops`` take the centre.
+    Every kind is symmetric about both centre axes, so a lattice line
+    ``{x_other = c}`` meets the boundary at plus and minus each half chord
+    that ``chords`` returns along ``dim`` (NaN where the line misses that
+    part of the boundary).
+    """
+
+    names: tuple  # parameter names, in ``params`` order
+    level: Callable  # (params, x, y) -> level, negative inside
+    bbox: Callable  # (params, cx, cy) -> (xmin, xmax, ymin, ymax)
+    area: Callable  # params -> area
+    loops: Callable  # (params, n, cx, cy) -> [(points (m,2), outward normals (m,2))]
+    gradient: Callable  # (params, x, y) -> outward direction at a boundary point
+    chords: Callable  # (params, dim, c) -> half chords along ``dim``
+    convex: bool = True
+    check: Callable = None  # params -> None, raises on invalid parameters
+    distance: Callable = None  # (params, x, y) -> boundary distance, if not the level
+
+
+def _box(cx, cy, hx, hy):
+    return (cx - hx, cx + hx, cy - hy, cy + hy)
+
+
+def _half_chord(r, c):
+    """Half chord of a circle of radius ``r`` at distance ``c`` from its
+    centre, NaN if the line misses it. Factored: ``r*r - c*c`` cancels
+    near tangency."""
+    with np.errstate(invalid="ignore"):
+        return np.sqrt((r - c) * (r + c))
+
+
+def _ellipse_loops(a, b, n, cx, cy):
+    """Curved loops are parameterized by angle."""
+    t = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
+    pts = np.column_stack([cx + a * np.cos(t), cy + b * np.sin(t)])
+    nrm = np.column_stack([np.cos(t) / a, np.sin(t) / b])
+    nrm /= np.linalg.norm(nrm, axis=1)[:, None]
+    return [(pts, nrm)]
+
+
+def _circle(r, n, cx, cy, outward):
+    t = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
+    pts = np.column_stack([cx + r * np.cos(t), cy + r * np.sin(t)])
+    return pts, outward * np.column_stack([np.cos(t), np.sin(t)])
+
+
+def _annulus_level(p, x, y):
+    a, r = p
+    rad = np.hypot(x, y)
+    return np.maximum(rad - r, a - rad)
+
+
+def _annulus_loops(p, n, cx, cy):
+    """Samples split between the circles in proportion to their length."""
+    a, r = p
+    n_out = max(8, int(round(n * r / (r + a))))
+    n_in = max(8, n - n_out)
+    return [_circle(r, n_out, cx, cy, 1.0), _circle(a, n_in, cx, cy, -1.0)]
+
+
+def _annulus_gradient(p, x, y):
+    a, r = p
+    rad = math.hypot(x, y)
+    return (1.0 if abs(rad - r) <= abs(rad - a) else -1.0) * np.array([x, y])
+
+
+def _check_annulus(p):
+    if not p[0] < p[1]:
+        raise GeometryError("annulus needs inner < outer radius")
+
+
+def _ellipse_level(p, x, y):
+    a, b = p
+    return (x / a) ** 2 + (y / b) ** 2 - 1.0
+
+
+def _ellipse_distance(p, x, y):
+    a, b = p
+    gn = math.hypot(2 * x / a**2, 2 * y / b**2)
+    lev = _ellipse_level(p, x, y)
+    return lev / gn if gn > 0 else lev
+
+
+def _ellipse_chords(p, dim, c):
+    along, across = p[dim], p[1 - dim]
+    return (along / across * _half_chord(across, c),)
+
+
+def _rectangle_level(p, x, y):
+    w, h = p
+    qx = np.abs(x) - 0.5 * w
+    qy = np.abs(y) - 0.5 * h
+    outside = np.hypot(np.maximum(qx, 0.0), np.maximum(qy, 0.0))
+    inside = np.minimum(np.maximum(qx, qy), 0.0)
+    return outside + inside
+
+
+def _rectangle_loops(p, n, cx, cy):
+    """Counter-clockwise from the bottom-left corner, by arclength."""
+    w, h = p
+    s = (np.arange(n) + 0.5) * (2.0 * (w + h)) / n
+    side = np.searchsorted([w, w + h, 2 * w + h], s, side="right")
+    x = np.choose(side, [cx - 0.5 * w + s, cx + 0.5 * w,
+                         cx + 0.5 * w - (s - w - h), cx - 0.5 * w])
+    y = np.choose(side, [cy - 0.5 * h, cy - 0.5 * h + (s - w),
+                         cy + 0.5 * h, cy + 0.5 * h - (s - 2 * w - h)])
+    nrm = np.array([(0.0, -1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)])[side]
+    return [(np.column_stack([x, y]), nrm)]
+
+
+def _rectangle_gradient(p, x, y):
+    w, h = p
+    if 0.5 * w - abs(x) <= 0.5 * h - abs(y):
+        return np.array([math.copysign(1.0, x), 0.0])
+    return np.array([0.0, math.copysign(1.0, y)])
+
+
+def _stadium_level(p, x, y):
+    length, r = p
+    qx = np.maximum(np.abs(x) - 0.5 * length, 0.0)
+    return np.hypot(qx, y) - r
+
+
+def _stadium_loops(p, n, cx, cy):
+    """Bottom edge, right cap, top edge, left cap, by arclength."""
+    length, r = p
+    half = 0.5 * length
+    s = (np.arange(n) + 0.5) * (2.0 * length + 2.0 * math.pi * r) / n
+    piece = np.searchsorted(
+        [length, length + math.pi * r, 2 * length + math.pi * r], s, side="right"
+    )
+    right = piece == 1
+    phi = np.where(right, (s - length) / r - 0.5 * math.pi,
+                   (s - 2 * length - math.pi * r) / r + 0.5 * math.pi)
+    arc_x = np.where(right, cx + half, cx - half) + r * np.cos(phi)
+    x = np.choose(piece, [cx - half + s, arc_x, cx + half - (s - length - math.pi * r), arc_x])
+    y = np.choose(piece, [cy - r, cy + r * np.sin(phi), cy + r, cy + r * np.sin(phi)])
+    flat = (piece == 0) | (piece == 2)
+    nrm = np.column_stack([np.where(flat, 0.0, np.cos(phi)),
+                           np.where(flat, piece - 1.0, np.sin(phi))])
+    return [(np.column_stack([x, y]), nrm)]
+
+
+def _stadium_chords(p, dim, c):
+    length, r = p
+    if dim == 0:
+        return (0.5 * length + _half_chord(r, c),)
+    return (_half_chord(r, np.maximum(np.abs(c) - 0.5 * length, 0.0)),)
+
+
+def _stadium_gradient(p, x, y):
+    ax = max(abs(x) - 0.5 * p[0], 0.0)
+    return np.array([math.copysign(ax, x), y])
+
+
+# For disk/annulus/rectangle/stadium the level is the exact signed
+# distance; for the ellipse it is the quadratic form (same sign, same
+# zero set).
+_SHAPES = {
+    "disk": Shape(
+        names=("radius",),
+        level=lambda p, x, y: np.hypot(x, y) - p[0],
+        bbox=lambda p, cx, cy: _box(cx, cy, p[0], p[0]),
+        area=lambda p: math.pi * p[0] ** 2,
+        loops=lambda p, n, cx, cy: _ellipse_loops(p[0], p[0], n, cx, cy),
+        gradient=lambda p, x, y: np.array([x, y]),
+        chords=lambda p, dim, c: (_half_chord(p[0], c),),
+    ),
+    "annulus": Shape(
+        names=("inner", "outer"),
+        level=_annulus_level,
+        bbox=lambda p, cx, cy: _box(cx, cy, p[1], p[1]),
+        area=lambda p: math.pi * (p[1] * p[1] - p[0] * p[0]),
+        loops=_annulus_loops,
+        gradient=_annulus_gradient,
+        chords=lambda p, dim, c: (_half_chord(p[1], c), _half_chord(p[0], c)),
+        convex=False,
+        check=_check_annulus,
+    ),
+    "ellipse": Shape(
+        names=("semi_x", "semi_y"),
+        level=_ellipse_level,
+        bbox=lambda p, cx, cy: _box(cx, cy, p[0], p[1]),
+        area=lambda p: math.pi * p[0] * p[1],
+        loops=lambda p, n, cx, cy: _ellipse_loops(p[0], p[1], n, cx, cy),
+        gradient=lambda p, x, y: np.array([x / p[0] ** 2, y / p[1] ** 2]),
+        chords=_ellipse_chords,
+        distance=_ellipse_distance,
+    ),
+    "rectangle": Shape(
+        names=("width", "height"),
+        level=_rectangle_level,
+        bbox=lambda p, cx, cy: _box(cx, cy, 0.5 * p[0], 0.5 * p[1]),
+        area=lambda p: p[0] * p[1],
+        loops=_rectangle_loops,
+        gradient=_rectangle_gradient,
+        chords=lambda p, dim, c: (np.full(np.shape(c), 0.5 * p[dim]),),
+    ),
+    "stadium": Shape(
+        names=("length", "cap_radius"),
+        level=_stadium_level,
+        bbox=lambda p, cx, cy: (cx - 0.5 * p[0] - p[1], cx + 0.5 * p[0] + p[1],
+                                cy - p[1], cy + p[1]),
+        area=lambda p: p[0] * 2 * p[1] + math.pi * p[1] * p[1],
+        loops=_stadium_loops,
+        gradient=_stadium_gradient,
+        chords=_stadium_chords,
+    ),
+}
+
+
+def _shape(kind):
+    try:
+        return _SHAPES[kind]
+    except KeyError:
+        raise GeometryError("unknown domain kind %r" % (kind,)) from None
+
+
+# ---------------------------------------------------------------- domains
+
+
 @dataclass(frozen=True)
 class DomainSpec:
     """Analytic description of the domain: kind, parameters, symmetry axes."""
@@ -64,83 +295,29 @@ class DomainSpec:
     center: tuple
     axes: tuple
 
-    # ------------------------------------------------------------------ level
-    def level(self, x, y):
-        """Level function of the boundary: negative inside, positive outside.
+    @property
+    def shape(self):
+        return _shape(self.kind)
 
-        For disk/annulus/rectangle/stadium this is the exact signed
-        distance; for the ellipse it is the quadratic form (same sign,
-        same zero set).
-        """
+    def level(self, x, y):
+        """Level function of the boundary: negative inside, positive outside."""
         x = np.asarray(x, dtype=float) - self.center[0]
         y = np.asarray(y, dtype=float) - self.center[1]
-        if self.kind == "disk":
-            (r,) = self.params
-            return np.hypot(x, y) - r
-        if self.kind == "annulus":
-            a, r = self.params
-            rad = np.hypot(x, y)
-            return np.maximum(rad - r, a - rad)
-        if self.kind == "ellipse":
-            a, b = self.params
-            return (x / a) ** 2 + (y / b) ** 2 - 1.0
-        if self.kind == "rectangle":
-            w, h = self.params
-            qx = np.abs(x) - 0.5 * w
-            qy = np.abs(y) - 0.5 * h
-            outside = np.hypot(np.maximum(qx, 0.0), np.maximum(qy, 0.0))
-            inside = np.minimum(np.maximum(qx, qy), 0.0)
-            return outside + inside
-        if self.kind == "stadium":
-            length, r = self.params
-            qx = np.maximum(np.abs(x) - 0.5 * length, 0.0)
-            return np.hypot(qx, y) - r
-        raise GeometryError("unknown domain kind %r" % (self.kind,))
+        return self.shape.level(self.params, x, y)
 
-    # ------------------------------------------------------------- geometry
     def bbox(self):
-        cx, cy = self.center
-        if self.kind == "disk":
-            (r,) = self.params
-            return (cx - r, cx + r, cy - r, cy + r)
-        if self.kind == "annulus":
-            _, r = self.params
-            return (cx - r, cx + r, cy - r, cy + r)
-        if self.kind == "ellipse":
-            a, b = self.params
-            return (cx - a, cx + a, cy - b, cy + b)
-        if self.kind == "rectangle":
-            w, h = self.params
-            return (cx - 0.5 * w, cx + 0.5 * w, cy - 0.5 * h, cy + 0.5 * h)
-        if self.kind == "stadium":
-            length, r = self.params
-            return (cx - 0.5 * length - r, cx + 0.5 * length + r, cy - r, cy + r)
-        raise GeometryError("unknown domain kind %r" % (self.kind,))
+        return self.shape.bbox(self.params, *self.center)
 
     def diameter(self):
         xmin, xmax, ymin, ymax = self.bbox()
         return math.hypot(xmax - xmin, ymax - ymin)
 
     def area(self):
-        if self.kind == "disk":
-            return math.pi * self.params[0] ** 2
-        if self.kind == "annulus":
-            a, r = self.params
-            return math.pi * (r * r - a * a)
-        if self.kind == "ellipse":
-            a, b = self.params
-            return math.pi * a * b
-        if self.kind == "rectangle":
-            w, h = self.params
-            return w * h
-        if self.kind == "stadium":
-            length, r = self.params
-            return length * 2 * r + math.pi * r * r
-        raise GeometryError("unknown domain kind %r" % (self.kind,))
+        return self.shape.area(self.params)
 
     @property
     def is_convex(self):
-        return self.kind != "annulus"
+        return self.shape.convex
 
     def sup_coord(self, dim):
         """Largest coordinate of the closure along axis ``dim``."""
@@ -151,84 +328,34 @@ class DomainSpec:
         box = self.bbox()
         return box[0] if dim == 0 else box[2]
 
-    # ------------------------------------------------------------- boundary
     def n_boundary_loops(self):
-        return 2 if self.kind == "annulus" else 1
+        return len(self.boundary_loops(16))
 
     def boundary_loops(self, n):
         """Sample each boundary loop: list of (points (m,2), outward normals (m,2)).
 
-        ``n`` is the total sample count, split between loops proportionally
-        to their length. Curved loops are parameterized by angle, polygonal
-        ones by arclength.
+        ``n`` is the total sample count.
         """
-        cx, cy = self.center
-        if self.kind in ("disk", "ellipse"):
-            if self.kind == "disk":
-                a = b = self.params[0]
-            else:
-                a, b = self.params
-            t = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
-            pts = np.column_stack([cx + a * np.cos(t), cy + b * np.sin(t)])
-            nrm = np.column_stack([np.cos(t) / a, np.sin(t) / b])
-            nrm /= np.linalg.norm(nrm, axis=1)[:, None]
-            return [(pts, nrm)]
-        if self.kind == "annulus":
-            a, r = self.params
-            n_out = max(8, int(round(n * r / (r + a))))
-            n_in = max(8, n - n_out)
-            loops = []
-            t = np.linspace(0.0, 2 * math.pi, n_out, endpoint=False)
-            pts = np.column_stack([cx + r * np.cos(t), cy + r * np.sin(t)])
-            loops.append((pts, np.column_stack([np.cos(t), np.sin(t)])))
-            t = np.linspace(0.0, 2 * math.pi, n_in, endpoint=False)
-            pts = np.column_stack([cx + a * np.cos(t), cy + a * np.sin(t)])
-            loops.append((pts, np.column_stack([-np.cos(t), -np.sin(t)])))
-            return loops
-        if self.kind == "rectangle":
-            w, h = self.params
-            per = 2.0 * (w + h)
-            s = (np.arange(n) + 0.5) * per / n
-            pts = np.empty((n, 2))
-            nrm = np.empty((n, 2))
-            for i, si in enumerate(s):
-                if si < w:
-                    pts[i] = (cx - 0.5 * w + si, cy - 0.5 * h)
-                    nrm[i] = (0.0, -1.0)
-                elif si < w + h:
-                    pts[i] = (cx + 0.5 * w, cy - 0.5 * h + (si - w))
-                    nrm[i] = (1.0, 0.0)
-                elif si < 2 * w + h:
-                    pts[i] = (cx + 0.5 * w - (si - w - h), cy + 0.5 * h)
-                    nrm[i] = (0.0, 1.0)
-                else:
-                    pts[i] = (cx - 0.5 * w, cy + 0.5 * h - (si - 2 * w - h))
-                    nrm[i] = (-1.0, 0.0)
-            return [(pts, nrm)]
-        if self.kind == "stadium":
-            length, r = self.params
-            per = 2.0 * length + 2.0 * math.pi * r
-            s = (np.arange(n) + 0.5) * per / n
-            pts = np.empty((n, 2))
-            nrm = np.empty((n, 2))
-            half = 0.5 * length
-            for i, si in enumerate(s):
-                if si < length:  # bottom edge, left to right
-                    pts[i] = (cx - half + si, cy - r)
-                    nrm[i] = (0.0, -1.0)
-                elif si < length + math.pi * r:  # right cap
-                    phi = (si - length) / r - 0.5 * math.pi
-                    pts[i] = (cx + half + r * math.cos(phi), cy + r * math.sin(phi))
-                    nrm[i] = (math.cos(phi), math.sin(phi))
-                elif si < 2 * length + math.pi * r:  # top edge, right to left
-                    pts[i] = (cx + half - (si - length - math.pi * r), cy + r)
-                    nrm[i] = (0.0, 1.0)
-                else:  # left cap
-                    phi = (si - 2 * length - math.pi * r) / r + 0.5 * math.pi
-                    pts[i] = (cx - half + r * math.cos(phi), cy + r * math.sin(phi))
-                    nrm[i] = (math.cos(phi), math.sin(phi))
-            return [(pts, nrm)]
-        raise GeometryError("unknown domain kind %r" % (self.kind,))
+        return self.shape.loops(self.params, n, *self.center)
+
+    def to_dict(self):
+        """JSON-ready form; :meth:`from_dict` inverts it exactly."""
+        return {
+            "kind": self.kind,
+            "params": list(self.params),
+            "center": list(self.center),
+            "axes": [[ax.dim, ax.offset] for ax in self.axes],
+        }
+
+    @classmethod
+    def from_dict(cls, d):
+        """Validated spec from :meth:`to_dict` output. Without ``center``
+        the domain sits at the origin; without ``axes`` both centre axes
+        are declared."""
+        axes = d.get("axes")
+        if axes is not None:
+            axes = [Axis(int(dim), float(offset)) for dim, offset in axes]
+        return _validated(d["kind"], d["params"], d.get("center", (0.0, 0.0)), axes)
 
 
 def _check_axes(spec):
@@ -251,60 +378,40 @@ def _check_axes(spec):
             )
 
 
-def _require_positive(**vals):
-    for name, v in vals.items():
+def _validated(kind, params, center, axes=None):
+    """The spec of a known kind with positive parameters and true symmetry
+    axes; ``axes=None`` declares both axes through the centre."""
+    shape = _shape(kind)
+    if len(params) != len(shape.names):
+        raise GeometryError("%s takes parameters %s, got %r" % (kind, shape.names, params))
+    for name, v in zip(shape.names, params):
         if not (v > 0):
             raise GeometryError("%s must be strictly positive, got %r" % (name, v))
+    params = tuple(float(v) for v in params)
+    if shape.check is not None:
+        shape.check(params)
+    cx, cy = float(center[0]), float(center[1])
+    if axes is None:
+        axes = (Axis(0, cx), Axis(1, cy))
+    spec = DomainSpec(kind, params, (cx, cy), tuple(axes))
+    _check_axes(spec)
+    return spec
 
 
 def disk(radius=1.0, center=(0.0, 0.0)):
-    _require_positive(radius=radius)
-    spec = DomainSpec(
-        "disk",
-        (float(radius),),
-        (float(center[0]), float(center[1])),
-        (Axis(0, float(center[0])), Axis(1, float(center[1]))),
-    )
-    _check_axes(spec)
-    return spec
+    return _validated("disk", (radius,), center)
 
 
 def annulus(inner, outer=1.0, center=(0.0, 0.0)):
-    _require_positive(inner=inner, outer=outer)
-    if not inner < outer:
-        raise GeometryError("annulus needs inner < outer radius")
-    spec = DomainSpec(
-        "annulus",
-        (float(inner), float(outer)),
-        (float(center[0]), float(center[1])),
-        (Axis(0, float(center[0])), Axis(1, float(center[1]))),
-    )
-    _check_axes(spec)
-    return spec
+    return _validated("annulus", (inner, outer), center)
 
 
 def ellipse(semi_x=1.0, semi_y=0.6, center=(0.0, 0.0)):
-    _require_positive(semi_x=semi_x, semi_y=semi_y)
-    spec = DomainSpec(
-        "ellipse",
-        (float(semi_x), float(semi_y)),
-        (float(center[0]), float(center[1])),
-        (Axis(0, float(center[0])), Axis(1, float(center[1]))),
-    )
-    _check_axes(spec)
-    return spec
+    return _validated("ellipse", (semi_x, semi_y), center)
 
 
 def rectangle(width=1.0, height=1.0, center=(0.0, 0.0)):
-    _require_positive(width=width, height=height)
-    spec = DomainSpec(
-        "rectangle",
-        (float(width), float(height)),
-        (float(center[0]), float(center[1])),
-        (Axis(0, float(center[0])), Axis(1, float(center[1]))),
-    )
-    _check_axes(spec)
-    return spec
+    return _validated("rectangle", (width, height), center)
 
 
 def unit_square():
@@ -313,15 +420,7 @@ def unit_square():
 
 
 def stadium(length=1.0, cap_radius=0.5, center=(0.0, 0.0)):
-    _require_positive(length=length, cap_radius=cap_radius)
-    spec = DomainSpec(
-        "stadium",
-        (float(length), float(cap_radius)),
-        (float(center[0]), float(center[1])),
-        (Axis(0, float(center[0])), Axis(1, float(center[1]))),
-    )
-    _check_axes(spec)
-    return spec
+    return _validated("stadium", (length, cap_radius), center)
 
 
 def boundary_normal(spec, p):
@@ -329,50 +428,16 @@ def boundary_normal(spec, p):
 
     ``p`` must lie within 1e-10 * diameter of the boundary.
     """
+    shape = spec.shape
     x = float(p[0]) - spec.center[0]
     y = float(p[1]) - spec.center[1]
-    tol = 1e-10 * spec.diameter()
-    if abs(_boundary_distance(spec, x, y)) > tol:
+    distance = (shape.distance or shape.level)(spec.params, x, y)
+    if abs(distance) > 1e-10 * spec.diameter():
         raise GeometryError("point %r is not on the boundary" % (p,))
-    if spec.kind == "disk":
-        g = np.array([x, y])
-    elif spec.kind == "annulus":
-        a, r = spec.params
-        rad = math.hypot(x, y)
-        sign = 1.0 if abs(rad - r) <= abs(rad - a) else -1.0
-        g = sign * np.array([x, y])
-    elif spec.kind == "ellipse":
-        a, b = spec.params
-        g = np.array([x / a**2, y / b**2])
-    elif spec.kind == "rectangle":
-        w, h = spec.params
-        dx = 0.5 * w - abs(x)
-        dy = 0.5 * h - abs(y)
-        if dx <= dy:
-            g = np.array([math.copysign(1.0, x), 0.0])
-        else:
-            g = np.array([0.0, math.copysign(1.0, y)])
-    elif spec.kind == "stadium":
-        length, _ = spec.params
-        ax = max(abs(x) - 0.5 * length, 0.0)
-        g = np.array([math.copysign(ax, x), y])
-        if g[0] == 0.0 and g[1] == 0.0:
-            g = np.array([0.0, math.copysign(1.0, y)])
-    else:
-        raise GeometryError("unknown domain kind %r" % (spec.kind,))
+    g = shape.gradient(spec.params, x, y)
     n = g / np.linalg.norm(g)
     assert abs(np.linalg.norm(n) - 1.0) < 1e-12
     return n
-
-
-def _boundary_distance(spec, x, y):
-    """Distance estimate to the boundary (exact except for the ellipse)."""
-    lev = float(spec.level(x + spec.center[0], y + spec.center[1]))
-    if spec.kind != "ellipse":
-        return lev
-    a, b = spec.params
-    gn = math.hypot(2 * x / a**2, 2 * y / b**2)
-    return lev / gn if gn > 0 else lev
 
 
 # ---------------------------------------------------------------------- grid
@@ -382,11 +447,12 @@ def _boundary_distance(spec, x, y):
 class Grid:
     """Masked uniform lattice over a domain.
 
-    Interior nodes are lattice points with strictly negative level,
+    Interior nodes are lattice points with level below ``-1e-12 * delta``,
     enumerated row-major (y outer, x inner). ``theta[i, d]`` is the cut
     fraction of node ``i`` toward direction ``d`` (WEST/EAST/SOUTH/NORTH):
-    1.0 when the neighbor link is interior-to-interior, the fractional
-    distance to the boundary in units of the spacing otherwise.
+    1.0 when the neighbor link is interior-to-interior or ends at a node
+    with level <= 0, the fractional distance to the boundary in units of
+    the spacing otherwise.
     ``neighbor[i, d]`` holds the interior rank of the neighbor or -1.
     """
 
@@ -399,8 +465,6 @@ class Grid:
     index_of: np.ndarray
     theta: np.ndarray
     neighbor: np.ndarray
-    boundary_points: np.ndarray
-    boundary_normals: np.ndarray
     tag: str
 
     @property
@@ -449,7 +513,8 @@ def build_grid(spec, nodes_per_side):
 
     ``nodes_per_side`` counts boundary-inclusive nodes across the longer
     bounding-box side, so the spacing is ``side / (nodes_per_side - 1)``;
-    the lattice extends one spacing beyond the bounding box.
+    the lattice extends one spacing beyond the bounding box. Cut fractions
+    are the closed-form crossings of the lattice lines with the boundary.
     """
     if nodes_per_side < 5:
         raise GeometryError("nodes_per_side must be at least 5, got %d" % nodes_per_side)
@@ -463,7 +528,10 @@ def build_grid(spec, nodes_per_side):
     nx, ny = xs.shape[0], ys.shape[0]
 
     X, Y = np.meshgrid(xs, ys)  # shape (ny, nx)
-    mask = spec.level(X, Y) < 0.0
+    level = spec.level(X, Y)
+    # a node on the boundary up to rounding is a boundary node, not an
+    # interior node with a vanishing cut fraction
+    mask = level < -_BOUNDARY_LEVEL_TOL * delta
 
     n_interior = int(mask.sum())
     if n_interior == 0:
@@ -482,6 +550,7 @@ def build_grid(spec, nodes_per_side):
     index_of = -np.ones((ny, nx), dtype=np.int64)
     index_of[iy, ix] = np.arange(n_interior)
 
+    centred = (xs - spec.center[0], ys - spec.center[1])
     theta = np.ones((n_interior, 4))
     neighbor = -np.ones((n_interior, 4), dtype=np.int64)
     for d, (dx, dy) in enumerate(_STEPS):
@@ -491,13 +560,20 @@ def build_grid(spec, nodes_per_side):
         if not ok.all():
             raise GeometryError("interior node touches the lattice edge")
         neighbor[:, d] = index_of[jy, jx]
-        cut = neighbor[:, d] < 0
-        for i in np.flatnonzero(cut):
-            theta[i, d] = _cut_fraction(
-                spec, xs[ix[i]], ys[iy[i]], dx * delta, dy * delta
-            )
-
-    pts, nrms = _grid_boundary_samples(spec, delta)
+        # a link ending at a node with level <= 0 stays full, with zero
+        # Dirichlet data at that node
+        cut = np.flatnonzero((neighbor[:, d] < 0) & (level[jy, jx] > 0.0))
+        dim, sign = (0, dx) if dx else (1, dy)
+        node = (centred[0][ix[cut]], centred[1][iy[cut]])
+        half = np.array(spec.shape.chords(spec.params, dim, node[1 - dim]))
+        # distances from the node to the crossings +-half ahead of it (NaN
+        # half chords, lines that miss a circle, drop out with the rest)
+        s = sign * node[dim]
+        ahead = np.concatenate([half - s, -half - s])
+        ahead[~(ahead > 0.0)] = np.inf
+        t = ahead.min(axis=0) / delta
+        assert np.all(np.isfinite(t))
+        theta[cut, d] = np.minimum(t, 1.0)
 
     payload = (
         spec.kind,
@@ -520,47 +596,10 @@ def build_grid(spec, nodes_per_side):
         index_of=index_of,
         theta=theta,
         neighbor=neighbor,
-        boundary_points=pts,
-        boundary_normals=nrms,
         tag=tag,
     )
     assert np.all(grid.theta > 0.0) and np.all(grid.theta <= 1.0)
-    assert np.max(np.abs(np.linalg.norm(nrms, axis=1) - 1.0)) < 1e-12
     return grid
-
-
-def _cut_fraction(spec, x, y, hx, hy):
-    """First boundary crossing along the segment node -> exterior neighbor."""
-
-    def g(t):
-        return float(spec.level(x + t * hx, y + t * hy))
-
-    g1 = g(1.0)
-    if g1 <= 0.0:
-        # neighbor sits exactly on the boundary (level == 0 excluded it
-        # from the interior); treat as a full link with zero Dirichlet data
-        return 1.0
-    # imported here: uncut grids never search for a crossing, and the
-    # import costs about 13 MB of resident memory
-    from scipy.optimize import brentq
-
-    t = brentq(g, 0.0, 1.0, xtol=1e-12, rtol=8.9e-16)
-    if t <= 0.0:
-        raise GeometryError("degenerate cut fraction at node (%g, %g)" % (x, y))
-    return min(t, 1.0)
-
-
-def _grid_boundary_samples(spec, delta):
-    total = 0.0
-    for pts, _ in spec.boundary_loops(64):
-        seg = np.diff(np.vstack([pts, pts[:1]]), axis=0)
-        total += np.sum(np.hypot(seg[:, 0], seg[:, 1]))
-    n = max(256, int(math.ceil(total / delta)))
-    loops = spec.boundary_loops(n)
-    pts = np.vstack([p for p, _ in loops])
-    nrm = np.vstack([m for _, m in loops])
-    nrm = nrm / np.linalg.norm(nrm, axis=1)[:, None]
-    return pts, nrm
 
 
 # ----------------------------------------------------------------- reflection

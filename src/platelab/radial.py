@@ -21,12 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
+from .eigensolver import EigenError
 from .optimizer import OptimizeOptions
 from .plate import FORMULATION
 
 
 class RadialError(ValueError):
-    pass
+    """Invalid input to the radial solver; solver failures raise EigenError."""
 
 
 @dataclass(frozen=True)
@@ -112,14 +113,6 @@ def _solve(ab, f):
     return solve_banded((1, 1), ab, f)
 
 
-def _apply(ab, x):
-    n = x.shape[0]
-    out = ab[1] * x
-    out[:-1] += ab[0, 1:] * x[1:]
-    out[1:] += ab[2, :-1] * x[:-1]
-    return out
-
-
 def _principal_pair_radial(grid, ab, rho, tol, max_iter, u0=None):
     u = np.ones(grid.n) if u0 is None else u0 / np.max(np.abs(u0))
     w = grid.weights
@@ -129,7 +122,7 @@ def _principal_pair_radial(grid, ab, rho, tol, max_iter, u0=None):
         v = _solve(ab, rho * u)
         uu = _solve(ab, v)
         if np.any(uu <= 0.0):
-            raise RadialError("radial iterate lost positivity")
+            raise EigenError("radial iterate lost positivity")
         scale = np.max(np.abs(uu))
         u = uu / scale
         vs = v / scale
@@ -139,7 +132,7 @@ def _principal_pair_radial(grid, ab, rho, tol, max_iter, u0=None):
             break
         theta_prev = theta
     else:
-        raise RadialError("radial eigensolve did not converge in %d iterations" % max_iter)
+        raise EigenError("radial eigensolve did not converge in %d iterations" % max_iter)
     return theta, u, vs, it, history
 
 

@@ -29,12 +29,9 @@ def make_strip_grid(n_nodes, delta):
     neighbor = -np.ones((n_nodes, 4), dtype=np.int64)
     neighbor[1:, 0] = np.arange(n_nodes - 1)
     neighbor[:-1, 1] = np.arange(1, n_nodes)
-    pts = np.array([[0.0, delta]])
-    nrm = np.array([[0.0, 1.0]])
     return Grid(
         spec=spec, delta=delta, xs=xs, ys=ys, ix=ix, iy=iy, index_of=index_of,
-        theta=theta, neighbor=neighbor, boundary_points=pts, boundary_normals=nrm,
-        tag="strip-%d-%g" % (n_nodes, delta),
+        theta=theta, neighbor=neighbor, tag="strip-%d-%g" % (n_nodes, delta),
     )
 
 

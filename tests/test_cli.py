@@ -79,6 +79,17 @@ class TestSolve:
         assert rc == 1
         assert "--inner" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--h", "3", "--H", "2", "--mass", "4"],
+        ["--h", "1", "--H", "2", "--mass", "4", "--grid", "3"],
+        ["--h", "1", "--H", "2", "--mass", "100"],  # above H * area of the unit disk
+        ["--radial", "--h", "3", "--H", "2", "--mass", "4"],
+    ], ids=["h-above-H", "grid-3", "mass-outside-bracket", "radial-h-above-H"])
+    def test_input_errors_exit_1(self, flags, capsys):
+        rc = run(["solve", "--domain", "disk", "--grid", "33"] + flags)
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_radial_solve(self, tmp_path):
         report = tmp_path / "radial.json"
         fields = tmp_path / "radial.csv"
@@ -178,3 +189,15 @@ class TestSweep:
             assert np.isfinite(float(r["theta_radial"]))
             assert np.isfinite(float(r["rotation_asymmetry"]))
             assert r["beats_radial"] in ("True", "False")
+
+    def test_unconverged_row_exits_2(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        rc = run([
+            "sweep-annulus", "--inner-from", "0.5", "--inner-to", "0.5",
+            "--steps", "1", "--grid", "33", "--nr", "64", "--max-outer", "1",
+            "--out", str(out),
+        ])
+        assert rc == 2
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["termination"] for r in rows] == ["max-outer"]

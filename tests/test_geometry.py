@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,12 +8,19 @@ import platelab as pl
 from platelab.geometry import (
     Axis,
     DisconnectedInteriorError,
+    DomainSpec,
     GeometryError,
     cap_reflection_contained,
     mirror_orbit_ids,
     mirror_ranks,
     reflect_values,
 )
+
+ALL_KINDS = (pl.disk(1.0), pl.annulus(0.5), pl.ellipse(1.0, 0.6),
+             pl.rectangle(1.0, 0.45), pl.stadium(1.0, 0.5))
+OFF_CENTRE = (pl.disk(1.0, center=(2.0, 0.0)), pl.annulus(0.3, 0.8, center=(-1.0, 0.25)),
+              pl.ellipse(1.0, 0.6, center=(0.5, 0.0)), pl.rectangle(1.0, 0.45, center=(0.3, 0.5)),
+              pl.stadium(0.6, 0.3, center=(0.2, -0.1)))
 
 
 class TestDomainSpec:
@@ -33,6 +41,25 @@ class TestDomainSpec:
         )
         with pytest.raises(GeometryError):
             pl.geometry._check_axes(bogus)
+
+    @pytest.mark.parametrize("spec", OFF_CENTRE, ids=lambda s: s.kind)
+    def test_dict_round_trip(self, spec):
+        back = DomainSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+        assert back.kind == spec.kind
+        assert back.params == spec.params
+        assert back.center == spec.center
+        assert back.axes == spec.axes
+
+    def test_from_dict_validates(self):
+        good = pl.disk(1.0, center=(2.0, 0.0)).to_dict()
+        with pytest.raises(GeometryError):
+            DomainSpec.from_dict(dict(good, kind="torus"))
+        with pytest.raises(GeometryError):
+            DomainSpec.from_dict(dict(good, params=[-1.0]))
+        with pytest.raises(GeometryError):
+            DomainSpec.from_dict(dict(good, axes=[[0, 0.0]]))
+        with pytest.raises(GeometryError):
+            DomainSpec.from_dict({"kind": "annulus", "params": [1.0, 0.5]})
 
     def test_level_sign(self):
         for spec in (pl.disk(1.0), pl.annulus(0.5), pl.ellipse(1, 0.6),
@@ -84,13 +111,45 @@ class TestBuildGrid:
             assert g.theta[i, 1] == pytest.approx((x_cross - x) / g.delta, abs=1e-11)
 
     def test_boundary_normals_are_unit(self):
-        g = pl.build_grid(pl.ellipse(1.0, 0.6), 33)
-        norms = np.linalg.norm(g.boundary_normals, axis=1)
-        assert np.max(np.abs(norms - 1.0)) < 1e-12
+        for spec in ALL_KINDS:
+            for _, nrm in spec.boundary_loops(257):
+                norms = np.linalg.norm(nrm, axis=1)
+                assert np.max(np.abs(norms - 1.0)) < 1e-12, spec.kind
 
     def test_theta_range(self):
         g = pl.build_grid(pl.stadium(1.0, 0.5), 33)
         assert (g.theta > 0).all() and (g.theta <= 1).all()
+
+    @pytest.mark.parametrize("spec", ALL_KINDS + OFF_CENTRE, ids=lambda s: s.kind)
+    def test_cut_points_are_first_boundary_crossings(self, spec):
+        g = pl.build_grid(spec, 33)
+        steps = np.array([(-1, 0), (1, 0), (0, -1), (0, 1)])
+        i, d = np.nonzero(g.theta < 1.0)
+        assert i.size
+        t = g.theta[i, d] * g.delta
+        x = g.node_x[i] + t * steps[d, 0]
+        y = g.node_y[i] + t * steps[d, 1]
+        assert np.max(np.abs(spec.level(x, y))) < 1e-12
+        # halfway to the crossing is still inside: no earlier crossing
+        mid = spec.level(g.node_x[i] + 0.5 * t * steps[d, 0],
+                         g.node_y[i] + 0.5 * t * steps[d, 1])
+        assert np.all(mid < 0.0)
+
+    def test_near_tangent_cut_does_not_cancel(self):
+        # row a = 0.58333 of the acceptance sweep: one mirror orbit of links
+        # grazes the inner circle; 50-digit reference crossing 0.99999945371440713
+        g = pl.build_grid(pl.annulus(float(np.linspace(0.05, 0.85, 16)[10])), 97)
+        near = g.theta[(g.theta > 0.9999994) & (g.theta < 0.9999995)]
+        assert near.size == 8
+        assert np.max(np.abs(near - 0.99999945371440713)) < 1e-15
+
+    def test_node_on_boundary_up_to_rounding_is_a_boundary_node(self):
+        # the lattice node (0.15, 0) lies on the inner circle up to rounding
+        g = pl.build_grid(pl.annulus(0.15), 41)
+        assert g.n == 1216
+        assert (g.theta > 1e-6).all()
+        on_circle = np.abs(np.hypot(g.node_x, g.node_y) - 0.15) < 1e-12 * g.delta
+        assert not on_circle.any()
 
 
 class TestReflectValues:

@@ -123,6 +123,13 @@ class TestAnnulusRegimes:
         assert abs(pair.theta - radial.theta) / radial.theta < 0.01
         assert dg.rotation_asymmetry(pair, 32) <= 1e-4
 
+    def test_lattice_node_on_the_inner_circle(self):
+        # grid 41 puts the node (0.15, 0) on the inner circle up to rounding
+        grid = pl.build_grid(pl.annulus(0.15), 41)
+        M = 1.5 * grid.discrete_area  # half fill of the [1, 2] bracket
+        _, report = optimize(grid.spec, 41, 1.0, 2.0, M, grid=grid)
+        assert report.termination == "rho-fixed"
+
     def test_thin_annulus_reports_lower_of_the_two_states(self):
         # exploratory regime: whichever fixed point wins is reported with
         # its asymmetry attached; no quantitative threshold is asserted

@@ -3,7 +3,14 @@ import pytest
 from scipy.special import jn_zeros
 
 import platelab as pl
-from platelab.radial import RadialError, radial_grid, radial_optimize
+from platelab.eigensolver import EigenError
+from platelab.radial import (
+    RadialError,
+    _principal_pair_radial,
+    _radial_operator,
+    radial_grid,
+    radial_optimize,
+)
 
 J01 = jn_zeros(0, 1)[0]
 
@@ -66,6 +73,12 @@ class TestRadialOptimize:
         res = radial_optimize("disk", 1.0, 1.0, 2.0, 1.5 * np.pi, n_r=1024)
         pair, _ = pl.optimize(pl.disk(1.0), 129, 1.0, 2.0, 1.5 * np.pi)
         assert abs(pair.theta - res.theta) / res.theta < 0.01
+
+    def test_nonconvergence_is_a_solver_error(self):
+        grid = radial_grid("disk", (1.0,), 128)
+        ab = _radial_operator(grid)
+        with pytest.raises(EigenError):  # a solver failure, not an input error
+            _principal_pair_radial(grid, ab, np.ones(grid.n), 1e-12, 2)
 
     def test_mass_bracket_enforced(self):
         with pytest.raises(RadialError):
