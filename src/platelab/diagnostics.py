@@ -80,7 +80,7 @@ def plane_window(pair, axis, margin_factor=2.0):
     ax = _declared_axis(pair.grid, axis)
     caps = reflection_caps(pair.spec, ax)
     margin = margin_factor * pair.grid.delta
-    lo = max(caps.lam1, ax.offset) + margin
+    lo = caps.lam1 + margin
     hi = caps.lam0 - margin
     if not lo < hi:
         raise DiagnosticsError("empty plane window: [%g, %g]" % (lo, hi))

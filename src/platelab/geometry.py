@@ -8,7 +8,9 @@ that depends on the kind of domain sits in one table of ``Shape`` records.
 
 Reflections are always with respect to axis-aligned planes ``{x = lam}``
 or ``{y = lam}``; domains needing another direction should be rotated at
-construction time, not the grid.
+construction time, not the grid. The moving-plane landmarks and the
+check of declared symmetry axes are closed form too: they read the
+centre and the table's ``stop`` position, and sample nothing.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ WEST, EAST, SOUTH, NORTH = 0, 1, 2, 3
 _STEPS = ((-1, 0), (1, 0), (0, -1), (0, 1))
 
 _AXIS_SYMMETRY_TOL = 1e-12
-_CAP_BISECT_TOL = 1e-10
 _BOUNDARY_LEVEL_TOL = 1e-12  # in units of the spacing
 
 
@@ -69,7 +70,10 @@ class Shape:
     Every kind is symmetric about both centre axes, so a lattice line
     ``{x_other = c}`` meets the boundary at plus and minus each half chord
     that ``chords`` returns along ``dim`` (NaN where the line misses that
-    part of the boundary).
+    part of the boundary). ``stop`` is where a plane moving in from the
+    far side stops, measured from the centre and the same along both
+    axes: 0 for the convex kinds, ``(inner + outer) / 2`` for the annulus,
+    where the reflected cap first touches the inner circle.
     """
 
     names: tuple  # parameter names, in ``params`` order
@@ -79,6 +83,7 @@ class Shape:
     loops: Callable  # (params, n, cx, cy) -> [(points (m,2), outward normals (m,2))]
     gradient: Callable  # (params, x, y) -> outward direction at a boundary point
     chords: Callable  # (params, dim, c) -> half chords along ``dim``
+    stop: Callable = lambda p: 0.0  # params -> stop position of the moving plane
     convex: bool = True
     check: Callable = None  # params -> None, raises on invalid parameters
     distance: Callable = None  # (params, x, y) -> boundary distance, if not the level
@@ -241,6 +246,7 @@ _SHAPES = {
         loops=_annulus_loops,
         gradient=_annulus_gradient,
         chords=lambda p, dim, c: (_half_chord(p[1], c), _half_chord(p[0], c)),
+        stop=lambda p: 0.5 * (p[0] + p[1]),
         convex=False,
         check=_check_annulus,
     ),
@@ -324,10 +330,6 @@ class DomainSpec:
         box = self.bbox()
         return box[1] if dim == 0 else box[3]
 
-    def inf_coord(self, dim):
-        box = self.bbox()
-        return box[0] if dim == 0 else box[2]
-
     def n_boundary_loops(self):
         return len(self.boundary_loops(16))
 
@@ -359,22 +361,15 @@ class DomainSpec:
 
 
 def _check_axes(spec):
-    """Declared axes must be exact symmetries of the level function."""
-    xmin, xmax, ymin, ymax = spec.bbox()
-    rng = np.random.default_rng(12345)
-    px = rng.uniform(xmin, xmax, 400)
-    py = rng.uniform(ymin, ymax, 400)
+    """Declared axes must be symmetries. Every kind is symmetric about its
+    two centre axes and about no other axis-aligned line, so an axis is a
+    symmetry exactly when it passes through the centre."""
     tol = _AXIS_SYMMETRY_TOL * spec.diameter()
     for ax in spec.axes:
-        if ax.dim == 0:
-            qx, qy = 2.0 * ax.offset - px, py
-        else:
-            qx, qy = px, 2.0 * ax.offset - py
-        mismatch = np.max(np.abs(spec.level(px, py) - spec.level(qx, qy)))
-        if mismatch > tol:
+        miss = abs(ax.offset - spec.center[ax.dim])
+        if not miss <= tol:
             raise GeometryError(
-                "declared axis %r is not a symmetry (level mismatch %.3e)"
-                % (ax, mismatch)
+                "declared axis %r is not a symmetry (%.3e off the centre)" % (ax, miss)
             )
 
 
@@ -753,62 +748,16 @@ class ReflectionCaps:
             )
 
 
-def cap_reflection_contained(spec, dim, lam, n_samples=4096, slack=0.0):
-    """True iff the reflection of the cap ``{x_dim > lam}`` stays in the closure.
-
-    Tested on a dense boundary sample of the cap; ``slack`` loosens the
-    inside test (used by the tangency detector).
-    """
-    tol = 1e-12 * spec.diameter() + slack
-    for pts, _ in spec.boundary_loops(n_samples):
-        coord = pts[:, dim]
-        sel = coord > lam
-        if not sel.any():
-            continue
-        q = pts[sel].copy()
-        q[:, dim] = 2.0 * lam - q[:, dim]
-        if np.max(spec.level(q[:, 0], q[:, 1])) > tol:
-            return False
-    return True
-
-
-def _cap_stuck(spec, dim, lam, n_samples=4096):
-    """True iff the sweep is stuck at ``lam``: reflected cap touches the
-    boundary away from the plane, or the plane meets the boundary
-    orthogonally (within sample resolution)."""
-    diam = spec.diameter()
-    touch = 1e-9 * diam
-    loops = spec.boundary_loops(n_samples)
-    # (i) internal tangency: a reflected cap boundary point reaches the boundary
-    for pts, _ in loops:
-        coord = pts[:, dim]
-        sel = coord > lam + 1e-7 * diam  # exclude the plane itself
-        if not sel.any():
-            continue
-        q = pts[sel].copy()
-        q[:, dim] = 2.0 * lam - q[:, dim]
-        if np.max(spec.level(q[:, 0], q[:, 1])) >= -touch:
-            return True
-    # (ii) orthogonality: |nu_dim| vanishing where the plane crosses the boundary
-    for pts, nrm in loops:
-        gap = 2.0 * _max_sample_gap(pts)
-        near = np.abs(pts[:, dim] - lam) <= gap
-        if near.any() and np.min(np.abs(nrm[near, dim])) <= 1e-6:
-            return True
-    return False
-
-
-def _max_sample_gap(pts):
-    seg = np.diff(np.vstack([pts, pts[:1]]), axis=0)
-    return float(np.max(np.hypot(seg[:, 0], seg[:, 1])))
-
-
 def reflection_caps(spec, axis):
-    """Compute the sweep landmarks for an axis-aligned direction.
+    """Sweep landmarks along an axis-aligned direction, in closed form.
 
-    Declared-axis convex domains short-circuit to
-    ``lam1 = lam2 = offset`` (exact); otherwise both landmarks come from
-    scan-bracketed bisection on the analytic boundary.
+    ``lam0`` is the largest coordinate of the closure. The plane moving in
+    from there stops ``Shape.stop`` from the centre (Gidas, Ni and
+    Nirenberg): at the centre on the convex kinds, which are symmetric
+    about their centre axes, and at ``(inner + outer) / 2`` on the
+    annulus, where the reflected cap first touches the inner circle.
+    ``lam1`` and ``lam2`` both sit at the stop, whether or not an axis is
+    declared in that direction.
     """
     if isinstance(axis, Axis):
         dim = axis.dim
@@ -816,52 +765,5 @@ def reflection_caps(spec, axis):
         dim = int(axis)
     else:
         raise GeometryError("axis must be axis-aligned (dim 0 or 1), got %r" % (axis,))
-    lam0 = spec.sup_coord(dim)
-
-    declared = next((a for a in spec.axes if a.dim == dim), None)
-    if declared is not None and spec.is_convex:
-        return ReflectionCaps(dim=dim, lam0=lam0, lam1=declared.offset, lam2=declared.offset)
-
-    lo_limit = declared.offset if declared is not None else spec.inf_coord(dim)
-    tol = _CAP_BISECT_TOL * spec.diameter()
-
-    lam2 = _bisect_landmark(
-        lambda lam: cap_reflection_contained(spec, dim, lam), lo_limit, lam0, tol
-    )
-    lam1 = _bisect_landmark(
-        lambda lam: not _cap_stuck(spec, dim, lam), lo_limit, lam0, tol
-    )
-    lam1 = max(lam1, lam2)
-    return ReflectionCaps(dim=dim, lam0=lam0, lam1=lam1, lam2=lam2)
-
-
-def _bisect_landmark(pred, lo_limit, lam0, tol, n_scan=256):
-    """Infimum of the interval ending at lam0 on which ``pred`` holds.
-
-    Scans downward from lam0 for the first failure, then bisects the
-    bracket. Returns ``lo_limit`` when the predicate holds all the way
-    down.
-    """
-    span = lam0 - lo_limit
-    good = lam0 - span / n_scan
-    if not pred(good):
-        raise GeometryError("sweep predicate fails arbitrarily close to lam0")
-    bad = None
-    for k in range(2, n_scan + 1):
-        lam = lam0 - span * k / n_scan
-        if lam <= lo_limit:
-            break
-        if pred(lam):
-            good = lam
-        else:
-            bad = lam
-            break
-    if bad is None:
-        return lo_limit
-    while good - bad > tol:
-        mid = 0.5 * (good + bad)
-        if pred(mid):
-            good = mid
-        else:
-            bad = mid
-    return 0.5 * (good + bad)
+    stop = spec.center[dim] + spec.shape.stop(spec.params)
+    return ReflectionCaps(dim=dim, lam0=spec.sup_coord(dim), lam1=stop, lam2=stop)

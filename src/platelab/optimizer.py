@@ -14,7 +14,7 @@ densities and keeps the best quotient found.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -96,17 +96,7 @@ def optimize(spec, nodes_per_side, h, H, M, opts=OptimizeOptions(), grid=None, o
         if best is None or pair.theta < best[0].theta:
             best = (pair, report)
     pair, report = best
-    report = SolveReport(
-        theta_history=report.theta_history,
-        inner_iterations=report.inner_iterations,
-        eig_increments=report.eig_increments,
-        mass_errors=report.mass_errors,
-        termination=report.termination,
-        outer_iterations=report.outer_iterations,
-        wall_time=report.wall_time,
-        restart_thetas=tuple(thetas),
-    )
-    return pair, report
+    return pair, replace(report, restart_thetas=tuple(thetas))
 
 
 def _alternate(spec, grid, op, rho0, h, H, M, opts):

@@ -145,26 +145,20 @@ def _bathtub_radial(u, weights, h, H, M):
     if h == H:
         return rho, float(u[order[0]]), None
     excess = M - h * float(np.sum(weights))
+    # np.cumsum adds in sequence, so ``filled[k - 1]`` is bitwise the mass
+    # a running sum over the first k cells would reach
+    filled = np.cumsum((H - h) * weights[order])
+    k = int(np.searchsorted(filled, excess * (1.0 + 1e-15), side="right"))
+    rho[order[:k]] = H
+    if k == n:
+        return rho, 0.0, None
+    i = int(order[k])
+    residual = excess - (filled[k - 1] if k else 0.0)
     frac_index = None
-    t = float(u[order[0]])
-    acc = 0.0
-    for pos, i in enumerate(order):
-        cap = (H - h) * weights[i]
-        if acc + cap <= excess * (1.0 + 1e-15):
-            rho[i] = H
-            acc += cap
-            if pos + 1 < n:
-                t = float(u[order[pos + 1]])
-            else:
-                t = 0.0
-        else:
-            residual = excess - acc
-            if residual > 1e-13 * abs(M):
-                rho[i] = min(h + residual / weights[i], H)
-                frac_index = int(i)
-                t = float(u[i])
-            break
-    return rho, t, frac_index
+    if residual > 1e-13 * abs(M):
+        rho[i] = min(h + residual / weights[i], H)
+        frac_index = i
+    return rho, float(u[i]), frac_index
 
 
 def radial_optimize(kind, radii, h, H, M, n_r=1024, opts=OptimizeOptions()):

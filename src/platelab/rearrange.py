@@ -36,17 +36,9 @@ class DensityField:
         v = np.ascontiguousarray(self.values, dtype=float)
         if v.shape != (self.grid.n,):
             raise RearrangeError("density length does not match grid")
-        if not (0.0 < self.h <= self.H):
-            raise RearrangeError("need 0 < h <= H, got h=%r H=%r" % (self.h, self.H))
+        _check_bracket(self.grid, self.h, self.H, self.M)
         if np.any(v < self.h) or np.any(v > self.H):
             raise RearrangeError("density leaves the box [h, H]")
-        area = self.grid.discrete_area
-        lo, hi = self.h * area, self.H * area
-        slack = 1e-12 * max(abs(self.M), 1.0)
-        if not (lo - slack <= self.M <= hi + slack):
-            raise RearrangeError(
-                "mass %r outside the admissible bracket [%r, %r]" % (self.M, lo, hi)
-            )
         got = float(np.sum(v)) * self.grid.cell_area
         if abs(got - self.M) > 1e-12 * abs(self.M):
             raise RearrangeError(

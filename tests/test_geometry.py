@@ -10,7 +10,6 @@ from platelab.geometry import (
     DisconnectedInteriorError,
     DomainSpec,
     GeometryError,
-    cap_reflection_contained,
     mirror_orbit_ids,
     mirror_ranks,
     reflect_values,
@@ -258,15 +257,38 @@ class TestReflectionCaps:
                     assert caps.lam1 == offset
                     assert caps.lam2 == offset
 
+    @pytest.mark.parametrize("a", [0.05, 0.3, 0.5, 0.85])
+    @pytest.mark.parametrize("center", [(0.0, 0.0), (-1.0, 0.25)])
+    def test_annulus_stop_in_closed_form(self, a, center):
+        spec = pl.annulus(a, 1.0, center=center)
+        for dim in (0, 1):
+            caps = pl.reflection_caps(spec, dim)
+            assert caps.lam1 == center[dim] + (a + 1.0) / 2
+            assert caps.lam2 == caps.lam1
+
     def test_containment_monotone_above_lam2(self):
+        """The boundary of the cap beyond any plane in (lam2, lam0),
+        reflected, stays in the closure; on the annulus it leaves the
+        closure just below lam2."""
+
+        def worst_reflected_level(spec, dim, lam):
+            worst = -math.inf
+            for pts, _ in spec.boundary_loops(4096):
+                q = pts[pts[:, dim] > lam].copy()
+                q[:, dim] = 2.0 * lam - q[:, dim]
+                if len(q):
+                    worst = max(worst, float(np.max(spec.level(q[:, 0], q[:, 1]))))
+            return worst
+
         rng = np.random.default_rng(11)
-        for spec in (pl.disk(1.0), pl.annulus(0.5), pl.ellipse(1, 0.6)):
-            caps = pl.reflection_caps(spec, 0)
-            lo = caps.lam2 + 1e-6
-            for _ in range(20):
-                a, b = sorted(rng.uniform(lo, caps.lam0, size=2))
-                if cap_reflection_contained(spec, 0, a):
-                    assert cap_reflection_contained(spec, 0, b)
+        for spec in ALL_KINDS + OFF_CENTRE:
+            tol = 1e-12 * spec.diameter()
+            for dim in (0, 1):
+                caps = pl.reflection_caps(spec, dim)
+                for lam in rng.uniform(caps.lam2, caps.lam0, size=20):
+                    assert worst_reflected_level(spec, dim, lam) <= tol
+                if spec.kind == "annulus":
+                    assert worst_reflected_level(spec, dim, caps.lam2 - 1e-3) > 1e-4
 
     def test_non_axis_aligned_rejected(self):
         with pytest.raises(GeometryError):

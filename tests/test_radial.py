@@ -6,6 +6,7 @@ import platelab as pl
 from platelab.eigensolver import EigenError
 from platelab.radial import (
     RadialError,
+    _bathtub_radial,
     _principal_pair_radial,
     _radial_operator,
     radial_grid,
@@ -31,6 +32,60 @@ class TestRadialGrid:
     def test_unknown_kind(self):
         with pytest.raises(RadialError):
             radial_grid("ellipse", (1.0, 0.5), 128)
+
+
+def _bathtub_loop(u, weights, h, H, M):
+    """Reference: fill cells by descending u with a running mass sum."""
+    order = np.argsort(-u, kind="stable")
+    rho = np.full(u.shape[0], h)
+    if h == H:
+        return rho, float(u[order[0]]), None
+    excess = M - h * float(np.sum(weights))
+    t, frac_index, acc = float(u[order[0]]), None, 0.0
+    for pos, i in enumerate(order):
+        cap = (H - h) * weights[i]
+        if acc + cap <= excess * (1.0 + 1e-15):
+            rho[i] = H
+            acc += cap
+            t = float(u[order[pos + 1]]) if pos + 1 < u.shape[0] else 0.0
+        else:
+            if excess - acc > 1e-13 * abs(M):
+                rho[i] = min(h + (excess - acc) / weights[i], H)
+                frac_index = int(i)
+                t = float(u[i])
+            break
+    return rho, t, frac_index
+
+
+class TestRadialBathtub:
+    def test_matches_running_sum_bitwise(self):
+        rng = np.random.default_rng(5)
+        for case in range(200):
+            radii = 1.0 if case % 2 else (rng.uniform(0.05, 0.9), 1.0)
+            g = radial_grid("disk" if case % 2 else "annulus", radii, int(rng.integers(64, 300)))
+            u = rng.uniform(0.1, 1.0, g.n)
+            if case % 5 == 0:
+                u = np.round(4.0 * u) / 4.0 + 0.25  # many ties
+            area = g.discrete_area
+            M = (1.0 + (0.0, 1.0, rng.uniform())[case % 3]) * area
+            want = _bathtub_loop(u, g.weights, 1.0, 2.0, M)
+            got = _bathtub_radial(u, g.weights, 1.0, 2.0, M)
+            assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+
+    @pytest.mark.parametrize("kind, radii", [("disk", 1.0), ("annulus", (0.3, 1.0))])
+    def test_box_edges(self, kind, radii):
+        g = radial_grid(kind, radii, 128)
+        u = np.random.default_rng(3).uniform(0.1, 1.0, g.n)
+        area = g.discrete_area
+        # all light: nothing fills, the level is the largest u
+        rho, t, frac = _bathtub_radial(u, g.weights, 1.0, 2.0, area)
+        assert np.all(rho == 1.0) and t == u.max() and frac is None
+        # all heavy: every cell fills, the level drops to zero
+        rho, t, frac = _bathtub_radial(u, g.weights, 1.0, 2.0, 2.0 * area)
+        assert np.all(rho == 2.0) and t == 0.0 and frac is None
+        # degenerate box: the one admissible density
+        rho, t, frac = _bathtub_radial(u, g.weights, 1.5, 1.5, 1.5 * area)
+        assert np.all(rho == 1.5) and t == u.max() and frac is None
 
 
 class TestRadialOptimize:
