@@ -11,11 +11,9 @@ from .geometry import (
     Grid,
     annulus,
     build_grid,
-    boundary_normal,
     disk,
     ellipse,
     rectangle,
-    reflect_field,
     reflect_values,
     reflection_caps,
     stadium,
@@ -54,7 +52,6 @@ __all__ = [
     "annulus",
     "apply_laplacian",
     "assemble_laplacian",
-    "boundary_normal",
     "build_grid",
     "constant_field",
     "diagnostics",
@@ -70,7 +67,6 @@ __all__ = [
     "radial_optimize",
     "rayleigh_quotient",
     "rectangle",
-    "reflect_field",
     "reflect_values",
     "reflection_caps",
     "solve_dirichlet",

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__, diagnostics, geometry
 from .fields import ScalarField
 from .geometry import DomainSpec, GeometryError, build_grid
-from .optimizer import OptimizeOptions, OptimalPair, optimize
+from .optimizer import OptimizeError, OptimizeOptions, OptimalPair, optimize
 from .radial import RadialError, radial_optimize
 from .rearrange import DensityField, RearrangeError
 
@@ -270,6 +270,8 @@ def _run_verify(args):
             raise CliUsageError(
                 "error: unknown check %r; valid checks: %s" % (c, ", ".join(VALID_CHECKS))
             )
+    if args.n_lambda < diagnostics.MIN_LAMBDAS:
+        raise CliUsageError("error: --n-lambda must be at least %d" % diagnostics.MIN_LAMBDAS)
     with open(args.report) as fh:
         report = json.load(fh)
     if report.get("radial"):
@@ -378,7 +380,7 @@ def _run_sweep(args):
         radial_res = radial_optimize(
             "annulus", (a, 1.0), args.h, args.Hd, mass_val, n_r=args.nr, opts=opts
         )
-        asym = diagnostics.rotation_asymmetry(pair, n_angles=32)
+        asym = diagnostics.rotation_asymmetry(pair)
         rows.append(
             (
                 a,
@@ -417,7 +419,7 @@ def main(argv=None):
     except CliUsageError as exc:
         print(exc, file=sys.stderr)
         return 1
-    except (GeometryError, RearrangeError, RadialError) as exc:  # bad input values
+    except (GeometryError, OptimizeError, RearrangeError, RadialError) as exc:  # bad input values
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except Exception as exc:  # solver/IO failures: report, non-zero exit

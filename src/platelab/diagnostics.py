@@ -18,21 +18,21 @@ import numpy as np
 
 from .geometry import Axis, reflect_values, reflection_caps
 
+MIN_LAMBDAS = 8  # fewest plane positions a moving-plane sweep takes
+PLANE_MARGIN = 2.0  # spacings kept clear at both ends of the plane window
+RIGIDITY_SAMPLES = 64  # boundary samples of the normal derivative
+RIGIDITY_STEP = 2.0  # finite-difference step along the normal, in spacings
+ROTATION_ANGLES = 32  # equal rotations compared by rotation_asymmetry
+
 
 class DiagnosticsError(ValueError):
     pass
 
 
 def _declared_axis(grid, axis):
-    if isinstance(axis, Axis):
-        for ax in grid.spec.axes:
-            if ax.dim == axis.dim and ax.offset == axis.offset:
-                return ax
-        raise DiagnosticsError("axis %r is not declared on this domain" % (axis,))
-    if axis in (0, 1):
-        for ax in grid.spec.axes:
-            if ax.dim == axis:
-                return ax
+    for ax in grid.spec.axes:
+        if ax == axis:
+            return ax
     raise DiagnosticsError("axis %r is not declared on this domain" % (axis,))
 
 
@@ -75,11 +75,11 @@ class MovingPlaneReport:
     min_w2: float
 
 
-def plane_window(pair, axis, margin_factor=2.0):
+def plane_window(pair, axis):
     """Open interval of plane positions used by the moving-plane checks."""
     ax = _declared_axis(pair.grid, axis)
     caps = reflection_caps(pair.spec, ax)
-    margin = margin_factor * pair.grid.delta
+    margin = PLANE_MARGIN * pair.grid.delta
     lo = caps.lam1 + margin
     hi = caps.lam0 - margin
     if not lo < hi:
@@ -107,8 +107,8 @@ def cap_deficit(grid, values, axis_dim, lam):
 def moving_plane_profile(pair, axis, n_lambda=16):
     """Sweep the reflection plane and record the worst sign defect of
     ``u o reflection - u`` and ``v o reflection - v`` on each cap."""
-    if n_lambda < 8:
-        raise DiagnosticsError("n_lambda must be at least 8")
+    if n_lambda < MIN_LAMBDAS:
+        raise DiagnosticsError("n_lambda must be at least %d" % MIN_LAMBDAS)
     ax = _declared_axis(pair.grid, axis)
     lo, hi = plane_window(pair, ax)
     lambdas = np.linspace(lo, hi, n_lambda)
@@ -190,20 +190,18 @@ class RigidityReport:
     n_skipped: int
 
 
-def normal_derivative_stats(pair, n_samples=64, step_factor=2.0):
+def normal_derivative_stats(pair):
     """Outward normal derivative of u sampled along the boundary.
 
     One-sided second-order differences along the inward normal, using two
     interpolated interior values; samples without full interpolation
     support are skipped (error if more than 10% are).
     """
-    if n_samples < 64:
-        raise DiagnosticsError("n_samples must be at least 64")
     grid = pair.grid
-    s = step_factor * grid.delta
+    s = RIGIDITY_STEP * grid.delta
     vals = []
     skipped = 0
-    for pts, nrms in pair.spec.boundary_loops(n_samples):
+    for pts, nrms in pair.spec.boundary_loops(RIGIDITY_SAMPLES):
         p1 = pts - s * nrms
         p2 = pts - 2.0 * s * nrms
         u1, ok1 = interpolate_bilinear(grid, pair.u.values, p1)
@@ -297,9 +295,9 @@ def interpolate_biquadratic(grid, values, pts):
     return out, ok
 
 
-def rotation_asymmetry(pair, n_angles=32):
+def rotation_asymmetry(pair):
     """Angular asymmetry: worst relative sup deviation of u from itself
-    rotated about the domain center, over ``n_angles`` equal rotations.
+    rotated about the domain center, over ``ROTATION_ANGLES`` equal rotations.
 
     Radially symmetric fields give interpolation-level values; broken
     states give O(1).
@@ -310,8 +308,8 @@ def rotation_asymmetry(pair, n_angles=32):
     y = grid.node_y - cy
     worst = 0.0
     scale = pair.u.norm_inf
-    for k in range(1, n_angles):
-        a = 2.0 * math.pi * k / n_angles
+    for k in range(1, ROTATION_ANGLES):
+        a = 2.0 * math.pi * k / ROTATION_ANGLES
         ca, sa = math.cos(a), math.sin(a)
         q = np.column_stack([cx + ca * x - sa * y, cy + sa * x + ca * y])
         vals, ok = interpolate_biquadratic(grid, pair.u.values, q)

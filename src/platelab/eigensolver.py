@@ -21,7 +21,7 @@ import numpy as np
 
 from .fields import ScalarField
 from .plate import solve_navier
-from .poisson import DEFAULT_REL_TOL, GridMismatchError
+from .poisson import GridMismatchError
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 10000
@@ -40,7 +40,6 @@ class EigenResult:
     u: ScalarField
     v: ScalarField
     iterations: int
-    final_increment: float
     theta_history: tuple
 
 
@@ -56,14 +55,7 @@ def rayleigh_quotient(u, v, rho):
     return num / den
 
 
-def principal_pair(
-    op,
-    rho,
-    tol=DEFAULT_TOL,
-    max_iter=DEFAULT_MAX_ITER,
-    u0=None,
-    rel_tol=DEFAULT_REL_TOL,
-):
+def principal_pair(op, rho, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, u0=None):
     """Inverse power iteration for the principal pair at fixed density.
 
     Starts from the positive constant unless ``u0`` is given (warm starts
@@ -87,10 +79,9 @@ def principal_pair(
 
     history = []
     theta_prev = None
-    increment = np.inf
     for it in range(1, max_iter + 1):
         f = ScalarField(grid, rho.values * u)
-        u_field, v_field = solve_navier(op, f, rel_tol=rel_tol)
+        u_field, v_field = solve_navier(op, f)
         w = u_field.values
         if np.any(w <= 0.0):
             raise EigenError("iterate lost positivity", iterations=it)
@@ -101,10 +92,8 @@ def principal_pair(
         den = float(np.sum(rho.values * u * u)) * cell
         theta = num / den
         history.append(theta)
-        if theta_prev is not None:
-            increment = abs(theta - theta_prev)
-            if increment <= tol * theta:
-                break
+        if theta_prev is not None and abs(theta - theta_prev) <= tol * theta:
+            break
         theta_prev = theta
     else:
         raise EigenError(
@@ -125,6 +114,5 @@ def principal_pair(
         u=u_out,
         v=v_out,
         iterations=it,
-        final_increment=increment,
         theta_history=tuple(history),
     )

@@ -65,8 +65,11 @@ class Axis:
 class Shape:
     """Everything that depends on the kind of a domain.
 
-    ``level``, ``gradient``, ``distance`` and ``chords`` take coordinates
-    relative to the domain's centre; ``bbox`` and ``loops`` take the centre.
+    ``level`` and ``chords`` take coordinates relative to the domain's
+    centre; ``bbox`` and ``loops`` take the centre. ``loops`` samples each
+    boundary loop together with its outward unit normals, the only place
+    the normal is described (the annulus's inner-circle normals point
+    into the hole).
     Every kind is symmetric about both centre axes, so a lattice line
     ``{x_other = c}`` meets the boundary at plus and minus each half chord
     that ``chords`` returns along ``dim`` (NaN where the line misses that
@@ -81,12 +84,9 @@ class Shape:
     bbox: Callable  # (params, cx, cy) -> (xmin, xmax, ymin, ymax)
     area: Callable  # params -> area
     loops: Callable  # (params, n, cx, cy) -> [(points (m,2), outward normals (m,2))]
-    gradient: Callable  # (params, x, y) -> outward direction at a boundary point
     chords: Callable  # (params, dim, c) -> half chords along ``dim``
     stop: Callable = lambda p: 0.0  # params -> stop position of the moving plane
-    convex: bool = True
     check: Callable = None  # params -> None, raises on invalid parameters
-    distance: Callable = None  # (params, x, y) -> boundary distance, if not the level
 
 
 def _box(cx, cy, hx, hy):
@@ -130,12 +130,6 @@ def _annulus_loops(p, n, cx, cy):
     return [_circle(r, n_out, cx, cy, 1.0), _circle(a, n_in, cx, cy, -1.0)]
 
 
-def _annulus_gradient(p, x, y):
-    a, r = p
-    rad = math.hypot(x, y)
-    return (1.0 if abs(rad - r) <= abs(rad - a) else -1.0) * np.array([x, y])
-
-
 def _check_annulus(p):
     if not p[0] < p[1]:
         raise GeometryError("annulus needs inner < outer radius")
@@ -144,13 +138,6 @@ def _check_annulus(p):
 def _ellipse_level(p, x, y):
     a, b = p
     return (x / a) ** 2 + (y / b) ** 2 - 1.0
-
-
-def _ellipse_distance(p, x, y):
-    a, b = p
-    gn = math.hypot(2 * x / a**2, 2 * y / b**2)
-    lev = _ellipse_level(p, x, y)
-    return lev / gn if gn > 0 else lev
 
 
 def _ellipse_chords(p, dim, c):
@@ -178,13 +165,6 @@ def _rectangle_loops(p, n, cx, cy):
                          cy + 0.5 * h, cy + 0.5 * h - (s - 2 * w - h)])
     nrm = np.array([(0.0, -1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)])[side]
     return [(np.column_stack([x, y]), nrm)]
-
-
-def _rectangle_gradient(p, x, y):
-    w, h = p
-    if 0.5 * w - abs(x) <= 0.5 * h - abs(y):
-        return np.array([math.copysign(1.0, x), 0.0])
-    return np.array([0.0, math.copysign(1.0, y)])
 
 
 def _stadium_level(p, x, y):
@@ -220,11 +200,6 @@ def _stadium_chords(p, dim, c):
     return (_half_chord(r, np.maximum(np.abs(c) - 0.5 * length, 0.0)),)
 
 
-def _stadium_gradient(p, x, y):
-    ax = max(abs(x) - 0.5 * p[0], 0.0)
-    return np.array([math.copysign(ax, x), y])
-
-
 # For disk/annulus/rectangle/stadium the level is the exact signed
 # distance; for the ellipse it is the quadratic form (same sign, same
 # zero set).
@@ -235,7 +210,6 @@ _SHAPES = {
         bbox=lambda p, cx, cy: _box(cx, cy, p[0], p[0]),
         area=lambda p: math.pi * p[0] ** 2,
         loops=lambda p, n, cx, cy: _ellipse_loops(p[0], p[0], n, cx, cy),
-        gradient=lambda p, x, y: np.array([x, y]),
         chords=lambda p, dim, c: (_half_chord(p[0], c),),
     ),
     "annulus": Shape(
@@ -244,10 +218,8 @@ _SHAPES = {
         bbox=lambda p, cx, cy: _box(cx, cy, p[1], p[1]),
         area=lambda p: math.pi * (p[1] * p[1] - p[0] * p[0]),
         loops=_annulus_loops,
-        gradient=_annulus_gradient,
         chords=lambda p, dim, c: (_half_chord(p[1], c), _half_chord(p[0], c)),
         stop=lambda p: 0.5 * (p[0] + p[1]),
-        convex=False,
         check=_check_annulus,
     ),
     "ellipse": Shape(
@@ -256,9 +228,7 @@ _SHAPES = {
         bbox=lambda p, cx, cy: _box(cx, cy, p[0], p[1]),
         area=lambda p: math.pi * p[0] * p[1],
         loops=lambda p, n, cx, cy: _ellipse_loops(p[0], p[1], n, cx, cy),
-        gradient=lambda p, x, y: np.array([x / p[0] ** 2, y / p[1] ** 2]),
         chords=_ellipse_chords,
-        distance=_ellipse_distance,
     ),
     "rectangle": Shape(
         names=("width", "height"),
@@ -266,7 +236,6 @@ _SHAPES = {
         bbox=lambda p, cx, cy: _box(cx, cy, 0.5 * p[0], 0.5 * p[1]),
         area=lambda p: p[0] * p[1],
         loops=_rectangle_loops,
-        gradient=_rectangle_gradient,
         chords=lambda p, dim, c: (np.full(np.shape(c), 0.5 * p[dim]),),
     ),
     "stadium": Shape(
@@ -276,7 +245,6 @@ _SHAPES = {
                                 cy - p[1], cy + p[1]),
         area=lambda p: p[0] * 2 * p[1] + math.pi * p[1] * p[1],
         loops=_stadium_loops,
-        gradient=_stadium_gradient,
         chords=_stadium_chords,
     ),
 }
@@ -321,17 +289,10 @@ class DomainSpec:
     def area(self):
         return self.shape.area(self.params)
 
-    @property
-    def is_convex(self):
-        return self.shape.convex
-
     def sup_coord(self, dim):
         """Largest coordinate of the closure along axis ``dim``."""
         box = self.bbox()
         return box[1] if dim == 0 else box[3]
-
-    def n_boundary_loops(self):
-        return len(self.boundary_loops(16))
 
     def boundary_loops(self, n):
         """Sample each boundary loop: list of (points (m,2), outward normals (m,2)).
@@ -416,23 +377,6 @@ def unit_square():
 
 def stadium(length=1.0, cap_radius=0.5, center=(0.0, 0.0)):
     return _validated("stadium", (length, cap_radius), center)
-
-
-def boundary_normal(spec, p):
-    """Outward unit normal at a boundary point (normalized level gradient).
-
-    ``p`` must lie within 1e-10 * diameter of the boundary.
-    """
-    shape = spec.shape
-    x = float(p[0]) - spec.center[0]
-    y = float(p[1]) - spec.center[1]
-    distance = (shape.distance or shape.level)(spec.params, x, y)
-    if abs(distance) > 1e-10 * spec.diameter():
-        raise GeometryError("point %r is not on the boundary" % (p,))
-    g = shape.gradient(spec.params, x, y)
-    n = g / np.linalg.norm(g)
-    assert abs(np.linalg.norm(n) - 1.0) < 1e-12
-    return n
 
 
 # ---------------------------------------------------------------------- grid
@@ -674,26 +618,20 @@ def reflect_values(grid, values, axis, lam):
     return Reflection(values=out, present=present)
 
 
-def reflect_field(f, axis, lam):
-    """Field-level wrapper around :func:`reflect_values`."""
-    return reflect_values(f.grid, f.values, axis, lam)
-
-
 def mirror_ranks(grid, axis):
-    """Interior rank of each node's mirror image across a declared axis.
+    """Interior rank of each node's mirror image across a declared ``Axis``.
 
     Raises when any interior node's mirror is not itself an interior node
     (which cannot happen for an exactly symmetric domain on the symmetric
     lattice that ``build_grid`` produces).
     """
-    ax = axis if isinstance(axis, Axis) else Axis(int(axis), 0.0)
-    coords = grid.xs if ax.dim == 0 else grid.ys
+    coords = grid.xs if axis.dim == 0 else grid.ys
     nmax = coords.shape[0]
-    two_jlam = 2.0 * (ax.offset - coords[0]) / grid.delta
+    two_jlam = 2.0 * (axis.offset - coords[0]) / grid.delta
     snapped = round(two_jlam)
     if abs(two_jlam - snapped) > 1e-9:
-        raise GeometryError("axis %r is not lattice-aligned" % (ax,))
-    if ax.dim == 0:
+        raise GeometryError("axis %r is not lattice-aligned" % (axis,))
+    if axis.dim == 0:
         jm = snapped - grid.ix
         ok = (jm >= 0) & (jm < nmax)
         ranks = grid.index_of[grid.iy, np.clip(jm, 0, nmax - 1)]
@@ -702,7 +640,7 @@ def mirror_ranks(grid, axis):
         ok = (jm >= 0) & (jm < nmax)
         ranks = grid.index_of[np.clip(jm, 0, nmax - 1), grid.ix]
     if not (ok.all() and (ranks >= 0).all()):
-        raise GeometryError("grid is not mirror-closed across %r" % (ax,))
+        raise GeometryError("grid is not mirror-closed across %r" % (axis,))
     return ranks
 
 

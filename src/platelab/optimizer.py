@@ -26,15 +26,27 @@ from .poisson import assemble_laplacian
 from .rearrange import DensityField, mass, optimal_density, uniform_density
 
 
+class OptimizeError(ValueError):
+    """Invalid optimizer options."""
+
+
 @dataclass(frozen=True)
 class OptimizeOptions:
     theta_tol: float = 1e-8
     max_outer: int = 200
     eig_tol: float = 1e-11
-    eig_max_iter: int = 10000
-    solve_rel_tol: float = 1e-10
     restarts: int = 1
     seed: int | None = None
+
+    def __post_init__(self):
+        if not self.max_outer >= 1:
+            raise OptimizeError("max_outer must be at least 1, got %r" % (self.max_outer,))
+        if not self.restarts >= 1:
+            raise OptimizeError("restarts must be at least 1, got %r" % (self.restarts,))
+        if not self.theta_tol > 0.0:
+            raise OptimizeError("theta_tol must be positive, got %r" % (self.theta_tol,))
+        if not 0.0 < self.eig_tol <= 1e-6:
+            raise OptimizeError("eig_tol must be in (0, 1e-6], got %r" % (self.eig_tol,))
 
 
 @dataclass(frozen=True)
@@ -54,17 +66,12 @@ class OptimalPair:
 class SolveReport:
     theta_history: tuple
     inner_iterations: tuple
-    eig_increments: tuple
     mass_errors: tuple
     termination: str
     outer_iterations: int
     wall_time: float
     restart_thetas: tuple
     formulation: str = plate.FORMULATION
-
-
-class OptimizeError(RuntimeError):
-    pass
 
 
 def optimize(spec, nodes_per_side, h, H, M, opts=OptimizeOptions(), grid=None, op=None):
@@ -81,10 +88,9 @@ def optimize(spec, nodes_per_side, h, H, M, opts=OptimizeOptions(), grid=None, o
         op = assemble_laplacian(grid)
 
     starts = [uniform_density(grid, h, H, M)]
-    n_restarts = max(int(opts.restarts), 1)
-    if n_restarts > 1:
+    if opts.restarts > 1:
         rng = np.random.default_rng(opts.seed)
-        for _ in range(n_restarts - 1):
+        for _ in range(opts.restarts - 1):
             probe = rng.uniform(0.5, 1.5, grid.n)
             starts.append(optimal_density(probe, h, H, M, grid=grid).rho)
 
@@ -104,24 +110,13 @@ def _alternate(spec, grid, op, rho0, h, H, M, opts):
     rho = rho0
     theta_history = []
     inner_iterations = []
-    eig_increments = []
     mass_errors = []
     termination = "max-outer"
     u_warm = None
-    eig = None
-    thr = None
     for _ in range(opts.max_outer):
-        eig = principal_pair(
-            op,
-            rho,
-            tol=opts.eig_tol,
-            max_iter=opts.eig_max_iter,
-            u0=u_warm,
-            rel_tol=opts.solve_rel_tol,
-        )
+        eig = principal_pair(op, rho, tol=opts.eig_tol, u0=u_warm)
         theta_history.append(eig.theta)
         inner_iterations.append(eig.iterations)
-        eig_increments.append(eig.final_increment)
         mass_errors.append(abs(mass(rho) - M))
         u_warm = eig.u
 
@@ -137,9 +132,6 @@ def _alternate(spec, grid, op, rho0, h, H, M, opts):
             termination = "theta-converged"
             break
 
-    if eig is None or thr is None:
-        raise OptimizeError("no outer iterations performed")
-
     theta = rayleigh_quotient(eig.u, eig.v, rho)
     pair = OptimalPair(
         u=eig.u, v=eig.v, rho=rho, theta=theta, t=thr.t, grid=grid, spec=spec
@@ -147,7 +139,6 @@ def _alternate(spec, grid, op, rho0, h, H, M, opts):
     report = SolveReport(
         theta_history=tuple(theta_history),
         inner_iterations=tuple(inner_iterations),
-        eig_increments=tuple(eig_increments),
         mass_errors=tuple(mass_errors),
         termination=termination,
         outer_iterations=len(theta_history),

@@ -9,13 +9,13 @@ commits to the split form everywhere, and reports record that choice.
 
 from __future__ import annotations
 
-from .poisson import DEFAULT_REL_TOL, solve_dirichlet
+from .poisson import solve_dirichlet
 
 FORMULATION = "second-order-system"
 
 
-def solve_navier(op, f, rel_tol=DEFAULT_REL_TOL):
+def solve_navier(op, f):
     """Return ``(u, v)`` with ``v`` the discrete ``-lap u`` and ``lap^2 u = f``."""
-    v = solve_dirichlet(op, f, rel_tol=rel_tol)
-    u = solve_dirichlet(op, v, rel_tol=rel_tol)
+    v = solve_dirichlet(op, f)
+    u = solve_dirichlet(op, v)
     return u, v

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .eigensolver import EigenError
+from .eigensolver import DEFAULT_MAX_ITER, EigenError
 from .optimizer import OptimizeOptions
 from .plate import FORMULATION
 
@@ -177,11 +177,9 @@ def radial_optimize(kind, radii, h, H, M, n_r=1024, opts=OptimizeOptions()):
     history = []
     termination = "max-outer"
     u_warm = None
-    t_level = math.nan
-    u = v = None
     for _ in range(opts.max_outer):
         theta, u, v, _, _ = _principal_pair_radial(
-            grid, ab, rho, opts.eig_tol, opts.eig_max_iter, u0=u_warm
+            grid, ab, rho, opts.eig_tol, DEFAULT_MAX_ITER, u0=u_warm
         )
         history.append(theta)
         u_warm = u

@@ -13,6 +13,17 @@ def run(argv):
     return main(argv)
 
 
+# one bad value per optimizer option; each exited 2 or was accepted before
+# the options validated themselves
+BAD_OPTIONS = pytest.mark.parametrize("flags", [
+    ["--max-outer", "0"],
+    ["--restarts", "-2"],
+    ["--theta-tol", "-1"],
+    ["--tol", "1e-3"],
+    ["--tol", "-1"],
+], ids=["max-outer-0", "restarts-neg", "theta-tol-neg", "tol-above-1e-6", "tol-neg"])
+
+
 @pytest.fixture(scope="module")
 def disk_solve(tmp_path_factory):
     """One CLI solve on the disk with an orbit-aligned mass, shared by the
@@ -90,6 +101,13 @@ class TestSolve:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @BAD_OPTIONS
+    def test_bad_option_exits_1(self, flags, capsys):
+        rc = run(["solve", "--domain", "disk", "--grid", "33",
+                  "--h", "1", "--H", "2", "--mass", "4"] + flags)
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_radial_solve(self, tmp_path):
         report = tmp_path / "radial.json"
         fields = tmp_path / "radial.csv"
@@ -158,6 +176,16 @@ class TestVerify:
         assert rc == 1
         assert "symmetry" in err and "rigidity" in err
 
+    @pytest.mark.parametrize("n_lambda", ["0", "7", "-1"])
+    def test_too_few_planes_exits_1(self, disk_solve, n_lambda, capsys):
+        d, report, fields = disk_solve
+        rc = run(["verify", "--report", str(report), "--fields", str(fields),
+                  "--checks", "product", "--n-lambda", n_lambda])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "--n-lambda" in captured.err
+        assert "PASS" not in captured.out
+
     def test_malformed_csv_reports_row(self, disk_solve, tmp_path, capsys):
         d, report, fields = disk_solve
         lines = fields.read_text().splitlines()
@@ -189,6 +217,17 @@ class TestSweep:
             assert np.isfinite(float(r["theta_radial"]))
             assert np.isfinite(float(r["rotation_asymmetry"]))
             assert r["beats_radial"] in ("True", "False")
+
+    @BAD_OPTIONS
+    def test_bad_option_exits_1(self, flags, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        rc = run([
+            "sweep-annulus", "--inner-from", "0.5", "--inner-to", "0.5",
+            "--steps", "1", "--grid", "33", "--nr", "64", "--out", str(out),
+        ] + flags)
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_unconverged_row_exits_2(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -48,6 +48,11 @@ class TestAsymmetry:
         with pytest.raises(dg.DiagnosticsError):
             dg.asymmetry(pair.u, Axis(0, 0.123))
 
+    def test_bare_dimension_rejected(self, disk_pair_128):
+        pair, _ = disk_pair_128
+        with pytest.raises(dg.DiagnosticsError):
+            dg.asymmetry(pair.u, 0)
+
 
 class TestMonotonicity:
     def test_converged_disk_pair(self, disk_pair_128):
@@ -192,10 +197,6 @@ class TestRigidity:
         with pytest.raises(dg.DiagnosticsError):
             dg.normal_derivative_stats(pair)
 
-    def test_sample_count_validated(self, disk_pair_128):
-        with pytest.raises(dg.DiagnosticsError):
-            dg.normal_derivative_stats(disk_pair_128[0], n_samples=32)
-
 
 class TestStructure:
     def test_disk_pair_all_pass(self, disk_pair_128):
@@ -229,7 +230,7 @@ class TestRotationAsymmetry:
         u = ScalarField(g, np.sin(np.pi * (np.sqrt(r2) - 0.3) / 0.7))
         rho = uniform_density(g, 1.0, 1.0, g.discrete_area)
         pair = OptimalPair(u=u, v=u, rho=rho, theta=1.0, t=0.5, grid=g, spec=g.spec)
-        assert dg.rotation_asymmetry(pair, 32) < 1e-4
+        assert dg.rotation_asymmetry(pair) < 1e-4
 
     def test_angular_blob_detected(self):
         g = pl.build_grid(pl.annulus(0.3, 1.0), 129)
@@ -237,7 +238,7 @@ class TestRotationAsymmetry:
         u = ScalarField(g, 0.05 + blob)
         rho = uniform_density(g, 1.0, 1.0, g.discrete_area)
         pair = OptimalPair(u=u, v=u, rho=rho, theta=1.0, t=0.5, grid=g, spec=g.spec)
-        assert dg.rotation_asymmetry(pair, 32) > 0.1
+        assert dg.rotation_asymmetry(pair) > 0.1
 
 
 class TestToleranceScaling:

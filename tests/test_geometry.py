@@ -87,7 +87,7 @@ class TestBuildGrid:
         g = pl.build_grid(pl.annulus(0.5, 1.0), 129)  # delta = 1/64
         expected = math.pi * (1 - 0.25) / g.delta**2
         assert abs(g.n - expected) / expected < 0.02
-        assert g.spec.n_boundary_loops() == 2
+        assert len(g.spec.boundary_loops(16)) == 2
 
     def test_too_few_nodes_rejected(self):
         with pytest.raises(GeometryError):
@@ -110,10 +110,21 @@ class TestBuildGrid:
             assert g.theta[i, 1] == pytest.approx((x_cross - x) / g.delta, abs=1e-11)
 
     def test_boundary_normals_are_unit(self):
-        for spec in ALL_KINDS:
-            for _, nrm in spec.boundary_loops(257):
+        # n = 256 keeps every sample off the rectangle corners, where the
+        # inward step would run along the other side
+        for spec in ALL_KINDS + OFF_CENTRE:
+            eps = 1e-6 * spec.diameter()
+            loops = spec.boundary_loops(256)
+            for pts, nrm in loops:
                 norms = np.linalg.norm(nrm, axis=1)
                 assert np.max(np.abs(norms - 1.0)) < 1e-12, spec.kind
+                out = pts + eps * nrm
+                into = pts - eps * nrm
+                assert np.all(spec.level(out[:, 0], out[:, 1]) > 0.0), spec.kind
+                assert np.all(spec.level(into[:, 0], into[:, 1]) < 0.0), spec.kind
+            if spec.kind == "annulus":
+                pts, nrm = loops[1]  # the inner circle: normals point into the hole
+                assert np.all(np.sum((pts - spec.center) * nrm, axis=1) < 0.0)
 
     def test_theta_range(self):
         g = pl.build_grid(pl.stadium(1.0, 0.5), 33)
@@ -203,14 +214,6 @@ class TestReflectValues:
         r = reflect_values(g, f, Axis(1, 0.0), 0.0)
         assert np.array_equal(r.values, f)
 
-    def test_field_wrapper(self):
-        from platelab.fields import field_from_function
-
-        g = pl.build_grid(pl.disk(1.0), 33)
-        f = field_from_function(g, lambda x, y: x + y * y)
-        r = pl.reflect_field(f, Axis(0, 0.0), 0.0)
-        assert np.array_equal(r.values, -g.node_x + g.node_y**2)
-
 
 class TestMirrorRanks:
     def test_mirror_is_involution(self):
@@ -218,6 +221,12 @@ class TestMirrorRanks:
         for ax in g.spec.axes:
             m = mirror_ranks(g, ax)
             assert np.array_equal(m[m], np.arange(g.n))
+
+    def test_square_mirrors_across_declared_axes(self):
+        g = pl.build_grid(pl.unit_square(), 33)
+        x_axis, y_axis = g.spec.axes  # x = 0.5 and y = 0.5
+        assert np.array_equal(g.node_x[mirror_ranks(g, x_axis)], 1.0 - g.node_x)
+        assert np.array_equal(g.node_y[mirror_ranks(g, y_axis)], 1.0 - g.node_y)
 
     def test_orbit_ids_are_reflection_invariant(self):
         g = pl.build_grid(pl.disk(1.0), 33)
@@ -252,7 +261,7 @@ class TestReflectionCaps:
             for dim in (0, 1):
                 caps = pl.reflection_caps(spec, dim)
                 assert caps.lam2 <= caps.lam1 < caps.lam0
-                if spec.is_convex:
+                if spec.kind != "annulus":
                     offset = next(a.offset for a in spec.axes if a.dim == dim)
                     assert caps.lam1 == offset
                     assert caps.lam2 == offset
@@ -293,24 +302,3 @@ class TestReflectionCaps:
     def test_non_axis_aligned_rejected(self):
         with pytest.raises(GeometryError):
             pl.reflection_caps(pl.disk(1.0), (0.7, 0.7))
-
-
-class TestBoundaryNormal:
-    def test_disk_east(self):
-        assert np.allclose(pl.boundary_normal(pl.disk(1.0), (1.0, 0.0)), (1.0, 0.0))
-
-    def test_square_bottom(self):
-        n = pl.boundary_normal(pl.unit_square(), (0.5, 0.0))
-        assert np.allclose(n, (0.0, -1.0))
-
-    def test_ellipse_vertex(self):
-        n = pl.boundary_normal(pl.ellipse(2.0, 1.0), (2.0, 0.0))
-        assert np.allclose(n, (1.0, 0.0))
-
-    def test_annulus_inner_points_into_hole(self):
-        n = pl.boundary_normal(pl.annulus(0.5, 1.0), (0.5, 0.0))
-        assert np.allclose(n, (-1.0, 0.0))
-
-    def test_off_boundary_rejected(self):
-        with pytest.raises(GeometryError):
-            pl.boundary_normal(pl.disk(1.0), (0.5, 0.0))

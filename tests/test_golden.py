@@ -5,8 +5,9 @@ The three small jobs the benchmark runs at set-up (``platebench/jobs.py``,
 annulus of inner radius 0.12 at grid 41 with two starts seeded as
 ``plate-lab sweep-annulus --seed 0`` seeds its first row, plus the radial
 solver on that annulus at 128 cells. A change that moves theta by more
-than 1e-12 relative, or changes the termination or the outer-iteration
-count, has changed the numerics and must say why.
+than 1e-12 relative, or changes the termination, the outer-iteration
+count or the eigen-iteration count of an outer step, has changed the
+numerics and must say why.
 """
 
 import math
@@ -26,19 +27,21 @@ ANNULUS_OPTS = OptimizeOptions(
 
 
 @pytest.mark.parametrize(
-    "spec, grid, mass, opts, theta, outer",
+    "spec, grid, mass, opts, theta, outer, inner",
     [
-        (pl.disk(), 33, math.pi * 1.5, OptimizeOptions(), 17.362154323634442, 2),
-        (pl.unit_square(), 33, 1.5, OptimizeOptions(), 198.7766123105963, 2),
-        (pl.annulus(INNER, 1.0), 41, ANNULUS_MASS, ANNULUS_OPTS, 72.47523531018791, 3),
+        (pl.disk(), 33, math.pi * 1.5, OptimizeOptions(), 17.362154323634442, 2, (7, 5)),
+        (pl.unit_square(), 33, 1.5, OptimizeOptions(), 198.7766123105963, 2, (6, 4)),
+        (pl.annulus(INNER, 1.0), 41, ANNULUS_MASS, ANNULUS_OPTS, 72.47523531018791, 3,
+         (7, 10, 7)),
     ],
     ids=["disk-33", "square-33", "annulus-0.12-41"],
 )
-def test_optimize_golden(spec, grid, mass, opts, theta, outer):
+def test_optimize_golden(spec, grid, mass, opts, theta, outer, inner):
     pair, report = pl.optimize(spec, grid, 1.0, 2.0, mass, opts=opts)
     assert pair.theta == pytest.approx(theta, rel=REL, abs=0.0)
     assert report.termination == "rho-fixed"
     assert report.outer_iterations == outer
+    assert report.inner_iterations == inner
 
 
 def test_radial_golden():

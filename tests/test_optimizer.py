@@ -7,8 +7,20 @@ from scipy.linalg import eigh
 import platelab as pl
 from platelab.eigensolver import principal_pair, rayleigh_quotient
 from platelab.fields import ScalarField
-from platelab.optimizer import OptimizeOptions, optimize
+from platelab.optimizer import OptimizeError, OptimizeOptions, optimize
 from platelab.rearrange import RearrangeError, mass, optimal_density
+
+
+class TestOptions:
+    @pytest.mark.parametrize("kwargs", [
+        {"max_outer": 0}, {"restarts": 0}, {"restarts": -2}, {"theta_tol": 0.0},
+        {"theta_tol": -1.0}, {"theta_tol": float("nan")}, {"eig_tol": 1e-3},
+        {"eig_tol": 0.0}, {"eig_tol": -1.0},
+    ], ids=str)
+    def test_bad_values_rejected(self, kwargs):
+        with pytest.raises(OptimizeError):
+            OptimizeOptions(**kwargs)
+        assert issubclass(OptimizeError, ValueError)
 
 
 class TestOptimize:
@@ -121,7 +133,7 @@ class TestAnnulusRegimes:
         pair, _ = optimize(spec, 513, 1.0, 2.0, M)
         radial = pl.radial_optimize("annulus", (0.1, 1.0), 1.0, 2.0, M, n_r=1024)
         assert abs(pair.theta - radial.theta) / radial.theta < 0.01
-        assert dg.rotation_asymmetry(pair, 32) <= 1e-4
+        assert dg.rotation_asymmetry(pair) <= 1e-4
 
     def test_lattice_node_on_the_inner_circle(self):
         # grid 41 puts the node (0.15, 0) on the inner circle up to rounding
@@ -141,7 +153,7 @@ class TestAnnulusRegimes:
         pair, report = optimize(spec, 129, 1.0, 2.0, 1.5 * area, opts=opts)
         radial = pl.radial_optimize("annulus", (0.6, 1.0), 1.0, 2.0, 1.5 * area,
                                     n_r=1024)
-        asym = dg.rotation_asymmetry(pair, 32)
+        asym = dg.rotation_asymmetry(pair)
         assert np.isfinite(asym)
         assert pair.theta <= min(report.restart_thetas) * (1 + 1e-12)
         assert pair.theta <= radial.theta * (1 + 0.01)

@@ -48,7 +48,7 @@ class TestSolveNavier:
         op = pl.assemble_laplacian(g)
         f = field_from_function(g, lambda x, y: 1.0 + x * x + np.cos(y))
         rel_tol = 1e-10
-        u, v = solve_navier(op, f, rel_tol=rel_tol)
+        u, v = solve_navier(op, f)
         back = pl.apply_laplacian(op, u)
         assert np.linalg.norm(back.values - v.values) <= 10 * rel_tol * np.linalg.norm(
             v.values
