@@ -6,7 +6,10 @@ test suite proving it can fail. Moving-plane quantities compare a field
 with its reflection on the cap beyond the plane; the plane positions
 sweep the open window between the stuck position and the first touching
 position, keeping a two-spacing margin at both ends to stay clear of
-interpolation artifacts.
+interpolation artifacts. Off-lattice values come from one tensor-product
+Lagrange interpolator over interior nodes: order 1 (bilinear) for the
+boundary normal derivative, order 2 (biquadratic) for the rotation
+metric.
 """
 
 from __future__ import annotations
@@ -204,8 +207,8 @@ def normal_derivative_stats(pair):
     for pts, nrms in pair.spec.boundary_loops(RIGIDITY_SAMPLES):
         p1 = pts - s * nrms
         p2 = pts - 2.0 * s * nrms
-        u1, ok1 = interpolate_bilinear(grid, pair.u.values, p1)
-        u2, ok2 = interpolate_bilinear(grid, pair.u.values, p2)
+        u1, ok1 = interpolate(grid, pair.u.values, p1, order=1)
+        u2, ok2 = interpolate(grid, pair.u.values, p2, order=1)
         ok = ok1 & ok2
         skipped += int((~ok).sum())
         vals.append(-(4.0 * u1[ok] - u2[ok]) / (2.0 * s))
@@ -227,68 +230,40 @@ def normal_derivative_stats(pair):
     )
 
 
-def interpolate_bilinear(grid, values, pts):
-    """Bilinear interpolation at arbitrary points from interior nodes only.
+# order -> (rounding to the stencil's reference node, weights at offset s
+# from it); order 1 spans nodes 0..1 from floor(f), order 2 nodes -1..1
+# around rint(f)
+_LAGRANGE = {
+    1: (np.floor, lambda s: (1 - s, s)),
+    2: (np.rint, lambda s: (0.5 * s * (s - 1.0), 1.0 - s * s, 0.5 * s * (s + 1.0))),
+}
 
-    Returns ``(values, ok)``; ``ok`` is False where any of the four cell
-    corners is not an interior node.
+
+def interpolate(grid, values, pts, order):
+    """Tensor-product Lagrange interpolation from interior nodes only.
+
+    ``order`` 1 is bilinear on the enclosing cell; ``order`` 2 is
+    biquadratic on the 3x3 stencil around the nearest node (third-order
+    accurate, for signals that bilinear bias would drown). Returns
+    ``(values, ok)``; ``ok`` is False, and the value NaN, where the
+    stencil leaves the interior node set.
     """
+    rounding, weights = _LAGRANGE[order]
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    fx = (pts[:, 0] - grid.xs[0]) / grid.delta
-    fy = (pts[:, 1] - grid.ys[0]) / grid.delta
-    jx = np.floor(fx).astype(np.int64)
-    jy = np.floor(fy).astype(np.int64)
-    wx = fx - jx
-    wy = fy - jy
-    nx, ny = grid.xs.shape[0], grid.ys.shape[0]
-    inside = (jx >= 0) & (jx + 1 < nx) & (jy >= 0) & (jy + 1 < ny)
-    jxc = np.clip(jx, 0, nx - 2)
-    jyc = np.clip(jy, 0, ny - 2)
-    r00 = grid.index_of[jyc, jxc]
-    r10 = grid.index_of[jyc, jxc + 1]
-    r01 = grid.index_of[jyc + 1, jxc]
-    r11 = grid.index_of[jyc + 1, jxc + 1]
-    ok = inside & (r00 >= 0) & (r10 >= 0) & (r01 >= 0) & (r11 >= 0)
-    out = np.full(pts.shape[0], np.nan)
-    g = ok
-    out[g] = (
-        (1 - wx[g]) * (1 - wy[g]) * values[r00[g]]
-        + wx[g] * (1 - wy[g]) * values[r10[g]]
-        + (1 - wx[g]) * wy[g] * values[r01[g]]
-        + wx[g] * wy[g] * values[r11[g]]
-    )
-    return out, ok
-
-
-def interpolate_biquadratic(grid, values, pts):
-    """Biquadratic interpolation on 3x3 interior stencils.
-
-    Third-order accurate; used where bilinear bias would drown the signal
-    (rotation-symmetry metric). Points whose 3x3 stencil leaves the
-    interior node set are flagged not-ok.
-    """
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    fx = (pts[:, 0] - grid.xs[0]) / grid.delta
-    fy = (pts[:, 1] - grid.ys[0]) / grid.delta
-    cx = np.rint(fx).astype(np.int64)
-    cy = np.rint(fy).astype(np.int64)
-    sx = fx - cx  # in [-0.5, 0.5]
-    sy = fy - cy
-    nx, ny = grid.xs.shape[0], grid.ys.shape[0]
-    inside = (cx >= 1) & (cx + 1 < nx) & (cy >= 1) & (cy + 1 < ny)
-    cxc = np.clip(cx, 1, nx - 2)
-    cyc = np.clip(cy, 1, ny - 2)
-
-    def wts(s):
-        return 0.5 * s * (s - 1.0), 1.0 - s * s, 0.5 * s * (s + 1.0)
-
-    wxm, wx0, wxp = wts(sx)
-    wym, wy0, wyp = wts(sy)
+    ok = np.ones(pts.shape[0], dtype=bool)
+    first, w = [], []
+    for dim, coords in enumerate((grid.xs, grid.ys)):
+        f = (pts[:, dim] - coords[0]) / grid.delta
+        ref = rounding(f).astype(np.int64)
+        lo = ref - (order - 1)  # lowest lattice index of the stencil
+        ok &= (lo >= 0) & (lo + order < coords.shape[0])
+        first.append(np.clip(lo, 0, coords.shape[0] - 1 - order))
+        w.append(weights(f - ref))
     out = np.zeros(pts.shape[0])
-    ok = inside.copy()
-    for dy, wy in ((-1, wym), (0, wy0), (1, wyp)):
-        for dx, wx in ((-1, wxm), (0, wx0), (1, wxp)):
-            r = grid.index_of[cyc + dy, cxc + dx]
+    # rows outer, columns inner: the summation order fixes the rounding
+    for dy, wy in enumerate(w[1]):
+        for dx, wx in enumerate(w[0]):
+            r = grid.index_of[first[1] + dy, first[0] + dx]
             ok &= r >= 0
             out += wy * wx * values[np.clip(r, 0, None)]
     out[~ok] = np.nan
@@ -312,7 +287,7 @@ def rotation_asymmetry(pair):
         a = 2.0 * math.pi * k / ROTATION_ANGLES
         ca, sa = math.cos(a), math.sin(a)
         q = np.column_stack([cx + ca * x - sa * y, cy + sa * x + ca * y])
-        vals, ok = interpolate_biquadratic(grid, pair.u.values, q)
+        vals, ok = interpolate(grid, pair.u.values, q, order=2)
         if not ok.any():
             continue
         worst = max(worst, float(np.max(np.abs(vals[ok] - pair.u.values[ok]))) / scale)
@@ -398,8 +373,7 @@ __all__ = [
     "normal_derivative_stats",
     "structural_checks",
     "rotation_asymmetry",
-    "interpolate_bilinear",
-    "interpolate_biquadratic",
+    "interpolate",
     "MovingPlaneReport",
     "ProductCheckResult",
     "RigidityReport",

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import ndimage
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 # direction order used for stencil neighbors and cut fractions
 WEST, EAST, SOUTH, NORTH = 0, 1, 2, 3
@@ -475,13 +476,6 @@ def build_grid(spec, nodes_per_side):
     n_interior = int(mask.sum())
     if n_interior == 0:
         raise GeometryError("no interior nodes at this resolution")
-    structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
-    labels, ncomp = ndimage.label(mask, structure=structure)
-    if ncomp > 1:
-        sizes = sorted(
-            (int((labels == k).sum()) for k in range(1, ncomp + 1)), reverse=True
-        )
-        raise DisconnectedInteriorError(sizes)
 
     nodes = np.argwhere(mask)  # row-major (iy, ix)
     iy = nodes[:, 0].astype(np.int64)
@@ -513,6 +507,17 @@ def build_grid(spec, nodes_per_side):
         t = ahead.min(axis=0) / delta
         assert np.all(np.isfinite(t))
         theta[cut, d] = np.minimum(t, 1.0)
+
+    # the interior must be one 4-connected component
+    links = neighbor[:, [EAST, NORTH]].T.ravel()
+    linked = links >= 0
+    adjacency = sparse.coo_matrix(
+        (np.ones(linked.sum()), (np.tile(np.arange(n_interior), 2)[linked], links[linked])),
+        shape=(n_interior, n_interior),
+    )
+    ncomp, labels = connected_components(adjacency, directed=False)
+    if ncomp > 1:
+        raise DisconnectedInteriorError(sorted(np.bincount(labels).tolist(), reverse=True))
 
     payload = (
         spec.kind,

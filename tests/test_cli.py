@@ -5,13 +5,17 @@ import numpy as np
 import pytest
 
 import platelab as pl
-from platelab.cli import main
+from platelab.cli import VALID_CHECKS, main
 from conftest import orbit_aligned_mass
 
 
 def run(argv):
     return main(argv)
 
+
+# keys of every report; the 2-D path adds restart_thetas and images
+STABLE_KEYS = {"domain", "h", "H", "mass", "grid", "theta", "t", "outer_iterations",
+               "termination", "timestamp", "solver_version", "radial"}
 
 # one bad value per optimizer option; each exited 2 or was accepted before
 # the options validated themselves
@@ -65,8 +69,17 @@ class TestSolve:
             rows = list(csv.reader(fh))
         assert rows[0] == ["x", "y", "u", "v", "rho"]
         assert len(rows) - 1 == grid.n
-        x = np.array([float(r[0]) for r in rows[1:]])
-        assert np.array_equal(x, grid.node_x)
+        cols = np.array([[float(c) for c in r] for r in rows[1:]]).T
+        pair, _ = pl.optimize(pl.disk(1.0), rep["grid"], rep["h"], rep["H"], rep["mass"])
+        for col, want in zip(cols, (grid.node_x, grid.node_y, pair.u.values,
+                                    pair.v.values, pair.rho.values)):
+            assert np.array_equal(col, want)
+
+    def test_report_keys_2d(self, disk_solve):
+        d, report, fields = disk_solve
+        rep = json.loads(report.read_text())
+        assert set(rep) == STABLE_KEYS | {"restart_thetas", "images"}
+        assert set(rep["images"]) == {"u", "rho"}
 
     def test_square_uniform_theta(self, tmp_path):
         report = tmp_path / "r.json"
@@ -125,6 +138,13 @@ class TestSolve:
         assert rows[0] == ["x", "y", "u", "v", "rho"]
         assert all(float(r[1]) == 0.0 for r in rows[1:])
 
+    def test_report_keys_radial(self, tmp_path):
+        report = tmp_path / "radial.json"
+        assert run(["solve", "--domain", "annulus", "--inner", "0.3", "--radial",
+                    "--nr", "64", "--h", "1", "--H", "2", "--mass", "4",
+                    "--out", str(report)]) == 0
+        assert set(json.loads(report.read_text())) == STABLE_KEYS
+
     def test_seeded_runs_are_byte_identical(self, tmp_path):
         args = [
             "solve", "--domain", "annulus", "--inner", "0.5", "--radius", "1",
@@ -149,6 +169,60 @@ class TestVerify:
         assert rc == 0
         assert out.count("PASS") == 6
         assert "FAIL" not in out
+
+    def test_one_line_per_check_in_table_order(self, disk_solve, capsys):
+        d, report, fields = disk_solve
+        assert run(["verify", "--report", str(report), "--fields", str(fields)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[1].rstrip(":") for line in lines] == list(VALID_CHECKS)
+        assert VALID_CHECKS == ("symmetry", "monotonicity", "moving-plane", "product",
+                                "rigidity", "structure")
+
+    @pytest.mark.parametrize("checks", ["", " , "], ids=["empty", "blank-items"])
+    def test_empty_check_list_exits_1(self, disk_solve, checks, capsys):
+        d, report, fields = disk_solve
+        rc = run(["verify", "--report", str(report), "--fields", str(fields),
+                  "--checks", checks])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "valid checks" in captured.err
+        assert captured.out == ""
+
+    # (column, text) put into one fields row: a non-finite u or v exited 2,
+    # and a nan rho went on to the checks unnoticed
+    @pytest.mark.parametrize("col,text", [(2, "nan"), (3, "inf"), (4, "nan"), (4, "-inf")],
+                             ids=["u-nan", "v-inf", "rho-nan", "rho-neg-inf"])
+    def test_non_finite_field_exits_1(self, disk_solve, tmp_path, col, text, capsys):
+        d, report, fields = disk_solve
+        lines = fields.read_text().splitlines()
+        parts = lines[7].split(",")
+        parts[col] = text
+        lines[7] = ",".join(parts)
+        bad = tmp_path / "nonfinite.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        rc = run(["verify", "--report", str(report), "--fields", str(bad)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "row 8: non-finite value" in captured.err
+        assert captured.out == ""
+
+    # report edits that each exited 2
+    @pytest.mark.parametrize("edit", [
+        lambda text: text[: len(text) // 2],
+        lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "grid"}),
+        lambda text: json.dumps(dict(json.loads(text), domain={"kind": "disk"})),
+        lambda text: json.dumps(dict(json.loads(text), grid="abc")),
+        lambda text: "[%s]" % text,
+    ], ids=["not-json", "no-grid", "no-domain-params", "grid-abc", "list"])
+    def test_unusable_report_exits_1(self, disk_solve, tmp_path, edit, capsys):
+        d, report, fields = disk_solve
+        bad = tmp_path / "bad.json"
+        bad.write_text(edit(report.read_text()))
+        rc = run(["verify", "--report", str(bad), "--fields", str(fields)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
 
     def test_corrupted_field_fails_monotonicity(self, disk_solve, tmp_path, capsys):
         d, report, fields = disk_solve
@@ -217,6 +291,13 @@ class TestSweep:
             assert np.isfinite(float(r["theta_radial"]))
             assert np.isfinite(float(r["rotation_asymmetry"]))
             assert r["beats_radial"] in ("True", "False")
+
+    def test_header_line(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep-annulus", "--inner-from", "0.5", "--inner-to", "0.5",
+                    "--steps", "1", "--grid", "33", "--nr", "64", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[0] == (
+            "inner_radius,theta_2d,theta_radial,rotation_asymmetry,beats_radial,termination")
 
     @BAD_OPTIONS
     def test_bad_option_exits_1(self, flags, tmp_path, capsys):
