@@ -324,7 +324,7 @@ def _check_product(pair, n_lambda):
 
 def _check_rigidity(pair, n_lambda):
     rep = diagnostics.normal_derivative_stats(pair)
-    ok = diagnostics.normal_samples_all_negative(rep) and rep.cv < RIGIDITY_CV_MAX
+    ok = np.all(rep.samples < 0.0) and rep.cv < RIGIDITY_CV_MAX
     return ok, "normal derivative mean %.4g, CV %.3e (ball-consistent iff CV < %g)" % (
         rep.mean, rep.cv, RIGIDITY_CV_MAX)
 

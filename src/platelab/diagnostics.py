@@ -2,14 +2,16 @@
 
 Each check is a pure function of its inputs, returns a measured quantity
 (never just a verdict), and has a constructed negative fixture in the
-test suite proving it can fail. Moving-plane quantities compare a field
-with its reflection on the cap beyond the plane; the plane positions
-sweep the open window between the stuck position and the first touching
-position, keeping a two-spacing margin at both ends to stay clear of
-interpolation artifacts. Off-lattice values come from one tensor-product
-Lagrange interpolator over interior nodes: order 1 (bilinear) for the
-boundary normal derivative, order 2 (biquadratic) for the rotation
-metric.
+test suite proving it can fail. Checks take a declared ``Axis`` and hand
+``geometry`` its direction ``dim`` and a plane position. Moving-plane
+quantities compare a field with its reflection on the cap beyond the
+plane, selected in one place: the cap nodes whose mirror has interior
+support. The plane positions sweep the open window between the stuck
+position and the first touching position, keeping a two-spacing margin
+at both ends to stay clear of interpolation artifacts. Off-lattice
+values come from one tensor-product Lagrange interpolator over interior
+nodes: order 1 (bilinear) for the boundary normal derivative, order 2
+(biquadratic) for the rotation metric.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Axis, reflect_values, reflection_caps
+from .geometry import EAST, NORTH, Axis, reflect_values, reflection_caps
 
 MIN_LAMBDAS = 8  # fewest plane positions a moving-plane sweep takes
 PLANE_MARGIN = 2.0  # spacings kept clear at both ends of the plane window
@@ -33,17 +35,24 @@ class DiagnosticsError(ValueError):
 
 
 def _declared_axis(grid, axis):
-    for ax in grid.spec.axes:
-        if ax == axis:
-            return ax
-    raise DiagnosticsError("axis %r is not declared on this domain" % (axis,))
+    if axis not in grid.spec.axes:
+        raise DiagnosticsError("axis %r is not declared on this domain" % (axis,))
+
+
+def _cap(grid, values, dim, lam):
+    """The cap beyond the plane ``{x_dim = lam}``: a mask of its nodes whose
+    mirror has interior support, and the reflected values there."""
+    coords = grid.node_x if dim == 0 else grid.node_y
+    refl = reflect_values(grid, values, dim, lam)
+    usable = (coords > lam) & refl.present
+    return usable, refl.values[usable]
 
 
 def asymmetry(u, axis):
     """Relative sup-norm mismatch between u and its reflection across a
     declared axis."""
-    ax = _declared_axis(u.grid, axis)
-    refl = reflect_values(u.grid, u.values, ax, ax.offset)
+    _declared_axis(u.grid, axis)
+    refl = reflect_values(u.grid, u.values, axis.dim, axis.offset)
     if not refl.present.any():
         raise DiagnosticsError("reflection has no interior support")
     diff = np.abs(u.values[refl.present] - refl.values[refl.present])
@@ -57,12 +66,11 @@ def monotonicity_violation(u, axis):
     or beyond the axis; strictly decreasing profiles give a negative
     value, any increase shows up as a positive one.
     """
-    ax = _declared_axis(u.grid, axis)
     grid = u.grid
-    coords = grid.node_x if ax.dim == 0 else grid.node_y
-    d = 1 if ax.dim == 0 else 3  # EAST or NORTH neighbor
-    nb = grid.neighbor[:, d]
-    sel = (nb >= 0) & (coords >= ax.offset - 1e-12 * grid.delta)
+    _declared_axis(grid, axis)
+    coords = grid.node_x if axis.dim == 0 else grid.node_y
+    nb = grid.neighbor[:, EAST if axis.dim == 0 else NORTH]
+    sel = (nb >= 0) & (coords >= axis.offset - 1e-12 * grid.delta)
     if not sel.any():
         return 0.0
     return float(np.max(u.values[nb[sel]] - u.values[sel]))
@@ -72,16 +80,14 @@ def monotonicity_violation(u, axis):
 class MovingPlaneReport:
     axis: Axis
     lambdas: np.ndarray
-    min_w1_per_lambda: np.ndarray
-    min_w2_per_lambda: np.ndarray
     min_w1: float
     min_w2: float
 
 
 def plane_window(pair, axis):
     """Open interval of plane positions used by the moving-plane checks."""
-    ax = _declared_axis(pair.grid, axis)
-    caps = reflection_caps(pair.spec, ax)
+    _declared_axis(pair.grid, axis)
+    caps = reflection_caps(pair.spec, axis.dim)
     margin = PLANE_MARGIN * pair.grid.delta
     lo = caps.lam1 + margin
     hi = caps.lam0 - margin
@@ -97,14 +103,10 @@ def cap_deficit(grid, values, axis_dim, lam):
     with interior reflection support; the minimum is +inf when no node
     qualifies.
     """
-    coords = grid.node_x if axis_dim == 0 else grid.node_y
-    cap = coords > lam
-    refl = reflect_values(grid, values, axis_dim, lam)
-    usable = cap & refl.present
+    usable, reflected = _cap(grid, values, axis_dim, lam)
     if not usable.any():
         return math.inf, 0
-    w = refl.values[usable] - values[usable]
-    return float(np.min(w)), int(usable.sum())
+    return float(np.min(reflected - values[usable])), int(usable.sum())
 
 
 def moving_plane_profile(pair, axis, n_lambda=16):
@@ -112,21 +114,12 @@ def moving_plane_profile(pair, axis, n_lambda=16):
     ``u o reflection - u`` and ``v o reflection - v`` on each cap."""
     if n_lambda < MIN_LAMBDAS:
         raise DiagnosticsError("n_lambda must be at least %d" % MIN_LAMBDAS)
-    ax = _declared_axis(pair.grid, axis)
-    lo, hi = plane_window(pair, ax)
+    lo, hi = plane_window(pair, axis)
     lambdas = np.linspace(lo, hi, n_lambda)
-    m1 = np.empty(n_lambda)
-    m2 = np.empty(n_lambda)
-    for k, lam in enumerate(lambdas):
-        m1[k], _ = cap_deficit(pair.grid, pair.u.values, ax.dim, lam)
-        m2[k], _ = cap_deficit(pair.grid, pair.v.values, ax.dim, lam)
+    worst = np.min([[cap_deficit(pair.grid, f.values, axis.dim, lam)[0] for f in (pair.u, pair.v)]
+                    for lam in lambdas], axis=0)
     return MovingPlaneReport(
-        axis=ax,
-        lambdas=lambdas,
-        min_w1_per_lambda=m1,
-        min_w2_per_lambda=m2,
-        min_w1=float(np.min(m1)),
-        min_w2=float(np.min(m2)),
+        axis=axis, lambdas=lambdas, min_w1=float(worst[0]), min_w2=float(worst[1])
     )
 
 
@@ -150,23 +143,18 @@ def product_check(u, rho, t, axis, lam):
     spurious defects.
     """
     grid = u.grid
-    ax = _declared_axis(grid, axis)
+    _declared_axis(grid, axis)
     h, H = rho.h, rho.H
-    coords = grid.node_x if ax.dim == 0 else grid.node_y
-    cap = coords > lam
-    refl = reflect_values(grid, u.values, ax.dim, lam)
-    usable = cap & refl.present
+    usable, ur = _cap(grid, u.values, axis.dim, lam)
     if not usable.any():
         raise DiagnosticsError("cap at lam=%g has no usable nodes" % lam)
 
-    w1 = refl.values[usable] - u.values[usable]
-    if float(np.min(w1)) < -1e-10 * u.norm_inf:
+    uu = u.values[usable]
+    if float(np.min(ur - uu)) < -1e-10 * u.norm_inf:
         raise DiagnosticsError(
             "precondition failed: reflected u does not dominate u on the cap"
         )
 
-    uu = u.values[usable]
-    ur = refl.values[usable]
     rho_here = np.where(uu > t, H, h)
     rho_refl = np.where(ur > t, H, h)
     diff = rho_refl * ur - rho_here * uu
@@ -357,10 +345,6 @@ def _axis_convex_along(grid, u, t, ax):
         if abs(mid - ax.offset) > tol:
             return False
     return True
-
-
-def normal_samples_all_negative(report):
-    return bool(np.all(report.samples < 0.0))
 
 
 __all__ = [

@@ -58,9 +58,9 @@ def rayleigh_quotient(u, v, rho):
 def principal_pair(op, rho, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, u0=None):
     """Inverse power iteration for the principal pair at fixed density.
 
-    Starts from the positive constant unless ``u0`` is given (warm starts
-    from a previous outer iterate). Stops when the relative quotient
-    increment falls below ``tol``.
+    Starts from the positive constant unless a ``ScalarField`` ``u0`` is
+    given (warm starts from a previous outer iterate). Stops when the
+    relative quotient increment falls below ``tol``.
     """
     if rho.grid.tag != op.grid_tag:
         raise GridMismatchError("density grid does not match operator grid")
@@ -72,7 +72,7 @@ def principal_pair(op, rho, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, u0=None)
     if u0 is None:
         u = np.ones(grid.n)
     else:
-        u = np.asarray(u0.values if isinstance(u0, ScalarField) else u0, dtype=float)
+        u = u0.values
         if u.shape != (grid.n,) or np.any(u <= 0.0):
             raise ValueError("u0 must be a strictly positive field on the grid")
         u = u / np.max(np.abs(u))

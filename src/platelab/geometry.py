@@ -7,10 +7,13 @@ per-direction cut fractions for links that cross the boundary. Everything
 that depends on the kind of domain sits in one table of ``Shape`` records.
 
 Reflections are always with respect to axis-aligned planes ``{x = lam}``
-or ``{y = lam}``; domains needing another direction should be rotated at
-construction time, not the grid. The moving-plane landmarks and the
-check of declared symmetry axes are closed form too: they read the
-centre and the table's ``stop`` position, and sample nothing.
+or ``{y = lam}``, named by their direction ``dim`` (0 or 1); domains
+needing another direction should be rotated at construction time, not
+the grid. One mirror stencil places each node's reflection on its
+lattice line, and both ``reflect_values`` and ``mirror_ranks`` read it.
+The moving-plane landmarks and the check of declared symmetry axes are
+closed form too: they read the centre and the table's ``stop``
+position, and sample nothing.
 """
 
 from __future__ import annotations
@@ -47,6 +50,13 @@ class DisconnectedInteriorError(GeometryError):
         )
 
 
+def _direction(dim):
+    """``dim`` checked to name a lattice direction: 0 for x, 1 for y."""
+    if dim not in (0, 1):
+        raise GeometryError("axis dim must be 0 or 1, got %r" % (dim,))
+    return int(dim)
+
+
 @dataclass(frozen=True)
 class Axis:
     """Axis-aligned reflection plane: dim=0 is {x = offset}, dim=1 is {y = offset}."""
@@ -55,8 +65,7 @@ class Axis:
     offset: float
 
     def __post_init__(self):
-        if self.dim not in (0, 1):
-            raise GeometryError("axis dim must be 0 or 1, got %r" % (self.dim,))
+        _direction(self.dim)
 
 
 # ---------------------------------------------------------------- shape table
@@ -561,66 +570,50 @@ class Reflection:
     present: np.ndarray
 
 
-def reflect_values(grid, values, axis, lam):
+def _mirror_stencil(grid, dim, lam):
+    """Where each node's mirror across ``{x_dim = lam}`` falls: a fraction
+    ``w`` of a spacing from interior node ``r0`` toward ``r1`` on the node's
+    lattice line (ranks are -1 off the interior). The plane's doubled
+    lattice position snaps to an integer within 1e-9 spacings, so lattice
+    and half-lattice planes give ``w == 0`` exactly; ``present`` marks the
+    mirrors with interior support."""
+    coords = grid.xs if dim == 0 else grid.ys
+    j, j_other = (grid.ix, grid.iy) if dim == 0 else (grid.iy, grid.ix)
+    lines = grid.index_of if dim == 0 else grid.index_of.T  # [j_other, j] -> rank
+    two_jlam = 2.0 * ((lam - coords[0]) / grid.delta)
+    snapped = round(two_jlam)
+    if abs(two_jlam - snapped) < 1e-9:
+        two_jlam = float(snapped)
+    t = two_jlam - j.astype(float)
+    j0 = np.floor(t).astype(np.int64)
+    w = t - j0
+
+    def rank_at(jj):
+        inside = (jj >= 0) & (jj < coords.shape[0])
+        return np.where(inside, lines[j_other, np.clip(jj, 0, coords.shape[0] - 1)], -1)
+
+    r0, r1 = rank_at(j0), rank_at(j0 + 1)
+    present = (r0 >= 0) & ((w == 0.0) | (r1 >= 0))
+    return r0, r1, w, present
+
+
+def reflect_values(grid, values, dim, lam):
     """Sample ``values`` (per interior node) at reflected node positions.
 
-    The reflection is about the plane ``{x_dim = lam}``. Off-lattice
-    positions are linearly interpolated along the reflection direction;
-    positions whose interpolation support leaves the interior node set are
-    flagged absent. Lattice-aligned planes reproduce node values exactly.
+    The reflection is about the plane ``{x_dim = lam}``, ``dim`` 0 or 1.
+    Each mirror is read off one stencil: linear interpolation along the
+    reflection direction, flagged absent where its support leaves the
+    interior node set. Lattice and half-lattice planes reproduce node
+    values exactly.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != (grid.n,):
         raise GeometryError("field length %d does not match grid (%d nodes)"
                             % (values.shape[0], grid.n))
-    dim = axis.dim if isinstance(axis, Axis) else int(axis)
-    coords = grid.xs if dim == 0 else grid.ys
-    j = (grid.ix if dim == 0 else grid.iy).astype(float)
-    j_other = grid.iy if dim == 0 else grid.ix
-
-    jlam = (lam - coords[0]) / grid.delta
-    two_jlam = 2.0 * jlam
-    snapped = round(two_jlam)
-    if abs(two_jlam - snapped) < 1e-9:
-        two_jlam = float(snapped)
-    t = two_jlam - j
-
-    nmax = coords.shape[0]
-    tr = np.rint(t)
-    aligned = np.abs(t - tr) < 1e-9
-
-    out = np.full(grid.n, np.nan)
-    present = np.zeros(grid.n, dtype=bool)
-
-    def rank_at(jj):
-        ok = (jj >= 0) & (jj < nmax)
-        jc = np.clip(jj, 0, nmax - 1)
-        if dim == 0:
-            r = grid.index_of[j_other, jc]
-        else:
-            r = grid.index_of[jc, j_other]
-        return np.where(ok, r, -1)
-
-    ia = np.flatnonzero(aligned)
-    if ia.size:
-        r = rank_at(tr[ia].astype(np.int64))
-        good = r >= 0
-        out[ia[good]] = values[r[good]]
-        present[ia] = good
-
-    ib = np.flatnonzero(~aligned)
-    if ib.size:
-        j0 = np.floor(t[ib]).astype(np.int64)
-        w = t[ib] - j0
-        r0 = rank_at(j0)
-        r1 = rank_at(j0 + 1)
-        good = (r0 >= 0) & (r1 >= 0)
-        out[ib[good]] = (1.0 - w[good]) * values[r0[good]] + w[good] * values[
-            r1[good]
-        ]
-        present[ib] = good
-
-    return Reflection(values=out, present=present)
+    r0, r1, w, present = _mirror_stencil(grid, _direction(dim), lam)
+    v0 = values[r0]
+    mixed = np.where(w == 0.0, v0, (1.0 - w) * v0 + w * values[r1])
+    return Reflection(values=np.where(present, mixed, np.nan), present=present)
 
 
 def mirror_ranks(grid, axis):
@@ -630,23 +623,12 @@ def mirror_ranks(grid, axis):
     (which cannot happen for an exactly symmetric domain on the symmetric
     lattice that ``build_grid`` produces).
     """
-    coords = grid.xs if axis.dim == 0 else grid.ys
-    nmax = coords.shape[0]
-    two_jlam = 2.0 * (axis.offset - coords[0]) / grid.delta
-    snapped = round(two_jlam)
-    if abs(two_jlam - snapped) > 1e-9:
+    r0, _, w, present = _mirror_stencil(grid, axis.dim, axis.offset)
+    if np.any(w != 0.0):
         raise GeometryError("axis %r is not lattice-aligned" % (axis,))
-    if axis.dim == 0:
-        jm = snapped - grid.ix
-        ok = (jm >= 0) & (jm < nmax)
-        ranks = grid.index_of[grid.iy, np.clip(jm, 0, nmax - 1)]
-    else:
-        jm = snapped - grid.iy
-        ok = (jm >= 0) & (jm < nmax)
-        ranks = grid.index_of[np.clip(jm, 0, nmax - 1), grid.ix]
-    if not (ok.all() and (ranks >= 0).all()):
+    if not present.all():
         raise GeometryError("grid is not mirror-closed across %r" % (axis,))
-    return ranks
+    return r0
 
 
 def mirror_orbit_ids(grid):
@@ -674,39 +656,30 @@ class ReflectionCaps:
 
     lam0: first plane position touching the closure (sup of the coordinate).
     lam1: stuck position (internal tangency of the reflected cap, or plane
-          orthogonal to the boundary).
-    lam2: last position with the reflected cap still inside the closure.
+          orthogonal to the boundary); for every plane in (lam1, lam0) the
+          reflected cap stays inside the closure.
     """
 
     dim: int
     lam0: float
     lam1: float
-    lam2: float
 
     def __post_init__(self):
-        if not (self.lam2 <= self.lam1 + 1e-12 and self.lam1 < self.lam0):
-            raise GeometryError(
-                "invalid caps: lam2=%r lam1=%r lam0=%r"
-                % (self.lam2, self.lam1, self.lam0)
-            )
+        if not self.lam1 < self.lam0:
+            raise GeometryError("invalid caps: lam1=%r lam0=%r" % (self.lam1, self.lam0))
 
 
-def reflection_caps(spec, axis):
-    """Sweep landmarks along an axis-aligned direction, in closed form.
+def reflection_caps(spec, dim):
+    """Sweep landmarks along direction ``dim`` (0 or 1), in closed form.
 
     ``lam0`` is the largest coordinate of the closure. The plane moving in
     from there stops ``Shape.stop`` from the centre (Gidas, Ni and
     Nirenberg): at the centre on the convex kinds, which are symmetric
     about their centre axes, and at ``(inner + outer) / 2`` on the
     annulus, where the reflected cap first touches the inner circle.
-    ``lam1`` and ``lam2`` both sit at the stop, whether or not an axis is
-    declared in that direction.
+    ``lam1`` sits at the stop, whether or not an axis is declared in
+    that direction.
     """
-    if isinstance(axis, Axis):
-        dim = axis.dim
-    elif axis in (0, 1):
-        dim = int(axis)
-    else:
-        raise GeometryError("axis must be axis-aligned (dim 0 or 1), got %r" % (axis,))
-    stop = spec.center[dim] + spec.shape.stop(spec.params)
-    return ReflectionCaps(dim=dim, lam0=spec.sup_coord(dim), lam1=stop, lam2=stop)
+    dim = _direction(dim)
+    lam1 = spec.center[dim] + spec.shape.stop(spec.params)
+    return ReflectionCaps(dim=dim, lam0=spec.sup_coord(dim), lam1=lam1)

@@ -37,10 +37,11 @@ class DensityField:
         if v.shape != (self.grid.n,):
             raise RearrangeError("density length does not match grid")
         _check_bracket(self.grid, self.h, self.H, self.M)
-        if np.any(v < self.h) or np.any(v > self.H):
+        # written so that NaN fails both checks
+        if not np.all((v >= self.h) & (v <= self.H)):
             raise RearrangeError("density leaves the box [h, H]")
         got = float(np.sum(v)) * self.grid.cell_area
-        if abs(got - self.M) > 1e-12 * abs(self.M):
+        if not abs(got - self.M) <= 1e-12 * abs(self.M):
             raise RearrangeError(
                 "density mass %.17g deviates from M=%.17g" % (got, self.M)
             )
@@ -63,7 +64,6 @@ def mass(rho):
 
 def uniform_density(grid, h, H, M):
     """The admissible constant density with mass M."""
-    _check_bracket(grid, h, H, M)
     return DensityField(grid, np.full(grid.n, M / grid.discrete_area), h, H, M)
 
 

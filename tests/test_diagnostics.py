@@ -21,7 +21,7 @@ class TestAsymmetry:
     def test_symmetrized_field_is_exactly_zero(self):
         g = pl.build_grid(pl.disk(1.0), 65)
         f = np.cos(2 * g.node_x**2 + g.node_y)
-        fx = 0.5 * (f + pl.reflect_values(g, f, Axis(0, 0.0), 0.0).values)
+        fx = 0.5 * (f + pl.reflect_values(g, f, 0, 0.0).values)
         assert dg.asymmetry(ScalarField(g, fx), Axis(0, 0.0)) == 0.0
 
     def test_converged_disk_pair(self, disk_pair_128):

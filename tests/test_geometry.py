@@ -10,6 +10,7 @@ from platelab.geometry import (
     DisconnectedInteriorError,
     DomainSpec,
     GeometryError,
+    Reflection,
     mirror_orbit_ids,
     mirror_ranks,
     reflect_values,
@@ -166,27 +167,27 @@ class TestReflectValues:
     def test_symmetric_field_reflects_exactly(self):
         g = pl.build_grid(pl.disk(1.0), 65)
         f = np.cos(3 * g.node_x**2) * np.exp(g.node_y)
-        r = reflect_values(g, f, Axis(0, 0.0), 0.0)
+        r = reflect_values(g, f, 0, 0.0)
         assert r.present.all()
         assert np.array_equal(r.values, f)
 
     def test_odd_field_negates_exactly(self):
         g = pl.build_grid(pl.disk(1.0), 65)
         f = g.node_x * np.exp(g.node_y)
-        r = reflect_values(g, f, Axis(0, 0.0), 0.0)
+        r = reflect_values(g, f, 0, 0.0)
         assert np.array_equal(r.values, -f)
 
     def test_involution_bitwise(self):
         g = pl.build_grid(pl.disk(1.0), 65)
         f = np.random.default_rng(3).normal(size=g.n)
-        once = reflect_values(g, f, Axis(0, 0.0), 0.0)
-        twice = reflect_values(g, once.values, Axis(0, 0.0), 0.0)
+        once = reflect_values(g, f, 0, 0.0)
+        twice = reflect_values(g, once.values, 0, 0.0)
         assert np.array_equal(twice.values, f)
 
     def test_off_axis_reflection_flags_absent(self):
         g = pl.build_grid(pl.disk(1.0), 65)
         f = np.ones(g.n)
-        r = reflect_values(g, f, Axis(0, 0.0), 0.5)
+        r = reflect_values(g, f, 0, 0.5)
         # nodes far left of the plane reflect to points outside the disk
         far_left = g.node_x < -0.2
         assert not r.present[far_left].any()
@@ -200,7 +201,7 @@ class TestReflectValues:
             # resolutions so the prefactor matches
             lam = g.xs[g.xs.shape[0] // 2 + 3] + 0.37 * g.delta
             f = np.sin(1.3 * g.node_x + 0.4) * np.cos(0.7 * g.node_y)
-            r = reflect_values(g, f, Axis(0, 0.0), lam)
+            r = reflect_values(g, f, 0, lam)
             exact = np.sin(1.3 * (2 * lam - g.node_x) + 0.4) * np.cos(0.7 * g.node_y)
             sel = r.present & (np.abs(2 * lam - g.node_x) < 0.9) & (np.abs(g.node_y) < 0.9)
             return np.max(np.abs(r.values[sel] - exact[sel]))
@@ -211,8 +212,140 @@ class TestReflectValues:
     def test_y_axis_reflection(self):
         g = pl.build_grid(pl.ellipse(1.0, 0.6), 65)
         f = np.abs(g.node_y) + g.node_x
-        r = reflect_values(g, f, Axis(1, 0.0), 0.0)
+        r = reflect_values(g, f, 1, 0.0)
         assert np.array_equal(r.values, f)
+
+
+def _two_branch_reflect_values(grid, values, axis, lam):
+    """Reference: an aligned and an off-lattice branch, each with its own
+    node set."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (grid.n,):
+        raise GeometryError("field length %d does not match grid (%d nodes)"
+                            % (values.shape[0], grid.n))
+    dim = axis.dim if isinstance(axis, Axis) else int(axis)
+    coords = grid.xs if dim == 0 else grid.ys
+    j = (grid.ix if dim == 0 else grid.iy).astype(float)
+    j_other = grid.iy if dim == 0 else grid.ix
+
+    jlam = (lam - coords[0]) / grid.delta
+    two_jlam = 2.0 * jlam
+    snapped = round(two_jlam)
+    if abs(two_jlam - snapped) < 1e-9:
+        two_jlam = float(snapped)
+    t = two_jlam - j
+
+    nmax = coords.shape[0]
+    tr = np.rint(t)
+    aligned = np.abs(t - tr) < 1e-9
+
+    out = np.full(grid.n, np.nan)
+    present = np.zeros(grid.n, dtype=bool)
+
+    def rank_at(jj):
+        ok = (jj >= 0) & (jj < nmax)
+        jc = np.clip(jj, 0, nmax - 1)
+        if dim == 0:
+            r = grid.index_of[j_other, jc]
+        else:
+            r = grid.index_of[jc, j_other]
+        return np.where(ok, r, -1)
+
+    ia = np.flatnonzero(aligned)
+    if ia.size:
+        r = rank_at(tr[ia].astype(np.int64))
+        good = r >= 0
+        out[ia[good]] = values[r[good]]
+        present[ia] = good
+
+    ib = np.flatnonzero(~aligned)
+    if ib.size:
+        j0 = np.floor(t[ib]).astype(np.int64)
+        w = t[ib] - j0
+        r0 = rank_at(j0)
+        r1 = rank_at(j0 + 1)
+        good = (r0 >= 0) & (r1 >= 0)
+        out[ib[good]] = (1.0 - w[good]) * values[r0[good]] + w[good] * values[
+            r1[good]
+        ]
+        present[ib] = good
+
+    return Reflection(values=out, present=present)
+
+
+def _separate_mirror_ranks(grid, axis):
+    """Reference: its own plane snapping and lattice lookups."""
+    coords = grid.xs if axis.dim == 0 else grid.ys
+    nmax = coords.shape[0]
+    two_jlam = 2.0 * (axis.offset - coords[0]) / grid.delta
+    snapped = round(two_jlam)
+    if abs(two_jlam - snapped) > 1e-9:
+        raise GeometryError("axis %r is not lattice-aligned" % (axis,))
+    if axis.dim == 0:
+        jm = snapped - grid.ix
+        ok = (jm >= 0) & (jm < nmax)
+        ranks = grid.index_of[grid.iy, np.clip(jm, 0, nmax - 1)]
+    else:
+        jm = snapped - grid.iy
+        ok = (jm >= 0) & (jm < nmax)
+        ranks = grid.index_of[np.clip(jm, 0, nmax - 1), grid.ix]
+    if not (ok.all() and (ranks >= 0).all()):
+        raise GeometryError("grid is not mirror-closed across %r" % (axis,))
+    return ranks
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except GeometryError as e:
+        return str(e)
+
+
+class TestMirrorStencil:
+    """One stencil reproduces the two-branch reflection and the separate
+    mirror lookup bitwise, on lattice, half-lattice and off-lattice planes."""
+
+    @pytest.mark.parametrize("spec", ALL_KINDS + OFF_CENTRE,
+                             ids=lambda s: "%s@%g,%g" % (s.kind, *s.center))
+    @pytest.mark.parametrize("nps", [33, 64])
+    def test_matches_reference_bitwise(self, spec, nps):
+        g = pl.build_grid(spec, nps)
+        rng = np.random.default_rng(nps)
+        f = rng.normal(size=g.n)
+        holes = f.copy()  # NaN nodes, as in a reflection reflected again
+        holes[::7] = np.nan
+        for dim in (0, 1):
+            coords = g.xs if dim == 0 else g.ys
+            ks = rng.integers(0, coords.shape[0] - 1, size=10)
+            planes = np.concatenate([
+                coords[ks],
+                0.5 * (coords[ks] + coords[ks + 1]),
+                rng.uniform(coords[0] - g.delta, coords[-1] + g.delta, size=10),
+                [spec.center[dim]],
+            ])
+            for lam in planes:
+                for field in (f, holes):
+                    want = _two_branch_reflect_values(g, field, dim, lam)
+                    got = reflect_values(g, field, dim, lam)
+                    assert got.values.tobytes() == want.values.tobytes()
+                    assert np.array_equal(got.present, want.present)
+                ax = Axis(dim, float(lam))
+                want = _outcome(_separate_mirror_ranks, g, ax)
+                got = _outcome(mirror_ranks, g, ax)
+                if isinstance(want, str):
+                    assert got == want
+                else:
+                    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_direction_only(self):
+        g = pl.build_grid(pl.disk(1.0), 17)
+        f = np.ones(g.n)
+        with pytest.raises(GeometryError):
+            reflect_values(g, f, Axis(0, 0.0), 0.0)
+        with pytest.raises(GeometryError):
+            reflect_values(g, f, 2, 0.0)
+        with pytest.raises(GeometryError):
+            pl.reflection_caps(pl.disk(1.0), Axis(0, 0.0))
 
 
 class TestMirrorRanks:
@@ -241,30 +374,27 @@ class TestReflectionCaps:
         caps = pl.reflection_caps(pl.disk(1.0), 0)
         assert caps.lam0 == 1.0
         assert caps.lam1 == 0.0
-        assert caps.lam2 == 0.0
 
     def test_centered_square(self):
         caps = pl.reflection_caps(pl.rectangle(1.0, 1.0), 0)
         assert caps.lam0 == 0.5
         assert caps.lam1 == 0.0
-        assert caps.lam2 == 0.0
 
     def test_annulus_touching_position(self):
         caps = pl.reflection_caps(pl.annulus(0.5, 1.0), 0)
-        assert caps.lam2 == pytest.approx(0.75, abs=1e-8)
-        assert caps.lam2 <= caps.lam1 < caps.lam0
-        assert caps.lam2 > 0.0  # strictly beyond the symmetry axis
+        assert caps.lam1 == pytest.approx(0.75, abs=1e-8)
+        assert caps.lam1 < caps.lam0
+        assert caps.lam1 > 0.0  # strictly beyond the symmetry axis
 
     def test_ordering_for_all_builtins(self):
         for spec in (pl.disk(1.0), pl.annulus(0.3), pl.ellipse(1, 0.6),
                      pl.unit_square(), pl.stadium(1.0, 0.5)):
             for dim in (0, 1):
                 caps = pl.reflection_caps(spec, dim)
-                assert caps.lam2 <= caps.lam1 < caps.lam0
+                assert caps.lam1 < caps.lam0
                 if spec.kind != "annulus":
                     offset = next(a.offset for a in spec.axes if a.dim == dim)
                     assert caps.lam1 == offset
-                    assert caps.lam2 == offset
 
     @pytest.mark.parametrize("a", [0.05, 0.3, 0.5, 0.85])
     @pytest.mark.parametrize("center", [(0.0, 0.0), (-1.0, 0.25)])
@@ -273,12 +403,11 @@ class TestReflectionCaps:
         for dim in (0, 1):
             caps = pl.reflection_caps(spec, dim)
             assert caps.lam1 == center[dim] + (a + 1.0) / 2
-            assert caps.lam2 == caps.lam1
 
     def test_containment_monotone_above_lam2(self):
-        """The boundary of the cap beyond any plane in (lam2, lam0),
+        """The boundary of the cap beyond any plane in (lam1, lam0),
         reflected, stays in the closure; on the annulus it leaves the
-        closure just below lam2."""
+        closure just below lam1."""
 
         def worst_reflected_level(spec, dim, lam):
             worst = -math.inf
@@ -294,10 +423,10 @@ class TestReflectionCaps:
             tol = 1e-12 * spec.diameter()
             for dim in (0, 1):
                 caps = pl.reflection_caps(spec, dim)
-                for lam in rng.uniform(caps.lam2, caps.lam0, size=20):
+                for lam in rng.uniform(caps.lam1, caps.lam0, size=20):
                     assert worst_reflected_level(spec, dim, lam) <= tol
                 if spec.kind == "annulus":
-                    assert worst_reflected_level(spec, dim, caps.lam2 - 1e-3) > 1e-4
+                    assert worst_reflected_level(spec, dim, caps.lam1 - 1e-3) > 1e-4
 
     def test_non_axis_aligned_rejected(self):
         with pytest.raises(GeometryError):

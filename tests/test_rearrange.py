@@ -211,3 +211,17 @@ class TestDensityField:
         g = strip_grid_4()
         rho = uniform_density(g, 1.0, 2.0, 1.5)
         assert np.allclose(rho.values, 1.5)
+
+    def test_uniform_density_outside_bracket_rejected(self):
+        g = strip_grid_4()
+        with pytest.raises(RearrangeError, match="outside admissible bracket"):
+            uniform_density(g, 1.0, 2.0, 2.5)
+
+    def test_nan_rejected(self):
+        g = pl.build_grid(pl.disk(1.0), 17)
+        M = 1.5 * g.discrete_area
+        v = np.full(g.n, 1.5)
+        DensityField(g, v, 1.0, 2.0, M)
+        v[g.n // 2] = np.nan
+        with pytest.raises(RearrangeError):
+            DensityField(g, v, 1.0, 2.0, M)
