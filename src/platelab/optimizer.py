@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import plate
 from .eigensolver import principal_pair, rayleigh_quotient
 from .fields import ScalarField
 from .geometry import build_grid, DomainSpec, Grid
@@ -71,28 +70,26 @@ class SolveReport:
     outer_iterations: int
     wall_time: float
     restart_thetas: tuple
-    formulation: str = plate.FORMULATION
 
 
-def optimize(spec, nodes_per_side, h, H, M, opts=OptimizeOptions(), grid=None, op=None):
+def optimize(spec, nodes_per_side, h, H, M, opts=OptimizeOptions()):
     """Run the alternating scheme; returns the best (pair, report) found.
 
+    Builds the grid of ``spec`` at ``nodes_per_side`` and its operator.
     The first start is the uniform admissible density; additional
     ``opts.restarts - 1`` starts are randomized threshold densities drawn
-    from ``opts.seed``. All starts share one grid and operator (and its
-    factorization cache).
+    from ``opts.seed``. All starts share the grid and the operator (and
+    its factorization cache).
     """
-    if grid is None:
-        grid = build_grid(spec, nodes_per_side)
-    if op is None:
-        op = assemble_laplacian(grid)
+    grid = build_grid(spec, nodes_per_side)
+    op = assemble_laplacian(grid)
 
     starts = [uniform_density(grid, h, H, M)]
     if opts.restarts > 1:
         rng = np.random.default_rng(opts.seed)
         for _ in range(opts.restarts - 1):
-            probe = rng.uniform(0.5, 1.5, grid.n)
-            starts.append(optimal_density(probe, h, H, M, grid=grid).rho)
+            probe = ScalarField(grid, rng.uniform(0.5, 1.5, grid.n))
+            starts.append(optimal_density(probe, h, H, M).rho)
 
     best = None
     thetas = []
@@ -120,7 +117,7 @@ def _alternate(spec, grid, op, rho0, h, H, M, opts):
         mass_errors.append(abs(mass(rho) - M))
         u_warm = eig.u
 
-        thr = optimal_density(eig.u, h, H, M, grid=grid)
+        thr = optimal_density(eig.u, h, H, M)
         if np.array_equal(thr.rho.values, rho.values):
             termination = "rho-fixed"
             rho = thr.rho

@@ -3,15 +3,14 @@
 ``lap^2 u = f`` with ``u = lap u = 0`` on the boundary splits into
 ``-lap v = f`` and ``-lap u = v``, both with zero Dirichlet data. On the
 smooth and convex domains built into this package the split problem and
-the fourth-order weak problem have the same solution; the discretization
-commits to the split form everywhere, and reports record that choice.
+the fourth-order weak problem have the same solution, so the
+discretization commits to the split form everywhere: the 2-D path here,
+and the radial reference in ``radial``, which chains two banded solves.
 """
 
 from __future__ import annotations
 
 from .poisson import solve_dirichlet
-
-FORMULATION = "second-order-system"
 
 
 def solve_navier(op, f):

@@ -158,12 +158,13 @@ def solve_dirichlet(op, f):
     lu = op._factorization()
     x = lu.solve(b)
     res = float(np.linalg.norm(op.matvec(x) - b))
-    if res > DEFAULT_REL_TOL * b_norm:
+    # ``not <=`` so that a NaN residual fails both tests
+    if not res <= DEFAULT_REL_TOL * b_norm:
         # one step of iterative refinement; direct solves land far below
         # the contract, so needing more than this indicates a real problem
         x = x + lu.solve(b - op.matvec(x))
         res = float(np.linalg.norm(op.matvec(x) - b))
-        if res > DEFAULT_REL_TOL * b_norm:
+        if not res <= DEFAULT_REL_TOL * b_norm:
             raise SolveError(
                 "direct solve residual %.3e exceeds %.0e" % (res / b_norm, DEFAULT_REL_TOL),
                 achieved=res / b_norm,

@@ -6,10 +6,12 @@ order on a uniform radius grid. Entirely independent of the 2-D path, so
 the two can cross-check each other; it cannot express angular symmetry
 breaking by construction.
 
-Disk grids carry an unknown at r = 0 where regularity (``u'(0) = 0`` via
-a ghost node) replaces the Dirichlet condition; annulus grids are
-Dirichlet at both radii. Node masses use exact ring areas, so the bathtub
-step here is weight-aware.
+Minus the radial Laplacian is a tridiagonal matrix kept in banded form;
+each eigen iteration is two ``solve_banded`` calls, the split form of the
+hinged plate (see ``plate``). Disk grids carry an unknown at r = 0 where
+regularity (``u'(0) = 0`` via a ghost node) replaces the Dirichlet
+condition; annulus grids are Dirichlet at both radii. Node masses use
+exact ring areas, so the bathtub step here is weight-aware.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from scipy.linalg import solve_banded
 
 from .eigensolver import DEFAULT_MAX_ITER, EigenError
 from .optimizer import OptimizeOptions
-from .plate import FORMULATION
 
 
 class RadialError(ValueError):
@@ -59,7 +60,6 @@ class RadialResult:
     termination: str
     outer_iterations: int
     wall_time: float
-    formulation: str = FORMULATION
 
 
 def radial_grid(kind, radii, n_r):
@@ -87,53 +87,40 @@ def radial_grid(kind, radii, n_r):
 
 def _radial_operator(grid):
     """Banded (ab-form) matrix of minus the radial Laplacian."""
-    n = grid.n
     dr = grid.dr
-    ab = np.zeros((3, n))
+    # infinite in the disk's r=0 row, which is overwritten below
+    with np.errstate(divide="ignore"):
+        drift = 1.0 / (2.0 * grid.r * dr)
+    ab = np.zeros((3, grid.n))
+    ab[0, 1:] = -(1.0 / dr**2) - drift[:-1]  # row j's east entry, column j+1
+    ab[1] = 2.0 / dr**2
+    ab[2, :-1] = -(1.0 / dr**2) + drift[1:]  # row j's west entry, column j-1
     if grid.kind == "disk":
         # r=0 row: -lap u = -2 u''(0) ~ 4(u0 - u1)/dr^2, ghost u(-dr)=u(dr)
         ab[1, 0] = 4.0 / dr**2
         ab[0, 1] = -4.0 / dr**2
-        start = 1
-    else:
-        start = 0
-    for j in range(start, n):
-        rj = grid.r[j]
-        ab[1, j] = 2.0 / dr**2
-        west = -(1.0 / dr**2) + 1.0 / (2.0 * rj * dr)
-        east = -(1.0 / dr**2) - 1.0 / (2.0 * rj * dr)
-        if j > 0:
-            ab[2, j - 1] = west  # sub-diagonal entry of row j
-        if j + 1 < n:
-            ab[0, j + 1] = east  # super-diagonal entry of row j
     return ab
-
-
-def _solve(ab, f):
-    return solve_banded((1, 1), ab, f)
 
 
 def _principal_pair_radial(grid, ab, rho, tol, max_iter, u0=None):
     u = np.ones(grid.n) if u0 is None else u0 / np.max(np.abs(u0))
     w = grid.weights
-    history = []
     theta_prev = None
-    for it in range(1, max_iter + 1):
-        v = _solve(ab, rho * u)
-        uu = _solve(ab, v)
+    for _ in range(max_iter):
+        v = solve_banded((1, 1), ab, rho * u)
+        uu = solve_banded((1, 1), ab, v)
         if np.any(uu <= 0.0):
             raise EigenError("radial iterate lost positivity")
         scale = np.max(np.abs(uu))
         u = uu / scale
         vs = v / scale
         theta = float(np.sum(vs * vs * w) / np.sum(rho * u * u * w))
-        history.append(theta)
         if theta_prev is not None and abs(theta - theta_prev) <= tol * theta:
             break
         theta_prev = theta
     else:
         raise EigenError("radial eigensolve did not converge in %d iterations" % max_iter)
-    return theta, u, vs, it, history
+    return theta, u, vs
 
 
 def _bathtub_radial(u, weights, h, H, M):
@@ -178,7 +165,7 @@ def radial_optimize(kind, radii, h, H, M, n_r=1024, opts=OptimizeOptions()):
     termination = "max-outer"
     u_warm = None
     for _ in range(opts.max_outer):
-        theta, u, v, _, _ = _principal_pair_radial(
+        theta, u, v = _principal_pair_radial(
             grid, ab, rho, opts.eig_tol, DEFAULT_MAX_ITER, u0=u_warm
         )
         history.append(theta)

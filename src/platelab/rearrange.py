@@ -1,11 +1,12 @@
 """Mass-constrained density rearrangement: the bathtub step.
 
-Given a positive field u and the admissible box ``h <= rho <= H`` with
-total lattice mass M, the density maximizing ``sum(rho * u^2) * d^2``
-puts H on the highest-u nodes and h elsewhere, with at most one node
-carrying an intermediate value so the mass constraint holds to machine
-precision. Ties in u are broken by ascending node index, which makes the
-whole step deterministic.
+Given a positive field u (a ``ScalarField``, whose grid is the grid of
+the density) and the admissible box ``h <= rho <= H`` with total lattice
+mass M, the density maximizing ``sum(rho * u^2) * d^2`` puts H on the
+highest-u nodes and h elsewhere, with at most one node carrying an
+intermediate value so the mass constraint holds to machine precision.
+Ties in u are broken by ascending node index, which makes the whole step
+deterministic.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ScalarField
 from .geometry import Grid
 
 
@@ -78,25 +78,20 @@ def _check_bracket(grid, h, H, M):
         )
 
 
-def optimal_density(u, h, H, M, grid=None):
-    """Threshold density maximizing ``sum(rho u^2)`` at fixed mass.
+def optimal_density(u, h, H, M):
+    """Threshold density on ``u.grid`` maximizing ``sum(rho u^2)`` at fixed mass.
 
     Sorts u descending (ties by ascending node index), fills H from the
     top, and closes the mass budget with a single intermediate node when
-    the H-count is not integral.
+    the H-count is not integral. The level t is the value of u at the
+    first node not filled with H (0 when every node is), which is the
+    fractional node when there is one.
     """
-    if grid is None:
-        grid = u.grid
-    if isinstance(u, ScalarField):
-        uv = u.values
-        if u.grid.tag != grid.tag:
-            raise RearrangeError("field grid does not match target grid")
-    else:
-        uv = np.ascontiguousarray(u, dtype=float)
-    if uv.shape != (grid.n,):
-        raise RearrangeError("field length does not match grid")
+    grid = u.grid
+    uv = u.values
     if np.any(uv <= 0.0):
         raise RearrangeError("rearrangement needs a strictly positive field")
+    # ahead of the arithmetic: a NaN mass must fail here, not in np.floor
     _check_bracket(grid, h, H, M)
 
     n = grid.n
@@ -121,21 +116,12 @@ def optimal_density(u, h, H, M, grid=None):
         residual = excess - k * cap
     k = min(k, n)
 
-    frac_eps = 1e-13 * abs(M)
+    values[order[:k]] = H
+    t = 0.0 if k == n else float(uv[order[k]])
     frac_index = None
-    if residual > frac_eps and k < n:
+    if residual > 1e-13 * abs(M) and k < n:
         frac_index = int(order[k])
-        values[order[:k]] = H
         values[frac_index] = h + residual / cell
-        t = float(uv[frac_index])
-    else:
-        values[order[:k]] = H
-        if k == 0:
-            t = float(uv[order[0]])
-        elif k == n:
-            t = 0.0
-        else:
-            t = float(uv[order[k]])
 
     rho = DensityField(grid, values, h, H, M)
     return ThresholdResult(rho=rho, t=t, fractional_index=frac_index)

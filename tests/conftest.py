@@ -109,12 +109,10 @@ def pair_matrix():
     h, H = 1.0, 2.0
     runs = []
     for name, spec, nps in domains:
-        grid = pl.build_grid(spec, nps)
-        op = pl.assemble_laplacian(grid)
-        area = grid.discrete_area
+        area = pl.build_grid(spec, nps).discrete_area
         for fill in (0.25, 0.5, 0.75):
             M = h * area + fill * (H - h) * area
-            pair, report = pl.optimize(spec, nps, h, H, M, grid=grid, op=op)
+            pair, report = pl.optimize(spec, nps, h, H, M)
             runs.append((name, fill, M, pair, report))
     return runs
 

@@ -138,7 +138,7 @@ def test_criterion_06_bathtub_oracle():
         for trial in range(6):
             u = rng.uniform(0.2, 3.0, grid.n)
             M = rng.uniform(h * area, H * area)
-            res = optimal_density(ScalarField(grid, u), h, H, M, grid=grid)
+            res = optimal_density(ScalarField(grid, u), h, H, M)
             ours = float(np.sum(res.rho.values * u * u) * cell)
 
             excess = M - h * grid.n * cell

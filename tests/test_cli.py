@@ -242,6 +242,28 @@ class TestVerify:
         assert rc == 2
         assert "FAIL monotonicity" in out
 
+    def test_check_that_cannot_be_taken_fails_and_the_rest_run(self, tmp_path, capsys):
+        # doubling u at one node breaks the product check's precondition;
+        # its DiagnosticsError stopped verify before product, rigidity, structure
+        report, fields = tmp_path / "report.json", tmp_path / "fields.csv"
+        assert run(["solve", "--domain", "disk", "--h", "1", "--H", "2", "--mass", "4.712389",
+                    "--grid", "65", "--out", str(report), "--fields", str(fields)]) == 0
+        grid = pl.build_grid(pl.disk(1.0), 65)
+        target = int(np.argmin(np.hypot(grid.node_x - 0.6, grid.node_y)))
+        lines = fields.read_text().splitlines()
+        parts = lines[1 + target].split(",")
+        parts[2] = "%.17g" % (2.0 * float(parts[2]))
+        lines[1 + target] = ",".join(parts)
+        fields.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = run(["verify", "--report", str(report), "--fields", str(fields)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        lines = captured.out.splitlines()
+        assert [line.split()[1].rstrip(":") for line in lines] == list(VALID_CHECKS)
+        assert "FAIL product: precondition failed: " in captured.out
+        assert captured.err == ""
+
     def test_unknown_check_lists_valid_names(self, disk_solve, capsys):
         d, report, fields = disk_solve
         rc = run(["verify", "--report", str(report), "--fields", str(fields),

@@ -12,7 +12,7 @@ from platelab.rearrange import optimal_density, uniform_density
 def _fake_pair(grid, u_values, t=0.5, h=1.0, H=2.0):
     """Wrap synthetic fields in a pair record for detector tests."""
     u = ScalarField(grid, u_values)
-    rho = optimal_density(u, h, H, 1.2 * grid.discrete_area, grid=grid).rho
+    rho = optimal_density(u, h, H, 1.2 * grid.discrete_area).rho
     return OptimalPair(u=u, v=u, rho=rho, theta=1.0, t=t, grid=grid,
                        spec=grid.spec)
 
@@ -133,7 +133,7 @@ class TestProductCheck:
         # symmetric tent: reflected values dominate on the cap x > lam
         u_vals = 2.0 - np.abs(x)
         u = ScalarField(g, u_vals)
-        rho = optimal_density(u, 1.0, 3.0, 1.25 * g.discrete_area, grid=g).rho
+        rho = optimal_density(u, 1.0, 3.0, 1.25 * g.discrete_area).rho
         t = 1.4  # cap node at x=0.75 sits above t, outer nodes below
         res = dg.product_check(u, rho, t, Axis(0, 0.0), 0.0)
         cap = x > 0.0
@@ -158,7 +158,7 @@ class TestProductCheck:
         u_vals[i_cap] = t + 1e-13
         u_vals[i_mir] = t - 1e-13
         u = ScalarField(g, u_vals)
-        rho = optimal_density(u, 1.0, 3.0, 1.25 * g.discrete_area, grid=g).rho
+        rho = optimal_density(u, 1.0, 3.0, 1.25 * g.discrete_area).rho
         res = dg.product_check(u, rho, t, Axis(0, 0.0), 0.0)
         assert not res.ok
         assert res.case3_count >= 1
@@ -168,7 +168,7 @@ class TestProductCheck:
 
         g = make_strip_grid(8, 0.5)
         u = ScalarField(g, 2.0 + g.node_x)  # increasing: reflection loses
-        rho = optimal_density(u, 1.0, 3.0, 1.25 * g.discrete_area, grid=g).rho
+        rho = optimal_density(u, 1.0, 3.0, 1.25 * g.discrete_area).rho
         with pytest.raises(dg.DiagnosticsError):
             dg.product_check(u, rho, 2.0, Axis(0, 0.0), 0.0)
 

@@ -37,8 +37,7 @@ class TestOptimize:
         spec = pl.disk(1.0)
         grid = pl.build_grid(spec, 65)
         op = pl.assemble_laplacian(grid)
-        pair, report = optimize(spec, 65, 1.0, 2.0, 2.0 * grid.discrete_area,
-                                grid=grid, op=op)
+        pair, report = optimize(spec, 65, 1.0, 2.0, 2.0 * grid.discrete_area)
         assert np.allclose(pair.rho.values, 2.0)
         uniform = principal_pair(op, pl.uniform_density(grid, 1.0, 1.0,
                                                         grid.discrete_area),
@@ -76,7 +75,7 @@ class TestOptimize:
 
     def test_rho_consistent_with_rearrangement(self, pair_matrix):
         for name, fill, M, pair, report in pair_matrix:
-            redo = optimal_density(pair.u, pair.rho.h, pair.rho.H, M, grid=pair.grid)
+            redo = optimal_density(pair.u, pair.rho.h, pair.rho.H, M)
             assert np.array_equal(redo.rho.values, pair.rho.values), name
 
     def test_idempotence_at_fixed_point(self, disk_pair_64):
@@ -85,17 +84,15 @@ class TestOptimize:
         op = pl.assemble_laplacian(grid)
         opts = OptimizeOptions()
         eig = principal_pair(op, pair.rho, tol=opts.eig_tol, u0=pair.u)
-        redo = optimal_density(eig.u, pair.rho.h, pair.rho.H, pair.rho.M, grid=grid)
+        redo = optimal_density(eig.u, pair.rho.h, pair.rho.H, pair.rho.M)
         assert np.array_equal(redo.rho.values, pair.rho.values)
         assert abs(eig.theta - pair.theta) <= 1e-7 * pair.theta
 
     def test_scale_invariance_of_threshold_step(self, disk_pair_64):
         pair, _ = disk_pair_64
         h, H, M = pair.rho.h, pair.rho.H, pair.rho.M
-        base = optimal_density(pair.u, h, H, M, grid=pair.grid)
-        scaled = optimal_density(
-            ScalarField(pair.grid, 4.0 * pair.u.values), h, H, M, grid=pair.grid
-        )
+        base = optimal_density(pair.u, h, H, M)
+        scaled = optimal_density(ScalarField(pair.grid, 4.0 * pair.u.values), h, H, M)
         assert np.array_equal(scaled.rho.values, base.rho.values)
         assert scaled.t == 4.0 * base.t
 
@@ -118,7 +115,6 @@ class TestOptimize:
         assert report.termination in ("theta-converged", "rho-fixed", "max-outer")
         assert report.outer_iterations == len(report.theta_history)
         assert report.wall_time > 0
-        assert report.formulation == "second-order-system"
 
 
 class TestAnnulusRegimes:
@@ -139,7 +135,7 @@ class TestAnnulusRegimes:
         # grid 41 puts the node (0.15, 0) on the inner circle up to rounding
         grid = pl.build_grid(pl.annulus(0.15), 41)
         M = 1.5 * grid.discrete_area  # half fill of the [1, 2] bracket
-        _, report = optimize(grid.spec, 41, 1.0, 2.0, M, grid=grid)
+        _, report = optimize(grid.spec, 41, 1.0, 2.0, M)
         assert report.termination == "rho-fixed"
 
     def test_thin_annulus_reports_lower_of_the_two_states(self):

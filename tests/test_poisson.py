@@ -119,6 +119,20 @@ class TestSolve:
             solve_dirichlet(op, constant_field(g, 1.0))
         assert err.value.achieved == pytest.approx(1.0)
 
+    def test_nan_solution_reports_residual(self, monkeypatch):
+        # a NaN residual passed both ``res > tol`` tests and returned the NaN
+        g = pl.build_grid(pl.unit_square(), 9)
+        op = pl.assemble_laplacian(g)
+
+        class Nan:
+            def solve(self, b):
+                return np.full_like(b, np.nan)
+
+        monkeypatch.setattr(op, "_lu", Nan())
+        with pytest.raises(SolveError) as err:
+            solve_dirichlet(op, constant_field(g, 1.0))
+        assert np.isnan(err.value.achieved)
+
     def test_uncut_grid_reuses_cached_factorization(self, monkeypatch):
         g = pl.build_grid(pl.unit_square(), 17)
         op = pl.assemble_laplacian(g)

@@ -57,6 +57,40 @@ def _bathtub_loop(u, weights, h, H, M):
     return rho, t, frac_index
 
 
+def _radial_operator_loop(grid):
+    """Reference: the banded operator filled row by row, verbatim."""
+    n = grid.n
+    dr = grid.dr
+    ab = np.zeros((3, n))
+    if grid.kind == "disk":
+        # r=0 row: -lap u = -2 u''(0) ~ 4(u0 - u1)/dr^2, ghost u(-dr)=u(dr)
+        ab[1, 0] = 4.0 / dr**2
+        ab[0, 1] = -4.0 / dr**2
+        start = 1
+    else:
+        start = 0
+    for j in range(start, n):
+        rj = grid.r[j]
+        ab[1, j] = 2.0 / dr**2
+        west = -(1.0 / dr**2) + 1.0 / (2.0 * rj * dr)
+        east = -(1.0 / dr**2) - 1.0 / (2.0 * rj * dr)
+        if j > 0:
+            ab[2, j - 1] = west  # sub-diagonal entry of row j
+        if j + 1 < n:
+            ab[0, j + 1] = east  # super-diagonal entry of row j
+    return ab
+
+
+class TestRadialOperator:
+    @pytest.mark.parametrize("kind, radii", [
+        ("disk", (1.0,)), ("disk", (2.5,)), ("annulus", (0.3, 1.0)), ("annulus", (0.05, 1.0)),
+    ], ids=["disk-1", "disk-2.5", "annulus-0.3", "annulus-0.05"])
+    @pytest.mark.parametrize("n_r", [64, 100, 257, 1024])
+    def test_matches_row_loop_bitwise(self, kind, radii, n_r):
+        grid = radial_grid(kind, radii, n_r)
+        assert _radial_operator(grid).tobytes() == _radial_operator_loop(grid).tobytes()
+
+
 class TestRadialBathtub:
     def test_matches_running_sum_bitwise(self):
         rng = np.random.default_rng(5)
