@@ -6,7 +6,6 @@ from . import diagnostics, geometry, radial
 from .eigensolver import EigenResult, principal_pair, rayleigh_quotient
 from .fields import ScalarField, constant_field, field_from_function
 from .geometry import (
-    Axis,
     DomainSpec,
     Grid,
     annulus,
@@ -38,7 +37,6 @@ from .rearrange import (
 
 __all__ = [
     "__version__",
-    "Axis",
     "DensityField",
     "DiscreteLaplacian",
     "DomainSpec",

@@ -3,8 +3,8 @@
 Reports go to JSON (stable keys: domain, h, H, mass, grid, theta, t,
 outer_iterations, termination, timestamp, solver_version), fields to CSV
 with header ``x,y,u,v,rho`` and 17-significant-digit floats (bit-exact
-round trip), optional 8-bit PGM images of u and rho with the gray scale
-recorded in the report.
+round trip), and for 2-D solves optional 8-bit PGM images of u and rho
+with the gray scale recorded in the report.
 
 Exit codes: 0 converged / all checks pass, 1 usage or input error,
 2 non-convergence or failed checks; a check that cannot be taken on the
@@ -167,6 +167,8 @@ def _write_pgm(path, grid, values):
 
 
 def _run_solve(args):
+    if args.radial and args.images:
+        raise CliUsageError("error: --images needs a 2-D solve; the radial solve has no lattice")
     spec = _domain_from_args(args)
     timestamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     opts = _options(args, args.seed)
@@ -290,23 +292,24 @@ def _run_verify(args):
 # ``diagnostics`` is looked up at call time, so a proxy bound to
 # ``cli.diagnostics`` sees every call
 def _check_symmetry(pair, n_lambda):
-    worst = max(diagnostics.asymmetry(pair.u, ax) for ax in pair.spec.axes)
+    worst = max(diagnostics.asymmetry(pair.u, dim) for dim in (0, 1))
     return worst <= SYMMETRY_TOL, "max relative asymmetry %.3e (tol %.0e)" % (
         worst, SYMMETRY_TOL)
 
 
 def _check_monotonicity(pair, n_lambda):
-    worst = max(diagnostics.monotonicity_violation(pair.u, ax) for ax in pair.spec.axes)
-    rel = worst / pair.u.norm_inf
+    worst = max(diagnostics.monotonicity_violation(pair.u, dim) for dim in (0, 1))
+    rel = diagnostics.relative(worst, pair.u.norm_inf, "u")
     return rel <= MONOTONICITY_TOL, "max forward difference %.3e rel (tol %.0e)" % (
         rel, MONOTONICITY_TOL)
 
 
 def _check_moving_plane(pair, n_lambda):
     worst = math.inf
-    for ax in pair.spec.axes:
-        rep = diagnostics.moving_plane_profile(pair, ax, n_lambda=n_lambda)
-        worst = min(worst, rep.min_w1 / pair.u.norm_inf, rep.min_w2 / pair.v.norm_inf)
+    for dim in (0, 1):
+        rep = diagnostics.moving_plane_profile(pair, dim, n_lambda=n_lambda)
+        worst = min(worst, diagnostics.relative(rep.min_w1, pair.u.norm_inf, "u"),
+                    diagnostics.relative(rep.min_w2, pair.v.norm_inf, "v"))
     return worst >= -MOVING_PLANE_TOL, "min reflected deficit %.3e rel (tol -%.0e)" % (
         worst, MOVING_PLANE_TOL)
 
@@ -314,10 +317,10 @@ def _check_moving_plane(pair, n_lambda):
 def _check_product(pair, n_lambda):
     n_case3 = 0
     worst = math.inf
-    for ax in pair.spec.axes:
-        lo, hi = diagnostics.plane_window(pair, ax)
+    for dim in (0, 1):
+        lo, hi = diagnostics.plane_window(pair, dim)
         for lam in np.linspace(lo, hi, n_lambda):
-            res = diagnostics.product_check(pair.u, pair.rho, pair.t, ax, lam)
+            res = diagnostics.product_check(pair.u, pair.rho, pair.t, dim, lam)
             n_case3 += res.case3_count
             worst = min(worst, res.worst_value)
             if not res.ok:

@@ -2,16 +2,18 @@
 
 Each check is a pure function of its inputs, returns a measured quantity
 (never just a verdict), and has a constructed negative fixture in the
-test suite proving it can fail. Checks take a declared ``Axis`` and hand
-``geometry`` its direction ``dim`` and a plane position. Moving-plane
-quantities compare a field with its reflection on the cap beyond the
-plane, selected in one place: the cap nodes whose mirror has interior
-support. The plane positions sweep the open window between the stuck
-position and the first touching position, keeping a two-spacing margin
-at both ends to stay clear of interpolation artifacts. Off-lattice
-values come from one tensor-product Lagrange interpolator over interior
-nodes: order 1 (bilinear) for the boundary normal derivative, order 2
-(biquadratic) for the rotation metric.
+test suite proving it can fail. Checks take a direction ``dim`` (0 or 1)
+and read the domain's symmetry axis across it from ``geometry``; a
+measure relative to a field that vanishes identically cannot be taken,
+and ``relative`` says so. Moving-plane quantities compare a field with
+its reflection on the cap beyond the plane, selected in one place: the
+cap nodes whose mirror has interior support. The plane positions sweep
+the open window between the stuck position and the first touching
+position, keeping a two-spacing margin at both ends to stay clear of
+interpolation artifacts. Off-lattice values come from one
+tensor-product Lagrange interpolator over interior nodes: order 1
+(bilinear) for the boundary normal derivative, order 2 (biquadratic)
+for the rotation metric.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import EAST, NORTH, Axis, reflect_values, reflection_caps
+from .geometry import EAST, NORTH, reflect_values, reflection_caps, symmetry_axis
 
 MIN_LAMBDAS = 8  # fewest plane positions a moving-plane sweep takes
 PLANE_MARGIN = 2.0  # spacings kept clear at both ends of the plane window
@@ -34,9 +36,12 @@ class DiagnosticsError(ValueError):
     pass
 
 
-def _declared_axis(grid, axis):
-    if axis not in grid.spec.axes:
-        raise DiagnosticsError("axis %r is not declared on this domain" % (axis,))
+def relative(value, scale, name):
+    """``value / scale``, where ``scale`` is the size of ``name``; raises
+    when ``name`` vanishes identically."""
+    if scale == 0.0:
+        raise DiagnosticsError("%s vanishes identically" % name)
+    return value / scale
 
 
 def _cap(grid, values, dim, lam):
@@ -48,29 +53,29 @@ def _cap(grid, values, dim, lam):
     return usable, refl.values[usable]
 
 
-def asymmetry(u, axis):
-    """Relative sup-norm mismatch between u and its reflection across a
-    declared axis."""
-    _declared_axis(u.grid, axis)
-    refl = reflect_values(u.grid, u.values, axis.dim, axis.offset)
+def asymmetry(u, dim):
+    """Relative sup-norm mismatch between u and its reflection across the
+    symmetry axis in direction ``dim``."""
+    refl = reflect_values(u.grid, u.values, dim, symmetry_axis(u.grid.spec, dim))
     if not refl.present.any():
         raise DiagnosticsError("reflection has no interior support")
     diff = np.abs(u.values[refl.present] - refl.values[refl.present])
-    return float(np.max(diff)) / u.norm_inf
+    return relative(float(np.max(diff)), u.norm_inf, "u")
 
 
-def monotonicity_violation(u, axis):
-    """Largest forward difference of u away from a declared axis.
+def monotonicity_violation(u, dim):
+    """Largest forward difference of u away from the symmetry axis in
+    direction ``dim``.
 
     Scans node pairs one spacing apart in the axis direction, starting on
     or beyond the axis; strictly decreasing profiles give a negative
     value, any increase shows up as a positive one.
     """
     grid = u.grid
-    _declared_axis(grid, axis)
-    coords = grid.node_x if axis.dim == 0 else grid.node_y
-    nb = grid.neighbor[:, EAST if axis.dim == 0 else NORTH]
-    sel = (nb >= 0) & (coords >= axis.offset - 1e-12 * grid.delta)
+    lam = symmetry_axis(grid.spec, dim)
+    coords = grid.node_x if dim == 0 else grid.node_y
+    nb = grid.neighbor[:, EAST if dim == 0 else NORTH]
+    sel = (nb >= 0) & (coords >= lam - 1e-12 * grid.delta)
     if not sel.any():
         return 0.0
     return float(np.max(u.values[nb[sel]] - u.values[sel]))
@@ -78,16 +83,15 @@ def monotonicity_violation(u, axis):
 
 @dataclass(frozen=True)
 class MovingPlaneReport:
-    axis: Axis
     lambdas: np.ndarray
     min_w1: float
     min_w2: float
 
 
-def plane_window(pair, axis):
-    """Open interval of plane positions used by the moving-plane checks."""
-    _declared_axis(pair.grid, axis)
-    caps = reflection_caps(pair.spec, axis.dim)
+def plane_window(pair, dim):
+    """Open interval of plane positions across direction ``dim`` used by
+    the moving-plane checks."""
+    caps = reflection_caps(pair.spec, dim)
     margin = PLANE_MARGIN * pair.grid.delta
     lo = caps.lam1 + margin
     hi = caps.lam0 - margin
@@ -96,31 +100,29 @@ def plane_window(pair, axis):
     return lo, hi
 
 
-def cap_deficit(grid, values, axis_dim, lam):
+def cap_deficit(grid, values, dim, lam):
     """Minimum of (reflected - original) over the cap beyond the plane.
 
     Returns ``(minimum, count)`` where count is the number of cap nodes
     with interior reflection support; the minimum is +inf when no node
     qualifies.
     """
-    usable, reflected = _cap(grid, values, axis_dim, lam)
+    usable, reflected = _cap(grid, values, dim, lam)
     if not usable.any():
         return math.inf, 0
     return float(np.min(reflected - values[usable])), int(usable.sum())
 
 
-def moving_plane_profile(pair, axis, n_lambda=16):
-    """Sweep the reflection plane and record the worst sign defect of
-    ``u o reflection - u`` and ``v o reflection - v`` on each cap."""
+def moving_plane_profile(pair, dim, n_lambda=16):
+    """Sweep the plane across direction ``dim`` and record the worst sign
+    defect of ``u o reflection - u`` and ``v o reflection - v`` on each cap."""
     if n_lambda < MIN_LAMBDAS:
         raise DiagnosticsError("n_lambda must be at least %d" % MIN_LAMBDAS)
-    lo, hi = plane_window(pair, axis)
+    lo, hi = plane_window(pair, dim)
     lambdas = np.linspace(lo, hi, n_lambda)
-    worst = np.min([[cap_deficit(pair.grid, f.values, axis.dim, lam)[0] for f in (pair.u, pair.v)]
+    worst = np.min([[cap_deficit(pair.grid, f.values, dim, lam)[0] for f in (pair.u, pair.v)]
                     for lam in lambdas], axis=0)
-    return MovingPlaneReport(
-        axis=axis, lambdas=lambdas, min_w1=float(worst[0]), min_w2=float(worst[1])
-    )
+    return MovingPlaneReport(lambdas=lambdas, min_w1=float(worst[0]), min_w2=float(worst[1]))
 
 
 @dataclass(frozen=True)
@@ -131,8 +133,9 @@ class ProductCheckResult:
     case3_count: int
 
 
-def product_check(u, rho, t, axis, lam):
-    """Check the reflected-density product inequality on one cap.
+def product_check(u, rho, t, dim, lam):
+    """Check the reflected-density product inequality on the cap beyond
+    the plane ``{x_dim = lam}``.
 
     With the threshold density (H above level t, h at or below), whenever
     the reflected u dominates u on the cap, the product rho*u must not
@@ -143,9 +146,8 @@ def product_check(u, rho, t, axis, lam):
     spurious defects.
     """
     grid = u.grid
-    _declared_axis(grid, axis)
     h, H = rho.h, rho.H
-    usable, ur = _cap(grid, u.values, axis.dim, lam)
+    usable, ur = _cap(grid, u.values, dim, lam)
     if not usable.any():
         raise DiagnosticsError("cap at lam=%g has no usable nodes" % lam)
 
@@ -212,7 +214,7 @@ def normal_derivative_stats(pair):
         samples=samples,
         mean=mean,
         stdev=stdev,
-        cv=stdev / abs(mean),
+        cv=relative(stdev, abs(mean), "the normal derivative of u"),
         n_requested=total,
         n_skipped=skipped,
     )
@@ -278,7 +280,8 @@ def rotation_asymmetry(pair):
         vals, ok = interpolate(grid, pair.u.values, q, order=2)
         if not ok.any():
             continue
-        worst = max(worst, float(np.max(np.abs(vals[ok] - pair.u.values[ok]))) / scale)
+        dev = float(np.max(np.abs(vals[ok] - pair.u.values[ok])))
+        worst = max(worst, relative(dev, scale, "u"))
     return worst
 
 
@@ -294,9 +297,9 @@ def structural_checks(pair):
 
     tubular: every boundary-adjacent node sits at or below the threshold
     (None when the mass budget saturates the box and the check is
-    vacuous); axis_convex: on each grid line crossing a declared axis the
-    above-threshold nodes form one run centered on the axis to within one
-    node; positive: u and v strictly positive everywhere.
+    vacuous); axis_convex: on each grid line across either symmetry axis
+    the above-threshold nodes form one run centered on the axis to within
+    one node; positive: u and v strictly positive everywhere.
     """
     grid = pair.grid
     t = pair.t
@@ -309,18 +312,15 @@ def structural_checks(pair):
         adjacent = grid.boundary_adjacent_mask()
         tubular = bool(np.all(u[adjacent] <= t))
 
-    axis_convex = True
-    for ax in pair.spec.axes:
-        if not _axis_convex_along(grid, u, t, ax):
-            axis_convex = False
-            break
+    axis_convex = all(_axis_convex_along(grid, u, t, dim) for dim in (0, 1))
 
     positive = bool(np.all(u > 0.0) and np.all(pair.v.values > 0.0))
     return StructuralChecks(tubular=tubular, axis_convex=axis_convex, positive=positive)
 
 
-def _axis_convex_along(grid, u, t, ax):
-    if ax.dim == 0:
+def _axis_convex_along(grid, u, t, dim):
+    lam = symmetry_axis(grid.spec, dim)
+    if dim == 0:
         lines = grid.iy
         along = grid.ix
         coords = grid.node_x
@@ -342,12 +342,13 @@ def _axis_convex_along(grid, u, t, ax):
         if not line_above[first : last + 1].all():
             return False  # gap in the run
         mid = 0.5 * (line_coord[first] + line_coord[last])
-        if abs(mid - ax.offset) > tol:
+        if abs(mid - lam) > tol:
             return False
     return True
 
 
 __all__ = [
+    "relative",
     "asymmetry",
     "monotonicity_violation",
     "moving_plane_profile",

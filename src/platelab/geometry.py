@@ -9,11 +9,13 @@ that depends on the kind of domain sits in one table of ``Shape`` records.
 Reflections are always with respect to axis-aligned planes ``{x = lam}``
 or ``{y = lam}``, named by their direction ``dim`` (0 or 1); domains
 needing another direction should be rotated at construction time, not
-the grid. One mirror stencil places each node's reflection on its
-lattice line, and both ``reflect_values`` and ``mirror_ranks`` read it.
-The moving-plane landmarks and the check of declared symmetry axes are
-closed form too: they read the centre and the table's ``stop``
-position, and sample nothing.
+the grid. Every kind is symmetric about its two centre lines and about
+no other axis-aligned line, so a domain's symmetry axes are those two
+lines: ``symmetry_axis`` is the one place that says where they are. One
+mirror stencil places each node's reflection on its lattice line, and
+both ``reflect_values`` and ``mirror_ranks`` read it. The moving-plane
+landmarks are closed form too: they read the centre and the table's
+``stop`` position, and sample nothing.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from scipy.sparse.csgraph import connected_components
 WEST, EAST, SOUTH, NORTH = 0, 1, 2, 3
 _STEPS = ((-1, 0), (1, 0), (0, -1), (0, 1))
 
-_AXIS_SYMMETRY_TOL = 1e-12
 _BOUNDARY_LEVEL_TOL = 1e-12  # in units of the spacing
 
 
@@ -55,17 +56,6 @@ def _direction(dim):
     if dim not in (0, 1):
         raise GeometryError("axis dim must be 0 or 1, got %r" % (dim,))
     return int(dim)
-
-
-@dataclass(frozen=True)
-class Axis:
-    """Axis-aligned reflection plane: dim=0 is {x = offset}, dim=1 is {y = offset}."""
-
-    dim: int
-    offset: float
-
-    def __post_init__(self):
-        _direction(self.dim)
 
 
 # ---------------------------------------------------------------- shape table
@@ -272,12 +262,11 @@ def _shape(kind):
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """Analytic description of the domain: kind, parameters, symmetry axes."""
+    """Analytic description of the domain: kind, parameters, centre."""
 
     kind: str
     params: tuple
     center: tuple
-    axes: tuple
 
     @property
     def shape(self):
@@ -299,11 +288,6 @@ class DomainSpec:
     def area(self):
         return self.shape.area(self.params)
 
-    def sup_coord(self, dim):
-        """Largest coordinate of the closure along axis ``dim``."""
-        box = self.bbox()
-        return box[1] if dim == 0 else box[3]
-
     def boundary_loops(self, n):
         """Sample each boundary loop: list of (points (m,2), outward normals (m,2)).
 
@@ -317,36 +301,24 @@ class DomainSpec:
             "kind": self.kind,
             "params": list(self.params),
             "center": list(self.center),
-            "axes": [[ax.dim, ax.offset] for ax in self.axes],
         }
 
     @classmethod
     def from_dict(cls, d):
-        """Validated spec from :meth:`to_dict` output. Without ``center``
-        the domain sits at the origin; without ``axes`` both centre axes
-        are declared."""
-        axes = d.get("axes")
-        if axes is not None:
-            axes = [Axis(int(dim), float(offset)) for dim, offset in axes]
-        return _validated(d["kind"], d["params"], d.get("center", (0.0, 0.0)), axes)
+        """Validated spec from :meth:`to_dict` output; any other key is
+        not read. Without ``center`` the domain sits at the origin."""
+        return _validated(d["kind"], d["params"], d.get("center", (0.0, 0.0)))
 
 
-def _check_axes(spec):
-    """Declared axes must be symmetries. Every kind is symmetric about its
-    two centre axes and about no other axis-aligned line, so an axis is a
-    symmetry exactly when it passes through the centre."""
-    tol = _AXIS_SYMMETRY_TOL * spec.diameter()
-    for ax in spec.axes:
-        miss = abs(ax.offset - spec.center[ax.dim])
-        if not miss <= tol:
-            raise GeometryError(
-                "declared axis %r is not a symmetry (%.3e off the centre)" % (ax, miss)
-            )
+def symmetry_axis(spec, dim):
+    """Position of the domain's symmetry axis ``{x_dim = c}`` across
+    direction ``dim`` (0 or 1): the centre line, as every kind is
+    symmetric about both centre lines."""
+    return spec.center[_direction(dim)]
 
 
-def _validated(kind, params, center, axes=None):
-    """The spec of a known kind with positive parameters and true symmetry
-    axes; ``axes=None`` declares both axes through the centre."""
+def _validated(kind, params, center):
+    """The spec of a known kind with positive parameters."""
     shape = _shape(kind)
     if len(params) != len(shape.names):
         raise GeometryError("%s takes parameters %s, got %r" % (kind, shape.names, params))
@@ -356,12 +328,7 @@ def _validated(kind, params, center, axes=None):
     params = tuple(float(v) for v in params)
     if shape.check is not None:
         shape.check(params)
-    cx, cy = float(center[0]), float(center[1])
-    if axes is None:
-        axes = (Axis(0, cx), Axis(1, cy))
-    spec = DomainSpec(kind, params, (cx, cy), tuple(axes))
-    _check_axes(spec)
-    return spec
+    return DomainSpec(kind, params, (float(center[0]), float(center[1])))
 
 
 def disk(radius=1.0, center=(0.0, 0.0)):
@@ -381,7 +348,7 @@ def rectangle(width=1.0, height=1.0, center=(0.0, 0.0)):
 
 
 def unit_square():
-    """The square (0,1)^2 with both mid-plane axes declared."""
+    """The square (0,1)^2, centred at (0.5, 0.5)."""
     return rectangle(1.0, 1.0, center=(0.5, 0.5))
 
 
@@ -616,35 +583,30 @@ def reflect_values(grid, values, dim, lam):
     return Reflection(values=np.where(present, mixed, np.nan), present=present)
 
 
-def mirror_ranks(grid, axis):
-    """Interior rank of each node's mirror image across a declared ``Axis``.
+def mirror_ranks(grid, dim):
+    """Interior rank of each node's mirror image across the symmetry axis
+    in direction ``dim``.
 
     Raises when any interior node's mirror is not itself an interior node
     (which cannot happen for an exactly symmetric domain on the symmetric
     lattice that ``build_grid`` produces).
     """
-    r0, _, w, present = _mirror_stencil(grid, axis.dim, axis.offset)
+    lam = symmetry_axis(grid.spec, dim)
+    r0, _, w, present = _mirror_stencil(grid, dim, lam)
+    plane = "{%s = %r}" % ("xy"[dim], lam)
     if np.any(w != 0.0):
-        raise GeometryError("axis %r is not lattice-aligned" % (axis,))
+        raise GeometryError("axis %s is not lattice-aligned" % plane)
     if not present.all():
-        raise GeometryError("grid is not mirror-closed across %r" % (axis,))
+        raise GeometryError("grid is not mirror-closed across %s" % plane)
     return r0
 
 
 def mirror_orbit_ids(grid):
-    """Canonical orbit id per node under all declared reflection axes."""
-    ids = np.arange(grid.n)
-    mirrors = [mirror_ranks(grid, ax) for ax in grid.spec.axes]
-    for _ in range(max(len(mirrors), 1)):
-        changed = False
-        for m in mirrors:
-            new = np.minimum(ids, ids[m])
-            if not np.array_equal(new, ids):
-                ids = new
-                changed = True
-        if not changed:
-            break
-    return ids
+    """Canonical orbit id per node under the two symmetry reflections:
+    they commute, so a node's orbit is itself, its two mirrors and its
+    mirror across both, and its id is the least of those ranks."""
+    mx, my = mirror_ranks(grid, 0), mirror_ranks(grid, 1)
+    return np.minimum.reduce([np.arange(grid.n), mx, my, mx[my]])
 
 
 # ------------------------------------------------------------ sweep landmarks
@@ -652,7 +614,7 @@ def mirror_orbit_ids(grid):
 
 @dataclass(frozen=True)
 class ReflectionCaps:
-    """Plane-sweep landmarks along one axis direction.
+    """Plane-sweep landmarks along one direction.
 
     lam0: first plane position touching the closure (sup of the coordinate).
     lam1: stuck position (internal tangency of the reflected cap, or plane
@@ -660,7 +622,6 @@ class ReflectionCaps:
           reflected cap stays inside the closure.
     """
 
-    dim: int
     lam0: float
     lam1: float
 
@@ -677,9 +638,6 @@ def reflection_caps(spec, dim):
     Nirenberg): at the centre on the convex kinds, which are symmetric
     about their centre axes, and at ``(inner + outer) / 2`` on the
     annulus, where the reflected cap first touches the inner circle.
-    ``lam1`` sits at the stop, whether or not an axis is declared in
-    that direction.
     """
-    dim = _direction(dim)
-    lam1 = spec.center[dim] + spec.shape.stop(spec.params)
-    return ReflectionCaps(dim=dim, lam0=spec.sup_coord(dim), lam1=lam1)
+    lam1 = symmetry_axis(spec, dim) + spec.shape.stop(spec.params)
+    return ReflectionCaps(lam0=spec.bbox()[2 * dim + 1], lam1=lam1)

@@ -138,6 +138,15 @@ class TestSolve:
         assert rows[0] == ["x", "y", "u", "v", "rho"]
         assert all(float(r[1]) == 0.0 for r in rows[1:])
 
+    def test_radial_images_is_a_usage_error(self, tmp_path, capsys):
+        # the radial branch never read --images: exit 0, no image written
+        rc = run(["solve", "--domain", "disk", "--radial", "--nr", "64",
+                  "--h", "1", "--H", "2", "--mass", "4.6", "--images", str(tmp_path / "img"),
+                  "--out", str(tmp_path / "radial.json"), "--fields", str(tmp_path / "r.csv")])
+        assert rc == 1
+        assert "--images" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_report_keys_radial(self, tmp_path):
         report = tmp_path / "radial.json"
         assert run(["solve", "--domain", "annulus", "--inner", "0.3", "--radial",
@@ -263,6 +272,48 @@ class TestVerify:
         assert [line.split()[1].rstrip(":") for line in lines] == list(VALID_CHECKS)
         assert "FAIL product: precondition failed: " in captured.out
         assert captured.err == ""
+
+    # a field that vanishes identically divided the symmetry, monotonicity,
+    # moving-plane and rigidity measures by zero, and verify aborted
+    @pytest.mark.parametrize("col", [2, 3], ids=["u", "v"])
+    def test_vanishing_field_fails_and_the_rest_run(self, disk_solve, tmp_path, col, capsys):
+        d, report, fields = disk_solve
+        lines = fields.read_text().splitlines()
+        for k in range(1, len(lines)):
+            parts = lines[k].split(",")
+            parts[col] = "0"
+            lines[k] = ",".join(parts)
+        zeroed = tmp_path / "zeroed.csv"
+        zeroed.write_text("\n".join(lines) + "\n")
+        rc = run(["verify", "--report", str(report), "--fields", str(zeroed)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        out = captured.out.splitlines()
+        assert [line.split()[1].rstrip(":") for line in out] == list(VALID_CHECKS)
+        assert "FAIL moving-plane: %s vanishes identically" % "uv"[col - 2] in captured.out
+        assert captured.err == ""
+
+    def test_report_axes_are_not_read(self, tmp_path, capsys):
+        # a report written before the symmetry axes became the centre
+        # lines carries them as "axes"; an empty list made verify abort
+        report, fields = tmp_path / "report.json", tmp_path / "fields.csv"
+        assert run(["solve", "--domain", "square", "--grid", "33", "--h", "1", "--H", "3",
+                    "--mass", "1.6", "--out", str(report), "--fields", str(fields)]) == 0
+        rep = json.loads(report.read_text())
+        assert set(rep["domain"]) == {"kind", "params", "center"}
+        outputs = []
+        for axes in (None, [[0, 0.5], [1, 0.5]], []):
+            domain = dict(rep["domain"]) if axes is None else dict(rep["domain"], axes=axes)
+            edited = tmp_path / "edited.json"
+            edited.write_text(json.dumps(dict(rep, domain=domain)))
+            capsys.readouterr()
+            rc = run(["verify", "--report", str(edited), "--fields", str(fields)])
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outputs.append((rc, captured.out))
+        assert outputs[0] == outputs[1] == outputs[2]
+        lines = outputs[0][1].splitlines()
+        assert [line.split()[1].rstrip(":") for line in lines] == list(VALID_CHECKS)
 
     def test_unknown_check_lists_valid_names(self, disk_solve, capsys):
         d, report, fields = disk_solve

@@ -1,0 +1,10 @@
+import importlib
+
+import pytest
+
+
+@pytest.mark.parametrize("module", ["platelab", "platelab.diagnostics"])
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == []

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,7 +7,6 @@ import pytest
 
 import platelab as pl
 from platelab.geometry import (
-    Axis,
     DisconnectedInteriorError,
     DomainSpec,
     GeometryError,
@@ -14,6 +14,7 @@ from platelab.geometry import (
     mirror_orbit_ids,
     mirror_ranks,
     reflect_values,
+    symmetry_axis,
 )
 
 ALL_KINDS = (pl.disk(1.0), pl.annulus(0.5), pl.ellipse(1.0, 0.6),
@@ -34,21 +35,17 @@ class TestDomainSpec:
         with pytest.raises(GeometryError):
             pl.annulus(1.0, 0.5)
 
-    def test_declared_axis_must_be_symmetry(self):
-        spec = pl.ellipse(1.0, 0.6)
-        bogus = pl.geometry.DomainSpec(
-            spec.kind, spec.params, spec.center, (Axis(0, 0.3),)
-        )
-        with pytest.raises(GeometryError):
-            pl.geometry._check_axes(bogus)
-
     @pytest.mark.parametrize("spec", OFF_CENTRE, ids=lambda s: s.kind)
     def test_dict_round_trip(self, spec):
         back = DomainSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert back.kind == spec.kind
         assert back.params == spec.params
         assert back.center == spec.center
-        assert back.axes == spec.axes
+
+    @pytest.mark.parametrize("spec", ALL_KINDS + OFF_CENTRE,
+                             ids=lambda s: "%s@%g,%g" % (s.kind, *s.center))
+    def test_dict_holds_kind_params_center(self, spec):
+        assert set(spec.to_dict()) == {"kind", "params", "center"}
 
     def test_from_dict_validates(self):
         good = pl.disk(1.0, center=(2.0, 0.0)).to_dict()
@@ -56,8 +53,6 @@ class TestDomainSpec:
             DomainSpec.from_dict(dict(good, kind="torus"))
         with pytest.raises(GeometryError):
             DomainSpec.from_dict(dict(good, params=[-1.0]))
-        with pytest.raises(GeometryError):
-            DomainSpec.from_dict(dict(good, axes=[[0, 0.0]]))
         with pytest.raises(GeometryError):
             DomainSpec.from_dict({"kind": "annulus", "params": [1.0, 0.5]})
 
@@ -223,7 +218,7 @@ def _two_branch_reflect_values(grid, values, axis, lam):
     if values.shape != (grid.n,):
         raise GeometryError("field length %d does not match grid (%d nodes)"
                             % (values.shape[0], grid.n))
-    dim = axis.dim if isinstance(axis, Axis) else int(axis)
+    dim = int(axis)
     coords = grid.xs if dim == 0 else grid.ys
     j = (grid.ix if dim == 0 else grid.iy).astype(float)
     j_other = grid.iy if dim == 0 else grid.ix
@@ -273,15 +268,18 @@ def _two_branch_reflect_values(grid, values, axis, lam):
     return Reflection(values=out, present=present)
 
 
-def _separate_mirror_ranks(grid, axis):
-    """Reference: its own plane snapping and lattice lookups."""
-    coords = grid.xs if axis.dim == 0 else grid.ys
+def _separate_mirror_ranks(grid, dim):
+    """Reference: its own plane snapping and lattice lookups, across the
+    centre line in direction ``dim``."""
+    lam = grid.spec.center[dim]
+    plane = "{%s = %r}" % ("xy"[dim], lam)
+    coords = grid.xs if dim == 0 else grid.ys
     nmax = coords.shape[0]
-    two_jlam = 2.0 * (axis.offset - coords[0]) / grid.delta
+    two_jlam = 2.0 * (lam - coords[0]) / grid.delta
     snapped = round(two_jlam)
     if abs(two_jlam - snapped) > 1e-9:
-        raise GeometryError("axis %r is not lattice-aligned" % (axis,))
-    if axis.dim == 0:
+        raise GeometryError("axis %s is not lattice-aligned" % plane)
+    if dim == 0:
         jm = snapped - grid.ix
         ok = (jm >= 0) & (jm < nmax)
         ranks = grid.index_of[grid.iy, np.clip(jm, 0, nmax - 1)]
@@ -290,7 +288,7 @@ def _separate_mirror_ranks(grid, axis):
         ok = (jm >= 0) & (jm < nmax)
         ranks = grid.index_of[np.clip(jm, 0, nmax - 1), grid.ix]
     if not (ok.all() and (ranks >= 0).all()):
-        raise GeometryError("grid is not mirror-closed across %r" % (axis,))
+        raise GeometryError("grid is not mirror-closed across %s" % plane)
     return ranks
 
 
@@ -329,44 +327,85 @@ class TestMirrorStencil:
                     got = reflect_values(g, field, dim, lam)
                     assert got.values.tobytes() == want.values.tobytes()
                     assert np.array_equal(got.present, want.present)
-                ax = Axis(dim, float(lam))
-                want = _outcome(_separate_mirror_ranks, g, ax)
-                got = _outcome(mirror_ranks, g, ax)
-                if isinstance(want, str):
-                    assert got == want
-                else:
-                    assert got.dtype == want.dtype and np.array_equal(got, want)
+            want = _outcome(_separate_mirror_ranks, g, dim)
+            got = _outcome(mirror_ranks, g, dim)
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_direction_only(self):
         g = pl.build_grid(pl.disk(1.0), 17)
         f = np.ones(g.n)
         with pytest.raises(GeometryError):
-            reflect_values(g, f, Axis(0, 0.0), 0.0)
-        with pytest.raises(GeometryError):
             reflect_values(g, f, 2, 0.0)
-        with pytest.raises(GeometryError):
-            pl.reflection_caps(pl.disk(1.0), Axis(0, 0.0))
 
 
 class TestMirrorRanks:
     def test_mirror_is_involution(self):
         g = pl.build_grid(pl.ellipse(1.0, 0.6), 65)
-        for ax in g.spec.axes:
-            m = mirror_ranks(g, ax)
+        for dim in (0, 1):
+            m = mirror_ranks(g, dim)
             assert np.array_equal(m[m], np.arange(g.n))
 
     def test_square_mirrors_across_declared_axes(self):
         g = pl.build_grid(pl.unit_square(), 33)
-        x_axis, y_axis = g.spec.axes  # x = 0.5 and y = 0.5
-        assert np.array_equal(g.node_x[mirror_ranks(g, x_axis)], 1.0 - g.node_x)
-        assert np.array_equal(g.node_y[mirror_ranks(g, y_axis)], 1.0 - g.node_y)
+        # across x = 0.5 and y = 0.5
+        assert np.array_equal(g.node_x[mirror_ranks(g, 0)], 1.0 - g.node_x)
+        assert np.array_equal(g.node_y[mirror_ranks(g, 1)], 1.0 - g.node_y)
 
     def test_orbit_ids_are_reflection_invariant(self):
         g = pl.build_grid(pl.disk(1.0), 33)
         ids = mirror_orbit_ids(g)
-        for ax in g.spec.axes:
-            m = mirror_ranks(g, ax)
+        for dim in (0, 1):
+            m = mirror_ranks(g, dim)
             assert np.array_equal(ids, ids[m])
+
+    @pytest.mark.parametrize("spec", ALL_KINDS + OFF_CENTRE + (pl.unit_square(),),
+                             ids=lambda s: "%s@%g,%g" % (s.kind, *s.center))
+    @pytest.mark.parametrize("nps", [17, 33, 48, 64])
+    def test_orbit_ids_match_fixed_point_reference(self, spec, nps):
+        g = pl.build_grid(spec, nps)
+        want = _fixed_point_orbit_ids(g)
+        got = mirror_orbit_ids(g)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("spec", [pl.disk(1.0), pl.unit_square(), pl.ellipse(1.0, 0.6)],
+                             ids=lambda s: s.kind)
+    @pytest.mark.parametrize("nps", [33, 64])
+    @pytest.mark.parametrize("shift,message", [(0.3, "is not lattice-aligned"),
+                                               (0.5, "is not mirror-closed")])
+    def test_off_lattice_centre_rejected(self, spec, nps, shift, message):
+        g = pl.build_grid(spec, nps)
+        cx, cy = spec.center
+        moved = dataclasses.replace(spec, center=(cx + shift * g.delta, cy))
+        with pytest.raises(GeometryError, match=message):
+            mirror_ranks(dataclasses.replace(g, spec=moved), 0)
+
+    @pytest.mark.parametrize("dim", [2, -1])
+    def test_direction_validated(self, dim):
+        spec = pl.disk(1.0)
+        g = pl.build_grid(spec, 17)
+        with pytest.raises(GeometryError):
+            symmetry_axis(spec, dim)
+        with pytest.raises(GeometryError):
+            mirror_ranks(g, dim)
+
+
+def _fixed_point_orbit_ids(grid):
+    """Reference: the fixed-point loop over the two mirrors."""
+    ids = np.arange(grid.n)
+    mirrors = [mirror_ranks(grid, dim) for dim in (0, 1)]
+    for _ in range(max(len(mirrors), 1)):
+        changed = False
+        for m in mirrors:
+            new = np.minimum(ids, ids[m])
+            if not np.array_equal(new, ids):
+                ids = new
+                changed = True
+        if not changed:
+            break
+    return ids
 
 
 class TestReflectionCaps:
@@ -393,8 +432,7 @@ class TestReflectionCaps:
                 caps = pl.reflection_caps(spec, dim)
                 assert caps.lam1 < caps.lam0
                 if spec.kind != "annulus":
-                    offset = next(a.offset for a in spec.axes if a.dim == dim)
-                    assert caps.lam1 == offset
+                    assert caps.lam1 == spec.center[dim]
 
     @pytest.mark.parametrize("a", [0.05, 0.3, 0.5, 0.85])
     @pytest.mark.parametrize("center", [(0.0, 0.0), (-1.0, 0.25)])
