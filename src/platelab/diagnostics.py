@@ -152,7 +152,7 @@ def product_check(u, rho, t, dim, lam):
         raise DiagnosticsError("cap at lam=%g has no usable nodes" % lam)
 
     uu = u.values[usable]
-    if float(np.min(ur - uu)) < -1e-10 * u.norm_inf:
+    if relative(float(np.min(ur - uu)), u.norm_inf, "u") < -1e-10:
         raise DiagnosticsError(
             "precondition failed: reflected u does not dominate u on the cap"
         )

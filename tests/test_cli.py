@@ -274,7 +274,8 @@ class TestVerify:
         assert captured.err == ""
 
     # a field that vanishes identically divided the symmetry, monotonicity,
-    # moving-plane and rigidity measures by zero, and verify aborted
+    # moving-plane and rigidity measures by zero, and verify aborted; the
+    # product check passed on u = 0, its tolerances being relative to u
     @pytest.mark.parametrize("col", [2, 3], ids=["u", "v"])
     def test_vanishing_field_fails_and_the_rest_run(self, disk_solve, tmp_path, col, capsys):
         d, report, fields = disk_solve
@@ -291,6 +292,8 @@ class TestVerify:
         out = captured.out.splitlines()
         assert [line.split()[1].rstrip(":") for line in out] == list(VALID_CHECKS)
         assert "FAIL moving-plane: %s vanishes identically" % "uv"[col - 2] in captured.out
+        if col == 2:
+            assert "FAIL product: u vanishes identically" in captured.out
         assert captured.err == ""
 
     def test_report_axes_are_not_read(self, tmp_path, capsys):

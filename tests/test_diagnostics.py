@@ -173,6 +173,13 @@ class TestProductCheck:
         with pytest.raises(dg.DiagnosticsError):
             dg.product_check(u, rho, 2.0, 0, 0.0)
 
+    def test_vanishing_field_cannot_be_checked(self):
+        # with u = 0 every product difference is 0 against a tolerance of 0
+        g = pl.build_grid(pl.disk(1.0), 17)
+        rho = optimal_density(ScalarField(g, np.ones(g.n)), 1.0, 2.0, 1.5 * g.discrete_area).rho
+        with pytest.raises(dg.DiagnosticsError, match="u vanishes identically"):
+            dg.product_check(ScalarField(g, np.zeros(g.n)), rho, 0.0, 0, 0.0)
+
 
 class TestRigidity:
     def test_disk_constant_normal_derivative(self, disk_pair_128):

@@ -1,13 +1,17 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 from scipy.special import jn_zeros
 
 import platelab as pl
-from platelab.eigensolver import EigenError, principal_pair, rayleigh_quotient
+from platelab import eigensolver
+from platelab.eigensolver import EigenError, EigenResult, principal_pair, rayleigh_quotient
 from platelab.fields import ScalarField
 from platelab.plate import solve_navier
 from platelab.poisson import GridMismatchError
-from platelab.rearrange import DensityField
+from platelab.rearrange import DensityField, optimal_density
 
 J01 = jn_zeros(0, 1)[0]
 
@@ -96,6 +100,147 @@ class TestPrincipalPair:
         op = pl.assemble_laplacian(g)
         with pytest.raises(EigenError) as err:
             principal_pair(op, _uniform(g), max_iter=1)
+        assert err.value.last_theta is not None
+
+
+def _power_reference(op, rho, tol, max_iter=10000, u0=None):
+    """The power loop alone, as ``principal_pair`` ran it before the
+    Krylov hand-off existed."""
+    grid = rho.grid
+    cell = grid.cell_area
+
+    if u0 is None:
+        u = np.ones(grid.n)
+    else:
+        u = u0.values
+        u = u / np.max(np.abs(u))
+
+    history = []
+    theta_prev = None
+    for it in range(1, max_iter + 1):
+        f = ScalarField(grid, rho.values * u)
+        u_field, v_field = solve_navier(op, f)
+        w = u_field.values
+        if np.any(w <= 0.0):
+            raise EigenError("iterate lost positivity", iterations=it)
+        scale = np.max(np.abs(w))
+        u = w / scale
+        v = v_field.values / scale
+        num = float(np.sum(v * v)) * cell
+        den = float(np.sum(rho.values * u * u)) * cell
+        theta = num / den
+        history.append(theta)
+        if theta_prev is not None and abs(theta - theta_prev) <= tol * theta:
+            break
+        theta_prev = theta
+    else:
+        raise EigenError("no convergence", last_theta=history[-1], iterations=max_iter)
+
+    c = np.sqrt(float(np.sum(rho.values * u * u)) * cell)
+    return EigenResult(
+        theta=theta,
+        u=ScalarField(grid, u / c),
+        v=ScalarField(grid, v / c),
+        iterations=it,
+        theta_history=tuple(history),
+    )
+
+
+def _threshold_case(spec, nodes_per_side, seed=0):
+    """Operator and a bathtub-thresholded density at half fill of [1, 2],
+    ranked by a seeded random field as the optimizer's restarts are."""
+    g = pl.build_grid(spec, nodes_per_side)
+    op = pl.assemble_laplacian(g)
+    probe = ScalarField(g, np.random.default_rng(seed).uniform(0.5, 1.5, g.n))
+    return op, optimal_density(probe, 1.0, 2.0, 1.5 * g.discrete_area).rho
+
+
+def _map(op, rho, x):
+    return solve_navier(op, ScalarField(rho.grid, rho.values * x))[0].values
+
+
+def _eigen_residual(op, rho, u):
+    """``||theta_l A^-2 rho u - u|| / ||u||`` with ``theta_l = <u,u>/<u,A^-2 rho u>``."""
+    w = _map(op, rho, u)
+    theta_l = float(u @ u) / float(u @ w)
+    return float(np.linalg.norm(theta_l * w - u) / np.linalg.norm(u))
+
+
+@pytest.fixture(scope="module")
+def thin_annulus():
+    return _threshold_case(pl.annulus(0.85, 1.0), 49)
+
+
+class TestKrylovHandOff:
+    @pytest.mark.parametrize(
+        "spec, nodes", [(pl.disk(1.0), 65), (pl.unit_square(), 33), (pl.annulus(0.12, 1.0), 41)],
+        ids=["disk-65", "square-33", "annulus-0.12-41"],
+    )
+    def test_fast_contraction_stays_power_iteration_bitwise(self, spec, nodes):
+        op, rho = _threshold_case(spec, nodes)
+        cold = principal_pair(op, rho, tol=1e-11)
+        warm_start = _threshold_case(spec, nodes, seed=1)[1]
+        u0 = principal_pair(op, warm_start, tol=1e-11).u
+        for got, ref in [
+            (cold, _power_reference(op, rho, 1e-11)),
+            (principal_pair(op, rho, tol=1e-11, u0=u0), _power_reference(op, rho, 1e-11, u0=u0)),
+        ]:
+            assert got.theta == ref.theta
+            assert np.array_equal(got.u.values, ref.u.values)
+            assert np.array_equal(got.v.values, ref.v.values)
+            assert got.iterations == ref.iterations
+            assert got.theta_history == ref.theta_history
+
+    def test_slow_contraction_hands_off_to_an_accurate_pair(self, thin_annulus, monkeypatch):
+        op, rho = thin_annulus
+        ref = _power_reference(op, rho, 1e-11)
+        applied = []
+        monkeypatch.setattr(
+            eigensolver, "solve_navier", lambda op, f: applied.append(1) or solve_navier(op, f)
+        )
+        res = principal_pair(op, rho, tol=1e-11)
+        assert res.iterations == len(applied) < ref.iterations
+        assert (res.u.values > 0).all() and (res.v.values > 0).all()
+        assert _eigen_residual(op, rho, res.u.values) <= 1e-9
+
+        n = rho.grid.n
+        a = LinearOperator((n, n), matvec=lambda x: _map(op, rho, x), dtype=float)
+        _, vecs = eigs(a, k=1, which="LM", v0=np.ones(n), ncv=30, tol=1e-14)
+        x = np.abs(vecs[:, 0].real)
+        u_field, v_field = solve_navier(op, ScalarField(rho.grid, rho.values * x))
+        tight = rayleigh_quotient(u_field, v_field, rho)
+        assert abs(res.theta - tight) <= 1e-9 * tight
+        assert res.theta_history[-1] == res.theta
+
+    def test_arpack_failure_raises_with_last_theta(self, thin_annulus, monkeypatch):
+        op, rho = thin_annulus
+
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("stub", np.empty(0), np.empty((rho.grid.n, 0)))
+
+        monkeypatch.setattr(eigensolver, "eigs", no_convergence)
+        with pytest.raises(EigenError) as err:
+            principal_pair(op, rho, tol=1e-11)
+        assert err.value.last_theta is not None and math.isfinite(err.value.last_theta)
+
+    def test_residual_above_the_bound_raises(self, thin_annulus, monkeypatch):
+        op, rho = thin_annulus
+        monkeypatch.setattr(eigensolver, "KRYLOV_RESIDUAL", 0.0)
+        with pytest.raises(EigenError, match="eigen-residual") as err:
+            principal_pair(op, rho, tol=1e-11)
+        assert err.value.last_theta is not None
+
+    @pytest.mark.parametrize("max_iter", [10, 25])
+    def test_max_iter_caps_the_total_map_applications(self, thin_annulus, monkeypatch, max_iter):
+        op, rho = thin_annulus
+        applied = []
+        monkeypatch.setattr(
+            eigensolver, "solve_navier", lambda op, f: applied.append(1) or solve_navier(op, f)
+        )
+        with pytest.raises(EigenError) as err:
+            principal_pair(op, rho, tol=1e-11, max_iter=max_iter)
+        assert len(applied) <= max_iter
+        assert err.value.iterations == max_iter
         assert err.value.last_theta is not None
 
 
