@@ -14,7 +14,7 @@ fields fails, and the remaining checks still run.
 from __future__ import annotations
 
 import argparse
-import csv
+import itertools
 import json
 import math
 import sys
@@ -36,6 +36,8 @@ RIGIDITY_CV_MAX = 0.01
 CONVERGED = ("theta-converged", "rho-fixed")
 INPUT_ERRORS = (GeometryError, OptimizeError, RearrangeError, RadialError)  # bad input values
 FIELD_COLUMNS = ("x", "y", "u", "v", "rho")
+FIELD_ROW = ",".join(["%.17g"] * len(FIELD_COLUMNS)) + "\n"
+FIELDS_BLOCK = 4096  # rows formatted or parsed at a time
 SWEEP_COLUMNS = ("inner_radius", "theta_2d", "theta_radial", "rotation_asymmetry",
                  "beats_radial", "termination")
 
@@ -142,10 +144,12 @@ def _fmt(v):
 
 
 def _write_fields_csv(path, *columns):
+    data = np.column_stack(columns)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(FIELD_COLUMNS) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(_fmt(c) for c in row) + "\n")
+        for start in range(0, len(data), FIELDS_BLOCK):
+            block = data[start : start + FIELDS_BLOCK]
+            fh.write(FIELD_ROW * len(block) % tuple(block.ravel().tolist()))
 
 
 def _write_pgm(path, grid, values):
@@ -220,24 +224,31 @@ def _run_solve(args):
 
 
 def _load_fields_csv(path, grid):
-    values = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != list(FIELD_COLUMNS):
+    """The u, v and rho columns of a fields CSV on ``grid``. Lines end in
+    LF, CRLF or CR, and each cell is parsed as Python's ``float`` parses
+    it. Rows are parsed ``FIELDS_BLOCK`` at a time; a block that fails is
+    rescanned row by row to name its first bad row."""
+    data = np.empty((grid.n, len(FIELD_COLUMNS)))
+    with open(path) as fh:
+        if fh.readline().rstrip("\n") != ",".join(FIELD_COLUMNS):
             raise CliUsageError("error: %s row 1: expected header %s"
                                 % (path, ",".join(FIELD_COLUMNS)))
-        for k, row in enumerate(reader, start=2):
-            if len(row) != 5:
-                raise CliUsageError("error: %s row %d: expected 5 columns" % (path, k))
+        rows = 0
+        while lines := list(itertools.islice(fh, FIELDS_BLOCK)):
             try:
-                values.extend([float(c) for c in row])
+                if any(line.count(",") != len(FIELD_COLUMNS) - 1 for line in lines):
+                    raise ValueError
+                # a line's end stays in its last cell, which float() allows
+                block = np.array(",".join(lines).split(","), dtype=float)
             except ValueError:
-                raise CliUsageError("error: %s row %d: malformed float" % (path, k))
-    data = np.array(values).reshape(-1, 5)
-    if len(data) != grid.n:
+                k, what = _first_bad_row(lines)
+                raise CliUsageError("error: %s row %d: %s" % (path, rows + 2 + k, what))
+            if rows + len(lines) <= grid.n:
+                data[rows : rows + len(lines)] = block.reshape(len(lines), -1)
+            rows += len(lines)
+    if rows != grid.n:
         raise CliUsageError(
-            "error: %s has %d rows but the grid has %d interior nodes"
-            % (path, len(data), grid.n)
+            "error: %s has %d rows but the grid has %d interior nodes" % (path, rows, grid.n)
         )
     tol = 1e-9 * grid.delta
     for bad, what in (
@@ -248,6 +259,19 @@ def _load_fields_csv(path, grid):
         if bad.any():
             raise CliUsageError("error: %s row %d: %s" % (path, np.argmax(bad) + 2, what))
     return data[:, 2], data[:, 3], data[:, 4]
+
+
+def _first_bad_row(lines):
+    """Position and fault of the first of ``lines`` that is not one float
+    per column."""
+    for k, line in enumerate(lines):
+        cells = line.split(",")
+        if len(cells) != len(FIELD_COLUMNS):
+            return k, "expected 5 columns"
+        try:
+            [float(c) for c in cells]
+        except ValueError:
+            return k, "malformed float"
 
 
 def _run_verify(args):

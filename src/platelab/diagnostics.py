@@ -6,11 +6,12 @@ test suite proving it can fail. Checks take a direction ``dim`` (0 or 1)
 and read the domain's symmetry axis across it from ``geometry``; a
 measure relative to a field that vanishes identically cannot be taken,
 and ``relative`` says so. Moving-plane quantities compare a field with
-its reflection on the cap beyond the plane, selected in one place: the
-cap nodes whose mirror has interior support. The plane positions sweep
-the open window between the stuck position and the first touching
-position, keeping a two-spacing margin at both ends to stay clear of
-interpolation artifacts. Off-lattice values come from one
+its reflection on the cap beyond the plane, selected in one place
+(``geometry.reflect_cap``): the cap nodes whose mirror has interior
+support, with one stencil per plane for every field compared there. The
+plane positions sweep the open window between the stuck position and
+the first touching position, keeping a two-spacing margin at both ends
+to stay clear of interpolation artifacts. Off-lattice values come from one
 tensor-product Lagrange interpolator over interior nodes: order 1
 (bilinear) for the boundary normal derivative, order 2 (biquadratic)
 for the rotation metric.
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import EAST, NORTH, reflect_values, reflection_caps, symmetry_axis
+from .geometry import EAST, NORTH, reflect_cap, reflect_values, reflection_caps, symmetry_axis
 
 MIN_LAMBDAS = 8  # fewest plane positions a moving-plane sweep takes
 PLANE_MARGIN = 2.0  # spacings kept clear at both ends of the plane window
@@ -42,15 +43,6 @@ def relative(value, scale, name):
     if scale == 0.0:
         raise DiagnosticsError("%s vanishes identically" % name)
     return value / scale
-
-
-def _cap(grid, values, dim, lam):
-    """The cap beyond the plane ``{x_dim = lam}``: a mask of its nodes whose
-    mirror has interior support, and the reflected values there."""
-    coords = grid.node_x if dim == 0 else grid.node_y
-    refl = reflect_values(grid, values, dim, lam)
-    usable = (coords > lam) & refl.present
-    return usable, refl.values[usable]
 
 
 def asymmetry(u, dim):
@@ -107,10 +99,16 @@ def cap_deficit(grid, values, dim, lam):
     with interior reflection support; the minimum is +inf when no node
     qualifies.
     """
-    usable, reflected = _cap(grid, values, dim, lam)
-    if not usable.any():
-        return math.inf, 0
-    return float(np.min(reflected - values[usable])), int(usable.sum())
+    (minimum,), count = _cap_deficits(grid, [values], dim, lam)
+    return minimum, count
+
+
+def _cap_deficits(grid, fields, dim, lam):
+    """``cap_deficit`` of each of ``fields``, all read off one cap."""
+    nodes, reflected = reflect_cap(grid, fields, dim, lam)
+    if not nodes.size:
+        return [math.inf] * len(fields), 0
+    return [float(np.min(r - f[nodes])) for f, r in zip(fields, reflected)], nodes.size
 
 
 def moving_plane_profile(pair, dim, n_lambda=16):
@@ -120,7 +118,7 @@ def moving_plane_profile(pair, dim, n_lambda=16):
         raise DiagnosticsError("n_lambda must be at least %d" % MIN_LAMBDAS)
     lo, hi = plane_window(pair, dim)
     lambdas = np.linspace(lo, hi, n_lambda)
-    worst = np.min([[cap_deficit(pair.grid, f.values, dim, lam)[0] for f in (pair.u, pair.v)]
+    worst = np.min([_cap_deficits(pair.grid, [pair.u.values, pair.v.values], dim, lam)[0]
                     for lam in lambdas], axis=0)
     return MovingPlaneReport(lambdas=lambdas, min_w1=float(worst[0]), min_w2=float(worst[1]))
 
@@ -147,11 +145,11 @@ def product_check(u, rho, t, dim, lam):
     """
     grid = u.grid
     h, H = rho.h, rho.H
-    usable, ur = _cap(grid, u.values, dim, lam)
-    if not usable.any():
+    nodes, (ur,) = reflect_cap(grid, [u.values], dim, lam)
+    if not nodes.size:
         raise DiagnosticsError("cap at lam=%g has no usable nodes" % lam)
 
-    uu = u.values[usable]
+    uu = u.values[nodes]
     if relative(float(np.min(ur - uu)), u.norm_inf, "u") < -1e-10:
         raise DiagnosticsError(
             "precondition failed: reflected u does not dominate u on the cap"
@@ -164,7 +162,6 @@ def product_check(u, rho, t, dim, lam):
     worst = int(np.argmin(diff))
     case3 = (uu > t) & (ur <= t)
     ok = bool(np.min(diff) >= -tol and not case3.any())
-    nodes = np.flatnonzero(usable)
     return ProductCheckResult(
         ok=ok,
         worst_value=float(diff[worst]),
@@ -319,32 +316,28 @@ def structural_checks(pair):
 
 
 def _axis_convex_along(grid, u, t, dim):
+    """On every lattice line across the symmetry axis in direction ``dim``,
+    the above-threshold nodes fill the interior nodes between the first
+    and the last of them, and those two centre on the axis to within half
+    a spacing."""
     lam = symmetry_axis(grid.spec, dim)
-    if dim == 0:
-        lines = grid.iy
-        along = grid.ix
-        coords = grid.node_x
-    else:
-        lines = grid.ix
-        along = grid.iy
-        coords = grid.node_y
-    above = u > t
-    tol = grid.delta * (0.5 + 1e-9)
-    for line in np.unique(lines[above]):
-        sel = lines == line
-        order = np.argsort(along[sel])
-        line_above = above[sel][order]
-        line_coord = coords[sel][order]
-        hot = np.flatnonzero(line_above)
-        if hot.size == 0:
-            continue
-        first, last = hot[0], hot[-1]
-        if not line_above[first : last + 1].all():
-            return False  # gap in the run
-        mid = 0.5 * (line_coord[first] + line_coord[last])
-        if abs(mid - lam) > tol:
-            return False
-    return True
+    above = np.zeros(grid.index_of.shape, dtype=bool)  # [line, along] for dim 0
+    above[grid.iy, grid.ix] = u > t
+    inside = grid.index_of >= 0
+    coords = grid.xs
+    if dim == 1:
+        above, inside, coords = above.T, inside.T, grid.ys
+    hot = above.any(axis=1)
+    above, inside = above[hot], inside[hot]
+    lines = np.arange(above.shape[0])
+    first = np.argmax(above, axis=1)
+    last = above.shape[1] - 1 - np.argmax(above[:, ::-1], axis=1)
+    interior_upto = np.cumsum(inside, axis=1)
+    run = interior_upto[lines, last] - interior_upto[lines, first] + 1
+    if np.any(run != above.sum(axis=1)):
+        return False  # gap in the run
+    mid = 0.5 * (coords[first] + coords[last])
+    return not np.any(np.abs(mid - lam) > grid.delta * (0.5 + 1e-9))
 
 
 __all__ = [

@@ -13,9 +13,10 @@ the grid. Every kind is symmetric about its two centre lines and about
 no other axis-aligned line, so a domain's symmetry axes are those two
 lines: ``symmetry_axis`` is the one place that says where they are. One
 mirror stencil places each node's reflection on its lattice line, and
-both ``reflect_values`` and ``mirror_ranks`` read it. The moving-plane
-landmarks are closed form too: they read the centre and the table's
-``stop`` position, and sample nothing.
+``reflect_values``, ``reflect_cap`` (the cap beyond a plane only) and
+``mirror_ranks`` read it. The moving-plane landmarks are closed form
+too: they read the centre and the table's ``stop`` position, and sample
+nothing.
 """
 
 from __future__ import annotations
@@ -537,15 +538,18 @@ class Reflection:
     present: np.ndarray
 
 
-def _mirror_stencil(grid, dim, lam):
-    """Where each node's mirror across ``{x_dim = lam}`` falls: a fraction
-    ``w`` of a spacing from interior node ``r0`` toward ``r1`` on the node's
+def _mirror_stencil(grid, dim, lam, nodes):
+    """Where the mirror across ``{x_dim = lam}`` of each node in ``nodes``
+    (ranks, or ``slice(None)`` for every node) falls: a fraction ``w`` of
+    a spacing from interior node ``r0`` toward ``r1`` on the node's
     lattice line (ranks are -1 off the interior). The plane's doubled
     lattice position snaps to an integer within 1e-9 spacings, so lattice
     and half-lattice planes give ``w == 0`` exactly; ``present`` marks the
     mirrors with interior support."""
+    dim = _direction(dim)
     coords = grid.xs if dim == 0 else grid.ys
-    j, j_other = (grid.ix, grid.iy) if dim == 0 else (grid.iy, grid.ix)
+    along, across = (grid.ix, grid.iy) if dim == 0 else (grid.iy, grid.ix)
+    j, j_other = along[nodes], across[nodes]
     lines = grid.index_of if dim == 0 else grid.index_of.T  # [j_other, j] -> rank
     two_jlam = 2.0 * ((lam - coords[0]) / grid.delta)
     snapped = round(two_jlam)
@@ -564,6 +568,21 @@ def _mirror_stencil(grid, dim, lam):
     return r0, r1, w, present
 
 
+def _mirrored(values, r0, r1, w):
+    """``values`` at the mirrors a stencil places: linear interpolation
+    along the lattice line, the node value itself where ``w == 0``."""
+    v0 = values[r0]
+    return np.where(w == 0.0, v0, (1.0 - w) * v0 + w * values[r1])
+
+
+def _node_values(grid, values):
+    values = np.asarray(values, dtype=float)
+    if values.shape != (grid.n,):
+        raise GeometryError("field length %d does not match grid (%d nodes)"
+                            % (values.shape[0], grid.n))
+    return values
+
+
 def reflect_values(grid, values, dim, lam):
     """Sample ``values`` (per interior node) at reflected node positions.
 
@@ -573,14 +592,27 @@ def reflect_values(grid, values, dim, lam):
     interior node set. Lattice and half-lattice planes reproduce node
     values exactly.
     """
-    values = np.asarray(values, dtype=float)
-    if values.shape != (grid.n,):
-        raise GeometryError("field length %d does not match grid (%d nodes)"
-                            % (values.shape[0], grid.n))
-    r0, r1, w, present = _mirror_stencil(grid, _direction(dim), lam)
-    v0 = values[r0]
-    mixed = np.where(w == 0.0, v0, (1.0 - w) * v0 + w * values[r1])
-    return Reflection(values=np.where(present, mixed, np.nan), present=present)
+    values = _node_values(grid, values)
+    r0, r1, w, present = _mirror_stencil(grid, dim, lam, slice(None))
+    return Reflection(values=np.where(present, _mirrored(values, r0, r1, w), np.nan),
+                      present=present)
+
+
+def reflect_cap(grid, fields, dim, lam):
+    """The cap beyond the plane ``{x_dim = lam}`` and each of ``fields``
+    reflected onto it.
+
+    Returns the ranks of the nodes with coordinate above ``lam`` whose
+    mirror has interior support, and per field its values at their
+    mirrors, as ``reflect_values`` gives them. One stencil, evaluated on
+    the cap only, serves every field.
+    """
+    fields = [_node_values(grid, f) for f in fields]
+    coords = grid.node_x if _direction(dim) == 0 else grid.node_y
+    cap = np.flatnonzero(coords > lam)
+    r0, r1, w, present = _mirror_stencil(grid, dim, lam, cap)
+    r0, r1, w = r0[present], r1[present], w[present]
+    return cap[present], [_mirrored(f, r0, r1, w) for f in fields]
 
 
 def mirror_ranks(grid, dim):
@@ -592,21 +624,13 @@ def mirror_ranks(grid, dim):
     lattice that ``build_grid`` produces).
     """
     lam = symmetry_axis(grid.spec, dim)
-    r0, _, w, present = _mirror_stencil(grid, dim, lam)
+    r0, _, w, present = _mirror_stencil(grid, dim, lam, slice(None))
     plane = "{%s = %r}" % ("xy"[dim], lam)
     if np.any(w != 0.0):
         raise GeometryError("axis %s is not lattice-aligned" % plane)
     if not present.all():
         raise GeometryError("grid is not mirror-closed across %s" % plane)
     return r0
-
-
-def mirror_orbit_ids(grid):
-    """Canonical orbit id per node under the two symmetry reflections:
-    they commute, so a node's orbit is itself, its two mirrors and its
-    mirror across both, and its id is the least of those ranks."""
-    mx, my = mirror_ranks(grid, 0), mirror_ranks(grid, 1)
-    return np.minimum.reduce([np.arange(grid.n), mx, my, mx[my]])
 
 
 # ------------------------------------------------------------ sweep landmarks

@@ -1,10 +1,12 @@
 """One-dimensional radial solver for disks and annuli.
 
 Runs the same eigensolve/rearrange alternation as the 2-D code, but on
-the radial reduction ``u'' + u'/r`` (planar case), discretized to second
-order on a uniform radius grid. Entirely independent of the 2-D path, so
-the two can cross-check each other; it cannot express angular symmetry
-breaking by construction.
+the radial reduction ``u'' + u'/r`` (planar case), on a uniform radius
+grid. The operator is second order, but theta converges at first order
+in the radial spacing: the density's jump between h and H falls inside
+a cell. Entirely independent of the 2-D path, so the two can
+cross-check each other; it cannot express angular symmetry breaking by
+construction.
 
 Minus the radial Laplacian is a tridiagonal matrix kept in banded form;
 each eigen iteration is two ``solve_banded`` calls, the split form of the

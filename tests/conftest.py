@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import platelab as pl
-from platelab.geometry import Grid, mirror_orbit_ids
+from platelab.geometry import Grid, mirror_ranks
 
 
 def make_strip_grid(n_nodes, delta):
@@ -33,6 +33,14 @@ def make_strip_grid(n_nodes, delta):
         spec=spec, delta=delta, xs=xs, ys=ys, ix=ix, iy=iy, index_of=index_of,
         theta=theta, neighbor=neighbor, tag="strip-%d-%g" % (n_nodes, delta),
     )
+
+
+def mirror_orbit_ids(grid):
+    """Canonical orbit id per node under the two symmetry reflections:
+    they commute, so a node's orbit is itself, its two mirrors and its
+    mirror across both, and its id is the least of those ranks."""
+    mx, my = mirror_ranks(grid, 0), mirror_ranks(grid, 1)
+    return np.minimum.reduce([np.arange(grid.n), mx, my, mx[my]])
 
 
 def orbit_aligned_mass(spec, nodes_per_side, h, H, fill=0.5, passes=2):

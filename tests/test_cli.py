@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import platelab as pl
-from platelab.cli import VALID_CHECKS, main
+from platelab import cli
+from platelab.cli import FIELD_COLUMNS, VALID_CHECKS, CliUsageError, main
 from conftest import orbit_aligned_mass
 
 
@@ -345,7 +346,159 @@ class TestVerify:
         rc = run(["verify", "--report", str(report), "--fields", str(bad)])
         err = capsys.readouterr().err
         assert rc == 1
-        assert "row" in err
+        assert "mangled.csv row 42: expected 5 columns" in err
+
+    # each message as the csv.reader loader gave it
+    @pytest.mark.parametrize("edit,message", [
+        (lambda ls: ls[:cli.FIELDS_BLOCK + 17]
+         + [ls[cli.FIELDS_BLOCK + 17].replace(",", ",1.2.", 1)] + ls[cli.FIELDS_BLOCK + 18:],
+         "row %d: malformed float" % (cli.FIELDS_BLOCK + 18)),
+        (lambda ls: ls[:100] + [""] + ls[100:], "row 101: expected 5 columns"),
+        (lambda ls: ls + ls[-1:], "has {n1} rows but the grid has {n} interior nodes"),
+        (lambda ls: ls[:-1], "has {n_1} rows but the grid has {n} interior nodes"),
+        (lambda ls: ls[:1], "has 0 rows but the grid has {n} interior nodes"),
+    ], ids=["float-beyond-first-block", "blank-line", "extra-row", "missing-row", "header-only"])
+    def test_bad_fields_name_the_row(self, disk_solve, tmp_path, edit, message, capsys):
+        d, report, fields = disk_solve
+        lines = fields.read_text().splitlines()
+        n = len(lines) - 1
+        assert n > cli.FIELDS_BLOCK + 18
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(edit(lines)) + "\n")
+        rc = run(["verify", "--report", str(report), "--fields", str(bad)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == "error: %s %s\n" % (bad, message.format(n=n, n1=n + 1, n_1=n - 1))
+        assert captured.out == ""
+
+    def test_crlf_fields_verify_identically(self, disk_solve, tmp_path, capsys):
+        d, report, fields = disk_solve
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(fields.read_bytes().replace(b"\n", b"\r\n"))
+        outputs = []
+        for path in (fields, crlf):
+            rc = run(["verify", "--report", str(report), "--fields", str(path)])
+            outputs.append((rc, capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0
+
+
+# References: the row-loop writer and the csv.reader loader, verbatim.
+def _fmt(v):
+    return "%.17g" % float(v)
+
+
+def _row_loop_write_fields_csv(path, *columns):
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(FIELD_COLUMNS) + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(_fmt(c) for c in row) + "\n")
+
+
+def _csv_reader_load_fields_csv(path, grid):
+    values = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != list(FIELD_COLUMNS):
+            raise CliUsageError("error: %s row 1: expected header %s"
+                                % (path, ",".join(FIELD_COLUMNS)))
+        for k, row in enumerate(reader, start=2):
+            if len(row) != 5:
+                raise CliUsageError("error: %s row %d: expected 5 columns" % (path, k))
+            try:
+                values.extend([float(c) for c in row])
+            except ValueError:
+                raise CliUsageError("error: %s row %d: malformed float" % (path, k))
+    data = np.array(values).reshape(-1, 5)
+    if len(data) != grid.n:
+        raise CliUsageError(
+            "error: %s has %d rows but the grid has %d interior nodes"
+            % (path, len(data), grid.n)
+        )
+    tol = 1e-9 * grid.delta
+    for bad, what in (
+        (~np.isfinite(data).all(axis=1), "non-finite value"),
+        ((np.abs(data[:, 0] - grid.node_x) > tol) | (np.abs(data[:, 1] - grid.node_y) > tol),
+         "coordinates do not match the grid"),
+    ):
+        if bad.any():
+            raise CliUsageError("error: %s row %d: %s" % (path, np.argmax(bad) + 2, what))
+    return data[:, 2], data[:, 3], data[:, 4]
+
+
+SPECIAL_VALUES = [-0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308,
+                  -1.7976931348623157e308, np.nan, np.inf, -np.inf, 1.0 / 3.0, -1e-300,
+                  123456789.0, 0.1]
+
+
+class TestFieldsFiles:
+    """The block writer and reader against the row loops they replaced."""
+
+    @pytest.mark.parametrize("rows", [0, 1, cli.FIELDS_BLOCK - 1, cli.FIELDS_BLOCK,
+                                      2 * cli.FIELDS_BLOCK + 3])
+    def test_writer_bytes(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        pool = np.concatenate([SPECIAL_VALUES,
+                               np.ldexp(rng.normal(size=64), rng.integers(-1070, 1020, 64))])
+        columns = [rng.choice(pool, rows) for _ in FIELD_COLUMNS]
+        columns[0][: len(SPECIAL_VALUES)] = SPECIAL_VALUES[:rows]
+        ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
+        cli._write_fields_csv(ours, *columns)
+        _row_loop_write_fields_csv(theirs, *columns)
+        assert ours.read_bytes() == theirs.read_bytes()
+
+    @pytest.fixture(scope="class")
+    def grid_and_text(self):
+        grid = pl.build_grid(pl.disk(1.0), 129)
+        assert grid.n > 3 * cli.FIELDS_BLOCK
+        rng = np.random.default_rng(5)
+        columns = [grid.node_x, grid.node_y] + [rng.normal(size=grid.n) for _ in range(3)]
+        columns[2][:4] = [-0.0, 5e-324, 1e308, -2.5e-310]
+        lines = [",".join(_fmt(c) for c in row) for row in zip(*columns)]
+        return grid, ["x,y,u,v,rho"] + lines
+
+    # (edit of the lines, line end, final line end)
+    @pytest.mark.parametrize("edit,end,final", [
+        (lambda ls: ls, "\n", "\n"),
+        (lambda ls: ls, "\r\n", "\r\n"),
+        (lambda ls: ls, "\r", "\r"),
+        (lambda ls: ls, "\n", ""),
+        (lambda ls: [ls[0]] + [" %s ,\t%s" % tuple(line.split(",", 1)) for line in ls[1:]],
+         "\n", "\n"),
+        (lambda ls: ls + [""], "\n", "\n"),
+        (lambda ls: ls[:-1], "\n", "\n"),
+        (lambda ls: ls[:1], "\n", "\n"),
+        (lambda ls: [], "\n", ""),
+        (lambda ls: ["x,y,u,v"] + ls[1:], "\n", "\n"),
+        (lambda ls: ls[:9000] + [ls[9000] + ","] + ls[9001:], "\n", "\n"),
+        (lambda ls: ls[:9000] + [ls[9000].replace(",", ",x", 1)] + ls[9001:], "\n", "\n"),
+        (lambda ls: ls[:20] + ["1,2,3", "1,2,3,4,5,6,7"] + ls[22:], "\n", "\n"),
+        (lambda ls: ls[:20] + [ls[20].replace(",", ",zz", 1)] + ls[21:30] + ["1,2"] + ls[31:],
+         "\n", "\n"),
+        (lambda ls: ls[:20] + ["1,2"] + ls[21:30] + [ls[30].replace(",", ",zz", 1)] + ls[31:],
+         "\n", "\n"),
+        (lambda ls: ls + ["1,2"], "\n", "\n"),
+        (lambda ls: ls[:12] + [ls[12].replace(",", ",1_0", 1)] + ls[13:], "\n", "\n"),
+        (lambda ls: ls[:12] + [ls[12] + "0"] + ls[13:], "\n", "\n"),
+        (lambda ls: ls[:12] + ["7" + ls[12]] + ls[13:], "\n", "\n"),
+        (lambda ls: ls[:4099] + [ls[4099].rsplit(",", 1)[0] + ",nan"] + ls[4100:], "\n", "\n"),
+        (lambda ls: ls[:4099] + [ls[4099].rsplit(",", 1)[0] + ",1e999"] + ls[4100:], "\n", "\n"),
+    ], ids=["lf", "crlf", "cr", "no-final-newline", "whitespace", "trailing-blank-line",
+            "missing-row", "header-only", "empty", "bad-header", "six-columns", "bad-float",
+            "ragged-pair", "float-before-columns", "columns-before-float", "extra-short-row",
+            "underscore", "last-digit", "coordinates", "nan", "overflow"])
+    def test_reader_matches_csv_reader(self, grid_and_text, tmp_path, edit, end, final):
+        grid, lines = grid_and_text
+        lines = edit(lines)
+        path = tmp_path / "fields.csv"
+        path.write_bytes((end.join(lines) + final if lines else "").encode())
+        outcomes = []
+        for load in (cli._load_fields_csv, _csv_reader_load_fields_csv):
+            try:
+                outcomes.append(tuple(col.tobytes() for col in load(path, grid)))
+            except CliUsageError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestSweep:

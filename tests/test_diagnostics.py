@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 import platelab as pl
 from platelab import diagnostics as dg
+from platelab import geometry
 from platelab.fields import ScalarField
-from platelab.geometry import GeometryError
+from platelab.geometry import GeometryError, reflect_values, symmetry_axis
 from platelab.optimizer import OptimalPair
 from platelab.rearrange import optimal_density, uniform_density
 
@@ -265,3 +268,233 @@ class TestToleranceScaling:
         v64 = max(0.0, -w64.min_w1 / coarse.u.norm_inf)
         v128 = max(0.0, -w128.min_w1 / fine.u.norm_inf)
         assert v128 <= 2.0 * v64 + floor
+
+
+# ---------------------------------------------------------------------------
+# References: the cap read off a full-grid reflection, one field per
+# stencil, and the per-line axis-convexity loop, verbatim.
+
+
+def _full_grid_cap(grid, values, dim, lam):
+    coords = grid.node_x if dim == 0 else grid.node_y
+    refl = reflect_values(grid, values, dim, lam)
+    usable = (coords > lam) & refl.present
+    return usable, refl.values[usable]
+
+
+def _full_grid_cap_deficit(grid, values, dim, lam):
+    usable, reflected = _full_grid_cap(grid, values, dim, lam)
+    if not usable.any():
+        return math.inf, 0
+    return float(np.min(reflected - values[usable])), int(usable.sum())
+
+
+def _full_grid_moving_plane_profile(pair, dim, n_lambda=16):
+    if n_lambda < dg.MIN_LAMBDAS:
+        raise dg.DiagnosticsError("n_lambda must be at least %d" % dg.MIN_LAMBDAS)
+    lo, hi = dg.plane_window(pair, dim)
+    lambdas = np.linspace(lo, hi, n_lambda)
+    worst = np.min([[_full_grid_cap_deficit(pair.grid, f.values, dim, lam)[0]
+                     for f in (pair.u, pair.v)]
+                    for lam in lambdas], axis=0)
+    return dg.MovingPlaneReport(lambdas=lambdas, min_w1=float(worst[0]), min_w2=float(worst[1]))
+
+
+def _full_grid_product_check(u, rho, t, dim, lam):
+    grid = u.grid
+    h, H = rho.h, rho.H
+    usable, ur = _full_grid_cap(grid, u.values, dim, lam)
+    if not usable.any():
+        raise dg.DiagnosticsError("cap at lam=%g has no usable nodes" % lam)
+
+    uu = u.values[usable]
+    if dg.relative(float(np.min(ur - uu)), u.norm_inf, "u") < -1e-10:
+        raise dg.DiagnosticsError(
+            "precondition failed: reflected u does not dominate u on the cap"
+        )
+
+    rho_here = np.where(uu > t, H, h)
+    rho_refl = np.where(ur > t, H, h)
+    diff = rho_refl * ur - rho_here * uu
+    tol = 1e-10 * H * u.norm_inf
+    worst = int(np.argmin(diff))
+    case3 = (uu > t) & (ur <= t)
+    ok = bool(np.min(diff) >= -tol and not case3.any())
+    nodes = np.flatnonzero(usable)
+    return dg.ProductCheckResult(
+        ok=ok,
+        worst_value=float(diff[worst]),
+        worst_node=int(nodes[worst]),
+        case3_count=int(case3.sum()),
+    )
+
+
+def _per_line_axis_convex_along(grid, u, t, dim):
+    lam = symmetry_axis(grid.spec, dim)
+    if dim == 0:
+        lines = grid.iy
+        along = grid.ix
+        coords = grid.node_x
+    else:
+        lines = grid.ix
+        along = grid.iy
+        coords = grid.node_y
+    above = u > t
+    tol = grid.delta * (0.5 + 1e-9)
+    for line in np.unique(lines[above]):
+        sel = lines == line
+        order = np.argsort(along[sel])
+        line_above = above[sel][order]
+        line_coord = coords[sel][order]
+        hot = np.flatnonzero(line_above)
+        if hot.size == 0:
+            continue
+        first, last = hot[0], hot[-1]
+        if not line_above[first : last + 1].all():
+            return False  # gap in the run
+        mid = 0.5 * (line_coord[first] + line_coord[last])
+        if abs(mid - lam) > tol:
+            return False
+    return True
+
+
+EQUIVALENCE_KINDS = (pl.disk(1.0), pl.annulus(0.5), pl.ellipse(1.0, 0.6),
+                     pl.rectangle(1.0, 0.45), pl.stadium(1.0, 0.5), pl.unit_square())
+
+
+def _outcome(fn, *args):
+    """``repr`` of a result or of the error raised: float reprs round-trip,
+    so equal outcomes are bitwise equal."""
+    try:
+        res = fn(*args)
+    except (dg.DiagnosticsError, GeometryError) as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+    if isinstance(res, dg.MovingPlaneReport):
+        return res.lambdas.tobytes(), repr(res.min_w1), repr(res.min_w2)
+    return repr(res)
+
+
+def _planes(grid, dim, rng):
+    """Lattice, half-lattice and off-lattice planes across the grid."""
+    coords = grid.xs if dim == 0 else grid.ys
+    ks = rng.integers(0, coords.shape[0] - 1, size=6)
+    return np.concatenate([coords[ks], 0.5 * (coords[ks] + coords[ks + 1]),
+                           rng.uniform(coords[0], coords[-1], size=6),
+                           [symmetry_axis(grid.spec, dim)]])
+
+
+@pytest.fixture(scope="module", params=EQUIVALENCE_KINDS,
+                ids=["disk", "annulus", "ellipse", "rectangle", "stadium", "square"])
+def solved_and_random(request):
+    """A solved pair at grid 49 and a pair of random positive fields on the
+    same grid."""
+    spec = request.param
+    area = pl.build_grid(spec, 49).discrete_area
+    pair, _ = pl.optimize(spec, 49, 1.0, 2.0, 1.4 * area)
+    grid = pair.grid
+    rng = np.random.default_rng(len(spec.kind))
+    u = ScalarField(grid, rng.uniform(0.5, 1.5, grid.n))
+    v = ScalarField(grid, rng.uniform(0.5, 1.5, grid.n))
+    rand = OptimalPair(u=u, v=v, rho=uniform_density(grid, 1.0, 2.0, 1.4 * area),
+                       theta=1.0, t=1.0, grid=grid, spec=spec)
+    return pair, rand
+
+
+class TestCapPathsMatchFullGridReferences:
+    """The cap-only stencils and the whole-lattice convexity scan return
+    every number the full-grid, per-field and per-line code returned."""
+
+    def test_cap_deficit_and_product_check(self, solved_and_random):
+        for pair in solved_and_random:
+            rng = np.random.default_rng(pair.grid.n)
+            for dim in (0, 1):
+                for lam in _planes(pair.grid, dim, rng):
+                    for f in (pair.u.values, pair.v.values):
+                        want = _full_grid_cap_deficit(pair.grid, f, dim, lam)
+                        assert repr(dg.cap_deficit(pair.grid, f, dim, lam)) == repr(want)
+                    for t in (pair.t, float(np.median(pair.u.values))):
+                        args = (pair.u, pair.rho, t, dim, lam)
+                        assert (_outcome(dg.product_check, *args)
+                                == _outcome(_full_grid_product_check, *args))
+
+    @pytest.mark.parametrize("n_lambda", [8, 16, 33])
+    def test_moving_plane_profile(self, solved_and_random, n_lambda):
+        for pair in solved_and_random:
+            for dim in (0, 1):
+                assert (_outcome(dg.moving_plane_profile, pair, dim, n_lambda)
+                        == _outcome(_full_grid_moving_plane_profile, pair, dim, n_lambda))
+
+    @pytest.mark.parametrize("n_lambda", [8, 16, 33])
+    def test_product_check_over_the_window(self, solved_and_random, n_lambda):
+        pair, _ = solved_and_random
+        for dim in (0, 1):
+            lo, hi = dg.plane_window(pair, dim)
+            for lam in np.linspace(lo, hi, n_lambda):
+                args = (pair.u, pair.rho, pair.t, dim, lam)
+                assert (_outcome(dg.product_check, *args)
+                        == _outcome(_full_grid_product_check, *args))
+
+    def test_axis_convexity(self, solved_and_random):
+        pair, rand = solved_and_random
+        grid = pair.grid
+        centred = -np.hypot(grid.node_x - grid.spec.center[0], grid.node_y - grid.spec.center[1])
+        shifted = centred - 0.3 * (grid.node_x - grid.spec.center[0])
+        seen = set()
+        for u in (pair.u.values, rand.u.values, centred, shifted):
+            for t in np.quantile(u, [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99]) - 1e-12:
+                for dim in (0, 1):
+                    want = _per_line_axis_convex_along(grid, u, t, dim)
+                    assert dg._axis_convex_along(grid, u, t, dim) is want
+                    seen.add(want)
+        assert seen == {True, False}
+
+    def test_annulus_run_across_the_hole(self):
+        # the lines through the hole hold two stretches of interior nodes;
+        # a run that fills both has no gap
+        g = pl.build_grid(pl.annulus(0.5), 33)
+        u = np.ones(g.n)
+        for dim in (0, 1):
+            assert dg._axis_convex_along(g, u, 0.5, dim) is True
+            assert _per_line_axis_convex_along(g, u, 0.5, dim) is True
+
+
+class TestCapStencilCount:
+    """Operation count, not time: one cap-only stencil per plane."""
+
+    @pytest.fixture()
+    def stencil_calls(self, monkeypatch):
+        calls = []
+        real = geometry._mirror_stencil
+
+        def counted(grid, dim, lam, nodes):
+            calls.append((grid, dim, lam, nodes))
+            return real(grid, dim, lam, nodes)
+
+        monkeypatch.setattr(geometry, "_mirror_stencil", counted)
+        return calls
+
+    @pytest.mark.parametrize("dim", [0, 1])
+    def test_moving_plane_profile_one_stencil_per_plane(self, disk_pair_64, stencil_calls, dim):
+        pair, _ = disk_pair_64
+        rep = dg.moving_plane_profile(pair, dim, 16)
+        assert len(stencil_calls) == 16
+        for (grid, d, lam, nodes), want in zip(stencil_calls, rep.lambdas):
+            assert d == dim and lam == want
+            coords = grid.node_x if dim == 0 else grid.node_y
+            assert isinstance(nodes, np.ndarray) and nodes.size > 0
+            assert np.all(coords[nodes] > lam)
+
+    def test_product_check_one_stencil(self, disk_pair_64, stencil_calls):
+        pair, _ = disk_pair_64
+        lo, hi = dg.plane_window(pair, 1)
+        dg.product_check(pair.u, pair.rho, pair.t, 1, 0.5 * (lo + hi))
+        (grid, _, lam, nodes), = stencil_calls
+        assert np.all(grid.node_y[nodes] > lam)
+
+    def test_cap_path_validates_direction(self, disk_pair_64):
+        pair, _ = disk_pair_64
+        for dim in (2, -1):
+            with pytest.raises(GeometryError, match="axis dim must be 0 or 1"):
+                dg.cap_deficit(pair.grid, pair.u.values, dim, 0.0)
+            with pytest.raises(GeometryError, match="axis dim must be 0 or 1"):
+                reflect_values(pair.grid, pair.u.values, dim, 0.0)

@@ -11,11 +11,11 @@ from platelab.geometry import (
     DomainSpec,
     GeometryError,
     Reflection,
-    mirror_orbit_ids,
     mirror_ranks,
     reflect_values,
     symmetry_axis,
 )
+from conftest import mirror_orbit_ids
 
 ALL_KINDS = (pl.disk(1.0), pl.annulus(0.5), pl.ellipse(1.0, 0.6),
              pl.rectangle(1.0, 0.45), pl.stadium(1.0, 0.5))
