@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from . import diagnostics, geometry, radial
 from .eigensolver import EigenResult, principal_pair, rayleigh_quotient
-from .fields import ScalarField, constant_field, field_from_function
+from .fields import ScalarField
 from .geometry import (
     DomainSpec,
     Grid,
@@ -13,19 +13,13 @@ from .geometry import (
     disk,
     ellipse,
     rectangle,
-    reflect_values,
     reflection_caps,
     stadium,
     unit_square,
 )
 from .optimizer import OptimalPair, OptimizeOptions, SolveReport, optimize
 from .plate import solve_navier
-from .poisson import (
-    DiscreteLaplacian,
-    apply_laplacian,
-    assemble_laplacian,
-    solve_dirichlet,
-)
+from .poisson import DiscreteLaplacian, assemble_laplacian, solve_dirichlet
 from .radial import radial_optimize
 from .rearrange import (
     DensityField,
@@ -48,14 +42,11 @@ __all__ = [
     "SolveReport",
     "ThresholdResult",
     "annulus",
-    "apply_laplacian",
     "assemble_laplacian",
     "build_grid",
-    "constant_field",
     "diagnostics",
     "disk",
     "ellipse",
-    "field_from_function",
     "geometry",
     "mass",
     "optimal_density",
@@ -65,7 +56,6 @@ __all__ = [
     "radial_optimize",
     "rayleigh_quotient",
     "rectangle",
-    "reflect_values",
     "reflection_caps",
     "solve_dirichlet",
     "solve_navier",

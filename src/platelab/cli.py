@@ -70,7 +70,7 @@ def _build_parser():
     pv.add_argument("--report", required=True, help="JSON report from solve")
     pv.add_argument("--fields", required=True, help="CSV fields from solve")
     pv.add_argument("--checks", default=",".join(VALID_CHECKS))
-    pv.add_argument("--n-lambda", type=int, default=16)
+    pv.add_argument("--n-lambda", type=int, default=diagnostics.N_LAMBDAS)
 
     pw = sub.add_parser("sweep-annulus", help="inner-radius sweep with restarts")
     pw.add_argument("--inner-from", type=float, required=True)
@@ -342,8 +342,7 @@ def _check_product(pair, n_lambda):
     n_case3 = 0
     worst = math.inf
     for dim in (0, 1):
-        lo, hi = diagnostics.plane_window(pair, dim)
-        for lam in np.linspace(lo, hi, n_lambda):
+        for lam in diagnostics.plane_positions(pair, dim, n_lambda):
             res = diagnostics.product_check(pair.u, pair.rho, pair.t, dim, lam)
             n_case3 += res.case3_count
             worst = min(worst, res.worst_value)

@@ -5,16 +5,17 @@ Each check is a pure function of its inputs, returns a measured quantity
 test suite proving it can fail. Checks take a direction ``dim`` (0 or 1)
 and read the domain's symmetry axis across it from ``geometry``; a
 measure relative to a field that vanishes identically cannot be taken,
-and ``relative`` says so. Moving-plane quantities compare a field with
-its reflection on the cap beyond the plane, selected in one place
-(``geometry.reflect_cap``): the cap nodes whose mirror has interior
-support, with one stencil per plane for every field compared there. The
-plane positions sweep the open window between the stuck position and
-the first touching position, keeping a two-spacing margin at both ends
-to stay clear of interpolation artifacts. Off-lattice values come from one
-tensor-product Lagrange interpolator over interior nodes: order 1
-(bilinear) for the boundary normal derivative, order 2 (biquadratic)
-for the rotation metric.
+and ``relative`` says so. The asymmetry and the moving-plane quantities
+compare a field with its reflection on the cap beyond a plane, read off
+the one reflection entry point (``geometry.reflect_cap``): the cap nodes
+whose mirror has interior support, with one stencil per plane for every
+field compared there. Both moving-plane checks take their planes from
+``plane_positions``, which sweeps the open window between the stuck
+position and the first touching position, keeping a two-spacing margin
+at both ends to stay clear of interpolation artifacts. Off-lattice
+values come from one tensor-product Lagrange interpolator over interior
+nodes: order 1 (bilinear) for the boundary normal derivative, order 2
+(biquadratic) for the rotation metric.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import EAST, NORTH, reflect_cap, reflect_values, reflection_caps, symmetry_axis
+from .geometry import EAST, NORTH, reflect_cap, reflection_caps, symmetry_axis
 
 MIN_LAMBDAS = 8  # fewest plane positions a moving-plane sweep takes
+N_LAMBDAS = 16  # plane positions a moving-plane sweep takes by default
 PLANE_MARGIN = 2.0  # spacings kept clear at both ends of the plane window
 RIGIDITY_SAMPLES = 64  # boundary samples of the normal derivative
 RIGIDITY_STEP = 2.0  # finite-difference step along the normal, in spacings
@@ -47,12 +49,15 @@ def relative(value, scale, name):
 
 def asymmetry(u, dim):
     """Relative sup-norm mismatch between u and its reflection across the
-    symmetry axis in direction ``dim``."""
-    refl = reflect_values(u.grid, u.values, dim, symmetry_axis(u.grid.spec, dim))
-    if not refl.present.any():
-        raise DiagnosticsError("reflection has no interior support")
-    diff = np.abs(u.values[refl.present] - refl.values[refl.present])
-    return relative(float(np.max(diff)), u.norm_inf, "u")
+    symmetry axis in direction ``dim``.
+
+    The axis is lattice-aligned on ``build_grid`` grids, so each mirror is
+    a node and the mismatch at a node equals the one at its mirror: the
+    cap beyond the axis holds the sup.
+    """
+    nodes, (ur,) = reflect_cap(u.grid, [u.values], dim, symmetry_axis(u.grid.spec, dim))
+    diff = np.max(np.abs(u.values[nodes] - ur), initial=0.0)
+    return relative(float(diff), u.norm_inf, "u")
 
 
 def monotonicity_violation(u, dim):
@@ -92,32 +97,33 @@ def plane_window(pair, dim):
     return lo, hi
 
 
-def cap_deficit(grid, values, dim, lam):
-    """Minimum of (reflected - original) over the cap beyond the plane.
-
-    Returns ``(minimum, count)`` where count is the number of cap nodes
-    with interior reflection support; the minimum is +inf when no node
-    qualifies.
-    """
-    (minimum,), count = _cap_deficits(grid, [values], dim, lam)
-    return minimum, count
+def plane_positions(pair, dim, n_lambda=N_LAMBDAS):
+    """The ``n_lambda`` equally spaced plane positions across direction
+    ``dim`` that the moving-plane checks sweep, ends of the window included."""
+    if n_lambda < MIN_LAMBDAS:
+        raise DiagnosticsError("n_lambda must be at least %d" % MIN_LAMBDAS)
+    lo, hi = plane_window(pair, dim)
+    return np.linspace(lo, hi, n_lambda)
 
 
 def _cap_deficits(grid, fields, dim, lam):
-    """``cap_deficit`` of each of ``fields``, all read off one cap."""
+    """Minimum of (reflected - original) over the cap beyond the plane for
+    each of ``fields``, all read off one cap.
+
+    Returns ``(minima, count)`` where count is the number of cap nodes
+    with interior reflection support; every minimum is +inf when no node
+    qualifies.
+    """
     nodes, reflected = reflect_cap(grid, fields, dim, lam)
     if not nodes.size:
         return [math.inf] * len(fields), 0
     return [float(np.min(r - f[nodes])) for f, r in zip(fields, reflected)], nodes.size
 
 
-def moving_plane_profile(pair, dim, n_lambda=16):
+def moving_plane_profile(pair, dim, n_lambda=N_LAMBDAS):
     """Sweep the plane across direction ``dim`` and record the worst sign
     defect of ``u o reflection - u`` and ``v o reflection - v`` on each cap."""
-    if n_lambda < MIN_LAMBDAS:
-        raise DiagnosticsError("n_lambda must be at least %d" % MIN_LAMBDAS)
-    lo, hi = plane_window(pair, dim)
-    lambdas = np.linspace(lo, hi, n_lambda)
+    lambdas = plane_positions(pair, dim, n_lambda)
     worst = np.min([_cap_deficits(pair.grid, [pair.u.values, pair.v.values], dim, lam)[0]
                     for lam in lambdas], axis=0)
     return MovingPlaneReport(lambdas=lambdas, min_w1=float(worst[0]), min_w2=float(worst[1]))
@@ -346,7 +352,7 @@ __all__ = [
     "monotonicity_violation",
     "moving_plane_profile",
     "plane_window",
-    "cap_deficit",
+    "plane_positions",
     "product_check",
     "normal_derivative_stats",
     "structural_checks",

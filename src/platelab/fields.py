@@ -35,11 +35,3 @@ class ScalarField:
     def norm_inf(self):
         return float(np.max(np.abs(self.values))) if self.grid.n else 0.0
 
-
-def constant_field(grid, value=1.0):
-    return ScalarField(grid, np.full(grid.n, float(value)))
-
-
-def field_from_function(grid, fn):
-    """Sample ``fn(x, y)`` at the interior nodes."""
-    return ScalarField(grid, np.asarray(fn(grid.node_x, grid.node_y), dtype=float))

@@ -13,10 +13,9 @@ the grid. Every kind is symmetric about its two centre lines and about
 no other axis-aligned line, so a domain's symmetry axes are those two
 lines: ``symmetry_axis`` is the one place that says where they are. One
 mirror stencil places each node's reflection on its lattice line, and
-``reflect_values``, ``reflect_cap`` (the cap beyond a plane only) and
-``mirror_ranks`` read it. The moving-plane landmarks are closed form
-too: they read the centre and the table's ``stop`` position, and sample
-nothing.
+``reflect_cap``, the one reflection entry point, reads it on the cap
+beyond a plane. The moving-plane landmarks are closed form too: they
+read the centre and the table's ``stop`` position, and sample nothing.
 """
 
 from __future__ import annotations
@@ -282,10 +281,6 @@ class DomainSpec:
     def bbox(self):
         return self.shape.bbox(self.params, *self.center)
 
-    def diameter(self):
-        xmin, xmax, ymin, ymax = self.bbox()
-        return math.hypot(xmax - xmin, ymax - ymin)
-
     def area(self):
         return self.shape.area(self.params)
 
@@ -526,26 +521,14 @@ def build_grid(spec, nodes_per_side):
 # ----------------------------------------------------------------- reflection
 
 
-@dataclass(frozen=True)
-class Reflection:
-    """Field values composed with a plane reflection, sampled at interior nodes.
-
-    ``present[i]`` is False where the reflected point has no interior
-    interpolation support; ``values[i]`` is NaN there.
-    """
-
-    values: np.ndarray
-    present: np.ndarray
-
-
 def _mirror_stencil(grid, dim, lam, nodes):
     """Where the mirror across ``{x_dim = lam}`` of each node in ``nodes``
-    (ranks, or ``slice(None)`` for every node) falls: a fraction ``w`` of
-    a spacing from interior node ``r0`` toward ``r1`` on the node's
-    lattice line (ranks are -1 off the interior). The plane's doubled
-    lattice position snaps to an integer within 1e-9 spacings, so lattice
-    and half-lattice planes give ``w == 0`` exactly; ``present`` marks the
-    mirrors with interior support."""
+    (ranks) falls: a fraction ``w`` of a spacing from interior node ``r0``
+    toward ``r1`` on the node's lattice line (ranks are -1 off the
+    interior). The plane's doubled lattice position snaps to an integer
+    within 1e-9 spacings, so lattice and half-lattice planes give
+    ``w == 0`` exactly; ``present`` marks the mirrors with interior
+    support."""
     dim = _direction(dim)
     coords = grid.xs if dim == 0 else grid.ys
     along, across = (grid.ix, grid.iy) if dim == 0 else (grid.iy, grid.ix)
@@ -583,29 +566,15 @@ def _node_values(grid, values):
     return values
 
 
-def reflect_values(grid, values, dim, lam):
-    """Sample ``values`` (per interior node) at reflected node positions.
-
-    The reflection is about the plane ``{x_dim = lam}``, ``dim`` 0 or 1.
-    Each mirror is read off one stencil: linear interpolation along the
-    reflection direction, flagged absent where its support leaves the
-    interior node set. Lattice and half-lattice planes reproduce node
-    values exactly.
-    """
-    values = _node_values(grid, values)
-    r0, r1, w, present = _mirror_stencil(grid, dim, lam, slice(None))
-    return Reflection(values=np.where(present, _mirrored(values, r0, r1, w), np.nan),
-                      present=present)
-
-
 def reflect_cap(grid, fields, dim, lam):
     """The cap beyond the plane ``{x_dim = lam}`` and each of ``fields``
     reflected onto it.
 
-    Returns the ranks of the nodes with coordinate above ``lam`` whose
-    mirror has interior support, and per field its values at their
-    mirrors, as ``reflect_values`` gives them. One stencil, evaluated on
-    the cap only, serves every field.
+    ``dim`` is 0 or 1. Returns the ranks of the nodes with coordinate
+    above ``lam`` whose mirror has interior support, and per field its
+    values at their mirrors: linear interpolation along the reflection
+    direction, so lattice and half-lattice planes reproduce node values
+    exactly. One stencil, evaluated on the cap only, serves every field.
     """
     fields = [_node_values(grid, f) for f in fields]
     coords = grid.node_x if _direction(dim) == 0 else grid.node_y
@@ -613,24 +582,6 @@ def reflect_cap(grid, fields, dim, lam):
     r0, r1, w, present = _mirror_stencil(grid, dim, lam, cap)
     r0, r1, w = r0[present], r1[present], w[present]
     return cap[present], [_mirrored(f, r0, r1, w) for f in fields]
-
-
-def mirror_ranks(grid, dim):
-    """Interior rank of each node's mirror image across the symmetry axis
-    in direction ``dim``.
-
-    Raises when any interior node's mirror is not itself an interior node
-    (which cannot happen for an exactly symmetric domain on the symmetric
-    lattice that ``build_grid`` produces).
-    """
-    lam = symmetry_axis(grid.spec, dim)
-    r0, _, w, present = _mirror_stencil(grid, dim, lam, slice(None))
-    plane = "{%s = %r}" % ("xy"[dim], lam)
-    if np.any(w != 0.0):
-        raise GeometryError("axis %s is not lattice-aligned" % plane)
-    if not present.all():
-        raise GeometryError("grid is not mirror-closed across %s" % plane)
-    return r0
 
 
 # ------------------------------------------------------------ sweep landmarks

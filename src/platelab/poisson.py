@@ -53,9 +53,6 @@ class DiscreteLaplacian:
         self._csr = matrix
         self._lu = None
 
-    def as_csr(self):
-        return self._csr
-
     def matvec(self, values):
         return self._csr @ values
 
@@ -134,12 +131,6 @@ def _assert_m_matrix(grid, mat):
     adjacent = grid.boundary_adjacent_mask()
     if not np.all(diag[adjacent] > offdiag_sum[adjacent]):
         raise AssertionError("boundary-adjacent row not strictly dominant")
-
-
-def apply_laplacian(op, w):
-    """Matrix-vector product as a field operation."""
-    _check_grid(op, w)
-    return ScalarField(w.grid, op.matvec(w.values))
 
 
 def solve_dirichlet(op, f):

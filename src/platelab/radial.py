@@ -64,11 +64,24 @@ class RadialResult:
     wall_time: float
 
 
+_RADII = {"disk": ("radius",), "annulus": ("inner", "outer")}  # kind -> its radii
+
+
 def radial_grid(kind, radii, n_r):
+    """The radius grid of a disk or an annulus; ``radii`` is the kind's
+    radii as a sequence, in ``DomainSpec.params`` order."""
     if n_r < 64:
         raise RadialError("n_r must be at least 64")
+    if kind not in _RADII:
+        raise RadialError("radial solver handles disk and annulus, got %r" % (kind,))
+    try:
+        values = np.asarray(radii, dtype=float)
+    except (TypeError, ValueError):  # ragged or not numbers
+        values = None
+    if values is None or values.shape != (len(_RADII[kind]),):
+        raise RadialError("%s takes radii %s as a sequence, got %r" % (kind, _RADII[kind], radii))
     if kind == "disk":
-        (outer,) = radii if isinstance(radii, tuple) else (radii,)
+        (outer,) = values.tolist()
         if not outer > 0:
             raise RadialError("disk radius must be positive")
         dr = outer / n_r
@@ -76,15 +89,13 @@ def radial_grid(kind, radii, n_r):
         w = 2.0 * math.pi * r * dr
         w[0] = math.pi * (0.5 * dr) ** 2
         return RadialGrid(kind="disk", radii=(outer,), r=r, dr=dr, weights=w)
-    if kind == "annulus":
-        inner, outer = radii
-        if not 0 < inner < outer:
-            raise RadialError("annulus needs 0 < inner < outer")
-        dr = (outer - inner) / n_r
-        r = inner + np.arange(1, n_r) * dr  # Dirichlet at both radii
-        w = 2.0 * math.pi * r * dr
-        return RadialGrid(kind="annulus", radii=(inner, outer), r=r, dr=dr, weights=w)
-    raise RadialError("radial solver handles disk and annulus, got %r" % (kind,))
+    inner, outer = values.tolist()
+    if not 0 < inner < outer:
+        raise RadialError("annulus needs 0 < inner < outer")
+    dr = (outer - inner) / n_r
+    r = inner + np.arange(1, n_r) * dr  # Dirichlet at both radii
+    w = 2.0 * math.pi * r * dr
+    return RadialGrid(kind="annulus", radii=(inner, outer), r=r, dr=dr, weights=w)
 
 
 def _radial_operator(grid):

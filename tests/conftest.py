@@ -6,13 +6,19 @@ converged density is exactly mirror-symmetric, and the measured field
 asymmetry sits at the solver floor instead of at the single-node
 mass-balancing level. This is an experiment-design choice (the mass is a
 free parameter of the suite), not a solver change.
+
+The reflection helpers only tests read live here too: a full-grid
+reference reflection, and the mirror ranks and orbit ids across the
+symmetry axes.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 import platelab as pl
-from platelab.geometry import Grid, mirror_ranks
+from platelab.geometry import GeometryError, Grid, _mirror_stencil, symmetry_axis
 
 
 def make_strip_grid(n_nodes, delta):
@@ -33,6 +39,93 @@ def make_strip_grid(n_nodes, delta):
         spec=spec, delta=delta, xs=xs, ys=ys, ix=ix, iy=iy, index_of=index_of,
         theta=theta, neighbor=neighbor, tag="strip-%d-%g" % (n_nodes, delta),
     )
+
+
+@dataclass(frozen=True)
+class Reflection:
+    """Field values at the reflected node positions; ``present[i]`` is
+    False, and ``values[i]`` NaN, where node i's mirror has no interior
+    support."""
+
+    values: np.ndarray
+    present: np.ndarray
+
+
+def reflect_values(grid, values, axis, lam):
+    """Reference full-grid reflection: ``values`` at every node's mirror
+    across ``{x_axis = lam}``, absent (and NaN) where the mirror has no
+    interior support. An aligned and an off-lattice branch, each with its
+    own node set."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (grid.n,):
+        raise GeometryError("field length %d does not match grid (%d nodes)"
+                            % (values.shape[0], grid.n))
+    dim = int(axis)
+    coords = grid.xs if dim == 0 else grid.ys
+    j = (grid.ix if dim == 0 else grid.iy).astype(float)
+    j_other = grid.iy if dim == 0 else grid.ix
+
+    jlam = (lam - coords[0]) / grid.delta
+    two_jlam = 2.0 * jlam
+    snapped = round(two_jlam)
+    if abs(two_jlam - snapped) < 1e-9:
+        two_jlam = float(snapped)
+    t = two_jlam - j
+
+    nmax = coords.shape[0]
+    tr = np.rint(t)
+    aligned = np.abs(t - tr) < 1e-9
+
+    out = np.full(grid.n, np.nan)
+    present = np.zeros(grid.n, dtype=bool)
+
+    def rank_at(jj):
+        ok = (jj >= 0) & (jj < nmax)
+        jc = np.clip(jj, 0, nmax - 1)
+        if dim == 0:
+            r = grid.index_of[j_other, jc]
+        else:
+            r = grid.index_of[jc, j_other]
+        return np.where(ok, r, -1)
+
+    ia = np.flatnonzero(aligned)
+    if ia.size:
+        r = rank_at(tr[ia].astype(np.int64))
+        good = r >= 0
+        out[ia[good]] = values[r[good]]
+        present[ia] = good
+
+    ib = np.flatnonzero(~aligned)
+    if ib.size:
+        j0 = np.floor(t[ib]).astype(np.int64)
+        w = t[ib] - j0
+        r0 = rank_at(j0)
+        r1 = rank_at(j0 + 1)
+        good = (r0 >= 0) & (r1 >= 0)
+        out[ib[good]] = (1.0 - w[good]) * values[r0[good]] + w[good] * values[
+            r1[good]
+        ]
+        present[ib] = good
+
+    return Reflection(values=out, present=present)
+
+
+def mirror_ranks(grid, dim):
+    """Interior rank of each node's mirror image across the symmetry axis
+    in direction ``dim``, read off the library's mirror stencil.
+
+    Raises when any interior node's mirror is not itself an interior node
+    (which cannot happen for an exactly symmetric domain on the symmetric
+    lattice that ``build_grid`` produces).
+    """
+    lam = symmetry_axis(grid.spec, dim)
+    r0, _, w, present = _mirror_stencil(grid, dim, lam, np.arange(grid.n))
+    plane = "{%s = %r}" % ("xy"[dim], lam)
+    if np.any(w != 0.0):
+        raise GeometryError("axis %s is not lattice-aligned" % plane)
+    if not present.all():
+        raise GeometryError("grid is not mirror-closed across %s" % plane)
+    return r0
 
 
 def mirror_orbit_ids(grid):

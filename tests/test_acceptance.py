@@ -18,7 +18,7 @@ from scipy.special import jn_zeros
 import platelab as pl
 from platelab import diagnostics as dg
 from platelab.cli import main as cli_main
-from platelab.fields import ScalarField, field_from_function
+from platelab.fields import ScalarField
 from platelab.rearrange import optimal_density
 from conftest import make_strip_grid
 
@@ -35,9 +35,7 @@ def test_criterion_01_poisson_second_order():
     def square_err(nps):
         g = pl.build_grid(pl.unit_square(), nps)
         op = pl.assemble_laplacian(g)
-        f = field_from_function(
-            g, lambda x, y: 2 * np.pi**2 * np.sin(np.pi * x) * np.sin(np.pi * y)
-        )
+        f = ScalarField(g, 2 * np.pi**2 * np.sin(np.pi * g.node_x) * np.sin(np.pi * g.node_y))
         w = pl.solve_dirichlet(op, f)
         exact = np.sin(np.pi * g.node_x) * np.sin(np.pi * g.node_y)
         return np.max(np.abs(w.values - exact))
@@ -45,7 +43,7 @@ def test_criterion_01_poisson_second_order():
     def disk_err(nps):
         g = pl.build_grid(pl.disk(1.0), nps)
         op = pl.assemble_laplacian(g)
-        f = field_from_function(g, lambda x, y: 16.0 * (x**2 + y**2))
+        f = ScalarField(g, 16.0 * (g.node_x**2 + g.node_y**2))
         w = pl.solve_dirichlet(op, f)
         exact = 1.0 - (g.node_x**2 + g.node_y**2) ** 2
         return np.max(np.abs(w.values - exact))
@@ -82,7 +80,7 @@ def test_criterion_03_disk_eigenvalue(disk_uniform_eig_128):
     assert rel < 0.01
     grid_r = 1.0 - 0.5 / 1024
     radial = pl.radial_optimize(
-        "disk", 1.0, 1.0, 1.0, np.pi * grid_r**2, n_r=1024
+        "disk", (1.0,), 1.0, 1.0, np.pi * grid_r**2, n_r=1024
     )
     rel_cross = abs(res.theta - radial.theta) / radial.theta
     assert rel_cross < 1e-3

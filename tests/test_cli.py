@@ -327,6 +327,10 @@ class TestVerify:
         assert rc == 1
         assert "symmetry" in err and "rigidity" in err
 
+    def test_plane_count_default_is_diagnostics_own(self):
+        args = cli._build_parser().parse_args(["verify", "--report", "r", "--fields", "f"])
+        assert args.n_lambda == pl.diagnostics.N_LAMBDAS
+
     @pytest.mark.parametrize("n_lambda", ["0", "7", "-1"])
     def test_too_few_planes_exits_1(self, disk_solve, n_lambda, capsys):
         d, report, fields = disk_solve

@@ -7,9 +7,10 @@ import platelab as pl
 from platelab import diagnostics as dg
 from platelab import geometry
 from platelab.fields import ScalarField
-from platelab.geometry import GeometryError, reflect_values, symmetry_axis
+from platelab.geometry import GeometryError, reflect_cap, symmetry_axis
 from platelab.optimizer import OptimalPair
 from platelab.rearrange import optimal_density, uniform_density
+from conftest import reflect_values
 
 
 def _fake_pair(grid, u_values, t=0.5, h=1.0, H=2.0):
@@ -24,7 +25,7 @@ class TestAsymmetry:
     def test_symmetrized_field_is_exactly_zero(self):
         g = pl.build_grid(pl.disk(1.0), 65)
         f = np.cos(2 * g.node_x**2 + g.node_y)
-        fx = 0.5 * (f + pl.reflect_values(g, f, 0, 0.0).values)
+        fx = 0.5 * (f + reflect_values(g, f, 0, 0.0).values)
         assert dg.asymmetry(ScalarField(g, fx), 0) == 0.0
 
     def test_converged_disk_pair(self, disk_pair_128):
@@ -91,10 +92,10 @@ class TestMovingPlane:
         grid = pair.grid
         lam0 = 1.0
         # lattice-aligned plane one spacing inside: the strict cap is empty
-        m, cnt = dg.cap_deficit(grid, pair.u.values, 0, lam0 - grid.delta)
+        (m,), cnt = dg._cap_deficits(grid, [pair.u.values], 0, lam0 - grid.delta)
         assert cnt * grid.cell_area < 0.05 * grid.discrete_area
         # half a spacing further in, the cap is one column and stays clean
-        m, cnt = dg.cap_deficit(grid, pair.u.values, 0, lam0 - 1.5 * grid.delta)
+        (m,), cnt = dg._cap_deficits(grid, [pair.u.values], 0, lam0 - 1.5 * grid.delta)
         assert cnt > 0
         assert cnt * grid.cell_area < 0.05 * grid.discrete_area
         assert m >= -1e-6 * pair.u.norm_inf
@@ -102,7 +103,7 @@ class TestMovingPlane:
     def test_antisymmetric_field_detected(self):
         g = pl.build_grid(pl.disk(1.0), 65)
         odd = g.node_x * np.exp(-g.node_y**2)
-        m, cnt = dg.cap_deficit(g, odd, 0, 0.0)
+        (m,), cnt = dg._cap_deficits(g, [odd], 0, 0.0)
         assert cnt > 0
         assert m < -0.1
 
@@ -110,6 +111,35 @@ class TestMovingPlane:
         pair, _ = disk_pair_128
         with pytest.raises(dg.DiagnosticsError):
             dg.moving_plane_profile(pair, 0, 4)
+
+    def test_plane_positions_span_the_window(self, disk_pair_64):
+        pair, _ = disk_pair_64
+        for dim in (0, 1):
+            lo, hi = dg.plane_window(pair, dim)
+            got = dg.plane_positions(pair, dim)
+            assert got.tobytes() == np.linspace(lo, hi, dg.N_LAMBDAS).tobytes()
+            assert dg.plane_positions(pair, dim, dg.MIN_LAMBDAS).shape == (dg.MIN_LAMBDAS,)
+            with pytest.raises(dg.DiagnosticsError, match="at least %d" % dg.MIN_LAMBDAS):
+                dg.plane_positions(pair, dim, dg.MIN_LAMBDAS - 1)
+
+    @pytest.mark.parametrize("n_lambda", [8, 16, 33])
+    def test_both_checks_sweep_the_same_planes(self, disk_pair_64, monkeypatch, n_lambda):
+        from platelab import cli
+
+        pair, _ = disk_pair_64
+        seen = []
+        product_check = dg.product_check
+
+        def recorded(u, rho, t, dim, lam):
+            seen.append((dim, lam))
+            return product_check(u, rho, t, dim, lam)
+
+        monkeypatch.setattr(dg, "product_check", recorded)
+        ok, _ = cli._check_product(pair, n_lambda)
+        assert ok
+        want = [(dim, lam) for dim in (0, 1)
+                for lam in dg.moving_plane_profile(pair, dim, n_lambda).lambdas]
+        assert seen == want
 
     def test_empty_window_rejected(self):
         g = pl.build_grid(pl.unit_square(), 5)
@@ -272,7 +302,8 @@ class TestToleranceScaling:
 
 # ---------------------------------------------------------------------------
 # References: the cap read off a full-grid reflection, one field per
-# stencil, and the per-line axis-convexity loop, verbatim.
+# stencil, the full-grid asymmetry and the per-line axis-convexity loop,
+# verbatim.
 
 
 def _full_grid_cap(grid, values, dim, lam):
@@ -327,6 +358,14 @@ def _full_grid_product_check(u, rho, t, dim, lam):
         worst_node=int(nodes[worst]),
         case3_count=int(case3.sum()),
     )
+
+
+def _full_grid_asymmetry(u, dim):
+    refl = reflect_values(u.grid, u.values, dim, symmetry_axis(u.grid.spec, dim))
+    if not refl.present.any():
+        raise dg.DiagnosticsError("reflection has no interior support")
+    diff = np.abs(u.values[refl.present] - refl.values[refl.present])
+    return dg.relative(float(np.max(diff)), u.norm_inf, "u")
 
 
 def _per_line_axis_convex_along(grid, u, t, dim):
@@ -401,17 +440,48 @@ def solved_and_random(request):
 
 
 class TestCapPathsMatchFullGridReferences:
-    """The cap-only stencils and the whole-lattice convexity scan return
-    every number the full-grid, per-field and per-line code returned."""
+    """The cap-only stencils, the cap-read asymmetry and the whole-lattice
+    convexity scan return every number the full-grid, per-field and
+    per-line code returned."""
+
+    def test_asymmetry(self, solved_and_random):
+        for pair in solved_and_random:
+            grid = pair.grid
+            symmetrized = 0.5 * (pair.u.values + reflect_values(
+                grid, pair.u.values, 0, symmetry_axis(grid.spec, 0)).values)
+            fields = [pair.u, pair.v, ScalarField(grid, symmetrized),
+                      ScalarField(grid, np.full(grid.n, 0.7)),
+                      ScalarField(grid, np.zeros(grid.n))]
+            outcomes = set()
+            for u in fields:
+                for dim in (0, 1, 2, -1):
+                    want = _outcome(_full_grid_asymmetry, u, dim)
+                    assert _outcome(dg.asymmetry, u, dim) == want
+                    outcomes.add(want)
+            assert "0.0" in outcomes
+            assert "DiagnosticsError: u vanishes identically" in outcomes
+            assert "GeometryError: axis dim must be 0 or 1, got 2" in outcomes
+
+    @pytest.mark.parametrize("spec", EQUIVALENCE_KINDS, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("nps", [9, 17, 48, 97])
+    def test_asymmetry_across_grids(self, spec, nps):
+        grid = pl.build_grid(spec, nps)
+        rng = np.random.default_rng(nps)
+        for values in (rng.uniform(0.5, 1.5, grid.n), np.full(grid.n, 2.0)):
+            u = ScalarField(grid, values)
+            for dim in (0, 1):
+                assert _outcome(dg.asymmetry, u, dim) == _outcome(_full_grid_asymmetry, u, dim)
 
     def test_cap_deficit_and_product_check(self, solved_and_random):
         for pair in solved_and_random:
             rng = np.random.default_rng(pair.grid.n)
             for dim in (0, 1):
                 for lam in _planes(pair.grid, dim, rng):
-                    for f in (pair.u.values, pair.v.values):
+                    fields = (pair.u.values, pair.v.values)
+                    minima, count = dg._cap_deficits(pair.grid, fields, dim, lam)
+                    for f, minimum in zip(fields, minima):
                         want = _full_grid_cap_deficit(pair.grid, f, dim, lam)
-                        assert repr(dg.cap_deficit(pair.grid, f, dim, lam)) == repr(want)
+                        assert repr((minimum, count)) == repr(want)
                     for t in (pair.t, float(np.median(pair.u.values))):
                         args = (pair.u, pair.rho, t, dim, lam)
                         assert (_outcome(dg.product_check, *args)
@@ -495,6 +565,6 @@ class TestCapStencilCount:
         pair, _ = disk_pair_64
         for dim in (2, -1):
             with pytest.raises(GeometryError, match="axis dim must be 0 or 1"):
-                dg.cap_deficit(pair.grid, pair.u.values, dim, 0.0)
+                dg._cap_deficits(pair.grid, [pair.u.values], dim, 0.0)
             with pytest.raises(GeometryError, match="axis dim must be 0 or 1"):
-                reflect_values(pair.grid, pair.u.values, dim, 0.0)
+                reflect_cap(pair.grid, [pair.u.values], dim, 0.0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import platelab as pl
-from platelab.fields import FieldError, ScalarField, constant_field, field_from_function
+from platelab.fields import FieldError, ScalarField
 
 
 def test_length_must_match_grid():
@@ -24,8 +24,8 @@ def test_non_finite_rejected():
 
 def test_sampling_and_norm():
     g = pl.build_grid(pl.unit_square(), 5)
-    f = field_from_function(g, lambda x, y: x - y)
+    f = ScalarField(g, g.node_x - g.node_y)
     assert f.norm_inf == pytest.approx(0.5)
-    c = constant_field(g, -2.0)
+    c = ScalarField(g, np.full(g.n, -2, dtype=int))
     assert c.norm_inf == 2.0
-    assert (c.values == -2.0).all()
+    assert (c.values == -2.0).all() and c.values.dtype == float

@@ -10,18 +10,21 @@ from platelab.geometry import (
     DisconnectedInteriorError,
     DomainSpec,
     GeometryError,
-    Reflection,
-    mirror_ranks,
-    reflect_values,
+    reflect_cap,
     symmetry_axis,
 )
-from conftest import mirror_orbit_ids
+from conftest import mirror_orbit_ids, mirror_ranks, reflect_values
 
 ALL_KINDS = (pl.disk(1.0), pl.annulus(0.5), pl.ellipse(1.0, 0.6),
              pl.rectangle(1.0, 0.45), pl.stadium(1.0, 0.5))
 OFF_CENTRE = (pl.disk(1.0, center=(2.0, 0.0)), pl.annulus(0.3, 0.8, center=(-1.0, 0.25)),
               pl.ellipse(1.0, 0.6, center=(0.5, 0.0)), pl.rectangle(1.0, 0.45, center=(0.3, 0.5)),
               pl.stadium(0.6, 0.3, center=(0.2, -0.1)))
+
+
+def _diameter(spec):
+    xmin, xmax, ymin, ymax = spec.bbox()
+    return math.hypot(xmax - xmin, ymax - ymin)
 
 
 class TestDomainSpec:
@@ -109,7 +112,7 @@ class TestBuildGrid:
         # n = 256 keeps every sample off the rectangle corners, where the
         # inward step would run along the other side
         for spec in ALL_KINDS + OFF_CENTRE:
-            eps = 1e-6 * spec.diameter()
+            eps = 1e-6 * _diameter(spec)
             loops = spec.boundary_loops(256)
             for pts, nrm in loops:
                 norms = np.linalg.norm(nrm, axis=1)
@@ -158,36 +161,36 @@ class TestBuildGrid:
         assert not on_circle.any()
 
 
-class TestReflectValues:
+class TestReflectCap:
     def test_symmetric_field_reflects_exactly(self):
         g = pl.build_grid(pl.disk(1.0), 65)
         f = np.cos(3 * g.node_x**2) * np.exp(g.node_y)
-        r = reflect_values(g, f, 0, 0.0)
-        assert r.present.all()
-        assert np.array_equal(r.values, f)
+        nodes, (r,) = reflect_cap(g, [f], 0, 0.0)
+        assert np.array_equal(nodes, np.flatnonzero(g.node_x > 0.0))
+        assert np.array_equal(r, f[nodes])
 
     def test_odd_field_negates_exactly(self):
         g = pl.build_grid(pl.disk(1.0), 65)
         f = g.node_x * np.exp(g.node_y)
-        r = reflect_values(g, f, 0, 0.0)
-        assert np.array_equal(r.values, -f)
+        nodes, (r,) = reflect_cap(g, [f], 0, 0.0)
+        assert np.array_equal(r, -f[nodes])
 
-    def test_involution_bitwise(self):
+    def test_axis_mirror_is_a_node(self):
         g = pl.build_grid(pl.disk(1.0), 65)
         f = np.random.default_rng(3).normal(size=g.n)
-        once = reflect_values(g, f, 0, 0.0)
-        twice = reflect_values(g, once.values, 0, 0.0)
-        assert np.array_equal(twice.values, f)
+        nodes, (r,) = reflect_cap(g, [f], 0, 0.0)
+        assert np.array_equal(r, f[mirror_ranks(g, 0)][nodes])
 
-    def test_off_axis_reflection_flags_absent(self):
+    def test_off_axis_reflection_drops_unsupported(self):
         g = pl.build_grid(pl.disk(1.0), 65)
         f = np.ones(g.n)
-        r = reflect_values(g, f, 0, 0.5)
-        # nodes far left of the plane reflect to points outside the disk
-        far_left = g.node_x < -0.2
-        assert not r.present[far_left].any()
-        cap = g.node_x > 0.5
-        assert r.present[cap].all()
+        nodes, _ = reflect_cap(g, [f], 0, 0.5)
+        # every node beyond x = 0.5 reflects into the disk
+        assert np.array_equal(nodes, np.flatnonzero(g.node_x > 0.5))
+        nodes, _ = reflect_cap(g, [f], 0, -0.5)
+        # nodes right of x = 0 reflect beyond x = -1, outside the disk
+        assert nodes.size > 0
+        assert np.all((g.node_x[nodes] > -0.5) & (g.node_x[nodes] < 0.0))
 
     def test_interpolation_is_second_order(self):
         def err(nps):
@@ -196,10 +199,11 @@ class TestReflectValues:
             # resolutions so the prefactor matches
             lam = g.xs[g.xs.shape[0] // 2 + 3] + 0.37 * g.delta
             f = np.sin(1.3 * g.node_x + 0.4) * np.cos(0.7 * g.node_y)
-            r = reflect_values(g, f, 0, lam)
-            exact = np.sin(1.3 * (2 * lam - g.node_x) + 0.4) * np.cos(0.7 * g.node_y)
-            sel = r.present & (np.abs(2 * lam - g.node_x) < 0.9) & (np.abs(g.node_y) < 0.9)
-            return np.max(np.abs(r.values[sel] - exact[sel]))
+            nodes, (r,) = reflect_cap(g, [f], 0, lam)
+            x, y = g.node_x[nodes], g.node_y[nodes]
+            exact = np.sin(1.3 * (2 * lam - x) + 0.4) * np.cos(0.7 * y)
+            sel = (np.abs(2 * lam - x) < 0.9) & (np.abs(y) < 0.9)
+            return np.max(np.abs(r[sel] - exact[sel]))
 
         ratio = err(65) / err(129)
         assert 2.8 < ratio < 5.2
@@ -207,65 +211,14 @@ class TestReflectValues:
     def test_y_axis_reflection(self):
         g = pl.build_grid(pl.ellipse(1.0, 0.6), 65)
         f = np.abs(g.node_y) + g.node_x
-        r = reflect_values(g, f, 1, 0.0)
-        assert np.array_equal(r.values, f)
+        nodes, (r,) = reflect_cap(g, [f], 1, 0.0)
+        assert np.array_equal(nodes, np.flatnonzero(g.node_y > 0.0))
+        assert np.array_equal(r, f[nodes])
 
-
-def _two_branch_reflect_values(grid, values, axis, lam):
-    """Reference: an aligned and an off-lattice branch, each with its own
-    node set."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (grid.n,):
-        raise GeometryError("field length %d does not match grid (%d nodes)"
-                            % (values.shape[0], grid.n))
-    dim = int(axis)
-    coords = grid.xs if dim == 0 else grid.ys
-    j = (grid.ix if dim == 0 else grid.iy).astype(float)
-    j_other = grid.iy if dim == 0 else grid.ix
-
-    jlam = (lam - coords[0]) / grid.delta
-    two_jlam = 2.0 * jlam
-    snapped = round(two_jlam)
-    if abs(two_jlam - snapped) < 1e-9:
-        two_jlam = float(snapped)
-    t = two_jlam - j
-
-    nmax = coords.shape[0]
-    tr = np.rint(t)
-    aligned = np.abs(t - tr) < 1e-9
-
-    out = np.full(grid.n, np.nan)
-    present = np.zeros(grid.n, dtype=bool)
-
-    def rank_at(jj):
-        ok = (jj >= 0) & (jj < nmax)
-        jc = np.clip(jj, 0, nmax - 1)
-        if dim == 0:
-            r = grid.index_of[j_other, jc]
-        else:
-            r = grid.index_of[jc, j_other]
-        return np.where(ok, r, -1)
-
-    ia = np.flatnonzero(aligned)
-    if ia.size:
-        r = rank_at(tr[ia].astype(np.int64))
-        good = r >= 0
-        out[ia[good]] = values[r[good]]
-        present[ia] = good
-
-    ib = np.flatnonzero(~aligned)
-    if ib.size:
-        j0 = np.floor(t[ib]).astype(np.int64)
-        w = t[ib] - j0
-        r0 = rank_at(j0)
-        r1 = rank_at(j0 + 1)
-        good = (r0 >= 0) & (r1 >= 0)
-        out[ib[good]] = (1.0 - w[good]) * values[r0[good]] + w[good] * values[
-            r1[good]
-        ]
-        present[ib] = good
-
-    return Reflection(values=out, present=present)
+    def test_field_length_checked(self):
+        g = pl.build_grid(pl.disk(1.0), 17)
+        with pytest.raises(GeometryError, match="does not match grid"):
+            reflect_cap(g, [np.ones(g.n), np.ones(g.n + 1)], 0, 0.0)
 
 
 def _separate_mirror_ranks(grid, dim):
@@ -300,8 +253,9 @@ def _outcome(fn, *args):
 
 
 class TestMirrorStencil:
-    """One stencil reproduces the two-branch reflection and the separate
-    mirror lookup bitwise, on lattice, half-lattice and off-lattice planes."""
+    """One stencil reproduces the two-branch reference reflection on the
+    cap and the separate mirror lookup bitwise, on lattice, half-lattice
+    and off-lattice planes."""
 
     @pytest.mark.parametrize("spec", ALL_KINDS + OFF_CENTRE,
                              ids=lambda s: "%s@%g,%g" % (s.kind, *s.center))
@@ -321,12 +275,14 @@ class TestMirrorStencil:
                 rng.uniform(coords[0] - g.delta, coords[-1] + g.delta, size=10),
                 [spec.center[dim]],
             ])
+            node_coords = g.node_x if dim == 0 else g.node_y
             for lam in planes:
-                for field in (f, holes):
-                    want = _two_branch_reflect_values(g, field, dim, lam)
-                    got = reflect_values(g, field, dim, lam)
-                    assert got.values.tobytes() == want.values.tobytes()
-                    assert np.array_equal(got.present, want.present)
+                nodes, got = reflect_cap(g, [f, holes], dim, lam)
+                for field, reflected in zip((f, holes), got):
+                    want = reflect_values(g, field, dim, lam)
+                    cap = np.flatnonzero((node_coords > lam) & want.present)
+                    assert np.array_equal(nodes, cap)
+                    assert reflected.tobytes() == want.values[cap].tobytes()
             want = _outcome(_separate_mirror_ranks, g, dim)
             got = _outcome(mirror_ranks, g, dim)
             if isinstance(want, str):
@@ -338,7 +294,7 @@ class TestMirrorStencil:
         g = pl.build_grid(pl.disk(1.0), 17)
         f = np.ones(g.n)
         with pytest.raises(GeometryError):
-            reflect_values(g, f, 2, 0.0)
+            reflect_cap(g, [f], 2, 0.0)
 
 
 class TestMirrorRanks:
@@ -458,7 +414,7 @@ class TestReflectionCaps:
 
         rng = np.random.default_rng(11)
         for spec in ALL_KINDS + OFF_CENTRE:
-            tol = 1e-12 * spec.diameter()
+            tol = 1e-12 * _diameter(spec)
             for dim in (0, 1):
                 caps = pl.reflection_caps(spec, dim)
                 for lam in rng.uniform(caps.lam1, caps.lam0, size=20):

@@ -48,7 +48,7 @@ class TestOptimize:
         pair, report = disk_pair_64
         grid = pair.grid
         H = pair.rho.H
-        radial = pl.radial_optimize("disk", 1.0, pair.rho.h, H, pair.rho.M, n_r=1024)
+        radial = pl.radial_optimize("disk", (1.0,), pair.rho.h, H, pair.rho.M, n_r=1024)
         r_star = radial.r[radial.rho >= H].max()
         r = np.hypot(grid.node_x, grid.node_y)
         heavy = pair.rho.values >= H

@@ -18,7 +18,7 @@ J01 = jn_zeros(0, 1)[0]
 
 class TestRadialGrid:
     def test_disk_cell_areas_sum_close_to_disk(self):
-        g = radial_grid("disk", 1.0, 256)
+        g = radial_grid("disk", (1.0,), 256)
         assert g.discrete_area == pytest.approx(np.pi * (1 - 0.5 * g.dr) ** 2, rel=1e-12)
 
     def test_annulus_needs_ordered_radii(self):
@@ -27,11 +27,30 @@ class TestRadialGrid:
 
     def test_minimum_resolution(self):
         with pytest.raises(RadialError):
-            radial_grid("disk", 1.0, 32)
+            radial_grid("disk", (1.0,), 32)
 
     def test_unknown_kind(self):
         with pytest.raises(RadialError):
             radial_grid("ellipse", (1.0, 0.5), 128)
+
+    @pytest.mark.parametrize("radii", [[1.0], (1.0,), np.array([1.0])],
+                             ids=["list", "tuple", "array"])
+    def test_disk_radii_as_any_sequence(self, radii):
+        g = radial_grid("disk", radii, 128)
+        assert g.radii == (1.0,)
+        assert g.r.tobytes() == radial_grid("disk", (1.0,), 128).r.tobytes()
+
+    @pytest.mark.parametrize("kind, radii", [
+        ("disk", 1.0), ("disk", [0.3, 1.0]), ("disk", (0.3, 1.0)), ("disk", ()),
+        ("disk", ["one"]), ("annulus", (1.0,)), ("annulus", 1.0), ("annulus", [0.3, [1.0]]),
+        ("annulus", (0.1, 0.3, 1.0)),
+    ], ids=["disk-scalar", "disk-list-of-2", "disk-tuple-of-2", "disk-empty", "disk-text",
+            "annulus-tuple-of-1", "annulus-scalar", "annulus-ragged", "annulus-tuple-of-3"])
+    def test_radii_count_must_match_kind(self, kind, radii):
+        with pytest.raises(RadialError, match="%s takes" % kind):
+            radial_grid(kind, radii, 128)
+        with pytest.raises(RadialError, match="%s takes" % kind):
+            radial_optimize(kind, radii, 1.0, 2.0, 1.0, n_r=128)
 
 
 def _bathtub_loop(u, weights, h, H, M):
@@ -95,7 +114,7 @@ class TestRadialBathtub:
     def test_matches_running_sum_bitwise(self):
         rng = np.random.default_rng(5)
         for case in range(200):
-            radii = 1.0 if case % 2 else (rng.uniform(0.05, 0.9), 1.0)
+            radii = (1.0,) if case % 2 else (rng.uniform(0.05, 0.9), 1.0)
             g = radial_grid("disk" if case % 2 else "annulus", radii, int(rng.integers(64, 300)))
             u = rng.uniform(0.1, 1.0, g.n)
             if case % 5 == 0:
@@ -106,7 +125,7 @@ class TestRadialBathtub:
             got = _bathtub_radial(u, g.weights, 1.0, 2.0, M)
             assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
 
-    @pytest.mark.parametrize("kind, radii", [("disk", 1.0), ("annulus", (0.3, 1.0))])
+    @pytest.mark.parametrize("kind, radii", [("disk", (1.0,)), ("annulus", (0.3, 1.0))])
     def test_box_edges(self, kind, radii):
         g = radial_grid(kind, radii, 128)
         u = np.random.default_rng(3).uniform(0.1, 1.0, g.n)
@@ -124,13 +143,13 @@ class TestRadialBathtub:
 
 class TestRadialOptimize:
     def test_uniform_disk_hits_bessel_power(self):
-        res = radial_optimize("disk", 1.0, 1.0, 1.0, np.pi * (1 - 0.5 / 1024) ** 2,
+        res = radial_optimize("disk", (1.0,), 1.0, 1.0, np.pi * (1 - 0.5 / 1024) ** 2,
                               n_r=1024)
         target = J01**4
         assert abs(res.theta - target) / target < 1e-3
 
     def test_composite_disk_heavy_core(self):
-        res = radial_optimize("disk", 1.0, 1.0, 2.0, 1.5 * np.pi, n_r=1024)
+        res = radial_optimize("disk", (1.0,), 1.0, 2.0, 1.5 * np.pi, n_r=1024)
         rho = res.rho
         heavy = rho >= 2.0
         light = rho <= 1.0
@@ -143,9 +162,9 @@ class TestRadialOptimize:
         assert res.t > 0
 
     def test_mass_exact_and_descending(self):
-        grid = radial_grid("disk", 1.0, 512)
+        grid = radial_grid("disk", (1.0,), 512)
         M = 1.4 * np.pi
-        res = radial_optimize("disk", 1.0, 1.0, 2.0, M, n_r=512)
+        res = radial_optimize("disk", (1.0,), 1.0, 2.0, M, n_r=512)
         assert abs(float(np.sum(res.rho * grid.weights)) - M) <= 1e-12 * M
         hist = np.asarray(res.theta_history)
         assert np.all(np.diff(hist) <= 1e-10 * hist[1:])
@@ -159,7 +178,7 @@ class TestRadialOptimize:
         assert sign_changes <= 1  # single interior maximum
 
     def test_cross_check_2d_disk(self):
-        res = radial_optimize("disk", 1.0, 1.0, 2.0, 1.5 * np.pi, n_r=1024)
+        res = radial_optimize("disk", (1.0,), 1.0, 2.0, 1.5 * np.pi, n_r=1024)
         pair, _ = pl.optimize(pl.disk(1.0), 129, 1.0, 2.0, 1.5 * np.pi)
         assert abs(pair.theta - res.theta) / res.theta < 0.01
 
@@ -171,4 +190,4 @@ class TestRadialOptimize:
 
     def test_mass_bracket_enforced(self):
         with pytest.raises(RadialError):
-            radial_optimize("disk", 1.0, 1.0, 2.0, 10.0, n_r=128)
+            radial_optimize("disk", (1.0,), 1.0, 2.0, 10.0, n_r=128)
