@@ -13,7 +13,6 @@ from .geometry import (
     disk,
     ellipse,
     rectangle,
-    reflection_caps,
     stadium,
     unit_square,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "radial_optimize",
     "rayleigh_quotient",
     "rectangle",
-    "reflection_caps",
     "solve_dirichlet",
     "solve_navier",
     "stadium",

@@ -294,7 +294,7 @@ def _run_verify(args):
         pair = OptimalPair(
             u=ScalarField(grid, u), v=ScalarField(grid, v),
             rho=DensityField(grid, rho, report["h"], report["H"], report["mass"]),
-            theta=report["theta"], t=report["t"], grid=grid, spec=spec,
+            theta=report["theta"], t=report["t"],
         )
     except INPUT_ERRORS:  # these keep their own messages
         raise

@@ -10,9 +10,9 @@ compare a field with its reflection on the cap beyond a plane, read off
 the one reflection entry point (``geometry.reflect_cap``): the cap nodes
 whose mirror has interior support, with one stencil per plane for every
 field compared there. Both moving-plane checks take their planes from
-``plane_positions``, which sweeps the open window between the stuck
-position and the first touching position, keeping a two-spacing margin
-at both ends to stay clear of interpolation artifacts. Off-lattice
+``plane_positions``, which reads the window off the shape table: from
+where the plane stops (``Shape.stop``) to the closure's largest
+coordinate, with a two-spacing margin at both ends. Off-lattice
 values come from one tensor-product Lagrange interpolator over interior
 nodes: order 1 (bilinear) for the boundary normal derivative, order 2
 (biquadratic) for the rotation metric.
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import EAST, NORTH, reflect_cap, reflection_caps, symmetry_axis
+from .geometry import EAST, NORTH, reflect_cap, symmetry_axis
 
 MIN_LAMBDAS = 8  # fewest plane positions a moving-plane sweep takes
 N_LAMBDAS = 16  # plane positions a moving-plane sweep takes by default
@@ -80,53 +80,44 @@ def monotonicity_violation(u, dim):
 
 @dataclass(frozen=True)
 class MovingPlaneReport:
-    lambdas: np.ndarray
     min_w1: float
     min_w2: float
 
 
-def plane_window(pair, dim):
-    """Open interval of plane positions across direction ``dim`` used by
-    the moving-plane checks."""
-    caps = reflection_caps(pair.spec, dim)
-    margin = PLANE_MARGIN * pair.grid.delta
-    lo = caps.lam1 + margin
-    hi = caps.lam0 - margin
-    if not lo < hi:
-        raise DiagnosticsError("empty plane window: [%g, %g]" % (lo, hi))
-    return lo, hi
-
-
 def plane_positions(pair, dim, n_lambda=N_LAMBDAS):
     """The ``n_lambda`` equally spaced plane positions across direction
-    ``dim`` that the moving-plane checks sweep, ends of the window included."""
+    ``dim`` that the moving-plane checks sweep, ends of the window included.
+
+    The plane moving in from the largest coordinate stops ``Shape.stop``
+    beyond the symmetry axis (Gidas, Ni and Nirenberg); the window keeps
+    ``PLANE_MARGIN`` spacings clear of both, away from interpolation
+    artifacts.
+    """
     if n_lambda < MIN_LAMBDAS:
         raise DiagnosticsError("n_lambda must be at least %d" % MIN_LAMBDAS)
-    lo, hi = plane_window(pair, dim)
+    spec = pair.spec
+    margin = PLANE_MARGIN * pair.grid.delta
+    lo = symmetry_axis(spec, dim) + spec.shape.stop(spec.params) + margin
+    hi = spec.bbox()[2 * dim + 1] - margin
+    if not lo < hi:
+        raise DiagnosticsError("empty plane window: [%g, %g]" % (lo, hi))
     return np.linspace(lo, hi, n_lambda)
 
 
 def _cap_deficits(grid, fields, dim, lam):
     """Minimum of (reflected - original) over the cap beyond the plane for
-    each of ``fields``, all read off one cap.
-
-    Returns ``(minima, count)`` where count is the number of cap nodes
-    with interior reflection support; every minimum is +inf when no node
-    qualifies.
-    """
+    each of ``fields``, all read off one cap; +inf when no cap node has
+    interior reflection support."""
     nodes, reflected = reflect_cap(grid, fields, dim, lam)
-    if not nodes.size:
-        return [math.inf] * len(fields), 0
-    return [float(np.min(r - f[nodes])) for f, r in zip(fields, reflected)], nodes.size
+    return [float(np.min(r - f[nodes], initial=math.inf)) for f, r in zip(fields, reflected)]
 
 
 def moving_plane_profile(pair, dim, n_lambda=N_LAMBDAS):
-    """Sweep the plane across direction ``dim`` and record the worst sign
-    defect of ``u o reflection - u`` and ``v o reflection - v`` on each cap."""
-    lambdas = plane_positions(pair, dim, n_lambda)
-    worst = np.min([_cap_deficits(pair.grid, [pair.u.values, pair.v.values], dim, lam)[0]
-                    for lam in lambdas], axis=0)
-    return MovingPlaneReport(lambdas=lambdas, min_w1=float(worst[0]), min_w2=float(worst[1]))
+    """Worst sign defect of ``u o reflection - u`` and ``v o reflection - v``
+    on the caps beyond each of ``plane_positions`` across direction ``dim``."""
+    worst = np.min([_cap_deficits(pair.grid, [pair.u.values, pair.v.values], dim, lam)
+                    for lam in plane_positions(pair, dim, n_lambda)], axis=0)
+    return MovingPlaneReport(min_w1=float(worst[0]), min_w2=float(worst[1]))
 
 
 @dataclass(frozen=True)
@@ -180,9 +171,7 @@ def product_check(u, rho, t, dim, lam):
 class RigidityReport:
     samples: np.ndarray
     mean: float
-    stdev: float
     cv: float
-    n_requested: int
     n_skipped: int
 
 
@@ -216,9 +205,7 @@ def normal_derivative_stats(pair):
     return RigidityReport(
         samples=samples,
         mean=mean,
-        stdev=stdev,
         cv=relative(stdev, abs(mean), "the normal derivative of u"),
-        n_requested=total,
         n_skipped=skipped,
     )
 
@@ -351,7 +338,6 @@ __all__ = [
     "asymmetry",
     "monotonicity_violation",
     "moving_plane_profile",
-    "plane_window",
     "plane_positions",
     "product_check",
     "normal_derivative_stats",

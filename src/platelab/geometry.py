@@ -14,8 +14,8 @@ no other axis-aligned line, so a domain's symmetry axes are those two
 lines: ``symmetry_axis`` is the one place that says where they are. One
 mirror stencil places each node's reflection on its lattice line, and
 ``reflect_cap``, the one reflection entry point, reads it on the cap
-beyond a plane. The moving-plane landmarks are closed form too: they
-read the centre and the table's ``stop`` position, and sample nothing.
+beyond a plane. Where a moving plane stops is closed form too: the
+table's ``stop`` entry, which ``diagnostics.plane_positions`` reads.
 """
 
 from __future__ import annotations
@@ -582,37 +582,3 @@ def reflect_cap(grid, fields, dim, lam):
     r0, r1, w, present = _mirror_stencil(grid, dim, lam, cap)
     r0, r1, w = r0[present], r1[present], w[present]
     return cap[present], [_mirrored(f, r0, r1, w) for f in fields]
-
-
-# ------------------------------------------------------------ sweep landmarks
-
-
-@dataclass(frozen=True)
-class ReflectionCaps:
-    """Plane-sweep landmarks along one direction.
-
-    lam0: first plane position touching the closure (sup of the coordinate).
-    lam1: stuck position (internal tangency of the reflected cap, or plane
-          orthogonal to the boundary); for every plane in (lam1, lam0) the
-          reflected cap stays inside the closure.
-    """
-
-    lam0: float
-    lam1: float
-
-    def __post_init__(self):
-        if not self.lam1 < self.lam0:
-            raise GeometryError("invalid caps: lam1=%r lam0=%r" % (self.lam1, self.lam0))
-
-
-def reflection_caps(spec, dim):
-    """Sweep landmarks along direction ``dim`` (0 or 1), in closed form.
-
-    ``lam0`` is the largest coordinate of the closure. The plane moving in
-    from there stops ``Shape.stop`` from the centre (Gidas, Ni and
-    Nirenberg): at the centre on the convex kinds, which are symmetric
-    about their centre axes, and at ``(inner + outer) / 2`` on the
-    annulus, where the reflected cap first touches the inner circle.
-    """
-    lam1 = symmetry_axis(spec, dim) + spec.shape.stop(spec.params)
-    return ReflectionCaps(lam0=spec.bbox()[2 * dim + 1], lam1=lam1)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .eigensolver import principal_pair, rayleigh_quotient
 from .fields import ScalarField
-from .geometry import build_grid, DomainSpec, Grid
+from .geometry import build_grid
 from .poisson import assemble_laplacian
 from .rearrange import DensityField, mass, optimal_density, uniform_density
 
@@ -50,15 +50,21 @@ class OptimizeOptions:
 
 @dataclass(frozen=True)
 class OptimalPair:
-    """Converged (u, v, rho, theta, t) on one grid."""
+    """Converged (u, v, rho, theta, t) on one grid: the grid of ``u``."""
 
     u: ScalarField
     v: ScalarField
     rho: DensityField
     theta: float
     t: float
-    grid: Grid
-    spec: DomainSpec
+
+    @property
+    def grid(self):
+        return self.u.grid
+
+    @property
+    def spec(self):
+        return self.u.grid.spec
 
 
 @dataclass(frozen=True)
@@ -94,7 +100,7 @@ def optimize(spec, nodes_per_side, h, H, M, opts=OptimizeOptions()):
     best = None
     thetas = []
     for rho0 in starts:
-        pair, report = _alternate(spec, grid, op, rho0, h, H, M, opts)
+        pair, report = _alternate(op, rho0, h, H, M, opts)
         thetas.append(pair.theta)
         if best is None or pair.theta < best[0].theta:
             best = (pair, report)
@@ -102,7 +108,7 @@ def optimize(spec, nodes_per_side, h, H, M, opts=OptimizeOptions()):
     return pair, replace(report, restart_thetas=tuple(thetas))
 
 
-def _alternate(spec, grid, op, rho0, h, H, M, opts):
+def _alternate(op, rho0, h, H, M, opts):
     t0 = time.perf_counter()
     rho = rho0
     theta_history = []
@@ -130,9 +136,7 @@ def _alternate(spec, grid, op, rho0, h, H, M, opts):
             break
 
     theta = rayleigh_quotient(eig.u, eig.v, rho)
-    pair = OptimalPair(
-        u=eig.u, v=eig.v, rho=rho, theta=theta, t=thr.t, grid=grid, spec=spec
-    )
+    pair = OptimalPair(u=eig.u, v=eig.v, rho=rho, theta=theta, t=thr.t)
     report = SolveReport(
         theta_history=tuple(theta_history),
         inner_iterations=tuple(inner_iterations),

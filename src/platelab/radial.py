@@ -162,7 +162,9 @@ def _bathtub_radial(u, weights, h, H, M):
 
 
 def radial_optimize(kind, radii, h, H, M, n_r=1024, opts=OptimizeOptions()):
-    """Alternating scheme on the radial reduction."""
+    """Alternating scheme on the radial reduction: one start, from the
+    uniform density, reading only ``opts.max_outer``, ``opts.eig_tol`` and
+    ``opts.theta_tol`` (``restarts`` and ``seed`` have no effect)."""
     t0 = time.perf_counter()
     grid = radial_grid(kind, radii, n_r)
     if not (0.0 < h <= H):

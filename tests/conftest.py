@@ -8,8 +8,9 @@ mass-balancing level. This is an experiment-design choice (the mass is a
 free parameter of the suite), not a solver change.
 
 The reflection helpers only tests read live here too: a full-grid
-reference reflection, and the mirror ranks and orbit ids across the
-symmetry axes.
+reference reflection, the mirror ranks and orbit ids across the
+symmetry axes, and the sweep landmarks and plane window that
+``diagnostics.plane_positions`` folds into one function.
 """
 
 from dataclasses import dataclass
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 import platelab as pl
+from platelab.diagnostics import MIN_LAMBDAS, N_LAMBDAS, PLANE_MARGIN, DiagnosticsError
 from platelab.geometry import GeometryError, Grid, _mirror_stencil, symmetry_axis
 
 
@@ -134,6 +136,59 @@ def mirror_orbit_ids(grid):
     mirror across both, and its id is the least of those ranks."""
     mx, my = mirror_ranks(grid, 0), mirror_ranks(grid, 1)
     return np.minimum.reduce([np.arange(grid.n), mx, my, mx[my]])
+
+
+@dataclass(frozen=True)
+class ReflectionCaps:
+    """Plane-sweep landmarks along one direction.
+
+    lam0: first plane position touching the closure (sup of the coordinate).
+    lam1: stuck position (internal tangency of the reflected cap, or plane
+          orthogonal to the boundary); for every plane in (lam1, lam0) the
+          reflected cap stays inside the closure.
+    """
+
+    lam0: float
+    lam1: float
+
+    def __post_init__(self):
+        if not self.lam1 < self.lam0:
+            raise GeometryError("invalid caps: lam1=%r lam0=%r" % (self.lam1, self.lam0))
+
+
+def reflection_caps(spec, dim):
+    """Reference sweep landmarks along direction ``dim`` (0 or 1), in
+    closed form.
+
+    ``lam0`` is the largest coordinate of the closure. The plane moving in
+    from there stops ``Shape.stop`` from the centre (Gidas, Ni and
+    Nirenberg): at the centre on the convex kinds, which are symmetric
+    about their centre axes, and at ``(inner + outer) / 2`` on the
+    annulus, where the reflected cap first touches the inner circle.
+    """
+    lam1 = symmetry_axis(spec, dim) + spec.shape.stop(spec.params)
+    return ReflectionCaps(lam0=spec.bbox()[2 * dim + 1], lam1=lam1)
+
+
+def plane_window(pair, dim):
+    """Reference open interval of plane positions across direction
+    ``dim`` used by the moving-plane checks."""
+    caps = reflection_caps(pair.spec, dim)
+    margin = PLANE_MARGIN * pair.grid.delta
+    lo = caps.lam1 + margin
+    hi = caps.lam0 - margin
+    if not lo < hi:
+        raise DiagnosticsError("empty plane window: [%g, %g]" % (lo, hi))
+    return lo, hi
+
+
+def plane_positions(pair, dim, n_lambda=N_LAMBDAS):
+    """Reference plane list: ``n_lambda`` equally spaced positions over
+    ``plane_window``, ends included."""
+    if n_lambda < MIN_LAMBDAS:
+        raise DiagnosticsError("n_lambda must be at least %d" % MIN_LAMBDAS)
+    lo, hi = plane_window(pair, dim)
+    return np.linspace(lo, hi, n_lambda)
 
 
 def orbit_aligned_mass(spec, nodes_per_side, h, H, fill=0.5, passes=2):

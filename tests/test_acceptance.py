@@ -223,8 +223,7 @@ def test_criterion_09_moving_plane_suite(disk_pair_128, square_pair_128,
             assert rep.min_w2 >= -1e-8 * pair.v.norm_inf, (name, dim)
             worst = min(worst, rep.min_w1 / pair.u.norm_inf,
                         rep.min_w2 / pair.v.norm_inf)
-            lo, hi = dg.plane_window(pair, dim)
-            for lam in np.linspace(lo, hi, 16):
+            for lam in dg.plane_positions(pair, dim, 16):
                 res = dg.product_check(pair.u, pair.rho, pair.t, dim, lam)
                 assert res.ok, (name, dim, lam)
                 case3_total += res.case3_count

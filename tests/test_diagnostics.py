@@ -10,6 +10,7 @@ from platelab.fields import ScalarField
 from platelab.geometry import GeometryError, reflect_cap, symmetry_axis
 from platelab.optimizer import OptimalPair
 from platelab.rearrange import optimal_density, uniform_density
+import conftest
 from conftest import reflect_values
 
 
@@ -17,8 +18,7 @@ def _fake_pair(grid, u_values, t=0.5, h=1.0, H=2.0):
     """Wrap synthetic fields in a pair record for detector tests."""
     u = ScalarField(grid, u_values)
     rho = optimal_density(u, h, H, 1.2 * grid.discrete_area).rho
-    return OptimalPair(u=u, v=u, rho=rho, theta=1.0, t=t, grid=grid,
-                       spec=grid.spec)
+    return OptimalPair(u=u, v=u, rho=rho, theta=1.0, t=t)
 
 
 class TestAsymmetry:
@@ -83,8 +83,9 @@ class TestMovingPlane:
         rep = dg.moving_plane_profile(pair, 0, 16)
         assert rep.min_w1 >= -1e-8 * pair.u.norm_inf
         assert rep.min_w2 >= -1e-8 * pair.v.norm_inf
-        assert rep.lambdas.shape == (16,)
-        lo, hi = dg.plane_window(pair, 0)
+        lambdas = dg.plane_positions(pair, 0, 16)
+        assert lambdas.shape == (16,)
+        lo, hi = lambdas[[0, -1]]
         assert lo > 0.0 and hi < 1.0
 
     def test_thin_cap(self, disk_pair_128):
@@ -92,10 +93,12 @@ class TestMovingPlane:
         grid = pair.grid
         lam0 = 1.0
         # lattice-aligned plane one spacing inside: the strict cap is empty
-        (m,), cnt = dg._cap_deficits(grid, [pair.u.values], 0, lam0 - grid.delta)
-        assert cnt * grid.cell_area < 0.05 * grid.discrete_area
+        nodes, _ = reflect_cap(grid, [pair.u.values], 0, lam0 - grid.delta)
+        assert nodes.size * grid.cell_area < 0.05 * grid.discrete_area
         # half a spacing further in, the cap is one column and stays clean
-        (m,), cnt = dg._cap_deficits(grid, [pair.u.values], 0, lam0 - 1.5 * grid.delta)
+        lam = lam0 - 1.5 * grid.delta
+        (m,) = dg._cap_deficits(grid, [pair.u.values], 0, lam)
+        cnt = reflect_cap(grid, [pair.u.values], 0, lam)[0].size
         assert cnt > 0
         assert cnt * grid.cell_area < 0.05 * grid.discrete_area
         assert m >= -1e-6 * pair.u.norm_inf
@@ -103,8 +106,8 @@ class TestMovingPlane:
     def test_antisymmetric_field_detected(self):
         g = pl.build_grid(pl.disk(1.0), 65)
         odd = g.node_x * np.exp(-g.node_y**2)
-        (m,), cnt = dg._cap_deficits(g, [odd], 0, 0.0)
-        assert cnt > 0
+        (m,) = dg._cap_deficits(g, [odd], 0, 0.0)
+        assert reflect_cap(g, [odd], 0, 0.0)[0].size > 0
         assert m < -0.1
 
     def test_lambda_count_validated(self, disk_pair_128):
@@ -115,7 +118,7 @@ class TestMovingPlane:
     def test_plane_positions_span_the_window(self, disk_pair_64):
         pair, _ = disk_pair_64
         for dim in (0, 1):
-            lo, hi = dg.plane_window(pair, dim)
+            lo, hi = conftest.plane_window(pair, dim)
             got = dg.plane_positions(pair, dim)
             assert got.tobytes() == np.linspace(lo, hi, dg.N_LAMBDAS).tobytes()
             assert dg.plane_positions(pair, dim, dg.MIN_LAMBDAS).shape == (dg.MIN_LAMBDAS,)
@@ -138,23 +141,53 @@ class TestMovingPlane:
         ok, _ = cli._check_product(pair, n_lambda)
         assert ok
         want = [(dim, lam) for dim in (0, 1)
-                for lam in dg.moving_plane_profile(pair, dim, n_lambda).lambdas]
+                for lam in dg.plane_positions(pair, dim, n_lambda)]
         assert seen == want
 
     def test_empty_window_rejected(self):
         g = pl.build_grid(pl.unit_square(), 5)
         u = ScalarField(g, np.ones(g.n))
         rho = uniform_density(g, 1.0, 2.0, 1.2 * g.discrete_area)
-        pair = OptimalPair(u=u, v=u, rho=rho, theta=1.0, t=2.0, grid=g, spec=g.spec)
+        pair = OptimalPair(u=u, v=u, rho=rho, theta=1.0, t=2.0)
         with pytest.raises(dg.DiagnosticsError):
             dg.moving_plane_profile(pair, 0, 16)
+
+    def test_plane_positions_match_the_landmark_chain(self):
+        """The shape table read in one function gives the plane lists and
+        the errors of the landmark record and plane window it replaced."""
+        # the off-centre annulus tells (axis + stop) + margin from
+        # axis + (stop + margin) on grids 49 and 97
+        specs = EQUIVALENCE_KINDS + (
+            pl.disk(1.0, center=(2.0, 0.0)), pl.annulus(0.5, 1.0, center=(-1.0, 0.25)),
+            pl.ellipse(1.0, 0.6, center=(0.5, 0.0)), pl.rectangle(1.0, 0.45, center=(0.3, 0.5)))
+        cases, outcomes = 0, set()
+        for spec in specs:
+            for nps in (9, 17, 49, 97):
+                g = pl.build_grid(spec, nps)
+                u = ScalarField(g, np.ones(g.n))
+                rho = uniform_density(g, 1.0, 1.0, g.discrete_area)
+                pair = OptimalPair(u=u, v=u, rho=rho, theta=1.0, t=0.5)
+                for dim in (0, 1, 2, -1):
+                    for n_lambda in (7, 8, 16, 33):
+                        want = _outcome(conftest.plane_positions, pair, dim, n_lambda)
+                        assert _outcome(dg.plane_positions, pair, dim, n_lambda) == want
+                        cases += 1
+                        outcomes.add(":".join(want.split(":")[:2])
+                                     if isinstance(want, str) else "planes")
+        assert cases == 640
+        assert outcomes == {
+            "planes",
+            "DiagnosticsError: n_lambda must be at least 8",
+            "DiagnosticsError: empty plane window",
+            "GeometryError: axis dim must be 0 or 1, got 2",
+            "GeometryError: axis dim must be 0 or 1, got -1",
+        }
 
 
 class TestProductCheck:
     def test_disk_pair_all_planes(self, disk_pair_128):
         pair, _ = disk_pair_128
-        lo, hi = dg.plane_window(pair, 0)
-        for lam in np.linspace(lo, hi, 16):
+        for lam in dg.plane_positions(pair, 0, 16):
             res = dg.product_check(pair.u, pair.rho, pair.t, 0, lam)
             assert res.ok
             assert res.case3_count == 0
@@ -234,7 +267,7 @@ class TestRigidity:
         g = pl.build_grid(spec, 17)
         u = ScalarField(g, np.ones(g.n))
         rho = uniform_density(g, 1.0, 1.0, g.discrete_area)
-        pair = OptimalPair(u=u, v=u, rho=rho, theta=1.0, t=2.0, grid=g, spec=spec)
+        pair = OptimalPair(u=u, v=u, rho=rho, theta=1.0, t=2.0)
         with pytest.raises(dg.DiagnosticsError):
             dg.normal_derivative_stats(pair)
 
@@ -270,7 +303,7 @@ class TestRotationAsymmetry:
         r2 = g.node_x**2 + g.node_y**2
         u = ScalarField(g, np.sin(np.pi * (np.sqrt(r2) - 0.3) / 0.7))
         rho = uniform_density(g, 1.0, 1.0, g.discrete_area)
-        pair = OptimalPair(u=u, v=u, rho=rho, theta=1.0, t=0.5, grid=g, spec=g.spec)
+        pair = OptimalPair(u=u, v=u, rho=rho, theta=1.0, t=0.5)
         assert dg.rotation_asymmetry(pair) < 1e-4
 
     def test_angular_blob_detected(self):
@@ -278,7 +311,7 @@ class TestRotationAsymmetry:
         blob = np.exp(-8 * ((g.node_x - 0.65) ** 2 + g.node_y**2))
         u = ScalarField(g, 0.05 + blob)
         rho = uniform_density(g, 1.0, 1.0, g.discrete_area)
-        pair = OptimalPair(u=u, v=u, rho=rho, theta=1.0, t=0.5, grid=g, spec=g.spec)
+        pair = OptimalPair(u=u, v=u, rho=rho, theta=1.0, t=0.5)
         assert dg.rotation_asymmetry(pair) > 0.1
 
 
@@ -321,14 +354,10 @@ def _full_grid_cap_deficit(grid, values, dim, lam):
 
 
 def _full_grid_moving_plane_profile(pair, dim, n_lambda=16):
-    if n_lambda < dg.MIN_LAMBDAS:
-        raise dg.DiagnosticsError("n_lambda must be at least %d" % dg.MIN_LAMBDAS)
-    lo, hi = dg.plane_window(pair, dim)
-    lambdas = np.linspace(lo, hi, n_lambda)
     worst = np.min([[_full_grid_cap_deficit(pair.grid, f.values, dim, lam)[0]
                      for f in (pair.u, pair.v)]
-                    for lam in lambdas], axis=0)
-    return dg.MovingPlaneReport(lambdas=lambdas, min_w1=float(worst[0]), min_w2=float(worst[1]))
+                    for lam in conftest.plane_positions(pair, dim, n_lambda)], axis=0)
+    return dg.MovingPlaneReport(min_w1=float(worst[0]), min_w2=float(worst[1]))
 
 
 def _full_grid_product_check(u, rho, t, dim, lam):
@@ -408,8 +437,8 @@ def _outcome(fn, *args):
         res = fn(*args)
     except (dg.DiagnosticsError, GeometryError) as exc:
         return "%s: %s" % (type(exc).__name__, exc)
-    if isinstance(res, dg.MovingPlaneReport):
-        return res.lambdas.tobytes(), repr(res.min_w1), repr(res.min_w2)
+    if isinstance(res, np.ndarray):
+        return res.tobytes()
     return repr(res)
 
 
@@ -435,7 +464,7 @@ def solved_and_random(request):
     u = ScalarField(grid, rng.uniform(0.5, 1.5, grid.n))
     v = ScalarField(grid, rng.uniform(0.5, 1.5, grid.n))
     rand = OptimalPair(u=u, v=v, rho=uniform_density(grid, 1.0, 2.0, 1.4 * area),
-                       theta=1.0, t=1.0, grid=grid, spec=spec)
+                       theta=1.0, t=1.0)
     return pair, rand
 
 
@@ -478,7 +507,8 @@ class TestCapPathsMatchFullGridReferences:
             for dim in (0, 1):
                 for lam in _planes(pair.grid, dim, rng):
                     fields = (pair.u.values, pair.v.values)
-                    minima, count = dg._cap_deficits(pair.grid, fields, dim, lam)
+                    minima = dg._cap_deficits(pair.grid, fields, dim, lam)
+                    count = reflect_cap(pair.grid, fields, dim, lam)[0].size
                     for f, minimum in zip(fields, minima):
                         want = _full_grid_cap_deficit(pair.grid, f, dim, lam)
                         assert repr((minimum, count)) == repr(want)
@@ -498,8 +528,7 @@ class TestCapPathsMatchFullGridReferences:
     def test_product_check_over_the_window(self, solved_and_random, n_lambda):
         pair, _ = solved_and_random
         for dim in (0, 1):
-            lo, hi = dg.plane_window(pair, dim)
-            for lam in np.linspace(lo, hi, n_lambda):
+            for lam in dg.plane_positions(pair, dim, n_lambda):
                 args = (pair.u, pair.rho, pair.t, dim, lam)
                 assert (_outcome(dg.product_check, *args)
                         == _outcome(_full_grid_product_check, *args))
@@ -546,9 +575,9 @@ class TestCapStencilCount:
     @pytest.mark.parametrize("dim", [0, 1])
     def test_moving_plane_profile_one_stencil_per_plane(self, disk_pair_64, stencil_calls, dim):
         pair, _ = disk_pair_64
-        rep = dg.moving_plane_profile(pair, dim, 16)
+        dg.moving_plane_profile(pair, dim, 16)
         assert len(stencil_calls) == 16
-        for (grid, d, lam, nodes), want in zip(stencil_calls, rep.lambdas):
+        for (grid, d, lam, nodes), want in zip(stencil_calls, dg.plane_positions(pair, dim, 16)):
             assert d == dim and lam == want
             coords = grid.node_x if dim == 0 else grid.node_y
             assert isinstance(nodes, np.ndarray) and nodes.size > 0
@@ -556,7 +585,7 @@ class TestCapStencilCount:
 
     def test_product_check_one_stencil(self, disk_pair_64, stencil_calls):
         pair, _ = disk_pair_64
-        lo, hi = dg.plane_window(pair, 1)
+        lo, hi = dg.plane_positions(pair, 1)[[0, -1]]
         dg.product_check(pair.u, pair.rho, pair.t, 1, 0.5 * (lo + hi))
         (grid, _, lam, nodes), = stencil_calls
         assert np.all(grid.node_y[nodes] > lam)

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 
 import pytest
@@ -33,7 +34,6 @@ PUBLIC = {
         "radial_optimize",
         "rayleigh_quotient",
         "rectangle",
-        "reflection_caps",
         "solve_dirichlet",
         "solve_navier",
         "stadium",
@@ -52,7 +52,6 @@ PUBLIC = {
         "moving_plane_profile",
         "normal_derivative_stats",
         "plane_positions",
-        "plane_window",
         "product_check",
         "relative",
         "rotation_asymmetry",
@@ -61,9 +60,11 @@ PUBLIC = {
 }
 
 RETIRED = {
-    "platelab": ["apply_laplacian", "constant_field", "field_from_function", "reflect_values"],
-    "platelab.diagnostics": ["cap_deficit"],
-    "platelab.geometry": ["Reflection", "mirror_ranks", "reflect_values"],
+    "platelab": ["apply_laplacian", "constant_field", "field_from_function", "reflect_values",
+                 "reflection_caps"],
+    "platelab.diagnostics": ["cap_deficit", "plane_window"],
+    "platelab.geometry": ["Reflection", "ReflectionCaps", "mirror_ranks", "reflect_values",
+                          "reflection_caps"],
     "platelab.fields": ["constant_field", "field_from_function"],
     "platelab.poisson": ["apply_laplacian"],
 }
@@ -95,3 +96,20 @@ def test_retired_methods_stay_gone():
 
     assert not hasattr(DomainSpec, "diameter")
     assert not hasattr(DiscreteLaplacian, "as_csr")
+
+
+# The records' fields, pinned: a pair's grid and domain are read off its
+# fields rather than stored beside them, and a report carries no copy of
+# its inputs.
+RECORD_FIELDS = {
+    "platelab.optimizer.OptimalPair": ["u", "v", "rho", "theta", "t"],
+    "platelab.diagnostics.MovingPlaneReport": ["min_w1", "min_w2"],
+    "platelab.diagnostics.RigidityReport": ["samples", "mean", "cv", "n_skipped"],
+}
+
+
+@pytest.mark.parametrize("path", sorted(RECORD_FIELDS))
+def test_record_fields_are_pinned(path):
+    module, name = path.rsplit(".", 1)
+    record = getattr(importlib.import_module(module), name)
+    assert [f.name for f in dataclasses.fields(record)] == RECORD_FIELDS[path]

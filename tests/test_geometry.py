@@ -13,7 +13,7 @@ from platelab.geometry import (
     reflect_cap,
     symmetry_axis,
 )
-from conftest import mirror_orbit_ids, mirror_ranks, reflect_values
+from conftest import mirror_orbit_ids, mirror_ranks, reflect_values, reflection_caps
 
 ALL_KINDS = (pl.disk(1.0), pl.annulus(0.5), pl.ellipse(1.0, 0.6),
              pl.rectangle(1.0, 0.45), pl.stadium(1.0, 0.5))
@@ -365,18 +365,21 @@ def _fixed_point_orbit_ids(grid):
 
 
 class TestReflectionCaps:
+    """``Shape.stop`` against sampled boundary geometry, through the
+    reference landmarks that ``diagnostics.plane_positions`` reads."""
+
     def test_disk(self):
-        caps = pl.reflection_caps(pl.disk(1.0), 0)
+        caps = reflection_caps(pl.disk(1.0), 0)
         assert caps.lam0 == 1.0
         assert caps.lam1 == 0.0
 
     def test_centered_square(self):
-        caps = pl.reflection_caps(pl.rectangle(1.0, 1.0), 0)
+        caps = reflection_caps(pl.rectangle(1.0, 1.0), 0)
         assert caps.lam0 == 0.5
         assert caps.lam1 == 0.0
 
     def test_annulus_touching_position(self):
-        caps = pl.reflection_caps(pl.annulus(0.5, 1.0), 0)
+        caps = reflection_caps(pl.annulus(0.5, 1.0), 0)
         assert caps.lam1 == pytest.approx(0.75, abs=1e-8)
         assert caps.lam1 < caps.lam0
         assert caps.lam1 > 0.0  # strictly beyond the symmetry axis
@@ -385,7 +388,7 @@ class TestReflectionCaps:
         for spec in (pl.disk(1.0), pl.annulus(0.3), pl.ellipse(1, 0.6),
                      pl.unit_square(), pl.stadium(1.0, 0.5)):
             for dim in (0, 1):
-                caps = pl.reflection_caps(spec, dim)
+                caps = reflection_caps(spec, dim)
                 assert caps.lam1 < caps.lam0
                 if spec.kind != "annulus":
                     assert caps.lam1 == spec.center[dim]
@@ -395,7 +398,7 @@ class TestReflectionCaps:
     def test_annulus_stop_in_closed_form(self, a, center):
         spec = pl.annulus(a, 1.0, center=center)
         for dim in (0, 1):
-            caps = pl.reflection_caps(spec, dim)
+            caps = reflection_caps(spec, dim)
             assert caps.lam1 == center[dim] + (a + 1.0) / 2
 
     def test_containment_monotone_above_lam2(self):
@@ -416,7 +419,7 @@ class TestReflectionCaps:
         for spec in ALL_KINDS + OFF_CENTRE:
             tol = 1e-12 * _diameter(spec)
             for dim in (0, 1):
-                caps = pl.reflection_caps(spec, dim)
+                caps = reflection_caps(spec, dim)
                 for lam in rng.uniform(caps.lam1, caps.lam0, size=20):
                     assert worst_reflected_level(spec, dim, lam) <= tol
                 if spec.kind == "annulus":
@@ -424,4 +427,4 @@ class TestReflectionCaps:
 
     def test_non_axis_aligned_rejected(self):
         with pytest.raises(GeometryError):
-            pl.reflection_caps(pl.disk(1.0), (0.7, 0.7))
+            reflection_caps(pl.disk(1.0), (0.7, 0.7))
