@@ -14,6 +14,7 @@ fields fails, and the remaining checks still run.
 from __future__ import annotations
 
 import argparse
+import inspect
 import itertools
 import json
 import math
@@ -108,35 +109,27 @@ def _options(args, seed):
     )
 
 
-# --domain value -> the flags holding its parameters, in DomainSpec order
-_DOMAIN_FLAGS = {
-    "disk": ("radius",),
-    "annulus": ("inner", "radius"),
-    "ellipse": ("semi_x", "semi_y"),
-    "rectangle": ("width", "height"),
-    "stadium": ("length", "cap_radius"),
-}
+_FLAG_OF = {"outer": "radius"}  # shape parameters whose flag is not their name
+_FLAG_HELP = {"radius": "disk/annulus outer radius", "inner": "annulus inner radius",
+              "length": "stadium straight length"}
 
 
 def _add_domain_flags(ps):
-    ps.add_argument("--domain", required=True, choices=["square", *_DOMAIN_FLAGS])
-    ps.add_argument("--radius", type=float, default=1.0, help="disk/annulus outer radius")
-    ps.add_argument("--inner", type=float, default=None, help="annulus inner radius")
-    ps.add_argument("--semi-x", type=float, default=1.0)
-    ps.add_argument("--semi-y", type=float, default=0.6)
-    ps.add_argument("--width", type=float, default=1.0)
-    ps.add_argument("--height", type=float, default=1.0)
-    ps.add_argument("--length", type=float, default=1.0, help="stadium straight length")
-    ps.add_argument("--cap-radius", type=float, default=0.5)
+    ps.add_argument("--domain", required=True, choices=["square", *geometry.PARAMS])
+    for flag in dict.fromkeys(_FLAG_OF.get(n, n) for ns in geometry.PARAMS.values() for n in ns):
+        ps.add_argument("--" + flag.replace("_", "-"), type=float, help=_FLAG_HELP.get(flag))
 
 
 def _domain_from_args(args):
     if args.domain == "square":
         return geometry.unit_square()
-    params = [getattr(args, name) for name in _DOMAIN_FLAGS[args.domain]]
-    if None in params:  # --inner is the one domain flag without a default
-        raise CliUsageError("error: --inner is required for --domain %s" % args.domain)
-    return DomainSpec.from_dict({"kind": args.domain, "params": params})
+    build = getattr(geometry, args.domain)  # the kind's constructor holds the defaults
+    given = {n: getattr(args, _FLAG_OF.get(n, n)) for n in geometry.PARAMS[args.domain]}
+    for name, p in inspect.signature(build).parameters.items():
+        if p.default is p.empty and given[name] is None:
+            raise CliUsageError("error: --%s is required for --domain %s"
+                                % (_FLAG_OF.get(name, name).replace("_", "-"), args.domain))
+    return build(**{name: v for name, v in given.items() if v is not None})
 
 
 def _fmt(v):
@@ -173,6 +166,9 @@ def _write_pgm(path, grid, values):
 def _run_solve(args):
     if args.radial and args.images:
         raise CliUsageError("error: --images needs a 2-D solve; the radial solve has no lattice")
+    if args.radial and (args.restarts != 1 or args.seed is not None):
+        raise CliUsageError("error: --restarts and --seed need a 2-D solve; "
+                            "the radial solve runs one start")
     spec = _domain_from_args(args)
     timestamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     opts = _options(args, args.seed)
@@ -289,7 +285,9 @@ def _run_verify(args):
         if report.get("radial"):
             raise CliUsageError("error: verify supports 2-D reports only")
         spec = DomainSpec.from_dict(report["domain"])
-        grid = build_grid(spec, int(report["grid"]))
+        if type(report["grid"]) is not int:  # a JSON integer, not 33.7, "33" or true
+            raise ValueError("grid must be an integer, got %r" % (report["grid"],))
+        grid = build_grid(spec, report["grid"])
         u, v, rho = _load_fields_csv(args.fields, grid)
         pair = OptimalPair(
             u=ScalarField(grid, u), v=ScalarField(grid, v),
@@ -390,7 +388,7 @@ def _run_sweep(args):
         opts = _options(args, seed)
         pair, rep = optimize(spec, args.grid, args.h, args.Hd, mass_val, opts=opts)
         radial_res = radial_optimize(
-            "annulus", (a, 1.0), args.h, args.Hd, mass_val, n_r=args.nr, opts=opts
+            spec.kind, spec.params, args.h, args.Hd, mass_val, n_r=args.nr, opts=opts
         )
         values = (
             _fmt(a),

@@ -102,8 +102,6 @@ def principal_pair(op, rho, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, u0=None)
     ``KRYLOV_AFTER`` further steps. ``iterations`` counts applications of
     the two-solve map over both phases, and ``max_iter`` caps that count.
     """
-    if rho.grid.tag != op.grid_tag:
-        raise GridMismatchError("density grid does not match operator grid")
     if not (0.0 < tol <= 1e-6):
         raise ValueError("tol must be in (0, 1e-6], got %r" % (tol,))
     grid = rho.grid

@@ -86,7 +86,7 @@ class Shape:
     loops: Callable  # (params, n, cx, cy) -> [(points (m,2), outward normals (m,2))]
     chords: Callable  # (params, dim, c) -> half chords along ``dim``
     stop: Callable = lambda p: 0.0  # params -> stop position of the moving plane
-    check: Callable = None  # params -> None, raises on invalid parameters
+    check: Callable = lambda p: None  # params -> what is wrong with them, or None
 
 
 def _box(cx, cy, hx, hy):
@@ -128,11 +128,6 @@ def _annulus_loops(p, n, cx, cy):
     n_out = max(8, int(round(n * r / (r + a))))
     n_in = max(8, n - n_out)
     return [_circle(r, n_out, cx, cy, 1.0), _circle(a, n_in, cx, cy, -1.0)]
-
-
-def _check_annulus(p):
-    if not p[0] < p[1]:
-        raise GeometryError("annulus needs inner < outer radius")
 
 
 def _ellipse_level(p, x, y):
@@ -220,7 +215,7 @@ _SHAPES = {
         loops=_annulus_loops,
         chords=lambda p, dim, c: (_half_chord(p[1], c), _half_chord(p[0], c)),
         stop=lambda p: 0.5 * (p[0] + p[1]),
-        check=_check_annulus,
+        check=lambda p: None if p[0] < p[1] else "annulus needs inner < outer radius",
     ),
     "ellipse": Shape(
         names=("semi_x", "semi_y"),
@@ -250,11 +245,7 @@ _SHAPES = {
 }
 
 
-def _shape(kind):
-    try:
-        return _SHAPES[kind]
-    except KeyError:
-        raise GeometryError("unknown domain kind %r" % (kind,)) from None
+PARAMS = {kind: shape.names for kind, shape in _SHAPES.items()}  # in table order
 
 
 # ---------------------------------------------------------------- domains
@@ -270,7 +261,7 @@ class DomainSpec:
 
     @property
     def shape(self):
-        return _shape(self.kind)
+        return _SHAPES[self.kind]
 
     def level(self, x, y):
         """Level function of the boundary: negative inside, positive outside."""
@@ -314,17 +305,33 @@ def symmetry_axis(spec, dim):
 
 
 def _validated(kind, params, center):
-    """The spec of a known kind with positive parameters."""
-    shape = _shape(kind)
-    if len(params) != len(shape.names):
+    """The spec of a known kind from a flat sequence of its count of finite,
+    positive parameters and a finite (x, y) centre: the one domain check."""
+    if kind not in _SHAPES:
+        raise GeometryError("unknown domain kind %r" % (kind,))
+    shape = _SHAPES[kind]
+    values = _reals(params, len(shape.names))
+    if values is None:
         raise GeometryError("%s takes parameters %s, got %r" % (kind, shape.names, params))
-    for name, v in zip(shape.names, params):
-        if not (v > 0):
-            raise GeometryError("%s must be strictly positive, got %r" % (name, v))
-    params = tuple(float(v) for v in params)
-    if shape.check is not None:
-        shape.check(params)
-    return DomainSpec(kind, params, (float(center[0]), float(center[1])))
+    for name, v in zip(shape.names, values):
+        if not 0 < v < math.inf:
+            raise GeometryError("%s must be %s, got %r"
+                                % (name, "finite" if v > 0 else "strictly positive", v))
+    if fault := shape.check(values):
+        raise GeometryError(fault)
+    xy = _reals(center, 2)
+    if xy is None or not np.isfinite(xy).all():
+        raise GeometryError("center must be a finite (x, y) pair, got %r" % (center,))
+    return DomainSpec(kind, values, xy)
+
+
+def _reals(seq, count):
+    """``seq`` as ``count`` floats, None unless a flat sequence of that many numbers."""
+    try:
+        a = np.asarray(seq)
+    except ValueError:  # ragged
+        return None
+    return tuple(map(float, a)) if a.shape == (count,) and a.dtype.kind in "iuf" else None
 
 
 def disk(radius=1.0, center=(0.0, 0.0)):

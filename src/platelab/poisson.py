@@ -47,7 +47,6 @@ class DiscreteLaplacian:
 
     def __init__(self, grid, matrix):
         self.grid = grid
-        self.grid_tag = grid.tag
         self.n = grid.n
         self.has_cut = grid.has_cut
         self._csr = matrix
@@ -164,8 +163,8 @@ def solve_dirichlet(op, f):
 
 
 def _check_grid(op, field):
-    if field.grid.tag != op.grid_tag:
+    if field.grid.tag != op.grid.tag:
         raise GridMismatchError(
             "field grid %s does not match operator grid %s"
-            % (field.grid.tag, op.grid_tag)
+            % (field.grid.tag, op.grid.tag)
         )

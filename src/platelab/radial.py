@@ -4,9 +4,10 @@ Runs the same eigensolve/rearrange alternation as the 2-D code, but on
 the radial reduction ``u'' + u'/r`` (planar case), on a uniform radius
 grid. The operator is second order, but theta converges at first order
 in the radial spacing: the density's jump between h and H falls inside
-a cell. Entirely independent of the 2-D path, so the two can
-cross-check each other; it cannot express angular symmetry breaking by
-construction.
+a cell. Its numerics are independent of the 2-D path, so the two can
+cross-check each other; the input rules are shared: ``geometry`` checks
+the radii and ``rearrange`` the mass bracket. It cannot express angular
+symmetry breaking by construction.
 
 Minus the radial Laplacian is a tridiagonal matrix kept in banded form;
 each eigen iteration is two ``solve_banded`` calls, the split form of the
@@ -26,7 +27,9 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .eigensolver import DEFAULT_MAX_ITER, EigenError
+from .geometry import DomainSpec, GeometryError
 from .optimizer import OptimizeOptions
+from .rearrange import RearrangeError, _check_bracket
 
 
 class RadialError(ValueError):
@@ -64,38 +67,25 @@ class RadialResult:
     wall_time: float
 
 
-_RADII = {"disk": ("radius",), "annulus": ("inner", "outer")}  # kind -> its radii
-
-
 def radial_grid(kind, radii, n_r):
     """The radius grid of a disk or an annulus; ``radii`` is the kind's
-    radii as a sequence, in ``DomainSpec.params`` order."""
+    ``DomainSpec.params``, checked by ``DomainSpec.from_dict``."""
     if n_r < 64:
         raise RadialError("n_r must be at least 64")
-    if kind not in _RADII:
+    if kind not in ("disk", "annulus"):
         raise RadialError("radial solver handles disk and annulus, got %r" % (kind,))
     try:
-        values = np.asarray(radii, dtype=float)
-    except (TypeError, ValueError):  # ragged or not numbers
-        values = None
-    if values is None or values.shape != (len(_RADII[kind]),):
-        raise RadialError("%s takes radii %s as a sequence, got %r" % (kind, _RADII[kind], radii))
-    if kind == "disk":
-        (outer,) = values.tolist()
-        if not outer > 0:
-            raise RadialError("disk radius must be positive")
-        dr = outer / n_r
-        r = np.arange(n_r) * dr  # r=0 .. outer-dr; Dirichlet node at outer
-        w = 2.0 * math.pi * r * dr
-        w[0] = math.pi * (0.5 * dr) ** 2
-        return RadialGrid(kind="disk", radii=(outer,), r=r, dr=dr, weights=w)
-    inner, outer = values.tolist()
-    if not 0 < inner < outer:
-        raise RadialError("annulus needs 0 < inner < outer")
+        radii = DomainSpec.from_dict({"kind": kind, "params": radii}).params
+    except GeometryError as exc:
+        raise RadialError(str(exc)) from None
+    inner, outer = (0.0, *radii) if kind == "disk" else radii
     dr = (outer - inner) / n_r
-    r = inner + np.arange(1, n_r) * dr  # Dirichlet at both radii
+    # an unknown at the disk's r=0; Dirichlet nodes at the other radii
+    r = inner + np.arange(int(kind == "annulus"), n_r) * dr
     w = 2.0 * math.pi * r * dr
-    return RadialGrid(kind="annulus", radii=(inner, outer), r=r, dr=dr, weights=w)
+    if kind == "disk":
+        w[0] = math.pi * (0.5 * dr) ** 2
+    return RadialGrid(kind=kind, radii=radii, r=r, dr=dr, weights=w)
 
 
 def _radial_operator(grid):
@@ -167,13 +157,11 @@ def radial_optimize(kind, radii, h, H, M, n_r=1024, opts=OptimizeOptions()):
     ``opts.theta_tol`` (``restarts`` and ``seed`` have no effect)."""
     t0 = time.perf_counter()
     grid = radial_grid(kind, radii, n_r)
-    if not (0.0 < h <= H):
-        raise RadialError("need 0 < h <= H")
     area = grid.discrete_area
-    if not (h * area - 1e-12 * abs(M) <= M <= H * area + 1e-12 * abs(M)):
-        raise RadialError(
-            "mass %r outside admissible bracket [%r, %r]" % (M, h * area, H * area)
-        )
+    try:
+        _check_bracket(area, h, H, M)
+    except RearrangeError as exc:
+        raise RadialError(str(exc)) from None
     ab = _radial_operator(grid)
     rho = np.full(grid.n, M / area)
     history = []

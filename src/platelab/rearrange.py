@@ -36,7 +36,7 @@ class DensityField:
         v = np.ascontiguousarray(self.values, dtype=float)
         if v.shape != (self.grid.n,):
             raise RearrangeError("density length does not match grid")
-        _check_bracket(self.grid, self.h, self.H, self.M)
+        _check_bracket(self.grid.discrete_area, self.h, self.H, self.M)
         # written so that NaN fails both checks
         if not np.all((v >= self.h) & (v <= self.H)):
             raise RearrangeError("density leaves the box [h, H]")
@@ -67,10 +67,10 @@ def uniform_density(grid, h, H, M):
     return DensityField(grid, np.full(grid.n, M / grid.discrete_area), h, H, M)
 
 
-def _check_bracket(grid, h, H, M):
+def _check_bracket(area, h, H, M):
+    """The one admissibility check of (h, H, M) on a domain of ``area``."""
     if not (0.0 < h <= H):
         raise RearrangeError("need 0 < h <= H, got h=%r H=%r" % (h, H))
-    area = grid.discrete_area
     slack = 1e-12 * max(abs(M), 1.0)
     if not (h * area - slack <= M <= H * area + slack):
         raise RearrangeError(
@@ -92,7 +92,7 @@ def optimal_density(u, h, H, M):
     if np.any(uv <= 0.0):
         raise RearrangeError("rearrangement needs a strictly positive field")
     # ahead of the arithmetic: a NaN mass must fail here, not in np.floor
-    _check_bracket(grid, h, H, M)
+    _check_bracket(grid.discrete_area, h, H, M)
 
     n = grid.n
     cell = grid.cell_area

@@ -13,6 +13,7 @@ symmetry axes, and the sweep landmarks and plane window that
 ``diagnostics.plane_positions`` folds into one function.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,33 @@ import pytest
 import platelab as pl
 from platelab.diagnostics import MIN_LAMBDAS, N_LAMBDAS, PLANE_MARGIN, DiagnosticsError
 from platelab.geometry import GeometryError, Grid, _mirror_stencil, symmetry_axis
+
+
+# The one domain check's negative matrix, shared by every entry point:
+# (id, kind, params, the message it raises). Only disks and annuli, so the
+# radial solver takes every case too.
+BAD_PARAMS = [
+    ("count-over", "disk", (1.0, 2.0), "disk takes parameters"),
+    ("count-under", "annulus", (0.5,), "annulus takes parameters"),
+    ("scalar", "disk", 1.0, "disk takes parameters"),
+    ("string", "disk", "1", "disk takes parameters"),
+    ("string-entry", "disk", ("1.0",), "disk takes parameters"),
+    ("bool-entry", "disk", (True,), "disk takes parameters"),
+    ("nested", "annulus", (0.3, [1.0]), "annulus takes parameters"),
+    ("nan", "disk", (math.nan,), "radius must be strictly positive, got nan"),
+    ("inf", "disk", (math.inf,), "radius must be finite, got inf"),
+    ("minus-inf", "disk", (-math.inf,), "radius must be strictly positive, got -inf"),
+    ("zero", "disk", (0.0,), "radius must be strictly positive, got 0.0"),
+    ("negative", "annulus", (-0.3, 1.0), "inner must be strictly positive, got -0.3"),
+    ("outer-inf", "annulus", (0.3, math.inf), "outer must be finite, got inf"),
+    ("inner-equals-outer", "annulus", (1.0, 1.0), "annulus needs inner < outer radius"),
+    ("inner-above-outer", "annulus", (1.5, 1.0), "annulus needs inner < outer radius"),
+]
+# (id, centre): each raises "center must be a finite (x, y) pair"
+BAD_CENTRES = [
+    ("length-1", (1.0,)), ("length-3", (1.0, 2.0, 3.0)), ("text", ("a", "b")),
+    ("string", "ab"), ("scalar", 0.0), ("nan", (math.nan, 0.0)), ("inf", (0.0, math.inf)),
+]
 
 
 def make_strip_grid(n_nodes, delta):

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 
@@ -5,9 +6,9 @@ import numpy as np
 import pytest
 
 import platelab as pl
-from platelab import cli
+from platelab import cli, geometry
 from platelab.cli import FIELD_COLUMNS, VALID_CHECKS, CliUsageError, main
-from conftest import orbit_aligned_mass
+from conftest import BAD_CENTRES, BAD_PARAMS, orbit_aligned_mass
 
 
 def run(argv):
@@ -148,6 +149,25 @@ class TestSolve:
         assert "--images" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flags", [["--seed", "0"], ["--seed", "3"], ["--restarts", "2"],
+                                       ["--restarts", "2", "--seed", "1"]],
+                             ids=["seed-0", "seed-3", "restarts-2", "both"])
+    def test_radial_restarts_or_seed_is_a_usage_error(self, tmp_path, flags, capsys):
+        # the radial solve runs one start and read neither: exit 0 before
+        rc = run(["solve", "--domain", "disk", "--radial", "--nr", "64",
+                  "--h", "1", "--H", "2", "--mass", "4.6",
+                  "--out", str(tmp_path / "radial.json")] + flags)
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == ("error: --restarts and --seed need a 2-D solve; "
+                                "the radial solve runs one start\n")
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+    def test_radial_one_restart_is_taken(self, tmp_path):
+        assert run(["solve", "--domain", "disk", "--radial", "--nr", "64", "--restarts", "1",
+                    "--h", "1", "--H", "2", "--mass", "4.6",
+                    "--out", str(tmp_path / "radial.json")]) == 0
+
     def test_report_keys_radial(self, tmp_path):
         report = tmp_path / "radial.json"
         assert run(["solve", "--domain", "annulus", "--inner", "0.3", "--radial",
@@ -232,6 +252,21 @@ class TestVerify:
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
+    # a grid that is not a JSON integer; "129", 129.0 and 129.7 (read as
+    # 129) each passed every check before
+    @pytest.mark.parametrize("grid", ["129", 129.0, 129.7, True],
+                             ids=["string", "float", "fraction", "bool"])
+    def test_grid_must_be_a_json_integer(self, disk_solve, tmp_path, grid, capsys):
+        d, report, fields = disk_solve
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(json.loads(report.read_text()), grid=grid)))
+        rc = run(["verify", "--report", str(bad), "--fields", str(fields)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == ("error: %s: unusable report (ValueError: grid must be an "
+                                "integer, got %r)\n" % (bad, grid))
         assert captured.out == ""
 
     def test_corrupted_field_fails_monotonicity(self, disk_solve, tmp_path, capsys):
@@ -503,6 +538,101 @@ class TestFieldsFiles:
             except CliUsageError as exc:
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1]
+
+
+def _solve_parser():
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sub.choices["solve"]
+
+
+def _flags(kind, params):
+    """The ``solve`` flags naming ``params`` of ``kind``."""
+    names = ["radius" if n == "outer" else n for n in geometry.PARAMS[kind]]
+    return ["--%s=%r" % (n.replace("_", "-"), v) for n, v in zip(names, params)]
+
+
+# matrix cases the domain flags can express: one float per parameter
+AS_FLAGS = [case for case in BAD_PARAMS
+            if isinstance(case[2], tuple) and len(case[2]) == len(geometry.PARAMS[case[1]])
+            and all(type(v) is float for v in case[2])]
+
+
+class TestDomainFlags:
+    """The domain flags are read off geometry's shape table, and every
+    entry point of the CLI takes its domain through the one check."""
+
+    def test_domain_choices_are_square_then_the_table(self):
+        domain = next(a for a in _solve_parser()._actions if a.dest == "domain")
+        assert domain.choices == ["square", *geometry._SHAPES]
+        assert domain.choices == ["square", "disk", "annulus", "ellipse", "rectangle", "stadium"]
+
+    def test_one_flag_per_parameter_without_a_default(self):
+        actions = {a.dest: a for a in _solve_parser()._actions}
+        names = {"radius" if n == "outer" else n for ns in geometry.PARAMS.values() for n in ns}
+        assert names <= set(actions)
+        assert all(actions[n].default is None and actions[n].type is float for n in names)
+
+    @pytest.mark.parametrize("kind", ["square", *geometry.PARAMS])
+    def test_no_parameter_flags_build_the_default_spec(self, kind):
+        argv = ["solve", "--domain", kind, "--h", "1", "--H", "2", "--mass", "1"]
+        if kind == "annulus":  # the one parameter without a default
+            argv += ["--inner", "0.4"]
+            want = geometry.annulus(0.4)
+        else:
+            want = geometry.unit_square() if kind == "square" else getattr(geometry, kind)()
+        assert cli._domain_from_args(cli._build_parser().parse_args(argv)) == want
+
+    @pytest.mark.parametrize("kind", list(geometry.PARAMS))
+    def test_flags_fill_params_in_table_order(self, kind):
+        params = (0.25, 0.75)[-len(geometry.PARAMS[kind]):]
+        argv = ["solve", "--domain", kind, "--h", "1", "--H", "2", "--mass", "1"]
+        args = cli._build_parser().parse_args(argv + _flags(kind, params))
+        assert cli._domain_from_args(args) == getattr(geometry, kind)(*params)
+
+    @pytest.mark.parametrize("radial", [False, True], ids=["2d", "radial"])
+    @pytest.mark.parametrize("case, kind, params, message", AS_FLAGS,
+                             ids=[case[0] for case in AS_FLAGS])
+    def test_bad_parameter_flags_exit_1(self, case, kind, params, message, radial, capsys):
+        rc = run(["solve", "--domain", kind, "--h", "1", "--H", "2", "--mass", "4",
+                  "--grid", "33", "--nr", "64"] + ["--radial"] * radial + _flags(kind, params))
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == "error: %s\n" % message
+        assert captured.out == ""
+
+    def test_non_numeric_flag_is_a_usage_error(self, capsys):
+        rc = run(["solve", "--domain", "disk", "--radius", "one", "--h", "1", "--H", "2",
+                  "--mass", "4"])
+        assert rc == 1
+        assert "--radius: invalid float value: 'one'" in capsys.readouterr().err
+
+    @staticmethod
+    def _verify(tmp_path, domain):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({"domain": domain, "grid": 33, "h": 1.0, "H": 2.0,
+                                      "mass": 4.0, "theta": 1.0, "t": 1.0}))
+        # no fields file: a domain that passed would fail reading it, exit 2
+        return run(["verify", "--report", str(report), "--fields", str(tmp_path / "none.csv")])
+
+    @pytest.mark.parametrize("case, kind, params, message", BAD_PARAMS,
+                             ids=[case[0] for case in BAD_PARAMS])
+    def test_verify_rejects_report_params(self, tmp_path, case, kind, params, message, capsys):
+        assert self._verify(tmp_path, {"kind": kind, "params": params}) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s" % message) and err.count("\n") == 1
+
+    @pytest.mark.parametrize("case, center", BAD_CENTRES, ids=[case[0] for case in BAD_CENTRES])
+    def test_verify_rejects_report_centre(self, tmp_path, case, center, capsys):
+        assert self._verify(tmp_path, {"kind": "disk", "params": [1.0], "center": center}) == 1
+        # JSON reads a tuple back as a list
+        read = list(center) if isinstance(center, tuple) else center
+        assert capsys.readouterr().err == (
+            "error: center must be a finite (x, y) pair, got %r\n" % (read,))
+
+    def test_verify_takes_a_good_domain_to_the_fields(self, tmp_path, capsys):
+        assert self._verify(tmp_path, {"kind": "disk", "params": [1.0], "center": [0, 0]}) == 2
+        assert "none.csv" in capsys.readouterr().err
 
 
 class TestSweep:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from platelab.geometry import (
     reflect_cap,
     symmetry_axis,
 )
-from conftest import mirror_orbit_ids, mirror_ranks, reflect_values, reflection_caps
+from platelab import geometry
+from conftest import (BAD_CENTRES, BAD_PARAMS, mirror_orbit_ids, mirror_ranks, reflect_values,
+                      reflection_caps)
 
 ALL_KINDS = (pl.disk(1.0), pl.annulus(0.5), pl.ellipse(1.0, 0.6),
              pl.rectangle(1.0, 0.45), pl.stadium(1.0, 0.5))
@@ -59,6 +62,16 @@ class TestDomainSpec:
         with pytest.raises(GeometryError):
             DomainSpec.from_dict({"kind": "annulus", "params": [1.0, 0.5]})
 
+    def test_params_names_are_the_table_order(self):
+        assert list(geometry.PARAMS) == ["disk", "annulus", "ellipse", "rectangle", "stadium"]
+        assert geometry.PARAMS == {kind: shape.names for kind, shape in geometry._SHAPES.items()}
+
+    def test_params_and_centre_stored_as_floats(self):
+        spec = DomainSpec.from_dict({"kind": "annulus", "params": np.array([1, 2]),
+                                     "center": [np.int64(1), np.float32(0.5)]})
+        assert spec.params == (1.0, 2.0) and spec.center == (1.0, 0.5)
+        assert all(type(v) is float for v in spec.params + spec.center)
+
     def test_level_sign(self):
         for spec in (pl.disk(1.0), pl.annulus(0.5), pl.ellipse(1, 0.6),
                      pl.unit_square(), pl.stadium(1.0, 0.5)):
@@ -67,6 +80,40 @@ class TestDomainSpec:
         assert pl.disk(1.0).level(0.0, 0.0) < 0
         assert pl.annulus(0.5).level(0.0, 0.0) > 0  # the hole is outside
         assert pl.annulus(0.5).level(0.75, 0.0) < 0
+
+
+def _ids(cases):
+    return [case[0] for case in cases]
+
+
+# the cases a constructor can be handed, one argument per parameter
+BY_ARGUMENT = [case for case in BAD_PARAMS
+               if isinstance(case[2], tuple) and len(case[2]) == len(geometry.PARAMS[case[1]])]
+
+
+class TestOneDomainCheck:
+    """Every bad parameter or centre in the shared matrix raises the same
+    ``GeometryError`` from the constructors and from ``from_dict``."""
+
+    @pytest.mark.parametrize("case, kind, params, message", BAD_PARAMS, ids=_ids(BAD_PARAMS))
+    def test_from_dict_rejects_params(self, case, kind, params, message):
+        with pytest.raises(GeometryError, match=re.escape(message)):
+            DomainSpec.from_dict({"kind": kind, "params": params})
+
+    @pytest.mark.parametrize("case, kind, params, message", BY_ARGUMENT, ids=_ids(BY_ARGUMENT))
+    def test_constructors_reject_params(self, case, kind, params, message):
+        with pytest.raises(GeometryError, match=re.escape(message)):
+            getattr(geometry, kind)(*params)
+
+    @pytest.mark.parametrize("case, center", BAD_CENTRES, ids=_ids(BAD_CENTRES))
+    @pytest.mark.parametrize("kind", list(geometry.PARAMS))
+    def test_bad_centre_rejected(self, kind, case, center):
+        message = re.escape("center must be a finite (x, y) pair, got %r" % (center,))
+        with pytest.raises(GeometryError, match=message):
+            getattr(geometry, kind)(*(0.5, 1.0)[-len(geometry.PARAMS[kind]):], center=center)
+        with pytest.raises(GeometryError, match=message):
+            DomainSpec.from_dict({"kind": kind, "params": [0.5, 1.0][-len(geometry.PARAMS[kind]):],
+                                  "center": center})
 
 
 class TestBuildGrid:

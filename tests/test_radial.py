@@ -1,9 +1,14 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from scipy.special import jn_zeros
 
 import platelab as pl
 from platelab.eigensolver import EigenError
+from platelab.fields import ScalarField
+from platelab.rearrange import RearrangeError, _check_bracket, optimal_density
 from platelab.radial import (
     RadialError,
     _bathtub_radial,
@@ -12,6 +17,7 @@ from platelab.radial import (
     radial_grid,
     radial_optimize,
 )
+from conftest import BAD_PARAMS
 
 J01 = jn_zeros(0, 1)[0]
 
@@ -191,3 +197,63 @@ class TestRadialOptimize:
     def test_mass_bracket_enforced(self):
         with pytest.raises(RadialError):
             radial_optimize("disk", (1.0,), 1.0, 2.0, 10.0, n_r=128)
+
+
+class TestSharedInputRules:
+    """The radial solver reads geometry's domain check and rearrange's
+    bracket check, so it takes and refuses what the 2-D path does."""
+
+    @pytest.mark.parametrize("case, kind, params, message", BAD_PARAMS,
+                             ids=[case[0] for case in BAD_PARAMS])
+    def test_bad_radii_raise_geometry_messages(self, case, kind, params, message):
+        with pytest.raises(RadialError, match=re.escape(message)):
+            radial_grid(kind, params, 128)
+        with pytest.raises(RadialError, match=re.escape(message)):
+            radial_optimize(kind, params, 1.0, 2.0, 1.0, n_r=128)
+
+    @pytest.mark.parametrize("h, H, M, message", [
+        (0.0, 2.0, 4.0, "need 0 < h <= H, got h=0.0 H=2.0"),
+        (3.0, 2.0, 4.0, "need 0 < h <= H, got h=3.0 H=2.0"),
+        (1.0, 2.0, 100.0, "mass 100.0 outside admissible bracket"),
+    ], ids=["h-zero", "h-above-H", "mass-above-bracket"])
+    def test_bracket_errors_carry_rearranges_messages(self, h, H, M, message):
+        area = radial_grid("disk", (1.0,), 128).discrete_area
+        with pytest.raises(RearrangeError) as planar:
+            _check_bracket(area, h, H, M)
+        with pytest.raises(RadialError) as radial:
+            radial_optimize("disk", (1.0,), h, H, M, n_r=128)
+        assert str(radial.value) == str(planar.value)
+        assert str(radial.value).startswith(message)
+
+    @pytest.mark.parametrize("scale", [0.1, 10.0], ids=["mass-below-1", "mass-above-1"])
+    def test_bracket_edges_match_the_2d_path(self, scale):
+        grid_2d = pl.build_grid(pl.disk(1.0), 17)
+        u = ScalarField(grid_2d, np.linspace(1.0, 2.0, grid_2d.n))
+        area_r = radial_grid("disk", (1.0,), 64).discrete_area
+        h, H = scale, 2.0 * scale
+
+        def edges(area):
+            """(h, H, M, refused) at and beyond the bracket's edges; a mass
+            half its own 1e-12 slack outside the bracket is taken."""
+            lo, hi = h * area, H * area
+            return [
+                (h, H, lo, False), (h, H, hi, False), (H, H, H * area, False),
+                (h, H, lo * (1 - 0.5e-12), False), (h, H, hi * (1 + 0.5e-12), False),
+                (h, H, lo - 2e-12 * max(lo, 1.0), True), (h, H, hi + 2e-12 * max(hi, 1.0), True),
+                (0.0, H, lo, True), (H, h, lo, True), (math.nan, H, lo, True),
+                (h, H, math.nan, True),
+            ]
+
+        def refused(call, error):
+            try:
+                call()
+            except error:
+                return True
+            return False
+
+        opts = pl.OptimizeOptions(max_outer=2)
+        radial = [refused(lambda: radial_optimize("disk", (1.0,), a, b, m, n_r=64, opts=opts),
+                          RadialError) for a, b, m, _ in edges(area_r)]
+        planar = [refused(lambda: optimal_density(u, a, b, m), RearrangeError)
+                  for a, b, m, _ in edges(grid_2d.discrete_area)]
+        assert radial == planar == [want for *_, want in edges(area_r)]

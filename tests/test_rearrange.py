@@ -189,7 +189,7 @@ def _two_form_optimal_density(u, h, H, M, grid=None):
         raise RearrangeError("field length does not match grid")
     if np.any(uv <= 0.0):
         raise RearrangeError("rearrangement needs a strictly positive field")
-    _check_bracket(grid, h, H, M)
+    _check_bracket(grid.discrete_area, h, H, M)
 
     n = grid.n
     cell = grid.cell_area
