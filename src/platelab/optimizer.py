@@ -84,8 +84,9 @@ def optimize(spec, nodes_per_side, h, H, M, opts=OptimizeOptions()):
     Builds the grid of ``spec`` at ``nodes_per_side`` and its operator.
     The first start is the uniform admissible density; additional
     ``opts.restarts - 1`` starts are randomized threshold densities drawn
-    from ``opts.seed``. All starts share the grid and the operator (and
-    its factorization cache).
+    from ``opts.seed``. All calls on the last grid ``build_grid`` built
+    share it and its operator: its starts, and any later ``optimize`` on
+    the same ``spec`` and size, reuse one matrix and one factorization.
     """
     grid = build_grid(spec, nodes_per_side)
     op = assemble_laplacian(grid)

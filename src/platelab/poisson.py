@@ -42,7 +42,8 @@ class DiscreteLaplacian:
     """CSR operator over interior nodes, plus solver plumbing.
 
     The sparse LU factorization is built lazily on the first solve and is
-    read-only afterward, so one operator can serve many solves.
+    read-only afterward, so one operator can serve many solves. Operators
+    over the grid's memoized matrix share one; any other keeps its own.
     """
 
     def __init__(self, grid, matrix):
@@ -57,12 +58,17 @@ class DiscreteLaplacian:
 
     def _factorization(self):
         if self._lu is None:
-            # the stencil pattern is symmetric even where the cut-cell
-            # values are not, so a minimum-degree ordering of A^T + A
-            # keeps the fill, and with it the memory, well below COLAMD's
-            self._lu = spla.splu(
-                self._csr.tocsc(), permc_spec="MMD_AT_PLUS_A", panel_size=1
-            )
+            memo = self.grid._memo
+            if memo.get("matrix") is not self._csr:
+                memo = {}  # not the grid's matrix: a factorization of its own
+            if "lu" not in memo:
+                # the stencil pattern is symmetric even where the cut-cell
+                # values are not, so a minimum-degree ordering of A^T + A
+                # keeps the fill, and with it the memory, well below COLAMD's
+                memo["lu"] = spla.splu(
+                    self._csr.tocsc(), permc_spec="MMD_AT_PLUS_A", panel_size=1
+                )
+            self._lu = memo["lu"]
         return self._lu
 
 
@@ -76,11 +82,22 @@ def _diag_positions(indptr, indices):
 
 
 def assemble_laplacian(grid):
-    """Assemble the Shortley-Weller operator for a grid.
+    """The Shortley-Weller operator for a grid.
 
-    Asserts the M-matrix sign pattern and row dominance (strict on
-    boundary-adjacent rows) row by row.
+    The matrix is assembled, and its M-matrix sign pattern and row
+    dominance (strict on boundary-adjacent rows) asserted row by row, once
+    per grid and memoized on it: every operator on the grid is a new
+    ``DiscreteLaplacian`` over that matrix and, after the first solve, its
+    factorization. The memo holds no operator, so no reference cycle keeps
+    a grid and its factorization alive.
     """
+    memo = grid._memo
+    if "matrix" not in memo:
+        memo["matrix"] = _assembled(grid)
+    return DiscreteLaplacian(grid, memo["matrix"])
+
+
+def _assembled(grid):
     n = grid.n
     d2 = grid.delta * grid.delta
     tw = grid.theta[:, WEST]
@@ -111,7 +128,7 @@ def assemble_laplacian(grid):
     mat.sort_indices()
 
     _assert_m_matrix(grid, mat)
-    return DiscreteLaplacian(grid, mat)
+    return mat
 
 
 def _assert_m_matrix(grid, mat):

@@ -11,11 +11,15 @@ deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import Grid
+
+
+_MASS_RTOL = 1e-12  # the one mass slack, relative to |M|
 
 
 class RearrangeError(ValueError):
@@ -41,7 +45,7 @@ class DensityField:
         if not np.all((v >= self.h) & (v <= self.H)):
             raise RearrangeError("density leaves the box [h, H]")
         got = float(np.sum(v)) * self.grid.cell_area
-        if not abs(got - self.M) <= 1e-12 * abs(self.M):
+        if not abs(got - self.M) <= _MASS_RTOL * abs(self.M):
             raise RearrangeError(
                 "density mass %.17g deviates from M=%.17g" % (got, self.M)
             )
@@ -71,8 +75,8 @@ def _check_bracket(area, h, H, M):
     """The one admissibility check of (h, H, M) on a domain of ``area``."""
     if not (0.0 < h <= H):
         raise RearrangeError("need 0 < h <= H, got h=%r H=%r" % (h, H))
-    slack = 1e-12 * max(abs(M), 1.0)
-    if not (h * area - slack <= M <= H * area + slack):
+    slack = _MASS_RTOL * abs(M)
+    if not (math.isfinite(M) and h * area - slack <= M <= H * area + slack):
         raise RearrangeError(
             "mass %r outside admissible bracket [%r, %r]" % (M, h * area, H * area)
         )

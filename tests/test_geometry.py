@@ -139,6 +139,21 @@ class TestBuildGrid:
         with pytest.raises(GeometryError):
             pl.build_grid(pl.disk(1.0), 4)
 
+    @pytest.mark.parametrize("size", [33.5, 33.0, np.float64(33.0), True, np.True_, "33", None],
+                             ids=["fraction", "whole-float", "numpy-float", "bool",
+                                  "numpy-bool", "string", "none"])
+    def test_size_must_be_an_integer(self, size):
+        # 33.5 built a lattice of spacing 1/32.5; True read as 1
+        message = re.escape("nodes_per_side must be an integer, got %r" % (size,))
+        with pytest.raises(GeometryError, match=message):
+            pl.build_grid(pl.unit_square(), size)
+        with pytest.raises(GeometryError, match=message):
+            pl.optimize(pl.unit_square(), size, 1.0, 2.0, 1.5)
+
+    @pytest.mark.parametrize("size", [np.int32(17), np.int64(17), np.uint8(17)], ids=str)
+    def test_numpy_integer_sizes_are_taken(self, size):
+        assert pl.build_grid(pl.unit_square(), size).n == pl.build_grid(pl.unit_square(), 17).n
+
     def test_disconnected_interior_names_components(self):
         with pytest.raises(DisconnectedInteriorError) as err:
             pl.build_grid(pl.annulus(0.9, 1.0), 9)

@@ -198,6 +198,11 @@ class TestRadialOptimize:
         with pytest.raises(RadialError):
             radial_optimize("disk", (1.0,), 1.0, 2.0, 10.0, n_r=128)
 
+    def test_bracket_slack_is_relative_below_unit_mass(self):
+        area = radial_grid("disk", (1.0,), 128).discrete_area
+        with pytest.raises(RadialError, match="outside admissible bracket"):
+            radial_optimize("disk", (1.0,), 0.1, 0.2, 0.2 * area + 8e-13, n_r=128)
+
 
 class TestSharedInputRules:
     """The radial solver reads geometry's domain check and rearrange's

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -75,6 +76,26 @@ class TestOptimalDensity:
             optimal_density(u, 1.0, 3.0, 0.5)
         with pytest.raises(RearrangeError):
             optimal_density(u, 1.0, 3.0, 3.5)
+
+    def test_bracket_slack_is_the_density_mass_slack(self):
+        # the bracket took 1e-12 absolute slack below M = 1, the density
+        # check only 1e-12 |M|: this mass passed the bracket, then the
+        # density built for it failed its own mass check
+        g = pl.build_grid(pl.disk(1.0), 17)
+        M = 0.2 * g.discrete_area + 8e-13
+        u = ScalarField(g, np.linspace(1.0, 2.0, g.n))
+        for call in (lambda: optimal_density(u, 0.1, 0.2, M),
+                     lambda: pl.optimize(pl.disk(1.0), 17, 0.1, 0.2, M)):
+            with pytest.raises(RearrangeError, match="outside admissible bracket"):
+                call()
+
+    @pytest.mark.parametrize("M", [math.inf, -math.inf], ids=["inf", "minus-inf"])
+    def test_infinite_mass_is_outside_the_bracket(self, M):
+        # an infinite M made the relative slack infinite too
+        with pytest.raises(RearrangeError, match="outside admissible bracket"):
+            _check_bracket(1.0, 1.0, 2.0, M)
+        with pytest.raises(RearrangeError, match="outside admissible bracket"):
+            pl.optimize(pl.disk(1.0), 17, 1.0, 2.0, M)
 
     def test_nonpositive_field_rejected(self):
         g = strip_grid_4()
