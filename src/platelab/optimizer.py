@@ -22,7 +22,7 @@ from .eigensolver import principal_pair, rayleigh_quotient
 from .fields import ScalarField
 from .geometry import build_grid
 from .poisson import assemble_laplacian
-from .rearrange import DensityField, mass, optimal_density, uniform_density
+from .rearrange import DensityField, optimal_density, uniform_density
 
 
 class OptimizeError(ValueError):
@@ -91,6 +91,17 @@ def optimize(spec, nodes_per_side, h, H, M, opts=OptimizeOptions()):
     grid = build_grid(spec, nodes_per_side)
     op = assemble_laplacian(grid)
 
+    def eigensolve(rho, u0):
+        eig = principal_pair(op, DensityField(grid, rho, h, H, M), tol=opts.eig_tol, u0=u0)
+        return eig.theta, eig.iterations, eig.u, eig.v
+
+    def bathtub(u):
+        thr = optimal_density(u, h, H, M)
+        return thr.rho.values, thr.t
+
+    def mass_error(rho):
+        return abs(float(np.sum(rho)) * grid.cell_area - M)
+
     starts = [uniform_density(grid, h, H, M)]
     if opts.restarts > 1:
         rng = np.random.default_rng(opts.seed)
@@ -101,7 +112,9 @@ def optimize(spec, nodes_per_side, h, H, M, opts=OptimizeOptions()):
     best = None
     thetas = []
     for rho0 in starts:
-        pair, report = _alternate(op, rho0, h, H, M, opts)
+        rho, u, v, t, report = _alternate(rho0.values, eigensolve, bathtub, mass_error, opts)
+        rho = DensityField(grid, rho, h, H, M)
+        pair = OptimalPair(u=u, v=v, rho=rho, theta=rayleigh_quotient(u, v, rho), t=t)
         thetas.append(pair.theta)
         if best is None or pair.theta < best[0].theta:
             best = (pair, report)
@@ -109,35 +122,36 @@ def optimize(spec, nodes_per_side, h, H, M, opts=OptimizeOptions()):
     return pair, replace(report, restart_thetas=tuple(thetas))
 
 
-def _alternate(op, rho0, h, H, M, opts):
+def _alternate(rho, eigensolve, bathtub, mass_error, opts):
+    """The alternation's control, shared by ``optimize`` and ``radial_optimize``.
+
+    Each path passes its own numerics over node arrays: ``eigensolve(rho,
+    u0)`` gives ``(theta, iterations, u, v)``, warm-started from the last
+    step's u (None at the first); ``bathtub(u)`` gives the next density
+    and its level t; ``mass_error(rho)`` is ``|mass - M|``. Returns the
+    last step's ``(rho, u, v, t)`` and a report with no restart thetas.
+    """
     t0 = time.perf_counter()
-    rho = rho0
     theta_history = []
     inner_iterations = []
     mass_errors = []
     termination = "max-outer"
-    u_warm = None
+    u = None
     for _ in range(opts.max_outer):
-        eig = principal_pair(op, rho, tol=opts.eig_tol, u0=u_warm)
-        theta_history.append(eig.theta)
-        inner_iterations.append(eig.iterations)
-        mass_errors.append(abs(mass(rho) - M))
-        u_warm = eig.u
-
-        thr = optimal_density(eig.u, h, H, M)
-        if np.array_equal(thr.rho.values, rho.values):
+        theta, iterations, u, v = eigensolve(rho, u)
+        theta_history.append(theta)
+        inner_iterations.append(iterations)
+        mass_errors.append(mass_error(rho))
+        rho_prev = rho
+        rho, t = bathtub(u)
+        if np.array_equal(rho, rho_prev):
             termination = "rho-fixed"
-            rho = thr.rho
             break
-        rho = thr.rho
-        if len(theta_history) >= 2 and abs(
-            theta_history[-1] - theta_history[-2]
-        ) <= opts.theta_tol * abs(theta_history[-1]):
+        tol = opts.theta_tol * abs(theta)
+        if len(theta_history) >= 2 and abs(theta - theta_history[-2]) <= tol:
             termination = "theta-converged"
             break
 
-    theta = rayleigh_quotient(eig.u, eig.v, rho)
-    pair = OptimalPair(u=eig.u, v=eig.v, rho=rho, theta=theta, t=thr.t)
     report = SolveReport(
         theta_history=tuple(theta_history),
         inner_iterations=tuple(inner_iterations),
@@ -147,4 +161,4 @@ def _alternate(op, rho0, h, H, M, opts):
         wall_time=time.perf_counter() - t0,
         restart_thetas=(),
     )
-    return pair, report
+    return rho, u, v, t, report

@@ -1,13 +1,15 @@
 """One-dimensional radial solver for disks and annuli.
 
-Runs the same eigensolve/rearrange alternation as the 2-D code, but on
-the radial reduction ``u'' + u'/r`` (planar case), on a uniform radius
-grid. The operator is second order, but theta converges at first order
-in the radial spacing: the density's jump between h and H falls inside
-a cell. Its numerics are independent of the 2-D path, so the two can
-cross-check each other; the input rules are shared: ``geometry`` checks
-the radii and ``rearrange`` the mass bracket. It cannot express angular
-symmetry breaking by construction.
+Shares the alternation's control with the 2-D code (the driver
+``optimizer._alternate``: warm starts, stopping rules, report), but
+passes it its own numerics: the radial reduction ``u'' + u'/r`` (planar
+case) on a uniform radius grid, its own eigensolve and its own bathtub.
+The operator is second order, but theta converges at first order in the
+radial spacing: the density's jump between h and H falls inside a cell.
+The numerics being independent of the 2-D path, the two can cross-check
+each other; the input rules are shared: ``geometry`` checks the radii
+and ``rearrange`` the mass bracket and each density. It cannot express
+angular symmetry breaking by construction.
 
 Minus the radial Laplacian is a tridiagonal matrix kept in banded form;
 each eigen iteration is two ``solve_banded`` calls, the split form of the
@@ -20,7 +22,6 @@ exact ring areas, so the bathtub step here is weight-aware.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,8 @@ from scipy.linalg import solve_banded
 
 from .eigensolver import DEFAULT_MAX_ITER, EigenError
 from .geometry import DomainSpec, GeometryError
-from .optimizer import OptimizeOptions
-from .rearrange import RearrangeError, _check_bracket
+from .optimizer import OptimizeOptions, _alternate
+from .rearrange import RearrangeError, _check_bracket, _check_density
 
 
 class RadialError(ValueError):
@@ -109,7 +110,7 @@ def _principal_pair_radial(grid, ab, rho, tol, max_iter, u0=None):
     u = np.ones(grid.n) if u0 is None else u0 / np.max(np.abs(u0))
     w = grid.weights
     theta_prev = None
-    for _ in range(max_iter):
+    for it in range(1, max_iter + 1):
         v = solve_banded((1, 1), ab, rho * u)
         uu = solve_banded((1, 1), ab, v)
         if np.any(uu <= 0.0):
@@ -123,7 +124,7 @@ def _principal_pair_radial(grid, ab, rho, tol, max_iter, u0=None):
         theta_prev = theta
     else:
         raise EigenError("radial eigensolve did not converge in %d iterations" % max_iter)
-    return theta, u, vs
+    return theta, it, u, vs
 
 
 def _bathtub_radial(u, weights, h, H, M):
@@ -155,51 +156,33 @@ def radial_optimize(kind, radii, h, H, M, n_r=1024, opts=OptimizeOptions()):
     """Alternating scheme on the radial reduction: one start, from the
     uniform density, reading only ``opts.max_outer``, ``opts.eig_tol`` and
     ``opts.theta_tol`` (``restarts`` and ``seed`` have no effect)."""
-    t0 = time.perf_counter()
     grid = radial_grid(kind, radii, n_r)
-    area = grid.discrete_area
+    w = grid.weights
     try:
-        _check_bracket(area, h, H, M)
+        h, H, M = _check_bracket(grid.discrete_area, h, H, M)
     except RearrangeError as exc:
         raise RadialError(str(exc)) from None
     ab = _radial_operator(grid)
-    rho = np.full(grid.n, M / area)
-    history = []
-    termination = "max-outer"
-    u_warm = None
-    for _ in range(opts.max_outer):
-        theta, u, v = _principal_pair_radial(
-            grid, ab, rho, opts.eig_tol, DEFAULT_MAX_ITER, u0=u_warm
-        )
-        history.append(theta)
-        u_warm = u
-        rho_new, t_level, _ = _bathtub_radial(u, grid.weights, h, H, M)
-        if np.array_equal(rho_new, rho):
-            termination = "rho-fixed"
-            rho = rho_new
-            break
-        rho = rho_new
-        if len(history) >= 2 and abs(history[-1] - history[-2]) <= opts.theta_tol * abs(
-            history[-1]
-        ):
-            termination = "theta-converged"
-            break
 
+    def eigensolve(rho, u0):
+        return _principal_pair_radial(grid, ab, rho, opts.eig_tol, DEFAULT_MAX_ITER, u0=u0)
+
+    def bathtub(u):
+        rho, t, _ = _bathtub_radial(u, w, h, H, M)
+        _check_density(rho, float(np.sum(rho * w)), h, H, M)
+        return rho, t
+
+    def mass_error(rho):
+        return abs(float(np.sum(rho * w)) - M)
+
+    rho0 = np.full(grid.n, M / grid.discrete_area)
+    rho, u, v, t, report = _alternate(rho0, eigensolve, bathtub, mass_error, opts)
     # unit weighted norm, matching the 2-D convention
-    c = math.sqrt(float(np.sum(rho * u * u * grid.weights)))
+    c = math.sqrt(float(np.sum(rho * u * u * w)))
     u = u / c
     v = v / c
-    t_level = t_level / c
-    theta = float(np.sum(v * v * grid.weights) / np.sum(rho * u * u * grid.weights))
     return RadialResult(
-        theta=theta,
-        r=grid.r,
-        u=u,
-        v=v,
-        rho=rho,
-        t=t_level,
-        theta_history=tuple(history),
-        termination=termination,
-        outer_iterations=len(history),
-        wall_time=time.perf_counter() - t0,
+        theta=float(np.sum(v * v * w) / np.sum(rho * u * u * w)), r=grid.r, u=u, v=v, rho=rho,
+        t=t / c, theta_history=report.theta_history, termination=report.termination,
+        outer_iterations=report.outer_iterations, wall_time=report.wall_time,
     )

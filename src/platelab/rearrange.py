@@ -12,6 +12,7 @@ deterministic.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,16 +41,10 @@ class DensityField:
         v = np.ascontiguousarray(self.values, dtype=float)
         if v.shape != (self.grid.n,):
             raise RearrangeError("density length does not match grid")
-        _check_bracket(self.grid.discrete_area, self.h, self.H, self.M)
-        # written so that NaN fails both checks
-        if not np.all((v >= self.h) & (v <= self.H)):
-            raise RearrangeError("density leaves the box [h, H]")
-        got = float(np.sum(v)) * self.grid.cell_area
-        if not abs(got - self.M) <= _MASS_RTOL * abs(self.M):
-            raise RearrangeError(
-                "density mass %.17g deviates from M=%.17g" % (got, self.M)
-            )
-        object.__setattr__(self, "values", v)
+        h, H, M = _check_bracket(self.grid.discrete_area, self.h, self.H, self.M)
+        _check_density(v, float(np.sum(v)) * self.grid.cell_area, h, H, M)
+        for name, value in (("values", v), ("h", h), ("H", H), ("M", M)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -72,7 +67,14 @@ def uniform_density(grid, h, H, M):
 
 
 def _check_bracket(area, h, H, M):
-    """The one admissibility check of (h, H, M) on a domain of ``area``."""
+    """The one admissibility check of (h, H, M) on a domain of ``area``.
+
+    Returns them as floats: Python and numpy integers are taken, bools
+    and anything that is not a real number are refused.
+    """
+    if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in (h, H, M)):
+        raise RearrangeError("h, H and M must be real numbers, got h=%r H=%r M=%r" % (h, H, M))
+    h, H, M = float(h), float(H), float(M)
     if not (0.0 < h <= H):
         raise RearrangeError("need 0 < h <= H, got h=%r H=%r" % (h, H))
     slack = _MASS_RTOL * abs(M)
@@ -80,6 +82,17 @@ def _check_bracket(area, h, H, M):
         raise RearrangeError(
             "mass %r outside admissible bracket [%r, %r]" % (M, h * area, H * area)
         )
+    return h, H, M
+
+
+def _check_density(values, got, h, H, M):
+    """The one admissibility check of a density: its nodes ``values`` lie
+    in [h, H] and its mass ``got`` is M up to the one slack."""
+    # written so that NaN fails both checks
+    if not np.all((values >= h) & (values <= H)):
+        raise RearrangeError("density leaves the box [h, H]")
+    if not abs(got - M) <= _MASS_RTOL * abs(M):
+        raise RearrangeError("density mass %.17g deviates from M=%.17g" % (got, M))
 
 
 def optimal_density(u, h, H, M):
@@ -96,7 +109,7 @@ def optimal_density(u, h, H, M):
     if np.any(uv <= 0.0):
         raise RearrangeError("rearrangement needs a strictly positive field")
     # ahead of the arithmetic: a NaN mass must fail here, not in np.floor
-    _check_bracket(grid.discrete_area, h, H, M)
+    h, H, M = _check_bracket(grid.discrete_area, h, H, M)
 
     n = grid.n
     cell = grid.cell_area

@@ -109,6 +109,11 @@ def test_retired_methods_stay_gone():
 # its inputs.
 RECORD_FIELDS = {
     "platelab.optimizer.OptimalPair": ["u", "v", "rho", "theta", "t"],
+    "platelab.optimizer.SolveReport": ["theta_history", "inner_iterations", "mass_errors",
+                                       "termination", "outer_iterations", "wall_time",
+                                       "restart_thetas"],
+    "platelab.radial.RadialResult": ["theta", "r", "u", "v", "rho", "t", "theta_history",
+                                     "termination", "outer_iterations", "wall_time"],
     "platelab.diagnostics.MovingPlaneReport": ["min_w1", "min_w2"],
     "platelab.diagnostics.RigidityReport": ["samples", "mean", "cv", "n_skipped"],
 }

@@ -6,6 +6,7 @@ import pytest
 from scipy.special import jn_zeros
 
 import platelab as pl
+from platelab import radial
 from platelab.eigensolver import EigenError
 from platelab.fields import ScalarField
 from platelab.rearrange import RearrangeError, _check_bracket, optimal_density
@@ -198,6 +199,17 @@ class TestRadialOptimize:
         with pytest.raises(RadialError):
             radial_optimize("disk", (1.0,), 1.0, 2.0, 10.0, n_r=128)
 
+    def test_off_mass_density_is_refused(self, monkeypatch):
+        # the radial bathtub's output runs the density check DensityField runs
+        def off_mass(u, weights, h, H, M):
+            rho, t, frac = _bathtub_radial(u, weights, h, H, M)
+            rho[-1] += 1e-6  # the outermost cell is light: still inside the box
+            return rho, t, frac
+
+        monkeypatch.setattr(radial, "_bathtub_radial", off_mass)
+        with pytest.raises(RearrangeError, match="density mass .* deviates from M=4.5"):
+            radial_optimize("disk", (1.0,), 1.0, 2.0, 4.5, n_r=128)
+
     def test_bracket_slack_is_relative_below_unit_mass(self):
         area = radial_grid("disk", (1.0,), 128).discrete_area
         with pytest.raises(RadialError, match="outside admissible bracket"):
@@ -229,6 +241,31 @@ class TestSharedInputRules:
             radial_optimize("disk", (1.0,), h, H, M, n_r=128)
         assert str(radial.value) == str(planar.value)
         assert str(radial.value).startswith(message)
+
+    @pytest.mark.parametrize("kind", [int, np.int32, np.int64, np.uint8],
+                             ids=lambda kind: kind.__name__)
+    def test_integers_give_the_float_result(self, kind):
+        # an integer h once gave an integer density: the radial path
+        # truncated its fractional cell and returned a wrong theta, the 2-D
+        # path failed the density's mass check
+        ints, floats = (kind(1), kind(2), kind(4)), (1.0, 2.0, 4.0)
+        got, want = (radial_optimize("disk", (1.0,), *hHM, n_r=256) for hHM in (ints, floats))
+        assert got.rho.dtype == np.float64
+        assert repr(got.theta) == repr(want.theta)
+        assert got.rho.tobytes() == want.rho.tobytes()
+        got, want = (pl.optimize(pl.disk(1.0), 33, *hHM) for hHM in (ints, floats))
+        assert repr(got[0].theta) == repr(want[0].theta)
+        assert got[0].rho.values.tobytes() == want[0].rho.values.tobytes()
+
+    @pytest.mark.parametrize("h, H, M", [
+        (True, 2.0, 4.0), (np.True_, 2.0, 4.0), (1.0, np.True_, 4.0), ("1", 2.0, 4.0),
+    ], ids=["bool-h", "numpy-bool-h", "numpy-bool-H", "string-h"])
+    def test_bools_are_refused_on_both_paths(self, h, H, M):
+        message = "h, H and M must be real numbers, got h=%r H=%r M=%r" % (h, H, M)
+        with pytest.raises(RearrangeError, match=re.escape(message)):
+            pl.optimize(pl.disk(1.0), 33, h, H, M)
+        with pytest.raises(RadialError, match=re.escape(message)):
+            radial_optimize("disk", (1.0,), h, H, M, n_r=128)
 
     @pytest.mark.parametrize("scale", [0.1, 10.0], ids=["mass-below-1", "mass-above-1"])
     def test_bracket_edges_match_the_2d_path(self, scale):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from platelab.rearrange import (
     RearrangeError,
     ThresholdResult,
     _check_bracket,
+    _check_density,
     mass,
     optimal_density,
     uniform_density,
@@ -348,3 +350,62 @@ class TestDensityField:
         v[g.n // 2] = np.nan
         with pytest.raises(RearrangeError):
             DensityField(g, v, 1.0, 2.0, M)
+
+
+class TestNumberTypes:
+    """(h, H, M) are taken as floats: Python and numpy integers give the
+    float result bitwise, bools and non-numbers are refused."""
+
+    @pytest.mark.parametrize("kind", [int, np.int32, np.int64, np.uint8],
+                             ids=lambda kind: kind.__name__)
+    def test_integers_give_the_float_result(self, kind):
+        # an integer h once made an integer density, which truncated the
+        # fractional node (1.5 here) and failed the density's mass check
+        g = strip_grid_4()
+        u = ScalarField(g, np.array([4.0, 3.0, 2.0, 1.0]))
+        want = optimal_density(u, 1.0, 3.0, 1.125)
+        got = optimal_density(u, kind(1), kind(3), 1.125)
+        assert got.rho.values.tobytes() == want.rho.values.tobytes()
+        assert got.rho.values[0] == 1.5 and got.t == want.t
+        rho = DensityField(g, np.full(4, 2.0), kind(1), kind(3), kind(2))
+        assert [type(x) for x in (rho.h, rho.H, rho.M)] == [float] * 3
+        assert uniform_density(g, kind(1), kind(3), kind(2)).values.dtype == np.float64
+
+    @pytest.mark.parametrize("h, H, M", [
+        (True, 3.0, 1.5), (np.True_, 3.0, 1.5), (1.0, np.True_, 1.0), (1.0, 3.0, True),
+        ("1", 3.0, 1.5), (None, 3.0, 1.5), (1.0, 3.0, 1 + 0j),
+    ], ids=["bool-h", "numpy-bool-h", "numpy-bool-H", "bool-M", "string", "none", "complex"])
+    def test_bools_and_non_numbers_are_refused(self, h, H, M):
+        g = strip_grid_4()
+        u = ScalarField(g, np.array([4.0, 3.0, 2.0, 1.0]))
+        message = "h, H and M must be real numbers, got h=%r H=%r M=%r" % (h, H, M)
+        for call in (lambda: _check_bracket(g.discrete_area, h, H, M),
+                     lambda: optimal_density(u, h, H, M),
+                     lambda: DensityField(g, np.full(4, 1.5), h, H, M)):
+            with pytest.raises(RearrangeError, match=re.escape(message)):
+                call()
+
+
+class TestDensityCheck:
+    """The one box-and-mass rule, which ``DensityField`` and the radial
+    solver both run."""
+
+    def test_admissible_density_passes(self):
+        _check_density(np.array([1.0, 2.0, 1.5]), 4.5, 1.0, 2.0, 4.5)
+
+    @pytest.mark.parametrize("values, got, message", [
+        ([1.0, 2.0, 1.5], 4.5 * (1 + 1e-9), "density mass 4.500000004"),
+        ([1.0, 2.0, 1.5], math.nan, "density mass nan"),
+        ([0.5, 2.0, 2.0], 4.5, "density leaves the box [h, H]"),
+        ([1.0, 2.5, 1.0], 4.5, "density leaves the box [h, H]"),
+        ([1.0, math.nan, 1.5], 4.5, "density leaves the box [h, H]"),
+    ], ids=["off-mass", "nan-mass", "below-h", "above-H", "nan-node"])
+    def test_inadmissible_density_is_refused(self, values, got, message):
+        with pytest.raises(RearrangeError, match=re.escape(message)):
+            _check_density(np.array(values), got, 1.0, 2.0, 4.5)
+
+    def test_slack_is_relative_to_M(self):
+        M = 4.5
+        _check_density(np.array([1.5]), M * (1 + 0.5e-12), 1.0, 2.0, M)
+        with pytest.raises(RearrangeError, match="deviates from M"):
+            _check_density(np.array([1.5]), M * (1 + 2e-12), 1.0, 2.0, M)
