@@ -287,6 +287,9 @@ def _run_verify(args):
         spec = DomainSpec.from_dict(report["domain"])
         if type(report["grid"]) is not int:  # a JSON integer, not 33.7, "33" or true
             raise ValueError("grid must be an integer, got %r" % (report["grid"],))
+        for key in ("theta", "t"):  # finite JSON numbers, not "abc", null, true or NaN
+            if type(report[key]) not in (int, float) or not math.isfinite(report[key]):
+                raise ValueError("%s must be a finite number, got %r" % (key, report[key]))
         grid = build_grid(spec, report["grid"])
         u, v, rho = _load_fields_csv(args.fields, grid)
         pair = OptimalPair(

@@ -18,9 +18,10 @@ Power iteration contracts by about theta_1/theta_2 per step, which nears
 ``log(tol theta / d_k) / log q`` predicts more than ``KRYLOV_AFTER``
 further steps, it hands its iterate to ARPACK (``eigs``, one eigenvalue
 of largest magnitude) on the same map, with a fixed subspace size and
-tolerance. Every application of the map goes through ``solve_navier``.
-The Ritz vector gets its sign fixed and the map applied once more, which
-gives the returned (u, v); its eigen-residual
+tolerance. One closure applies the map through ``solve_navier`` and
+counts it, for every power step, every ARPACK product and the closing
+step that maps the sign-fixed Ritz vector to the returned (u, v);
+``max_iter`` caps that count. The pair's eigen-residual
 ``||theta_l A^-2 rho x - x|| / ||x||`` with
 ``theta_l = <x, x> / <x, A^-2 rho x>`` must be below ``KRYLOV_RESIDUAL``.
 Where the increments contract fast (disks, squares, thick annuli) the
@@ -46,6 +47,7 @@ import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
 from .fields import ScalarField
+from .geometry import _integer
 from .plate import solve_navier
 from .poisson import GridMismatchError
 
@@ -100,12 +102,13 @@ def principal_pair(op, rho, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, u0=None)
     relative quotient increment falls below ``tol``, or hands the iterate
     to ``eigs`` once the observed contraction predicts more than
     ``KRYLOV_AFTER`` further steps. ``iterations`` counts applications of
-    the two-solve map over both phases, and ``max_iter`` caps that count.
+    the two-solve map over both phases, and ``max_iter`` caps every one,
+    the closing application after ``eigs`` included.
     """
     if not (0.0 < tol <= 1e-6):
         raise ValueError("tol must be in (0, 1e-6], got %r" % (tol,))
+    max_iter = _integer(max_iter, "max_iter", ValueError)
     grid = rho.grid
-    cell = grid.cell_area
 
     if u0 is None:
         u = np.ones(grid.n)
@@ -116,13 +119,24 @@ def principal_pair(op, rho, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, u0=None)
         u = u / np.max(np.abs(u))
 
     history = []
-    theta_prev = None
-    step_prev = None
-    for it in range(1, max_iter + 1):
-        f = ScalarField(grid, rho.values * u)
-        u_field, v_field = solve_navier(op, f)
+    calls = 0
+
+    def fail(message):
+        return EigenError(message, last_theta=history[-1] if history else None, iterations=calls)
+
+    def apply(x):
+        nonlocal calls
+        if calls >= max_iter:
+            raise fail("no convergence in %d iterations (last theta %.12g)"
+                       % (max_iter, history[-1] if history else math.nan))
+        calls += 1
+        return solve_navier(op, ScalarField(grid, rho.values * x))
+
+    theta_prev = step_prev = None
+    while True:
+        u_field, v_field = apply(u)
         if np.any(u_field.values <= 0.0):
-            raise EigenError("iterate lost positivity", iterations=it)
+            raise fail("iterate lost positivity")
         u, v, theta = _scaled(u_field, v_field, rho)
         history.append(theta)
         if theta_prev is not None:
@@ -131,30 +145,40 @@ def principal_pair(op, rho, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, u0=None)
                 break
             # ARPACK needs a subspace smaller than the problem
             if grid.n > KRYLOV_NCV and _crawls(step, step_prev, tol * theta):
-                it, u, v, theta = _krylov(op, rho, u, it, max_iter, theta)
+                a = LinearOperator((grid.n,) * 2, matvec=lambda x: apply(x)[0].values, dtype=float)
+                try:
+                    _, vecs = eigs(a, k=1, which="LM", v0=u, ncv=KRYLOV_NCV, tol=KRYLOV_TOL)
+                except ArpackNoConvergence as exc:
+                    raise fail("Krylov eigensolve did not converge: %s" % exc) from exc
+                x = vecs[:, 0].real
+                if np.sum(x) < 0.0:
+                    x = -x
+                u_field, v_field = apply(x)
+                w = u_field.values
+                theta_l = float(x @ x) / float(x @ w)
+                residual = float(np.linalg.norm(theta_l * w - x) / np.linalg.norm(x))
+                if not residual <= KRYLOV_RESIDUAL:
+                    raise fail("Krylov eigen-residual %.3e exceeds %.0e"
+                               % (residual, KRYLOV_RESIDUAL))
+                if np.any(w <= 0.0):
+                    raise fail("Krylov eigenvector is not strictly positive")
+                u, v, theta = _scaled(u_field, v_field, rho)
                 history.append(theta)
                 break
             step_prev = step
         theta_prev = theta
-    else:
-        raise EigenError(
-            "no convergence in %d iterations (last theta %.12g)"
-            % (max_iter, history[-1] if history else float("nan")),
-            last_theta=history[-1] if history else None,
-            iterations=max_iter,
-        )
 
     # final normalization: unit weighted norm
-    c = np.sqrt(float(np.sum(rho.values * u * u)) * cell)
+    c = np.sqrt(float(np.sum(rho.values * u * u)) * grid.cell_area)
     u_out = ScalarField(grid, u / c)
     v_out = ScalarField(grid, v / c)
     if np.any(u_out.values <= 0.0) or np.any(v_out.values <= 0.0):
-        raise EigenError("converged pair is not strictly positive")
+        raise fail("converged pair is not strictly positive")
     return EigenResult(
         theta=theta,
         u=u_out,
         v=v_out,
-        iterations=it,
+        iterations=calls,
         theta_history=tuple(history),
     )
 
@@ -178,47 +202,3 @@ def _crawls(step, step_prev, target):
         return False
     return math.log(target / step) / math.log(step / step_prev) > KRYLOV_AFTER
 
-
-def _krylov(op, rho, u, done, max_iter, last_theta):
-    """ARPACK on the two-solve map from the power iterate ``u`` after
-    ``done`` map applications. Returns ``(iterations, u, v, theta)`` as
-    the power loop holds them: u sup-normalized, theta the energy quotient
-    of one more application of the map to the Ritz vector."""
-    grid = rho.grid
-    calls = done
-
-    def fail(message, iterations):
-        return EigenError(message, last_theta=last_theta, iterations=iterations)
-
-    def apply(x):
-        nonlocal calls
-        # keep one application for the consistent pair after eigs
-        if calls >= max_iter - 1:
-            raise fail(
-                "no convergence in %d iterations (last theta %.12g)" % (max_iter, last_theta),
-                max_iter,
-            )
-        calls += 1
-        return solve_navier(op, ScalarField(grid, rho.values * x))[0].values
-
-    a = LinearOperator((grid.n, grid.n), matvec=apply, dtype=float)
-    try:
-        _, vecs = eigs(a, k=1, which="LM", v0=u, ncv=KRYLOV_NCV, tol=KRYLOV_TOL)
-    except ArpackNoConvergence as exc:
-        raise fail("Krylov eigensolve did not converge: %s" % exc, calls) from exc
-
-    x = vecs[:, 0].real
-    if np.sum(x) < 0.0:
-        x = -x
-    u_field, v_field = solve_navier(op, ScalarField(grid, rho.values * x))
-    calls += 1
-    w = u_field.values
-    theta_l = float(x @ x) / float(x @ w)
-    residual = float(np.linalg.norm(theta_l * w - x) / np.linalg.norm(x))
-    if not residual <= KRYLOV_RESIDUAL:
-        raise fail(
-            "Krylov eigen-residual %.3e exceeds %.0e" % (residual, KRYLOV_RESIDUAL), calls
-        )
-    if np.any(w <= 0.0):
-        raise fail("Krylov eigenvector is not strictly positive", calls)
-    return (calls,) + _scaled(u_field, v_field, rho)

@@ -327,12 +327,27 @@ def _validated(kind, params, center):
 
 
 def _reals(seq, count):
-    """``seq`` as ``count`` floats, None unless a flat sequence of that many numbers."""
+    """``seq`` as ``count`` floats, None unless a flat sequence of that many
+    numbers, none of them a bool (which ``asarray`` would promote)."""
     try:
         a = np.asarray(seq)
     except ValueError:  # ragged
         return None
-    return tuple(map(float, a)) if a.shape == (count,) and a.dtype.kind in "iuf" else None
+    if a.shape != (count,) or a.dtype.kind not in "iuf" or any(
+            isinstance(x, (bool, np.bool_)) for x in seq):
+        return None
+    return tuple(map(float, a))
+
+
+def _integer(value, name, error=GeometryError):
+    """``value`` as an int: Python and numpy integers pass; bools, floats and
+    strings raise ``error``. The one rule for every count an input gives."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error("%s must be an integer, got %r" % (name, value))
 
 
 def disk(radius=1.0, center=(0.0, 0.0)):
@@ -452,12 +467,7 @@ def build_grid(spec, nodes_per_side):
     concurrent calls on one grid would share one factorization.
     """
     global _last
-    try:
-        size = operator.index(nodes_per_side)  # numpy integers too, no floats
-    except TypeError:
-        size = None
-    if size is None or isinstance(nodes_per_side, bool):
-        raise GeometryError("nodes_per_side must be an integer, got %r" % (nodes_per_side,))
+    size = _integer(nodes_per_side, "nodes_per_side")
     key = repr((spec, size))
     if _last is not None and _last[0] == key:
         return _last[1]

@@ -20,7 +20,7 @@ import numpy as np
 
 from .eigensolver import principal_pair, rayleigh_quotient
 from .fields import ScalarField
-from .geometry import build_grid
+from .geometry import _integer, build_grid
 from .poisson import assemble_laplacian
 from .rearrange import DensityField, optimal_density, uniform_density
 
@@ -38,10 +38,10 @@ class OptimizeOptions:
     seed: int | None = None
 
     def __post_init__(self):
-        if not self.max_outer >= 1:
-            raise OptimizeError("max_outer must be at least 1, got %r" % (self.max_outer,))
-        if not self.restarts >= 1:
-            raise OptimizeError("restarts must be at least 1, got %r" % (self.restarts,))
+        for name in ("max_outer", "restarts"):
+            count = _integer(getattr(self, name), name, OptimizeError)
+            if count < 1:
+                raise OptimizeError("%s must be at least 1, got %r" % (name, count))
         if not self.theta_tol > 0.0:
             raise OptimizeError("theta_tol must be positive, got %r" % (self.theta_tol,))
         if not 0.0 < self.eig_tol <= 1e-6:

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .eigensolver import DEFAULT_MAX_ITER, EigenError
-from .geometry import DomainSpec, GeometryError
+from .geometry import DomainSpec, GeometryError, _integer
 from .optimizer import OptimizeOptions, _alternate
 from .rearrange import RearrangeError, _check_bracket, _check_density
 
@@ -71,6 +71,7 @@ class RadialResult:
 def radial_grid(kind, radii, n_r):
     """The radius grid of a disk or an annulus; ``radii`` is the kind's
     ``DomainSpec.params``, checked by ``DomainSpec.from_dict``."""
+    n_r = _integer(n_r, "n_r", RadialError)
     if n_r < 64:
         raise RadialError("n_r must be at least 64")
     if kind not in ("disk", "annulus"):

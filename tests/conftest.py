@@ -34,6 +34,8 @@ BAD_PARAMS = [
     ("string", "disk", "1", "disk takes parameters"),
     ("string-entry", "disk", ("1.0",), "disk takes parameters"),
     ("bool-entry", "disk", (True,), "disk takes parameters"),
+    ("bool-first", "annulus", (True, 2.0), "annulus takes parameters"),
+    ("bool-last", "annulus", (0.5, True), "annulus takes parameters"),
     ("nested", "annulus", (0.3, [1.0]), "annulus takes parameters"),
     ("nan", "disk", (math.nan,), "radius must be strictly positive, got nan"),
     ("inf", "disk", (math.inf,), "radius must be finite, got inf"),
@@ -48,6 +50,13 @@ BAD_PARAMS = [
 BAD_CENTRES = [
     ("length-1", (1.0,)), ("length-3", (1.0, 2.0, 3.0)), ("text", ("a", "b")),
     ("string", "ab"), ("scalar", 0.0), ("nan", (math.nan, 0.0)), ("inf", (0.0, math.inf)),
+    ("bool-x", (True, 0.0)), ("bool-y", (0.0, False)),
+]
+# (id, value): each count (grid size, radial cells, outer steps, starts)
+# refuses it as "<name> must be an integer, got <value>"
+BAD_COUNTS = [
+    ("fraction", 64.5), ("whole-float", 64.0), ("numpy-float", np.float64(64.0)),
+    ("bool", True), ("numpy-bool", np.True_), ("string", "64"), ("none", None),
 ]
 
 

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -267,6 +268,23 @@ class TestVerify:
         assert rc == 1
         assert captured.err == ("error: %s: unusable report (ValueError: grid must be an "
                                 "integer, got %r)\n" % (bad, grid))
+        assert captured.out == ""
+
+    # "abc" and null crashed the product check (exit 2, before rigidity and
+    # structure printed); true was read as 1.0 and NaN passed
+    @pytest.mark.parametrize("key", ["theta", "t"])
+    @pytest.mark.parametrize("value", ["abc", None, True, math.nan, -math.inf],
+                             ids=["string", "null", "bool", "nan", "minus-inf"])
+    def test_theta_and_t_must_be_finite_json_numbers(self, disk_solve, tmp_path, key, value,
+                                                     capsys):
+        d, report, fields = disk_solve
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(json.loads(report.read_text()), **{key: value})))
+        rc = run(["verify", "--report", str(bad), "--fields", str(fields)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == ("error: %s: unusable report (ValueError: %s must be a finite "
+                                "number, got %r)\n" % (bad, key, value))
         assert captured.out == ""
 
     def test_corrupted_field_fails_monotonicity(self, disk_solve, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,11 +8,26 @@ from scipy.special import jn_zeros
 
 import platelab as pl
 from platelab import eigensolver
-from platelab.eigensolver import EigenError, EigenResult, principal_pair, rayleigh_quotient
+from platelab import optimizer
+from platelab.eigensolver import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    KRYLOV_NCV,
+    KRYLOV_RESIDUAL,
+    KRYLOV_TOL,
+    EigenError,
+    EigenResult,
+    _crawls,
+    _scaled,
+    principal_pair,
+    rayleigh_quotient,
+)
 from platelab.fields import ScalarField
 from platelab.plate import solve_navier
 from platelab.poisson import GridMismatchError
 from platelab.rearrange import DensityField, optimal_density
+from conftest import BAD_COUNTS
+from test_golden import OPTIMIZE_IDS, OPTIMIZE_ROWS
 
 J01 = jn_zeros(0, 1)[0]
 
@@ -94,6 +110,14 @@ class TestPrincipalPair:
         op = pl.assemble_laplacian(g1)
         with pytest.raises(GridMismatchError):
             principal_pair(op, _uniform(g2))
+
+    @pytest.mark.parametrize("case, count", BAD_COUNTS, ids=[case[0] for case in BAD_COUNTS])
+    def test_max_iter_must_be_an_integer(self, case, count):
+        # 64.5 ran 65 applications and reported "no convergence in 64 iterations"
+        g = pl.build_grid(pl.unit_square(), 9)
+        with pytest.raises(ValueError, match=re.escape("max_iter must be an integer, got %r"
+                                                       % (count,))):
+            principal_pair(pl.assemble_laplacian(g), _uniform(g), max_iter=count)
 
     def test_iteration_cap_raises_with_last_theta(self):
         g = pl.build_grid(pl.unit_square(), 9)
@@ -242,6 +266,174 @@ class TestKrylovHandOff:
         assert len(applied) <= max_iter
         assert err.value.iterations == max_iter
         assert err.value.last_theta is not None
+
+
+def _two_function_pair(op, rho, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, u0=None):
+    """Reference: ``principal_pair`` as it was before its map applications
+    were folded into one counted closure, verbatim, with ``_krylov`` below."""
+    if not (0.0 < tol <= 1e-6):
+        raise ValueError("tol must be in (0, 1e-6], got %r" % (tol,))
+    grid = rho.grid
+    cell = grid.cell_area
+
+    if u0 is None:
+        u = np.ones(grid.n)
+    else:
+        u = u0.values
+        if u.shape != (grid.n,) or np.any(u <= 0.0):
+            raise ValueError("u0 must be a strictly positive field on the grid")
+        u = u / np.max(np.abs(u))
+
+    history = []
+    theta_prev = None
+    step_prev = None
+    for it in range(1, max_iter + 1):
+        f = ScalarField(grid, rho.values * u)
+        u_field, v_field = solve_navier(op, f)
+        if np.any(u_field.values <= 0.0):
+            raise EigenError("iterate lost positivity", iterations=it)
+        u, v, theta = _scaled(u_field, v_field, rho)
+        history.append(theta)
+        if theta_prev is not None:
+            step = abs(theta - theta_prev)
+            if step <= tol * theta:
+                break
+            # ARPACK needs a subspace smaller than the problem
+            if grid.n > KRYLOV_NCV and _crawls(step, step_prev, tol * theta):
+                it, u, v, theta = _two_function_krylov(op, rho, u, it, max_iter, theta)
+                history.append(theta)
+                break
+            step_prev = step
+        theta_prev = theta
+    else:
+        raise EigenError(
+            "no convergence in %d iterations (last theta %.12g)"
+            % (max_iter, history[-1] if history else float("nan")),
+            last_theta=history[-1] if history else None,
+            iterations=max_iter,
+        )
+
+    # final normalization: unit weighted norm
+    c = np.sqrt(float(np.sum(rho.values * u * u)) * cell)
+    u_out = ScalarField(grid, u / c)
+    v_out = ScalarField(grid, v / c)
+    if np.any(u_out.values <= 0.0) or np.any(v_out.values <= 0.0):
+        raise EigenError("converged pair is not strictly positive")
+    return EigenResult(
+        theta=theta,
+        u=u_out,
+        v=v_out,
+        iterations=it,
+        theta_history=tuple(history),
+    )
+
+
+def _two_function_krylov(op, rho, u, done, max_iter, last_theta):
+    """ARPACK on the two-solve map from the power iterate ``u`` after
+    ``done`` map applications. Returns ``(iterations, u, v, theta)`` as
+    the power loop holds them: u sup-normalized, theta the energy quotient
+    of one more application of the map to the Ritz vector."""
+    grid = rho.grid
+    calls = done
+
+    def fail(message, iterations):
+        return EigenError(message, last_theta=last_theta, iterations=iterations)
+
+    def apply(x):
+        nonlocal calls
+        # keep one application for the consistent pair after eigs
+        if calls >= max_iter - 1:
+            raise fail(
+                "no convergence in %d iterations (last theta %.12g)" % (max_iter, last_theta),
+                max_iter,
+            )
+        calls += 1
+        return solve_navier(op, ScalarField(grid, rho.values * x))[0].values
+
+    a = LinearOperator((grid.n, grid.n), matvec=apply, dtype=float)
+    try:
+        _, vecs = eigs(a, k=1, which="LM", v0=u, ncv=KRYLOV_NCV, tol=KRYLOV_TOL)
+    except ArpackNoConvergence as exc:
+        raise fail("Krylov eigensolve did not converge: %s" % exc, calls) from exc
+
+    x = vecs[:, 0].real
+    if np.sum(x) < 0.0:
+        x = -x
+    u_field, v_field = solve_navier(op, ScalarField(grid, rho.values * x))
+    calls += 1
+    w = u_field.values
+    theta_l = float(x @ x) / float(x @ w)
+    residual = float(np.linalg.norm(theta_l * w - x) / np.linalg.norm(x))
+    if not residual <= KRYLOV_RESIDUAL:
+        raise fail(
+            "Krylov eigen-residual %.3e exceeds %.0e" % (residual, KRYLOV_RESIDUAL), calls
+        )
+    if np.any(w <= 0.0):
+        raise fail("Krylov eigenvector is not strictly positive", calls)
+    return (calls,) + _scaled(u_field, v_field, rho)
+
+
+def _outcome(solve, *args, **kwargs):
+    """A solve's result as exact values (theta ``repr``, u and v bytes,
+    iterations, history), or its raise as (type, message, iterations,
+    last theta)."""
+    try:
+        res = solve(*args, **kwargs)
+    except EigenError as exc:
+        return type(exc), str(exc), exc.iterations, repr(exc.last_theta)
+    return (repr(res.theta), res.u.values.tobytes(), res.v.values.tobytes(), res.iterations,
+            tuple(map(repr, res.theta_history)))
+
+
+class TestOneCountedMap:
+    """``principal_pair`` applies its map from one counted closure; it
+    returns and raises bitwise as the two-function form did."""
+
+    @pytest.mark.parametrize("spec, grid, mass, opts, theta, termination, outer, inner",
+                             OPTIMIZE_ROWS, ids=OPTIMIZE_IDS)
+    def test_every_golden_eigensolve_matches(self, monkeypatch, spec, grid, mass, opts, theta,
+                                             termination, outer, inner):
+        solves = []
+
+        def both(op, rho, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, u0=None):
+            got = principal_pair(op, rho, tol, max_iter, u0)
+            want = _outcome(_two_function_pair, op, rho, tol, max_iter, u0)
+            assert _outcome(lambda: got) == want
+            solves.append(u0 is not None)
+            return got
+
+        monkeypatch.setattr(optimizer, "principal_pair", both)
+        _, report = pl.optimize(spec, grid, 1.0, 2.0, mass, opts=opts)
+        assert report.inner_iterations == inner
+        assert len(solves) >= outer and any(solves)  # cold and warm starts
+
+    @pytest.fixture(scope="class")
+    def warm_start(self, thin_annulus):
+        op = thin_annulus[0]
+        return principal_pair(op, _threshold_case(pl.annulus(0.85, 1.0), 49, seed=1)[1],
+                              tol=1e-11).u
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_thin_annulus_caps_match(self, thin_annulus, warm_start, warm, monkeypatch):
+        op, rho = thin_annulus
+        u0 = warm_start if warm else None
+        applied = []
+        monkeypatch.setattr(
+            eigensolver, "solve_navier", lambda op, f: applied.append(1) or solve_navier(op, f)
+        )
+        full = principal_pair(op, rho, tol=1e-11, u0=u0)
+        assert full.iterations == len(applied) > len(full.theta_history)  # handed off
+        for max_iter in range(full.iterations + 2):
+            want = _outcome(_two_function_pair, op, rho, 1e-11, max_iter, u0)
+            assert _outcome(principal_pair, op, rho, tol=1e-11, max_iter=max_iter, u0=u0) == want
+
+        # the cap counts the closing application too
+        assert _outcome(principal_pair, op, rho, tol=1e-11, max_iter=full.iterations,
+                        u0=u0) == _outcome(lambda: full)
+        with pytest.raises(EigenError, match="no convergence in %d iterations"
+                           % (full.iterations - 1)) as err:
+            principal_pair(op, rho, tol=1e-11, max_iter=full.iterations - 1, u0=u0)
+        assert err.value.iterations == full.iterations - 1
 
 
 class TestRayleighQuotient:

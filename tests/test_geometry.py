@@ -105,6 +105,18 @@ class TestOneDomainCheck:
         with pytest.raises(GeometryError, match=re.escape(message)):
             getattr(geometry, kind)(*params)
 
+    # numpy bools, which JSON cannot carry to the other entry points
+    @pytest.mark.parametrize("params, center", [
+        ((np.True_, 2.0), (0.0, 0.0)), ((0.5, np.True_), (0.0, 0.0)),
+        ((0.5, 1.0), (np.True_, 0.0)),
+    ], ids=["inner", "outer", "center"])
+    def test_numpy_bool_entries_rejected(self, params, center):
+        # annulus(0.5, np.True_) built outer radius 1.0
+        with pytest.raises(GeometryError):
+            geometry.annulus(*params, center=center)
+        with pytest.raises(GeometryError):
+            DomainSpec.from_dict({"kind": "annulus", "params": params, "center": center})
+
     @pytest.mark.parametrize("case, center", BAD_CENTRES, ids=_ids(BAD_CENTRES))
     @pytest.mark.parametrize("kind", list(geometry.PARAMS))
     def test_bad_centre_rejected(self, kind, case, center):

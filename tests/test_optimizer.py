@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from platelab.eigensolver import principal_pair, rayleigh_quotient
 from platelab.fields import ScalarField
 from platelab.optimizer import OptimizeError, OptimizeOptions, optimize
 from platelab.rearrange import RearrangeError, mass, optimal_density
+from conftest import BAD_COUNTS
 
 
 class TestOptions:
@@ -21,6 +23,22 @@ class TestOptions:
         with pytest.raises(OptimizeError):
             OptimizeOptions(**kwargs)
         assert issubclass(OptimizeError, ValueError)
+
+    @pytest.mark.parametrize("name", ["max_outer", "restarts"])
+    @pytest.mark.parametrize("case, count", BAD_COUNTS, ids=[case[0] for case in BAD_COUNTS])
+    def test_counts_must_be_integers(self, case, count, name):
+        # max_outer = 2.5 failed later in ``range``; True was read as 1
+        with pytest.raises(OptimizeError,
+                           match=re.escape("%s must be an integer, got %r" % (name, count))):
+            OptimizeOptions(**{name: count})
+
+    @pytest.mark.parametrize("count", [np.int32(2), np.int64(2), np.uint8(2)], ids=repr)
+    def test_numpy_integer_counts_are_taken(self, count):
+        got, want = (optimize(pl.unit_square(), 17, 1.0, 2.0, 1.5,
+                              opts=OptimizeOptions(max_outer=n, restarts=n, seed=0))
+                     for n in (count, 2))
+        assert repr(got[0].theta) == repr(want[0].theta)
+        assert got[1].restart_thetas == want[1].restart_thetas
 
 
 class TestOptimize:

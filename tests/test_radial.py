@@ -18,7 +18,7 @@ from platelab.radial import (
     radial_grid,
     radial_optimize,
 )
-from conftest import BAD_PARAMS
+from conftest import BAD_COUNTS, BAD_PARAMS
 
 J01 = jn_zeros(0, 1)[0]
 
@@ -241,6 +241,21 @@ class TestSharedInputRules:
             radial_optimize("disk", (1.0,), h, H, M, n_r=128)
         assert str(radial.value) == str(planar.value)
         assert str(radial.value).startswith(message)
+
+    @pytest.mark.parametrize("case, n_r", BAD_COUNTS, ids=[case[0] for case in BAD_COUNTS])
+    def test_n_r_must_be_an_integer(self, case, n_r):
+        # n_r = 100.5 put the disk's Dirichlet node at r = 1.005 and gave
+        # theta 17.1606 (17.4262 at 100 cells); "100" raised a bare TypeError
+        message = re.escape("n_r must be an integer, got %r" % (n_r,))
+        with pytest.raises(RadialError, match=message):
+            radial_grid("disk", (1.0,), n_r)
+        with pytest.raises(RadialError, match=message):
+            radial_optimize("disk", (1.0,), 1.0, 2.0, 1.5 * math.pi, n_r=n_r)
+
+    @pytest.mark.parametrize("n_r", [np.int32(100), np.int64(100), np.uint8(100)], ids=repr)
+    def test_numpy_integer_n_r_is_taken(self, n_r):
+        assert radial_grid("disk", (1.0,), n_r).r.tobytes() == \
+            radial_grid("disk", (1.0,), 100).r.tobytes()
 
     @pytest.mark.parametrize("kind", [int, np.int32, np.int64, np.uint8],
                              ids=lambda kind: kind.__name__)
