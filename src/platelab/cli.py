@@ -382,6 +382,7 @@ VALID_CHECKS = tuple(_CHECKS)
 def _run_sweep(args):
     if args.steps < 1:
         raise CliUsageError("error: --steps must be positive")
+    _options(args, args.seed)  # every option, the seed included, before it seeds a row
     rows = []
     for idx, a in enumerate(np.linspace(args.inner_from, args.inner_to, args.steps)):
         seed = int(np.random.SeedSequence((args.seed, idx)).generate_state(1)[0])

@@ -16,13 +16,13 @@ Power iteration contracts by about theta_1/theta_2 per step, which nears
 1 on thin annuli. After each step the loop reads the contraction
 ``q = d_k / d_{k-1}`` of its quotient increments; once
 ``log(tol theta / d_k) / log q`` predicts more than ``KRYLOV_AFTER``
-further steps, it hands its iterate to ARPACK (``eigs``, one eigenvalue
-of largest magnitude) on the same map, with a fixed subspace size and
-tolerance. One closure applies the map through ``solve_navier`` and
-counts it, for every power step, every ARPACK product and the closing
-step that maps the sign-fixed Ritz vector to the returned (u, v);
-``max_iter`` caps that count. The pair's eigen-residual
-``||theta_l A^-2 rho x - x|| / ||x||`` with
+further steps, it hands its iterate to a short Arnoldi loop on the same
+map (``_arnoldi``), which tests its dominant Ritz pair after every map
+and stops on the map where the pair converges. One closure applies the
+map through ``solve_navier`` and counts it, for every power step, every
+Arnoldi step and the closing step that maps the sign-fixed Ritz vector
+to the returned (u, v); ``max_iter`` caps that count. The pair's
+eigen-residual ``||theta_l A^-2 rho x - x|| / ||x||`` with
 ``theta_l = <x, x> / <x, A^-2 rho x>`` must be below ``KRYLOV_RESIDUAL``.
 Where the increments contract fast (disks, squares, thick annuli) the
 switch never fires and the result is the power loop's, bitwise.
@@ -44,7 +44,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
 from .fields import ScalarField
 from .geometry import _integer
@@ -53,15 +52,18 @@ from .poisson import GridMismatchError
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 10000
-# Hand-off to ARPACK: more predicted power steps than KRYLOV_AFTER switch
-# to eigs with subspace size KRYLOV_NCV and tolerance KRYLOV_TOL, and its
-# pair must meet the eigen-residual bound KRYLOV_RESIDUAL. A hand-off
-# costs about 40 map applications; the prediction, read off early
-# increments, undershoots on a crawl, so 20 is the switch point. The disk
-# at grid 257 and the squares and rectangles at grid 129 predict at most
-# about 4 further steps, so they never switch.
-KRYLOV_AFTER = 20
-KRYLOV_NCV = 12
+# Hand-off to the Arnoldi loop: more predicted power steps than
+# KRYLOV_AFTER switch to it. Its basis holds at most KRYLOV_NCV vectors
+# (then it restarts from its Ritz vector), it stops once the dominant
+# Ritz pair's residual is at most KRYLOV_TOL * |mu|, and the returned pair
+# must meet the eigen-residual bound KRYLOV_RESIDUAL. A hand-off stops on
+# the map where it converges: on the 16 annulus rows at grid 97 that takes
+# 13 maps in the median, 4-39 without a restart. The prediction, read off
+# early increments, undershoots on a crawl, so a switch point of 10 pays;
+# the disk at grid 257 and the squares and rectangles at grid 129 predict
+# at most about 4 further steps, so they never switch.
+KRYLOV_AFTER = 10
+KRYLOV_NCV = 40
 KRYLOV_TOL = 1e-10
 KRYLOV_RESIDUAL = 1e-9
 
@@ -95,15 +97,15 @@ def rayleigh_quotient(u, v, rho):
 
 
 def principal_pair(op, rho, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, u0=None):
-    """Principal pair at fixed density: power iteration, then Krylov if it crawls.
+    """Principal pair at fixed density: power iteration, then Arnoldi if it crawls.
 
     Starts from the positive constant unless a ``ScalarField`` ``u0`` is
     given (warm starts from a previous outer iterate). Stops when the
     relative quotient increment falls below ``tol``, or hands the iterate
-    to ``eigs`` once the observed contraction predicts more than
+    to ``_arnoldi`` once the observed contraction predicts more than
     ``KRYLOV_AFTER`` further steps. ``iterations`` counts applications of
     the two-solve map over both phases, and ``max_iter`` caps every one,
-    the closing application after ``eigs`` included.
+    the closing application after the Arnoldi loop included.
     """
     if not (0.0 < tol <= 1e-6):
         raise ValueError("tol must be in (0, 1e-6], got %r" % (tol,))
@@ -143,14 +145,8 @@ def principal_pair(op, rho, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, u0=None)
             step = abs(theta - theta_prev)
             if step <= tol * theta:
                 break
-            # ARPACK needs a subspace smaller than the problem
-            if grid.n > KRYLOV_NCV and _crawls(step, step_prev, tol * theta):
-                a = LinearOperator((grid.n,) * 2, matvec=lambda x: apply(x)[0].values, dtype=float)
-                try:
-                    _, vecs = eigs(a, k=1, which="LM", v0=u, ncv=KRYLOV_NCV, tol=KRYLOV_TOL)
-                except ArpackNoConvergence as exc:
-                    raise fail("Krylov eigensolve did not converge: %s" % exc) from exc
-                x = vecs[:, 0].real
+            if _crawls(step, step_prev, tol * theta):
+                x = _arnoldi(lambda y: apply(y)[0].values, u)
                 if np.sum(x) < 0.0:
                     x = -x
                 u_field, v_field = apply(x)
@@ -193,6 +189,68 @@ def _scaled(u_field, v_field, rho):
     num = float(np.sum(v * v)) * cell
     den = float(np.sum(rho.values * u * u)) * cell
     return u, v, num / den
+
+
+def _arnoldi(matvec, x):
+    """Dominant Ritz vector of ``matvec`` from the start ``x``.
+
+    Arnoldi with classical Gram-Schmidt applied twice (CGS2), in a basis
+    ``V`` of at most ``KRYLOV_NCV`` vectors; a full basis restarts from
+    its dominant Ritz vector. After every map the dominant eigenpair
+    ``(mu, y)`` of the Hessenberg matrix ``H`` is tracked by one solve
+    with ``H`` shifted by the last ``mu``: tens of microseconds, where a
+    dense ``eig`` of ``H`` costs about as much as one map on a thin grid.
+    In the full space ``(mu, V y)`` has the residual
+    ``sqrt(|H y - mu y|^2 + |h_{j+1,j} y_j|^2)``. Once that is at most
+    ``KRYLOV_TOL |mu|``, or the new vector falls to rounding (an
+    invariant subspace, where ``h_{j+1,j}`` is taken as 0), or the basis
+    is full, a dense ``eig`` of ``H`` gives the dominant Ritz pair. It is
+    returned if ``|h_{j+1,j} y_j| <= KRYLOV_TOL |mu|``, and otherwise
+    tracked from there, or restarted from if the basis is full.
+    """
+    basis = np.empty((KRYLOV_NCV + 1, x.size))
+    hess = np.zeros((KRYLOV_NCV + 1, KRYLOV_NCV))
+    basis[0] = x / np.linalg.norm(x)
+    j = 0
+    while True:
+        w = matvec(basis[j])
+        v = basis[: j + 1]
+        h = v @ w
+        w = w - h @ v
+        h2 = v @ w
+        w -= h2 @ v
+        h += h2
+        hess[: j + 1, j] = h
+        beta = np.linalg.norm(w)
+        if beta <= np.finfo(float).eps * np.linalg.norm(h):  # rounding: an invariant subspace
+            beta = 0.0
+        hess[j + 1, j] = beta
+        square = hess[: j + 1, : j + 1]
+        if j == 0:
+            mu, y = square[0, 0], np.ones(1)
+        else:
+            try:
+                y = np.linalg.solve(square - mu * np.eye(j + 1), np.append(y, 0.0))
+            except np.linalg.LinAlgError:  # mu is exactly an eigenvalue of H
+                y = np.append(y, 0.0)
+            y /= np.linalg.norm(y)
+            mu = float(y @ square @ y)
+        small = np.linalg.norm(square @ y - mu * y)
+        full = j + 1 == KRYLOV_NCV
+        if math.hypot(small, beta * y[-1]) <= KRYLOV_TOL * abs(mu) or beta == 0.0 or full:
+            values, vectors = np.linalg.eig(square)
+            k = int(np.argmax(np.abs(values)))
+            y = vectors[:, k].real
+            mu, y = float(values[k].real), y / np.linalg.norm(y)
+            if abs(beta * y[-1]) <= KRYLOV_TOL * abs(mu):
+                return y @ v
+            if full:
+                x = y @ v
+                basis[0] = x / np.linalg.norm(x)
+                j = 0
+                continue
+        basis[j + 1] = w / beta
+        j += 1
 
 
 def _crawls(step, step_prev, target):

@@ -42,6 +42,8 @@ class OptimizeOptions:
             count = _integer(getattr(self, name), name, OptimizeError)
             if count < 1:
                 raise OptimizeError("%s must be at least 1, got %r" % (name, count))
+        if self.seed is not None and _integer(self.seed, "seed", OptimizeError) < 0:
+            raise OptimizeError("seed must be non-negative, got %r" % (self.seed,))
         if not self.theta_tol > 0.0:
             raise OptimizeError("theta_tol must be positive, got %r" % (self.theta_tol,))
         if not 0.0 < self.eig_tol <= 1e-6:

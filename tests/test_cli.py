@@ -28,7 +28,8 @@ BAD_OPTIONS = pytest.mark.parametrize("flags", [
     ["--theta-tol", "-1"],
     ["--tol", "1e-3"],
     ["--tol", "-1"],
-], ids=["max-outer-0", "restarts-neg", "theta-tol-neg", "tol-above-1e-6", "tol-neg"])
+    ["--restarts", "2", "--seed", "-1"],  # exited 2 from numpy's SeedSequence
+], ids=["max-outer-0", "restarts-neg", "theta-tol-neg", "tol-above-1e-6", "tol-neg", "seed-neg"])
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
 import math
+import pathlib
 import re
 
 import numpy as np
@@ -190,15 +191,65 @@ def _eigen_residual(op, rho, u):
     return float(np.linalg.norm(theta_l * w - u) / np.linalg.norm(u))
 
 
+def _tight_theta(op, rho):
+    """Energy quotient of the principal pair from ARPACK at a tight
+    tolerance: an independent reference for the Krylov phase."""
+    n = rho.grid.n
+    a = LinearOperator((n, n), matvec=lambda x: _map(op, rho, x), dtype=float)
+    _, vecs = eigs(a, k=1, which="LM", v0=np.ones(n), ncv=30, tol=1e-14)
+    x = np.abs(vecs[:, 0].real)
+    u_field, v_field = solve_navier(op, ScalarField(rho.grid, rho.values * x))
+    return rayleigh_quotient(u_field, v_field, rho)
+
+
+def _assert_accurate(res, op, rho, tight=None):
+    """A handed-off pair: positive, eigen-residual at most 1e-9, theta
+    within 1e-9 of the tight reference, and the last history entry."""
+    tight = _tight_theta(op, rho) if tight is None else tight
+    assert res.iterations > len(res.theta_history)  # handed off
+    assert (res.u.values > 0).all() and (res.v.values > 0).all()
+    assert _eigen_residual(op, rho, res.u.values) <= 1e-9
+    assert abs(res.theta - tight) <= 1e-9 * tight
+    assert res.theta_history[-1] == res.theta
+
+
+def _first_converged_map(matvec, x):
+    """Maps an Arnoldi loop (CGS2, one basis of ``KRYLOV_NCV`` vectors)
+    makes when it takes a dense ``eig`` after every map, up to the first
+    whose dominant Ritz pair meets ``|h_{j+1,j} y_j| <= KRYLOV_TOL |mu|``."""
+    ncv = eigensolver.KRYLOV_NCV
+    basis = [x / np.linalg.norm(x)]
+    hess = np.zeros((ncv + 1, ncv))
+    for j in range(ncv):
+        w = matvec(basis[j])
+        v = np.array(basis)
+        for _ in range(2):
+            h = v @ w
+            w = w - h @ v
+            hess[: j + 1, j] += h
+        beta = hess[j + 1, j] = np.linalg.norm(w)
+        values, vectors = np.linalg.eig(hess[: j + 1, : j + 1])
+        k = np.argmax(np.abs(values))
+        if abs(beta * vectors[-1, k]) <= KRYLOV_TOL * abs(values[k]):
+            return j + 1
+        basis.append(w / beta)
+    return None
+
+
 @pytest.fixture(scope="module")
 def thin_annulus():
     return _threshold_case(pl.annulus(0.85, 1.0), 49)
 
 
+HAND_OFF_CASES = pytest.mark.parametrize(
+    "spec, nodes", [(pl.annulus(0.85, 1.0), 49), (pl.annulus(0.12, 1.0), 41)],
+    ids=["annulus-0.85-49", "annulus-0.12-41"],
+)
+
+
 class TestKrylovHandOff:
     @pytest.mark.parametrize(
-        "spec, nodes", [(pl.disk(1.0), 65), (pl.unit_square(), 33), (pl.annulus(0.12, 1.0), 41)],
-        ids=["disk-65", "square-33", "annulus-0.12-41"],
+        "spec, nodes", [(pl.disk(1.0), 65), (pl.unit_square(), 33)], ids=["disk-65", "square-33"],
     )
     def test_fast_contraction_stays_power_iteration_bitwise(self, spec, nodes):
         op, rho = _threshold_case(spec, nodes)
@@ -215,37 +266,80 @@ class TestKrylovHandOff:
             assert got.iterations == ref.iterations
             assert got.theta_history == ref.theta_history
 
-    def test_slow_contraction_hands_off_to_an_accurate_pair(self, thin_annulus, monkeypatch):
-        op, rho = thin_annulus
-        ref = _power_reference(op, rho, 1e-11)
+    @HAND_OFF_CASES
+    def test_slow_contraction_hands_off_to_an_accurate_pair(self, spec, nodes, monkeypatch):
+        op, rho = _threshold_case(spec, nodes)
+        warm_start = _threshold_case(spec, nodes, seed=1)[1]
+        u0 = principal_pair(op, warm_start, tol=1e-11).u
+        tight = _tight_theta(op, rho)
         applied = []
         monkeypatch.setattr(
             eigensolver, "solve_navier", lambda op, f: applied.append(1) or solve_navier(op, f)
         )
-        res = principal_pair(op, rho, tol=1e-11)
-        assert res.iterations == len(applied) < ref.iterations
-        assert (res.u.values > 0).all() and (res.v.values > 0).all()
-        assert _eigen_residual(op, rho, res.u.values) <= 1e-9
+        for start in (None, u0):
+            del applied[:]
+            res = principal_pair(op, rho, tol=1e-11, u0=start)
+            assert res.iterations == len(applied)
+            assert res.iterations < _power_reference(op, rho, 1e-11, u0=start).iterations
+            _assert_accurate(res, op, rho, tight)
 
-        n = rho.grid.n
-        a = LinearOperator((n, n), matvec=lambda x: _map(op, rho, x), dtype=float)
-        _, vecs = eigs(a, k=1, which="LM", v0=np.ones(n), ncv=30, tol=1e-14)
-        x = np.abs(vecs[:, 0].real)
-        u_field, v_field = solve_navier(op, ScalarField(rho.grid, rho.values * x))
-        tight = rayleigh_quotient(u_field, v_field, rho)
-        assert abs(res.theta - tight) <= 1e-9 * tight
-        assert res.theta_history[-1] == res.theta
+    @HAND_OFF_CASES
+    def test_arnoldi_stops_on_the_first_converged_map(self, spec, nodes, monkeypatch):
+        op, rho = _threshold_case(spec, nodes)
+        calls = []
 
-    def test_arpack_failure_raises_with_last_theta(self, thin_annulus, monkeypatch):
+        def spy(matvec, x):
+            maps = []
+            calls.append((x, maps))
+            return arnoldi(lambda y: maps.append(1) or matvec(y), x)
+
+        arnoldi = eigensolver._arnoldi
+        monkeypatch.setattr(eigensolver, "_arnoldi", spy)
+        monkeypatch.setattr(eigensolver, "KRYLOV_NCV", 64)  # no restart
+        principal_pair(op, rho, tol=1e-11)
+        [(x, maps)] = calls
+        assert len(maps) == _first_converged_map(lambda y: _map(op, rho, y), x)
+
+    def test_restarts_when_the_basis_is_full(self, thin_annulus, monkeypatch):
         op, rho = thin_annulus
+        full = principal_pair(op, rho, tol=1e-11)
+        monkeypatch.setattr(eigensolver, "KRYLOV_NCV", 3)
+        res = principal_pair(op, rho, tol=1e-11)
+        assert res.iterations - len(res.theta_history) > 3  # more Arnoldi maps than one basis
+        assert res.theta_history[:-1] == full.theta_history[:-1]  # same power phase
+        _assert_accurate(res, op, rho)
 
-        def no_convergence(*args, **kwargs):
-            raise ArpackNoConvergence("stub", np.empty(0), np.empty((rho.grid.n, 0)))
+    def test_budget_spent_in_the_krylov_phase_raises(self, thin_annulus):
+        op, rho = thin_annulus
+        full = principal_pair(op, rho, tol=1e-11)
+        power = len(full.theta_history) - 1  # maps before the hand-off
+        max_iter = (power + full.iterations) // 2
+        assert power < max_iter < full.iterations - 1
+        with pytest.raises(EigenError, match="no convergence in %d iterations" % max_iter) as err:
+            principal_pair(op, rho, tol=1e-11, max_iter=max_iter)
+        assert err.value.iterations == max_iter
+        assert err.value.last_theta == full.theta_history[-2]  # the last power step's
+        assert math.isfinite(err.value.last_theta)
 
-        monkeypatch.setattr(eigensolver, "eigs", no_convergence)
-        with pytest.raises(EigenError) as err:
-            principal_pair(op, rho, tol=1e-11)
-        assert err.value.last_theta is not None and math.isfinite(err.value.last_theta)
+    def test_invariant_basis_returns_the_exact_pair(self, monkeypatch):
+        # 25 unknowns, fewer than the basis holds: with a zero tolerance the
+        # Arnoldi loop stops only when the basis spans the whole space and
+        # the next vector falls to rounding, where h_{j+1,j} is taken as 0
+        op, rho = _threshold_case(pl.unit_square(), 7)
+        n = rho.grid.n
+        assert n <= KRYLOV_NCV
+        monkeypatch.setattr(eigensolver, "KRYLOV_AFTER", -1)  # hand off at the first chance
+        monkeypatch.setattr(eigensolver, "KRYLOV_TOL", 0.0)
+        res = principal_pair(op, rho, tol=1e-11)
+        power = len(res.theta_history) - 1
+        assert res.iterations == power + n + 1  # n Arnoldi maps and the closing one
+
+        values, vectors = np.linalg.eig(np.column_stack([_map(op, rho, e) for e in np.eye(n)]))
+        x = np.abs(vectors[:, np.argmax(np.abs(values))].real)
+        u_field, v_field = solve_navier(op, ScalarField(rho.grid, rho.values * x))
+        exact = rayleigh_quotient(u_field, v_field, rho)
+        assert abs(res.theta - exact) <= 1e-12 * exact
+        assert _eigen_residual(op, rho, res.u.values) <= 1e-12
 
     def test_residual_above_the_bound_raises(self, thin_annulus, monkeypatch):
         op, rho = thin_annulus
@@ -386,8 +480,9 @@ def _outcome(solve, *args, **kwargs):
 
 
 class TestOneCountedMap:
-    """``principal_pair`` applies its map from one counted closure; it
-    returns and raises bitwise as the two-function form did."""
+    """``principal_pair`` applies its map from one counted closure. Where
+    it does not hand off it returns and raises bitwise as the two-function
+    form did; the pairs it hands off meet the tight reference."""
 
     @pytest.mark.parametrize("spec, grid, mass, opts, theta, termination, outer, inner",
                              OPTIMIZE_ROWS, ids=OPTIMIZE_IDS)
@@ -397,8 +492,11 @@ class TestOneCountedMap:
 
         def both(op, rho, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, u0=None):
             got = principal_pair(op, rho, tol, max_iter, u0)
-            want = _outcome(_two_function_pair, op, rho, tol, max_iter, u0)
-            assert _outcome(lambda: got) == want
+            if got.iterations == len(got.theta_history):  # power iteration alone
+                want = _outcome(_two_function_pair, op, rho, tol, max_iter, u0)
+                assert _outcome(lambda: got) == want
+            else:
+                _assert_accurate(got, op, rho)
             solves.append(u0 is not None)
             return got
 
@@ -422,18 +520,33 @@ class TestOneCountedMap:
             eigensolver, "solve_navier", lambda op, f: applied.append(1) or solve_navier(op, f)
         )
         full = principal_pair(op, rho, tol=1e-11, u0=u0)
-        assert full.iterations == len(applied) > len(full.theta_history)  # handed off
-        for max_iter in range(full.iterations + 2):
+        power = len(full.theta_history) - 1  # maps before the hand-off
+        assert full.iterations == len(applied) > power + 1  # handed off
+        # caps in the power phase and at the switch: as the two-function form
+        for max_iter in range(power + 1):
             want = _outcome(_two_function_pair, op, rho, 1e-11, max_iter, u0)
             assert _outcome(principal_pair, op, rho, tol=1e-11, max_iter=max_iter, u0=u0) == want
+        # caps in the Arnoldi loop and on the closing map: the one cap error
+        last = full.theta_history[-2]
+        for max_iter in range(power + 1, full.iterations):
+            assert _outcome(principal_pair, op, rho, tol=1e-11, max_iter=max_iter, u0=u0) == (
+                EigenError, "no convergence in %d iterations (last theta %.12g)"
+                % (max_iter, last), max_iter, repr(last))
 
         # the cap counts the closing application too
-        assert _outcome(principal_pair, op, rho, tol=1e-11, max_iter=full.iterations,
-                        u0=u0) == _outcome(lambda: full)
+        for max_iter in (full.iterations, full.iterations + 1):
+            assert _outcome(principal_pair, op, rho, tol=1e-11, max_iter=max_iter,
+                            u0=u0) == _outcome(lambda: full)
         with pytest.raises(EigenError, match="no convergence in %d iterations"
                            % (full.iterations - 1)) as err:
             principal_pair(op, rho, tol=1e-11, max_iter=full.iterations - 1, u0=u0)
         assert err.value.iterations == full.iterations - 1
+
+
+def test_package_uses_no_arpack():
+    # the Krylov phase is the package's own; the tests keep eigs as a reference
+    for path in sorted(pathlib.Path(eigensolver.__file__).parent.glob("*.py")):
+        assert re.search(r"eigs|Arpack|LinearOperator", path.read_text()) is None, path.name
 
 
 class TestRayleighQuotient:

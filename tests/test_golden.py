@@ -62,12 +62,12 @@ OPTIMIZE_ROWS = [
     (pl.unit_square(), 33, 1.5, OptimizeOptions(), 198.7766123105963, "rho-fixed", 2, (6, 4)),
     (pl.annulus(INNER, 1.0), 41, ANNULUS_MASS, ANNULUS_OPTS, 72.47523531018791, "rho-fixed", 3,
      (7, 10, 7)),
-    (pl.annulus(THIN, 1.0), 49, THIN_MASS, ANNULUS_OPTS, 91332.31020743084, "rho-fixed", 5,
-     (47, 47, 52, 42, 38)),
-    (pl.annulus(HALF, 1.0), 33, HALF_MASS, OptimizeOptions(theta_tol=1e-2), 815.5708286670098,
-     "theta-converged", 3, (12, 18, 17)),
-    (pl.annulus(THIN, 1.0), 49, THIN_MASS, OptimizeOptions(max_outer=2), 93974.2941714806,
-     "max-outer", 2, (18, 53)),
+    (pl.annulus(THIN, 1.0), 49, THIN_MASS, ANNULUS_OPTS, 91332.31020743366, "rho-fixed", 5,
+     (41, 38, 35, 35, 34)),
+    (pl.annulus(HALF, 1.0), 33, HALF_MASS, OptimizeOptions(theta_tol=1e-2), 815.5708286669584,
+     "theta-converged", 3, (12, 15, 16)),
+    (pl.annulus(THIN, 1.0), 49, THIN_MASS, OptimizeOptions(max_outer=2), 93957.19040520028,
+     "max-outer", 2, (15, 72)),
 ]
 OPTIMIZE_IDS = ["disk-33", "square-33", "annulus-0.12-41", "annulus-0.85-49",
                 "annulus-0.5-33-theta-converged", "annulus-0.85-49-max-outer"]

@@ -32,10 +32,21 @@ class TestOptions:
                            match=re.escape("%s must be an integer, got %r" % (name, count))):
             OptimizeOptions(**{name: count})
 
+    @pytest.mark.parametrize("seed, message", [
+        (2.5, "seed must be an integer, got 2.5"),
+        ("3", "seed must be an integer, got '3'"),
+        (True, "seed must be an integer, got True"),
+        (-1, "seed must be non-negative, got -1"),
+    ], ids=["fraction", "string", "bool", "negative"])
+    def test_seed_must_be_a_non_negative_integer(self, seed, message):
+        # 2.5 and "3" failed inside optimize with numpy's TypeError; True ran as seed 1
+        with pytest.raises(OptimizeError, match=re.escape(message)):
+            OptimizeOptions(restarts=2, seed=seed)
+
     @pytest.mark.parametrize("count", [np.int32(2), np.int64(2), np.uint8(2)], ids=repr)
     def test_numpy_integer_counts_are_taken(self, count):
         got, want = (optimize(pl.unit_square(), 17, 1.0, 2.0, 1.5,
-                              opts=OptimizeOptions(max_outer=n, restarts=n, seed=0))
+                              opts=OptimizeOptions(max_outer=n, restarts=n, seed=n))
                      for n in (count, 2))
         assert repr(got[0].theta) == repr(want[0].theta)
         assert got[1].restart_thetas == want[1].restart_thetas
