@@ -23,7 +23,6 @@ from .radial import radial_optimize
 from .rearrange import (
     DensityField,
     ThresholdResult,
-    mass,
     optimal_density,
     uniform_density,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "disk",
     "ellipse",
     "geometry",
-    "mass",
     "optimal_density",
     "optimize",
     "principal_pair",

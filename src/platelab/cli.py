@@ -25,10 +25,10 @@ import numpy as np
 
 from . import __version__, diagnostics, geometry
 from .fields import ScalarField
-from .geometry import DomainSpec, GeometryError, build_grid
+from .geometry import DomainSpec, GeometryError, _integer, build_grid
 from .optimizer import OptimizeError, OptimizeOptions, OptimalPair, optimize
 from .radial import RadialError, radial_optimize
-from .rearrange import DensityField, RearrangeError
+from .rearrange import DensityField, RearrangeError, _check_bracket
 
 SYMMETRY_TOL = 1e-6
 MONOTONICITY_TOL = 1e-10
@@ -285,8 +285,7 @@ def _run_verify(args):
         if report.get("radial"):
             raise CliUsageError("error: verify supports 2-D reports only")
         spec = DomainSpec.from_dict(report["domain"])
-        if type(report["grid"]) is not int:  # a JSON integer, not 33.7, "33" or true
-            raise ValueError("grid must be an integer, got %r" % (report["grid"],))
+        _integer(report["grid"], "grid", ValueError)  # a JSON integer, not 33.7, "33" or true
         for key in ("theta", "t"):  # finite JSON numbers, not "abc", null, true or NaN
             if type(report[key]) not in (int, float) or not math.isfinite(report[key]):
                 raise ValueError("%s must be a finite number, got %r" % (key, report[key]))
@@ -383,12 +382,16 @@ def _run_sweep(args):
     if args.steps < 1:
         raise CliUsageError("error: --steps must be positive")
     _options(args, args.seed)  # every option, the seed included, before it seeds a row
-    rows = []
-    for idx, a in enumerate(np.linspace(args.inner_from, args.inner_to, args.steps)):
-        seed = int(np.random.SeedSequence((args.seed, idx)).generate_state(1)[0])
+    jobs = []  # every row's domain and mass, checked before the first solve
+    for a in np.linspace(args.inner_from, args.inner_to, args.steps):
         spec = geometry.annulus(a, 1.0)  # outer radius fixed at 1
         area = spec.area()
         mass_val = args.h * area + args.mass_fraction * (args.Hd - args.h) * area
+        _check_bracket(area, args.h, args.Hd, mass_val)
+        jobs.append((a, spec, mass_val))
+    rows = []
+    for idx, (a, spec, mass_val) in enumerate(jobs):
+        seed = int(np.random.SeedSequence((args.seed, idx)).generate_state(1)[0])
         opts = _options(args, seed)
         pair, rep = optimize(spec, args.grid, args.h, args.Hd, mass_val, opts=opts)
         radial_res = radial_optimize(

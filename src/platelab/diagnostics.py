@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import EAST, NORTH, reflect_cap, symmetry_axis
+from .geometry import EAST, NORTH, _integer, reflect_cap, symmetry_axis
 
 MIN_LAMBDAS = 8  # fewest plane positions a moving-plane sweep takes
 N_LAMBDAS = 16  # plane positions a moving-plane sweep takes by default
@@ -93,7 +93,7 @@ def plane_positions(pair, dim, n_lambda=N_LAMBDAS):
     ``PLANE_MARGIN`` spacings clear of both, away from interpolation
     artifacts.
     """
-    if n_lambda < MIN_LAMBDAS:
+    if _integer(n_lambda, "n_lambda", DiagnosticsError) < MIN_LAMBDAS:
         raise DiagnosticsError("n_lambda must be at least %d" % MIN_LAMBDAS)
     spec = pair.spec
     margin = PLANE_MARGIN * pair.grid.delta
@@ -172,7 +172,6 @@ class RigidityReport:
     samples: np.ndarray
     mean: float
     cv: float
-    n_skipped: int
 
 
 def normal_derivative_stats(pair):
@@ -206,7 +205,6 @@ def normal_derivative_stats(pair):
         samples=samples,
         mean=mean,
         cv=relative(stdev, abs(mean), "the normal derivative of u"),
-        n_skipped=skipped,
     )
 
 

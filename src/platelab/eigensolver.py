@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ScalarField
-from .geometry import _integer
+from .geometry import _integer, _is_real
 from .plate import solve_navier
 from .poisson import GridMismatchError
 
@@ -107,8 +107,8 @@ def principal_pair(op, rho, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, u0=None)
     the two-solve map over both phases, and ``max_iter`` caps every one,
     the closing application after the Arnoldi loop included.
     """
-    if not (0.0 < tol <= 1e-6):
-        raise ValueError("tol must be in (0, 1e-6], got %r" % (tol,))
+    if not (_is_real(tol) and 0.0 < tol <= 1e-6):
+        raise ValueError("tol must be a real in (0, 1e-6], got %r" % (tol,))
     max_iter = _integer(max_iter, "max_iter", ValueError)
     grid = rho.grid
 

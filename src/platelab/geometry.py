@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import Callable
@@ -348,6 +349,12 @@ def _integer(value, name, error=GeometryError):
         except TypeError:
             pass
     raise error("%s must be an integer, got %r" % (name, value))
+
+
+def _is_real(value):
+    """Whether ``value`` is a real number: Python and numpy reals are; bools,
+    strings and complex numbers are not. The one rule for every real an input gives."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def disk(radius=1.0, center=(0.0, 0.0)):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .eigensolver import principal_pair, rayleigh_quotient
 from .fields import ScalarField
-from .geometry import _integer, build_grid
+from .geometry import _integer, _is_real, build_grid
 from .poisson import assemble_laplacian
 from .rearrange import DensityField, optimal_density, uniform_density
 
@@ -44,10 +44,10 @@ class OptimizeOptions:
                 raise OptimizeError("%s must be at least 1, got %r" % (name, count))
         if self.seed is not None and _integer(self.seed, "seed", OptimizeError) < 0:
             raise OptimizeError("seed must be non-negative, got %r" % (self.seed,))
-        if not self.theta_tol > 0.0:
-            raise OptimizeError("theta_tol must be positive, got %r" % (self.theta_tol,))
-        if not 0.0 < self.eig_tol <= 1e-6:
-            raise OptimizeError("eig_tol must be in (0, 1e-6], got %r" % (self.eig_tol,))
+        if not (_is_real(self.theta_tol) and self.theta_tol > 0.0):
+            raise OptimizeError("theta_tol must be a positive real, got %r" % (self.theta_tol,))
+        if not (_is_real(self.eig_tol) and 0.0 < self.eig_tol <= 1e-6):
+            raise OptimizeError("eig_tol must be a real in (0, 1e-6], got %r" % (self.eig_tol,))
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,6 @@ class RadialError(ValueError):
 @dataclass(frozen=True)
 class RadialGrid:
     kind: str
-    radii: tuple
     r: np.ndarray        # unknown locations
     dr: float
     weights: np.ndarray  # exact cell areas (2*pi*r*dr rings, half cells at ends)
@@ -87,7 +86,7 @@ def radial_grid(kind, radii, n_r):
     w = 2.0 * math.pi * r * dr
     if kind == "disk":
         w[0] = math.pi * (0.5 * dr) ** 2
-    return RadialGrid(kind=kind, radii=radii, r=r, dr=dr, weights=w)
+    return RadialGrid(kind=kind, r=r, dr=dr, weights=w)
 
 
 def _radial_operator(grid):
@@ -135,7 +134,7 @@ def _bathtub_radial(u, weights, h, H, M):
     order = np.argsort(-u, kind="stable")
     rho = np.full(n, h)
     if h == H:
-        return rho, float(u[order[0]]), None
+        return rho, float(u[order[0]])
     excess = M - h * float(np.sum(weights))
     # np.cumsum adds in sequence, so ``filled[k - 1]`` is bitwise the mass
     # a running sum over the first k cells would reach
@@ -143,14 +142,12 @@ def _bathtub_radial(u, weights, h, H, M):
     k = int(np.searchsorted(filled, excess * (1.0 + 1e-15), side="right"))
     rho[order[:k]] = H
     if k == n:
-        return rho, 0.0, None
+        return rho, 0.0
     i = int(order[k])
     residual = excess - (filled[k - 1] if k else 0.0)
-    frac_index = None
     if residual > 1e-13 * abs(M):
         rho[i] = min(h + residual / weights[i], H)
-        frac_index = i
-    return rho, float(u[i]), frac_index
+    return rho, float(u[i])
 
 
 def radial_optimize(kind, radii, h, H, M, n_r=1024, opts=OptimizeOptions()):
@@ -169,7 +166,7 @@ def radial_optimize(kind, radii, h, H, M, n_r=1024, opts=OptimizeOptions()):
         return _principal_pair_radial(grid, ab, rho, opts.eig_tol, DEFAULT_MAX_ITER, u0=u0)
 
     def bathtub(u):
-        rho, t, _ = _bathtub_radial(u, w, h, H, M)
+        rho, t = _bathtub_radial(u, w, h, H, M)
         _check_density(rho, float(np.sum(rho * w)), h, H, M)
         return rho, t
 

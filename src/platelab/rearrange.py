@@ -12,12 +12,11 @@ deterministic.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Grid
+from .geometry import Grid, _is_real
 
 
 _MASS_RTOL = 1e-12  # the one mass slack, relative to |M|
@@ -49,16 +48,10 @@ class DensityField:
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    """Bathtub output: density, threshold level t, optional fractional node."""
+    """Bathtub output: density and threshold level t."""
 
     rho: DensityField
     t: float
-    fractional_index: int | None
-
-
-def mass(rho):
-    """Lattice mass of a density: sum of node values times cell area."""
-    return float(np.sum(rho.values)) * rho.grid.cell_area
 
 
 def uniform_density(grid, h, H, M):
@@ -69,14 +62,16 @@ def uniform_density(grid, h, H, M):
 def _check_bracket(area, h, H, M):
     """The one admissibility check of (h, H, M) on a domain of ``area``.
 
-    Returns them as floats: Python and numpy integers are taken, bools
-    and anything that is not a real number are refused.
+    Returns them as floats: they must be real numbers by the one rule for
+    reals (``geometry._is_real``), and H finite, or it would admit any mass.
     """
-    if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in (h, H, M)):
+    if not all(map(_is_real, (h, H, M))):
         raise RearrangeError("h, H and M must be real numbers, got h=%r H=%r M=%r" % (h, H, M))
     h, H, M = float(h), float(H), float(M)
     if not (0.0 < h <= H):
         raise RearrangeError("need 0 < h <= H, got h=%r H=%r" % (h, H))
+    if H == math.inf:
+        raise RearrangeError("H must be finite, got inf")
     slack = _MASS_RTOL * abs(M)
     if not (math.isfinite(M) and h * area - slack <= M <= H * area + slack):
         raise RearrangeError(
@@ -119,7 +114,7 @@ def optimal_density(u, h, H, M):
     if h == H:
         # degenerate box: the admissible set is a single density
         rho = DensityField(grid, values, h, H, M)
-        return ThresholdResult(rho=rho, t=float(uv[order[0]]), fractional_index=None)
+        return ThresholdResult(rho=rho, t=float(uv[order[0]]))
 
     cap = (H - h) * cell  # extra mass one node can absorb
     excess = M - h * n * cell
@@ -135,10 +130,8 @@ def optimal_density(u, h, H, M):
 
     values[order[:k]] = H
     t = 0.0 if k == n else float(uv[order[k]])
-    frac_index = None
     if residual > 1e-13 * abs(M) and k < n:
-        frac_index = int(order[k])
-        values[frac_index] = h + residual / cell
+        values[order[k]] = h + residual / cell
 
     rho = DensityField(grid, values, h, H, M)
-    return ThresholdResult(rho=rho, t=t, fractional_index=frac_index)
+    return ThresholdResult(rho=rho, t=t)

@@ -59,6 +59,17 @@ BAD_COUNTS = [
     ("bool", True), ("numpy-bool", np.True_), ("string", "64"), ("none", None),
 ]
 
+# (id, value): not a real number, so each tolerance refuses it
+BAD_REALS = [
+    ("bool", True), ("numpy-bool", np.True_), ("string", "1e-9"), ("complex", 1e-9 + 0j),
+    ("none", None),
+]
+
+
+def mass(rho):
+    """Lattice mass of a density: sum of node values times cell area."""
+    return float(np.sum(rho.values)) * rho.grid.cell_area
+
 
 def make_strip_grid(n_nodes, delta):
     """Hand-built row of interior nodes (cell area delta^2): a minimal

@@ -142,6 +142,20 @@ class TestSolve:
         assert rows[0] == ["x", "y", "u", "v", "rho"]
         assert all(float(r[1]) == 0.0 for r in rows[1:])
 
+    @pytest.mark.parametrize("flags", [["--radial", "--nr", "128"], ["--grid", "33"]],
+                             ids=["radial", "2d"])
+    def test_infinite_upper_bound_exits_1_without_a_report(self, tmp_path, flags, capsys):
+        # the radial solve exited 0 with "H": Infinity in its report; the 2-D
+        # solve exited 1 on the density's mass, the bathtub's residual being NaN
+        report, fields = tmp_path / "report.json", tmp_path / "fields.csv"
+        rc = run(["solve", "--domain", "disk", "--h", "1", "--H", "inf", "--mass", "5",
+                  "--out", str(report), "--fields", str(fields)] + flags)
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == "error: H must be finite, got inf\n"
+        assert captured.out == ""
+        assert not report.exists() and not fields.exists()
+
     def test_radial_images_is_a_usage_error(self, tmp_path, capsys):
         # the radial branch never read --images: exit 0, no image written
         rc = run(["solve", "--domain", "disk", "--radial", "--nr", "64",
@@ -372,6 +386,42 @@ class TestVerify:
         assert outputs[0] == outputs[1] == outputs[2]
         lines = outputs[0][1].splitlines()
         assert [line.split()[1].rstrip(":") for line in lines] == list(VALID_CHECKS)
+
+    def test_radial_report_exits_1(self, tmp_path, capsys):
+        report, fields = tmp_path / "report.json", tmp_path / "fields.csv"
+        assert run(["solve", "--domain", "disk", "--radial", "--nr", "64", "--h", "1",
+                    "--H", "2", "--mass", "4.5", "--out", str(report),
+                    "--fields", str(fields)]) == 0
+        capsys.readouterr()
+        assert run(["verify", "--report", str(report), "--fields", str(fields)]) == 1
+        assert capsys.readouterr().err == "error: verify supports 2-D reports only\n"
+
+    def test_product_defect_names_its_node(self, tmp_path, capsys):
+        # the diagnostics suite's straddling-threshold fixture on a lattice a
+        # report names: a cap node beyond the first plane sits just above t,
+        # its mirror at t, so the product check fails rather than raising
+        spec = pl.unit_square()
+        grid = pl.build_grid(spec, 17)
+        u = np.sin(np.pi * grid.node_x) * np.sin(np.pi * grid.node_y)
+        rho = pl.uniform_density(grid, 1.0, 2.0, 1.5 * grid.discrete_area)
+        pair = pl.OptimalPair(u=pl.ScalarField(grid, u), v=pl.ScalarField(grid, u), rho=rho,
+                              theta=1.0, t=0.5)
+        lam = pl.diagnostics.plane_positions(pair, 0, 8)[0]
+        nodes, (ur,) = geometry.reflect_cap(grid, [u], 0, lam)
+        k = int(np.flatnonzero(grid.node_x[nodes] > lam + grid.delta)[0])
+        node = int(nodes[k])
+        u[node] = ur[k] * (1.0 + 1e-12)
+        report, fields = tmp_path / "report.json", tmp_path / "fields.csv"
+        report.write_text(json.dumps({"domain": spec.to_dict(), "grid": 17, "h": 1.0,
+                                      "H": 2.0, "mass": rho.M, "theta": 1.0, "t": ur[k]}))
+        cli._write_fields_csv(fields, grid.node_x, grid.node_y, u, u, rho.values)
+        rc = run(["verify", "--report", str(report), "--fields", str(fields),
+                  "--checks", "product", "--n-lambda", "8"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out.startswith("FAIL product: defect -")
+        assert captured.out.endswith(" at node %d\n" % node)
+        assert captured.err == ""
 
     def test_unknown_check_lists_valid_names(self, disk_solve, capsys):
         d, report, fields = disk_solve
@@ -673,6 +723,26 @@ class TestSweep:
             assert np.isfinite(float(r["theta_radial"]))
             assert np.isfinite(float(r["rotation_asymmetry"]))
             assert r["beats_radial"] in ("True", "False")
+
+    def test_no_steps_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep-annulus", "--inner-from", "0.5", "--inner-to", "0.5",
+                    "--steps", "0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: --steps must be positive\n"
+        assert not out.exists()
+
+    def test_every_row_is_checked_before_the_first_solve(self, tmp_path, monkeypatch, capsys):
+        # the rows a = 0.5 and 0.75 were solved before a = 1.0 failed
+        calls = []
+        monkeypatch.setattr(cli, "optimize", lambda *args, **kwargs: calls.append(args))
+        monkeypatch.setattr(cli, "radial_optimize", lambda *args, **kwargs: calls.append(args))
+        out = tmp_path / "sweep.csv"
+        rc = run(["sweep-annulus", "--inner-from", "0.5", "--inner-to", "1.0", "--steps", "3",
+                  "--grid", "33", "--nr", "64", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: annulus needs inner < outer radius\n"
+        assert calls == []
+        assert not out.exists()
 
     def test_header_line(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from platelab.geometry import GeometryError, reflect_cap, symmetry_axis
 from platelab.optimizer import OptimalPair
 from platelab.rearrange import optimal_density, uniform_density
 import conftest
-from conftest import reflect_values
+from conftest import BAD_COUNTS, reflect_values
 
 
 def _fake_pair(grid, u_values, t=0.5, h=1.0, H=2.0):
@@ -114,6 +115,15 @@ class TestMovingPlane:
         pair, _ = disk_pair_128
         with pytest.raises(dg.DiagnosticsError):
             dg.moving_plane_profile(pair, 0, 4)
+
+    @pytest.mark.parametrize("case, count", BAD_COUNTS, ids=[case[0] for case in BAD_COUNTS])
+    def test_plane_count_must_be_an_integer(self, case, count):
+        # 16.0 raised numpy's TypeError from linspace
+        g = pl.build_grid(pl.disk(1.0), 17)
+        pair = _fake_pair(g, 1.0 - g.node_x**2 - g.node_y**2)
+        with pytest.raises(dg.DiagnosticsError,
+                           match=re.escape("n_lambda must be an integer, got %r" % (count,))):
+            dg.plane_positions(pair, 0, count)
 
     def test_plane_positions_span_the_window(self, disk_pair_64):
         pair, _ = disk_pair_64
@@ -251,8 +261,7 @@ class TestRigidity:
     def test_disk_constant_normal_derivative(self, disk_pair_128):
         pair, _ = disk_pair_128
         rep = dg.normal_derivative_stats(pair)
-        assert rep.samples.size >= 64
-        assert rep.n_skipped == 0
+        assert rep.samples.size == dg.RIGIDITY_SAMPLES  # no sample skipped
         assert (rep.samples < 0.0).all()
         assert rep.cv < 0.01
 

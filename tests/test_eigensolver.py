@@ -27,7 +27,7 @@ from platelab.fields import ScalarField
 from platelab.plate import solve_navier
 from platelab.poisson import GridMismatchError
 from platelab.rearrange import DensityField, optimal_density
-from conftest import BAD_COUNTS
+from conftest import BAD_COUNTS, BAD_REALS
 from test_golden import OPTIMIZE_IDS, OPTIMIZE_ROWS
 
 J01 = jn_zeros(0, 1)[0]
@@ -105,12 +105,31 @@ class TestPrincipalPair:
         with pytest.raises(ValueError):
             principal_pair(op, _uniform(g), tol=1e-3)
 
+    @pytest.mark.parametrize("case, tol", BAD_REALS, ids=[case[0] for case in BAD_REALS])
+    def test_tol_must_be_a_real_number(self, case, tol):
+        g = pl.build_grid(pl.unit_square(), 9)
+        with pytest.raises(ValueError, match=re.escape("tol must be a real in (0, 1e-6], got %r"
+                                                       % (tol,))):
+            principal_pair(pl.assemble_laplacian(g), _uniform(g), tol=tol)
+
     def test_grid_mismatch_rejected(self):
         g1 = pl.build_grid(pl.unit_square(), 9)
         g2 = pl.build_grid(pl.unit_square(), 17)
         op = pl.assemble_laplacian(g1)
         with pytest.raises(GridMismatchError):
             principal_pair(op, _uniform(g2))
+        with pytest.raises(GridMismatchError, match="fields and density live on different"):
+            rayleigh_quotient(ScalarField(g1, np.ones(g1.n)), ScalarField(g1, np.ones(g1.n)),
+                              _uniform(g2))
+
+    def test_warm_start_must_be_positive_on_the_grid(self):
+        g = pl.build_grid(pl.unit_square(), 9)
+        other = pl.build_grid(pl.unit_square(), 17)
+        zero_node = np.ones(g.n)
+        zero_node[3] = 0.0
+        for u0 in (ScalarField(g, zero_node), ScalarField(other, np.ones(other.n))):
+            with pytest.raises(ValueError, match="u0 must be a strictly positive field"):
+                principal_pair(pl.assemble_laplacian(g), _uniform(g), u0=u0)
 
     @pytest.mark.parametrize("case, count", BAD_COUNTS, ids=[case[0] for case in BAD_COUNTS])
     def test_max_iter_must_be_an_integer(self, case, count):

@@ -1,5 +1,9 @@
+import ast
 import dataclasses
 import importlib
+import inspect
+import pathlib
+import pkgutil
 
 import pytest
 
@@ -26,7 +30,6 @@ PUBLIC = {
         "disk",
         "ellipse",
         "geometry",
-        "mass",
         "optimal_density",
         "optimize",
         "principal_pair",
@@ -60,13 +63,14 @@ PUBLIC = {
 }
 
 RETIRED = {
-    "platelab": ["apply_laplacian", "constant_field", "field_from_function", "reflect_values",
-                 "reflection_caps"],
+    "platelab": ["apply_laplacian", "constant_field", "field_from_function", "mass",
+                 "reflect_values", "reflection_caps"],
     "platelab.diagnostics": ["cap_deficit", "plane_window"],
     "platelab.geometry": ["Reflection", "ReflectionCaps", "mirror_ranks", "reflect_values",
                           "reflection_caps"],
     "platelab.fields": ["constant_field", "field_from_function"],
     "platelab.poisson": ["apply_laplacian"],
+    "platelab.rearrange": ["mass"],
     # copies of geometry's shape table: the CLI and the radial solver read it
     "platelab.cli": ["_DOMAIN_FLAGS"],
     "platelab.radial": ["_RADII"],
@@ -114,8 +118,10 @@ RECORD_FIELDS = {
                                        "restart_thetas"],
     "platelab.radial.RadialResult": ["theta", "r", "u", "v", "rho", "t", "theta_history",
                                      "termination", "outer_iterations", "wall_time"],
+    "platelab.radial.RadialGrid": ["kind", "r", "dr", "weights"],
+    "platelab.rearrange.ThresholdResult": ["rho", "t"],
     "platelab.diagnostics.MovingPlaneReport": ["min_w1", "min_w2"],
-    "platelab.diagnostics.RigidityReport": ["samples", "mean", "cv", "n_skipped"],
+    "platelab.diagnostics.RigidityReport": ["samples", "mean", "cv"],
 }
 
 
@@ -124,3 +130,46 @@ def test_record_fields_are_pinned(path):
     module, name = path.rsplit(".", 1)
     record = getattr(importlib.import_module(module), name)
     assert [f.name for f in dataclasses.fields(record)] == RECORD_FIELDS[path]
+
+
+# Every record field is read and every exported function called somewhere
+# in the package or the benchmark: a name only tests read is retired
+# rather than kept. A name waiting on a later change is listed here.
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+UNUSED_KEPT = {"SolveReport.mass_errors"}  # folds into the run's telemetry record
+
+
+def _source_uses():
+    """Attribute names read (``x.name``) and function names called
+    (``name(...)`` or ``x.name(...)``) in ``src/`` and ``platebench/``."""
+    read, called = set(), set()
+    for top in ("src", "platebench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+                elif isinstance(node, ast.Call):
+                    called.add(getattr(node.func, "id", getattr(node.func, "attr", None)))
+    return read, called
+
+
+def test_every_field_is_read_and_every_export_called():
+    import platelab
+    from platelab import geometry
+
+    read, called = _source_uses()
+    # the CLI calls each kind's constructor as ``getattr(geometry, kind)(...)``
+    called |= set(geometry.PARAMS)
+    unused = set()
+    for info in pkgutil.iter_modules(platelab.__path__):
+        module = importlib.import_module("platelab." + info.name)
+        for name, obj in vars(module).items():
+            if (inspect.isclass(obj) and dataclasses.is_dataclass(obj)
+                    and obj.__module__ == module.__name__):
+                unused |= {"%s.%s" % (name, f.name) for f in dataclasses.fields(obj)
+                           if f.name not in read}
+    for module in sorted(PUBLIC):
+        mod = importlib.import_module(module)
+        unused |= {"%s.%s" % (module, name) for name in mod.__all__
+                   if inspect.isfunction(getattr(mod, name)) and name not in called}
+    assert unused == UNUSED_KEPT

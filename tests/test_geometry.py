@@ -166,6 +166,10 @@ class TestBuildGrid:
     def test_numpy_integer_sizes_are_taken(self, size):
         assert pl.build_grid(pl.unit_square(), size).n == pl.build_grid(pl.unit_square(), 17).n
 
+    def test_no_interior_nodes_rejected(self):
+        with pytest.raises(GeometryError, match="no interior nodes at this resolution"):
+            pl.build_grid(pl.annulus(0.9, 1.0), 5)
+
     def test_disconnected_interior_names_components(self):
         with pytest.raises(DisconnectedInteriorError) as err:
             pl.build_grid(pl.annulus(0.9, 1.0), 9)

@@ -39,10 +39,10 @@ from platelab.radial import (
 from platelab.rearrange import (
     RearrangeError,
     _check_bracket,
-    mass,
     optimal_density,
     uniform_density,
 )
+from conftest import mass
 
 REL = 1e-12
 INNER = 0.12
@@ -195,7 +195,7 @@ def _radial_loop(kind, radii, h, H, M, n_r=1024, opts=OptimizeOptions()):
         )
         history.append(theta)
         u_warm = u
-        rho_new, t_level, _ = _bathtub_radial(u, grid.weights, h, H, M)
+        rho_new, t_level = _bathtub_radial(u, grid.weights, h, H, M)
         if np.array_equal(rho_new, rho):
             termination = "rho-fixed"
             rho = rho_new

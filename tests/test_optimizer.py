@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 
 import numpy as np
@@ -9,8 +10,8 @@ import platelab as pl
 from platelab.eigensolver import principal_pair, rayleigh_quotient
 from platelab.fields import ScalarField
 from platelab.optimizer import OptimizeError, OptimizeOptions, optimize
-from platelab.rearrange import RearrangeError, mass, optimal_density
-from conftest import BAD_COUNTS
+from platelab.rearrange import RearrangeError, optimal_density
+from conftest import BAD_COUNTS, BAD_REALS
 
 
 class TestOptions:
@@ -31,6 +32,15 @@ class TestOptions:
         with pytest.raises(OptimizeError,
                            match=re.escape("%s must be an integer, got %r" % (name, count))):
             OptimizeOptions(**{name: count})
+
+    @pytest.mark.parametrize("name", ["theta_tol", "eig_tol"])
+    @pytest.mark.parametrize("case, value", BAD_REALS, ids=[case[0] for case in BAD_REALS])
+    def test_tolerances_must_be_real_numbers(self, case, value, name):
+        # True ran as theta_tol 1.0; "1e-8" and complex values raised a bare TypeError
+        message = {"theta_tol": "theta_tol must be a positive real, got %r",
+                   "eig_tol": "eig_tol must be a real in (0, 1e-6], got %r"}[name]
+        with pytest.raises(OptimizeError, match=re.escape(message % (value,))):
+            OptimizeOptions(**{name: value})
 
     @pytest.mark.parametrize("seed, message", [
         (2.5, "seed must be an integer, got 2.5"),
@@ -138,6 +148,11 @@ class TestOptimize:
     def test_mass_bracket_enforced(self):
         with pytest.raises(RearrangeError):
             optimize(pl.unit_square(), 17, 1.0, 2.0, 100.0)
+
+    def test_infinite_upper_bound_is_refused(self):
+        # failed on the density's mass, a NaN residual of the bathtub step
+        with pytest.raises(RearrangeError, match="^H must be finite, got inf$"):
+            optimize(pl.disk(), 17, 1.0, math.inf, 5.0)
 
     def test_report_metadata(self, disk_pair_64):
         _, report = disk_pair_64

@@ -168,6 +168,13 @@ class TestMaximumPrinciple:
 
 
 class TestApply:
+    def test_zero_right_hand_side_solves_to_zero_unfactorized(self):
+        g = pl.build_grid(pl.disk(0.7), 17)
+        op = pl.assemble_laplacian(g)
+        w = solve_dirichlet(op, ScalarField(g, np.zeros(g.n)))
+        assert w.grid is g and np.array_equal(w.values, np.zeros(g.n))
+        assert op._lu is None and "lu" not in g._memo
+
     def test_zero_maps_to_zero(self):
         g = pl.build_grid(pl.disk(1.0), 17)
         op = pl.assemble_laplacian(g)

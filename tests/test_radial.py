@@ -44,8 +44,10 @@ class TestRadialGrid:
                              ids=["list", "tuple", "array"])
     def test_disk_radii_as_any_sequence(self, radii):
         g = radial_grid("disk", radii, 128)
-        assert g.radii == (1.0,)
-        assert g.r.tobytes() == radial_grid("disk", (1.0,), 128).r.tobytes()
+        want = radial_grid("disk", (1.0,), 128)
+        assert g.dr == want.dr
+        assert g.r.tobytes() == want.r.tobytes()
+        assert g.weights.tobytes() == want.weights.tobytes()
 
     @pytest.mark.parametrize("kind, radii", [
         ("disk", 1.0), ("disk", [0.3, 1.0]), ("disk", (0.3, 1.0)), ("disk", ()),
@@ -65,9 +67,9 @@ def _bathtub_loop(u, weights, h, H, M):
     order = np.argsort(-u, kind="stable")
     rho = np.full(u.shape[0], h)
     if h == H:
-        return rho, float(u[order[0]]), None
+        return rho, float(u[order[0]])
     excess = M - h * float(np.sum(weights))
-    t, frac_index, acc = float(u[order[0]]), None, 0.0
+    t, acc = float(u[order[0]]), 0.0
     for pos, i in enumerate(order):
         cap = (H - h) * weights[i]
         if acc + cap <= excess * (1.0 + 1e-15):
@@ -77,10 +79,9 @@ def _bathtub_loop(u, weights, h, H, M):
         else:
             if excess - acc > 1e-13 * abs(M):
                 rho[i] = min(h + (excess - acc) / weights[i], H)
-                frac_index = int(i)
                 t = float(u[i])
             break
-    return rho, t, frac_index
+    return rho, t
 
 
 def _radial_operator_loop(grid):
@@ -137,15 +138,16 @@ class TestRadialBathtub:
         g = radial_grid(kind, radii, 128)
         u = np.random.default_rng(3).uniform(0.1, 1.0, g.n)
         area = g.discrete_area
+        # each density below takes one value: no cell is fractional
         # all light: nothing fills, the level is the largest u
-        rho, t, frac = _bathtub_radial(u, g.weights, 1.0, 2.0, area)
-        assert np.all(rho == 1.0) and t == u.max() and frac is None
+        rho, t = _bathtub_radial(u, g.weights, 1.0, 2.0, area)
+        assert np.all(rho == 1.0) and t == u.max()
         # all heavy: every cell fills, the level drops to zero
-        rho, t, frac = _bathtub_radial(u, g.weights, 1.0, 2.0, 2.0 * area)
-        assert np.all(rho == 2.0) and t == 0.0 and frac is None
+        rho, t = _bathtub_radial(u, g.weights, 1.0, 2.0, 2.0 * area)
+        assert np.all(rho == 2.0) and t == 0.0
         # degenerate box: the one admissible density
-        rho, t, frac = _bathtub_radial(u, g.weights, 1.5, 1.5, 1.5 * area)
-        assert np.all(rho == 1.5) and t == u.max() and frac is None
+        rho, t = _bathtub_radial(u, g.weights, 1.5, 1.5, 1.5 * area)
+        assert np.all(rho == 1.5) and t == u.max()
 
 
 class TestRadialOptimize:
@@ -202,9 +204,9 @@ class TestRadialOptimize:
     def test_off_mass_density_is_refused(self, monkeypatch):
         # the radial bathtub's output runs the density check DensityField runs
         def off_mass(u, weights, h, H, M):
-            rho, t, frac = _bathtub_radial(u, weights, h, H, M)
+            rho, t = _bathtub_radial(u, weights, h, H, M)
             rho[-1] += 1e-6  # the outermost cell is light: still inside the box
-            return rho, t, frac
+            return rho, t
 
         monkeypatch.setattr(radial, "_bathtub_radial", off_mass)
         with pytest.raises(RearrangeError, match="density mass .* deviates from M=4.5"):
@@ -232,7 +234,8 @@ class TestSharedInputRules:
         (0.0, 2.0, 4.0, "need 0 < h <= H, got h=0.0 H=2.0"),
         (3.0, 2.0, 4.0, "need 0 < h <= H, got h=3.0 H=2.0"),
         (1.0, 2.0, 100.0, "mass 100.0 outside admissible bracket"),
-    ], ids=["h-zero", "h-above-H", "mass-above-bracket"])
+        (1.0, math.inf, 5.0, "H must be finite, got inf"),
+    ], ids=["h-zero", "h-above-H", "mass-above-bracket", "H-inf"])
     def test_bracket_errors_carry_rearranges_messages(self, h, H, M, message):
         area = radial_grid("disk", (1.0,), 128).discrete_area
         with pytest.raises(RearrangeError) as planar:

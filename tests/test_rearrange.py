@@ -13,16 +13,20 @@ from platelab.rearrange import (
     ThresholdResult,
     _check_bracket,
     _check_density,
-    mass,
     optimal_density,
     uniform_density,
 )
-from conftest import make_strip_grid
+from conftest import make_strip_grid, mass
 
 
 def strip_grid_4():
     """Four interior nodes in a row with cell area 0.25 (delta = 0.5)."""
     return make_strip_grid(4, 0.5)
+
+
+def fractional_nodes(rho):
+    """The nodes strictly inside (h, H): the bathtub's fractional node, if any."""
+    return np.flatnonzero((rho.values > rho.h) & (rho.values < rho.H)).tolist()
 
 
 def test_strip_grid_shape():
@@ -38,7 +42,7 @@ class TestOptimalDensity:
         res = optimal_density(u, 1.0, 3.0, 1.5)
         assert np.allclose(res.rho.values, [3.0, 1.0, 1.0, 1.0])
         assert res.t == 3.0
-        assert res.fractional_index is None
+        assert fractional_nodes(res.rho) == []
         assert mass(res.rho) == pytest.approx(1.5, rel=1e-14)
 
     def test_fractional_node(self):
@@ -46,7 +50,7 @@ class TestOptimalDensity:
         u = ScalarField(g, np.array([4.0, 3.0, 2.0, 1.0]))
         res = optimal_density(u, 1.0, 3.0, 1.25)
         assert np.allclose(res.rho.values, [2.0, 1.0, 1.0, 1.0])
-        assert res.fractional_index == 0
+        assert fractional_nodes(res.rho) == [0]
         assert res.t == 4.0
         assert mass(res.rho) == pytest.approx(1.25, rel=1e-14)
 
@@ -56,7 +60,7 @@ class TestOptimalDensity:
         res = optimal_density(u, 1.0, 3.0, 1.0)  # h * |domain|
         assert np.allclose(res.rho.values, 1.0)
         assert res.t == 4.0  # max of u
-        assert res.fractional_index is None
+        assert fractional_nodes(res.rho) == []
 
     def test_upper_mass_bound_gives_uniform_ceiling(self):
         g = strip_grid_4()
@@ -222,7 +226,7 @@ def _two_form_optimal_density(u, h, H, M, grid=None):
     if h == H:
         # degenerate box: the admissible set is a single density
         rho = DensityField(grid, values, h, H, M)
-        return ThresholdResult(rho=rho, t=float(uv[order[0]]), fractional_index=None)
+        return ThresholdResult(rho=rho, t=float(uv[order[0]]))
 
     cap = (H - h) * cell  # extra mass one node can absorb
     excess = M - h * n * cell
@@ -253,16 +257,16 @@ def _two_form_optimal_density(u, h, H, M, grid=None):
             t = float(uv[order[k]])
 
     rho = DensityField(grid, values, h, H, M)
-    return ThresholdResult(rho=rho, t=t, fractional_index=frac_index)
+    return ThresholdResult(rho=rho, t=t)
 
 
 def _bathtub_outcome(fn, u, h, H, M):
-    """rho bits, level bits and fractional node, or the error raised."""
+    """rho bits, level bits and fractional nodes, or the error raised."""
     try:
         res = fn(u, h, H, M)
     except RearrangeError as exc:
         return type(exc), str(exc)
-    return res.rho.values.tobytes(), res.t.hex(), res.fractional_index
+    return res.rho.values.tobytes(), res.t.hex(), fractional_nodes(res.rho)
 
 
 class TestOptimalDensityReference:
@@ -294,7 +298,7 @@ class TestOptimalDensityReference:
             want = _bathtub_outcome(_two_form_optimal_density, field, h, H, M)
             got = _bathtub_outcome(optimal_density, field, h, H, M)
             assert got == want, case
-            fractional += len(want) == 3 and want[2] is not None
+            fractional += len(want) == 3 and want[2] != []
         assert fractional >= 50  # the fractional-node branch is exercised
 
 
@@ -326,6 +330,10 @@ class TestDensityField:
         g = strip_grid_4()
         with pytest.raises(RearrangeError):
             DensityField(g, np.array([0.5, 1.0, 1.0, 1.0]), 1.0, 2.0, 1.0)
+
+    def test_length_must_match_grid(self):
+        with pytest.raises(RearrangeError, match="density length does not match grid"):
+            DensityField(strip_grid_4(), np.full(5, 1.5), 1.0, 2.0, 1.5)
 
     def test_mass_consistency_enforced(self):
         g = strip_grid_4()
@@ -383,6 +391,17 @@ class TestNumberTypes:
                      lambda: optimal_density(u, h, H, M),
                      lambda: DensityField(g, np.full(4, 1.5), h, H, M)):
             with pytest.raises(RearrangeError, match=re.escape(message)):
+                call()
+
+
+    def test_infinite_upper_bound_is_refused(self):
+        # an infinite H admitted any mass; the bathtub's residual became NaN
+        g = strip_grid_4()
+        u = ScalarField(g, np.array([4.0, 3.0, 2.0, 1.0]))
+        for call in (lambda: _check_bracket(g.discrete_area, 1.0, math.inf, 1.5),
+                     lambda: optimal_density(u, 1.0, math.inf, 1.5),
+                     lambda: DensityField(g, np.full(4, 1.5), 1.0, math.inf, 1.5)):
+            with pytest.raises(RearrangeError, match="^H must be finite, got inf$"):
                 call()
 
 
