@@ -27,7 +27,7 @@ from . import __version__, diagnostics, geometry
 from .fields import ScalarField
 from .geometry import DomainSpec, GeometryError, _integer, build_grid
 from .optimizer import OptimizeError, OptimizeOptions, OptimalPair, optimize
-from .radial import RadialError, radial_optimize
+from .radial import RadialError, radial_grid, radial_optimize
 from .rearrange import DensityField, RearrangeError, _check_bracket
 
 SYMMETRY_TOL = 1e-6
@@ -39,6 +39,7 @@ INPUT_ERRORS = (GeometryError, OptimizeError, RearrangeError, RadialError)  # ba
 FIELD_COLUMNS = ("x", "y", "u", "v", "rho")
 FIELD_ROW = ",".join(["%.17g"] * len(FIELD_COLUMNS)) + "\n"
 FIELDS_BLOCK = 4096  # rows formatted or parsed at a time
+RADIAL_CELLS = inspect.signature(radial_optimize).parameters["n_r"].default
 SWEEP_COLUMNS = ("inner_radius", "theta_2d", "theta_radial", "rotation_asymmetry",
                  "beats_radial", "termination")
 
@@ -87,11 +88,11 @@ def _build_parser():
 
 
 def _add_solver_flags(ps, grid, seed):
-    """Grid sizes and optimizer options; the option defaults are
-    ``OptimizeOptions``'s own."""
+    """Grid sizes and optimizer options; the radial grid's and the
+    options' defaults are ``radial_optimize``'s and ``OptimizeOptions``'s own."""
     opts = OptimizeOptions()
     ps.add_argument("--grid", type=int, default=grid, help="nodes per side (boundary inclusive)")
-    ps.add_argument("--nr", type=int, default=1024, help="radial grid cells")
+    ps.add_argument("--nr", type=int, default=RADIAL_CELLS, help="radial grid cells")
     ps.add_argument("--tol", type=float, default=opts.eig_tol, help="eigensolver tolerance")
     ps.add_argument("--theta-tol", type=float, default=opts.theta_tol)
     ps.add_argument("--max-outer", type=int, default=opts.max_outer)
@@ -387,7 +388,11 @@ def _run_sweep(args):
         spec = geometry.annulus(a, 1.0)  # outer radius fixed at 1
         area = spec.area()
         mass_val = args.h * area + args.mass_fraction * (args.Hd - args.h) * area
-        _check_bracket(area, args.h, args.Hd, mass_val)
+        # the domain's bracket, then the lattice's and the rings' that each
+        # solver checks first
+        for admitted in (area, build_grid(spec, args.grid).discrete_area,
+                         radial_grid(spec.kind, spec.params, args.nr).discrete_area):
+            _check_bracket(admitted, args.h, args.Hd, mass_val)
         jobs.append((a, spec, mass_val))
     rows = []
     for idx, (a, spec, mass_val) in enumerate(jobs):

@@ -433,10 +433,6 @@ class Grid:
         """Lattice measure of the interior: n * delta^2."""
         return self.n * self.delta * self.delta
 
-    @property
-    def has_cut(self):
-        return bool(np.any(self.theta < 1.0))
-
     def boundary_adjacent_mask(self):
         """Nodes with at least one link leaving the interior node set."""
         return np.any(self.neighbor < 0, axis=1)
@@ -465,9 +461,11 @@ def build_grid(spec, nodes_per_side):
     the bounding box. Cut fractions are the closed-form crossings of the
     lattice lines with the boundary.
 
-    The last grid built is returned again for the same ``spec`` (by
-    ``repr``, so a ``-0.0`` centre is not ``0.0``) and size, so all calls
-    on it share its read-only arrays, matrix and factorization (see
+    The grid's one fingerprint is the key ``repr((spec, size))`` (so a
+    ``-0.0`` centre is not ``0.0``); its ``tag`` is the key's SHA-1, which
+    a field's grid and an operator's grid are compared by. The last grid
+    built is returned again for the same key, so all calls on it share
+    its read-only arrays, matrix and factorization (see
     ``poisson.assemble_laplacian``). It keeps the factorization between
     calls (disk at 257: 2.72 M L+U nonzeros, about 31 MB) and is dropped
     before a different grid is built. The package is single-threaded:
@@ -479,14 +477,14 @@ def build_grid(spec, nodes_per_side):
     if _last is not None and _last[0] == key:
         return _last[1]
     _last = None  # the old grid's factorization goes before the new grid is built
-    grid = _build_grid(spec, size)
+    grid = _build_grid(spec, size, hashlib.sha1(key.encode()).hexdigest()[:12])
     for a in (grid.xs, grid.ys, grid.ix, grid.iy, grid.index_of, grid.theta, grid.neighbor):
         a.flags.writeable = False
     _last = (key, grid)
     return grid
 
 
-def _build_grid(spec, nodes_per_side):
+def _build_grid(spec, nodes_per_side, tag):
     if nodes_per_side < 5:
         raise GeometryError("nodes_per_side must be at least 5, got %d" % nodes_per_side)
     xmin, xmax, ymin, ymax = spec.bbox()
@@ -549,17 +547,6 @@ def _build_grid(spec, nodes_per_side):
     ncomp, labels = connected_components(adjacency, directed=False)
     if ncomp > 1:
         raise DisconnectedInteriorError(sorted(np.bincount(labels).tolist(), reverse=True))
-
-    payload = (
-        spec.kind,
-        spec.params,
-        spec.center,
-        round(delta, 15),
-        nx,
-        ny,
-        n_interior,
-    )
-    tag = hashlib.sha1(repr(payload).encode()).hexdigest()[:12]
 
     grid = Grid(
         spec=spec,

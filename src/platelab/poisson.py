@@ -12,6 +12,11 @@ of the spacing, 1 for full links):
 with boundary values zero, and the same in y. For ``tE = tW = 1`` this is
 the standard 5-point stencil. The matrix is an irreducible M-matrix, which
 gives the discrete maximum principle the verification suite leans on.
+
+A grid's memo is the one owner of its matrix and of the matrix's sparse
+LU factorization: the first operator over the grid assembles the matrix
+into it, the first solve factorizes it there, and every operator over
+the grid reads both from it. An operator is only ever built over a grid.
 """
 
 from __future__ import annotations
@@ -39,37 +44,29 @@ class GridMismatchError(ValueError):
 
 
 class DiscreteLaplacian:
-    """CSR operator over interior nodes, plus solver plumbing.
+    """CSR operator over a grid's interior nodes, plus solver plumbing;
+    its matrix and the matrix's factorization live in the grid's memo."""
 
-    The sparse LU factorization is built lazily on the first solve and is
-    read-only afterward, so one operator can serve many solves. Operators
-    over the grid's memoized matrix share one; any other keeps its own.
-    """
-
-    def __init__(self, grid, matrix):
+    def __init__(self, grid):
         self.grid = grid
         self.n = grid.n
-        self.has_cut = grid.has_cut
-        self._csr = matrix
-        self._lu = None
+        self.has_cut = bool(np.any(grid.theta < 1.0))
+        memo = grid._memo
+        if "matrix" not in memo:
+            memo["matrix"] = _assembled(grid)
+        self._csr = memo["matrix"]
 
     def matvec(self, values):
         return self._csr @ values
 
     def _factorization(self):
-        if self._lu is None:
-            memo = self.grid._memo
-            if memo.get("matrix") is not self._csr:
-                memo = {}  # not the grid's matrix: a factorization of its own
-            if "lu" not in memo:
-                # the stencil pattern is symmetric even where the cut-cell
-                # values are not, so a minimum-degree ordering of A^T + A
-                # keeps the fill, and with it the memory, well below COLAMD's
-                memo["lu"] = spla.splu(
-                    self._csr.tocsc(), permc_spec="MMD_AT_PLUS_A", panel_size=1
-                )
-            self._lu = memo["lu"]
-        return self._lu
+        memo = self.grid._memo
+        if "lu" not in memo:
+            # the stencil pattern is symmetric even where the cut-cell
+            # values are not, so a minimum-degree ordering of A^T + A
+            # keeps the fill, and with it the memory, well below COLAMD's
+            memo["lu"] = spla.splu(self._csr.tocsc(), permc_spec="MMD_AT_PLUS_A", panel_size=1)
+        return memo["lu"]
 
 
 def _diag_positions(indptr, indices):
@@ -91,10 +88,7 @@ def assemble_laplacian(grid):
     factorization. The memo holds no operator, so no reference cycle keeps
     a grid and its factorization alive.
     """
-    memo = grid._memo
-    if "matrix" not in memo:
-        memo["matrix"] = _assembled(grid)
-    return DiscreteLaplacian(grid, memo["matrix"])
+    return DiscreteLaplacian(grid)
 
 
 def _assembled(grid):

@@ -64,7 +64,6 @@ class RadialResult:
     theta_history: tuple
     termination: str
     outer_iterations: int
-    wall_time: float
 
 
 def radial_grid(kind, radii, n_r):
@@ -182,5 +181,5 @@ def radial_optimize(kind, radii, h, H, M, n_r=1024, opts=OptimizeOptions()):
     return RadialResult(
         theta=float(np.sum(v * v * w) / np.sum(rho * u * u * w)), r=grid.r, u=u, v=v, rho=rho,
         t=t / c, theta_history=report.theta_history, termination=report.termination,
-        outer_iterations=report.outer_iterations, wall_time=report.wall_time,
+        outer_iterations=report.outer_iterations,
     )

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import inspect
 import json
 import math
 
@@ -435,6 +436,15 @@ class TestVerify:
         args = cli._build_parser().parse_args(["verify", "--report", "r", "--fields", "f"])
         assert args.n_lambda == pl.diagnostics.N_LAMBDAS
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--domain", "disk", "--h", "1", "--H", "2", "--mass", "4"],
+        ["sweep-annulus", "--inner-from", "0.5", "--inner-to", "0.5", "--steps", "1",
+         "--out", "o"],
+    ], ids=["solve", "sweep-annulus"])
+    def test_radial_cell_default_is_radial_optimizes_own(self, argv):
+        n_r = inspect.signature(pl.radial_optimize).parameters["n_r"].default
+        assert cli._build_parser().parse_args(argv).nr == n_r
+
     @pytest.mark.parametrize("n_lambda", ["0", "7", "-1"])
     def test_too_few_planes_exits_1(self, disk_solve, n_lambda, capsys):
         d, report, fields = disk_solve
@@ -704,6 +714,11 @@ class TestDomainFlags:
         assert "none.csv" in capsys.readouterr().err
 
 
+# the annulus a = 0.5's area and its ring sum at 64 cells
+_AREA = pl.annulus(0.5, 1.0).area()
+_RINGS = pl.radial.radial_grid("annulus", (0.5, 1.0), 64).discrete_area
+
+
 class TestSweep:
     def test_small_sweep_writes_monotone_rows(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -731,16 +746,27 @@ class TestSweep:
         assert capsys.readouterr().err == "error: --steps must be positive\n"
         assert not out.exists()
 
-    def test_every_row_is_checked_before_the_first_solve(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("flags, message", [
         # the rows a = 0.5 and 0.75 were solved before a = 1.0 failed
+        (["--inner-from", "0.5", "--inner-to", "1.0", "--steps", "3", "--grid", "33"],
+         "annulus needs inner < outer radius"),
+        # the domain admits a = 0.6's mass, its lattice at grid 33 does not
+        (["--inner-from", "0.3", "--inner-to", "0.6", "--steps", "2", "--mass-fraction", "0.96",
+          "--grid", "33"], "mass 3.940813824663037 outside admissible bracket [1.953125, 3.90625]"),
+        # the lattice at grid 65 admits the mass, the 64 rings do not
+        (["--inner-from", "0.5", "--inner-to", "0.5", "--steps", "1", "--mass-fraction", "0.98",
+          "--grid", "65"], "mass %r outside admissible bracket [%r, %r]" % (
+              _AREA + 0.98 * _AREA, _RINGS, 2.0 * _RINGS)),
+    ], ids=["domain", "lattice", "rings"])
+    def test_every_row_is_checked_before_the_first_solve(self, tmp_path, monkeypatch, capsys,
+                                                         flags, message):
         calls = []
         monkeypatch.setattr(cli, "optimize", lambda *args, **kwargs: calls.append(args))
         monkeypatch.setattr(cli, "radial_optimize", lambda *args, **kwargs: calls.append(args))
         out = tmp_path / "sweep.csv"
-        rc = run(["sweep-annulus", "--inner-from", "0.5", "--inner-to", "1.0", "--steps", "3",
-                  "--grid", "33", "--nr", "64", "--out", str(out)])
+        rc = run(["sweep-annulus", *flags, "--nr", "64", "--out", str(out)])
         assert rc == 1
-        assert capsys.readouterr().err == "error: annulus needs inner < outer radius\n"
+        assert capsys.readouterr().err == "error: %s\n" % message
         assert calls == []
         assert not out.exists()
 

@@ -177,7 +177,6 @@ def _alternate_loop(op, rho0, h, H, M, opts):
 def _radial_loop(kind, radii, h, H, M, n_r=1024, opts=OptimizeOptions()):
     """Reference: ``radial_optimize`` with its own alternation loop,
     verbatim but for the eigensolve's iteration count, which it drops."""
-    t0 = time.perf_counter()
     grid = radial_grid(kind, radii, n_r)
     area = grid.discrete_area
     try:
@@ -223,7 +222,6 @@ def _radial_loop(kind, radii, h, H, M, n_r=1024, opts=OptimizeOptions()):
         theta_history=tuple(history),
         termination=termination,
         outer_iterations=len(history),
-        wall_time=time.perf_counter() - t0,
     )
 
 

@@ -2,9 +2,9 @@
 
 ``build_grid`` keeps the grid it built last; ``assemble_laplacian``
 memoizes the matrix and the first solve's factorization on the grid.
-Sharing must not change a single bit of any result, must not keep a
-grid alive once a different one is built, and must not let a stub or a
-hand-built operator reach the memo.
+The memo is the one owner of both. Sharing must not change a single bit
+of any result and must not keep a grid alive once a different one is
+built; a rebuilt grid has the same tag, so it takes the old one's fields.
 """
 
 import dataclasses
@@ -23,7 +23,7 @@ import scipy.sparse.linalg as spla
 import platelab as pl
 from platelab import cli, geometry
 from platelab.fields import ScalarField
-from platelab.poisson import DiscreteLaplacian, SolveError, solve_dirichlet
+from platelab.poisson import DiscreteLaplacian, GridMismatchError, solve_dirichlet
 from conftest import make_strip_grid, orbit_aligned_mass
 
 ARRAYS = ("xs", "ys", "ix", "iy", "index_of", "theta", "neighbor")
@@ -164,38 +164,26 @@ class TestReadOnly:
 
 
 class TestMemoBoundary:
-    def test_lu_stub_never_reaches_the_memo(self, monkeypatch, empty_cache):
-        g = pl.build_grid(pl.rectangle(1.0, 0.75), 17)
-        op = pl.assemble_laplacian(g)
-
-        class Wrong:
-            def solve(self, b):
-                return np.zeros_like(b)
-
-        monkeypatch.setattr(op, "_lu", Wrong())
-        f = ScalarField(g, np.ones(g.n))
-        with pytest.raises(SolveError):
-            solve_dirichlet(op, f)
-        assert "lu" not in g._memo
-        fresh = pl.assemble_laplacian(g)
-        solve_dirichlet(fresh, f)
-        assert g._memo["lu"] is fresh._lu
-
-    def test_hand_built_operator_keeps_its_own_factorization(self, empty_cache):
-        g = pl.build_grid(pl.rectangle(1.0, 0.75), 17)
-        shared = pl.assemble_laplacian(g)
-        f = ScalarField(g, np.ones(g.n))
-        solve_dirichlet(shared, f)
-        own = DiscreteLaplacian(g, 2.0 * shared._csr)
-        w = solve_dirichlet(own, f)
-        assert own._lu is not g._memo["lu"] and g._memo["lu"] is shared._lu
-        assert np.allclose(w.values, 0.5 * solve_dirichlet(shared, f).values, rtol=1e-12)
-
     def test_operators_share_one_matrix_and_factorization(self, empty_cache, counts):
         g = pl.build_grid(pl.rectangle(1.0, 0.75), 17)
-        first, second = pl.assemble_laplacian(g), pl.assemble_laplacian(g)
+        first, second = pl.assemble_laplacian(g), DiscreteLaplacian(g)
         assert first is not second and first._csr is second._csr
         f = ScalarField(g, np.ones(g.n))
         solve_dirichlet(first, f)
         solve_dirichlet(second, f)
-        assert first._lu is second._lu and counts["splu"] == 1
+        assert counts["splu"] == 1 and set(g._memo) == {"matrix", "lu"}
+
+
+class TestFingerprint:
+    def test_a_rebuilt_grid_takes_the_same_fields(self, monkeypatch):
+        spec = pl.rectangle(1.0, 0.75)
+        first = pl.build_grid(spec, 17)
+        monkeypatch.setattr(geometry, "_last", None)
+        second = pl.build_grid(spec, 17)
+        assert second is not first and second.tag == first.tag
+        f = ScalarField(first, np.ones(first.n))
+        w = solve_dirichlet(pl.assemble_laplacian(second), f)
+        assert np.array_equal(w.values, solve_dirichlet(pl.assemble_laplacian(first), f).values)
+        other = pl.build_grid(spec, 19)
+        with pytest.raises(GridMismatchError):
+            solve_dirichlet(pl.assemble_laplacian(other), f)

@@ -110,7 +110,7 @@ class TestSolve:
             def solve(self, b):
                 return np.zeros_like(b)
 
-        monkeypatch.setattr(op, "_lu", Wrong())
+        monkeypatch.setitem(g._memo, "lu", Wrong())
         with pytest.raises(SolveError) as err:
             solve_dirichlet(op, ScalarField(g, np.ones(g.n)))
         assert err.value.achieved == pytest.approx(1.0)
@@ -124,7 +124,7 @@ class TestSolve:
             def solve(self, b):
                 return np.full_like(b, np.nan)
 
-        monkeypatch.setattr(op, "_lu", Nan())
+        monkeypatch.setitem(g._memo, "lu", Nan())
         with pytest.raises(SolveError) as err:
             solve_dirichlet(op, ScalarField(g, np.ones(g.n)))
         assert np.isnan(err.value.achieved)
@@ -134,15 +134,14 @@ class TestSolve:
         op = pl.assemble_laplacian(g)
         f = ScalarField(g, np.ones(g.n))
         w1 = solve_dirichlet(op, f)
-        lu = op._lu
-        assert lu is not None
+        lu = g._memo["lu"]
 
         def refactor(*args, **kwargs):
             raise AssertionError("operator factorized twice")
 
         monkeypatch.setattr(spla, "splu", refactor)
         w2 = solve_dirichlet(op, f)
-        assert op._lu is lu
+        assert g._memo["lu"] is lu
         assert np.array_equal(w1.values, w2.values)
 
 
@@ -173,7 +172,7 @@ class TestApply:
         op = pl.assemble_laplacian(g)
         w = solve_dirichlet(op, ScalarField(g, np.zeros(g.n)))
         assert w.grid is g and np.array_equal(w.values, np.zeros(g.n))
-        assert op._lu is None and "lu" not in g._memo
+        assert "lu" not in g._memo
 
     def test_zero_maps_to_zero(self):
         g = pl.build_grid(pl.disk(1.0), 17)
