@@ -20,6 +20,7 @@ table's ``stop`` entry, which ``diagnostics.plane_positions`` reads.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import math
 import numbers
@@ -449,7 +450,12 @@ def _symmetric_coords(center, delta, half_extent):
     return center + offs * delta
 
 
-_last = None  # (key, grid) of the grid built last
+_kept = {}  # key -> grid, at most two, the one returned last at the end
+_dropped = None  # key of the grid dropped last
+try:  # glibc's: gives the heap's free pages back to the system
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (AttributeError, TypeError):  # no such call outside glibc
+    _malloc_trim = None
 
 
 def build_grid(spec, nodes_per_side):
@@ -463,24 +469,41 @@ def build_grid(spec, nodes_per_side):
 
     The grid's one fingerprint is the key ``repr((spec, size))`` (so a
     ``-0.0`` centre is not ``0.0``); its ``tag`` is the key's SHA-1, which
-    a field's grid and an operator's grid are compared by. The last grid
-    built is returned again for the same key, so all calls on it share
-    its read-only arrays, matrix and factorization (see
-    ``poisson.assemble_laplacian``). It keeps the factorization between
-    calls (disk at 257: 2.72 M L+U nonzeros, about 31 MB) and is dropped
-    before a different grid is built. The package is single-threaded:
-    concurrent calls on one grid would share one factorization.
+    a field's grid and an operator's grid are compared by. A kept grid is
+    returned again for the same key, so all calls on it share its
+    read-only arrays, matrix and factorization (see
+    ``poisson.assemble_laplacian``). The last grid is kept. A miss drops
+    it before the new grid is built, unless the new key is the grid
+    dropped last (an A, B, A return): then both are kept, and both are
+    hits from then on. A miss with two kept drops both, and the one
+    returned last counts as dropped last. So at most two grids and their
+    factorizations are alive (disk at 257: 2.72 M L+U nonzeros, about
+    31 MB each), the second only after an A, B, A return. Before a grid
+    is built, glibc's ``malloc_trim`` gives the C heap's free pages back
+    to the system: the heap keeps freed workspaces resident, and a
+    factorization built beside a kept one lands past them (without it,
+    two kept grids raised the square-and-rectangle benchmark's peak
+    resident memory by 14 % on some job orders). The package is
+    single-threaded: concurrent calls on one grid would share one
+    factorization.
     """
-    global _last
+    global _dropped
     size = _integer(nodes_per_side, "nodes_per_side")
     key = repr((spec, size))
-    if _last is not None and _last[0] == key:
-        return _last[1]
-    _last = None  # the old grid's factorization goes before the new grid is built
+    if key in _kept:
+        _kept[key] = _kept.pop(key)
+        return _kept[key]
+    if key != _dropped or len(_kept) > 1:
+        # the old factorizations go before the new grid is built
+        if _kept:  # the one returned last counts as dropped last
+            _dropped = next(reversed(_kept))
+        _kept.clear()
+    if _malloc_trim is not None:
+        _malloc_trim(0)
     grid = _build_grid(spec, size, hashlib.sha1(key.encode()).hexdigest()[:12])
     for a in (grid.xs, grid.ys, grid.ix, grid.iy, grid.index_of, grid.theta, grid.neighbor):
         a.flags.writeable = False
-    _last = (key, grid)
+    _kept[key] = grid
     return grid
 
 

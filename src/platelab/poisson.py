@@ -86,7 +86,10 @@ def assemble_laplacian(grid):
     per grid and memoized on it: every operator on the grid is a new
     ``DiscreteLaplacian`` over that matrix and, after the first solve, its
     factorization. The memo holds no operator, so no reference cycle keeps
-    a grid and its factorization alive.
+    a grid and its factorization alive: they live as long as
+    ``build_grid`` keeps the grid or a caller holds it. ``build_grid``
+    keeps at most two grids, the second only after an A, B, A return, so
+    at most two factorizations are kept (disk at 257: about 31 MB each).
     """
     return DiscreteLaplacian(grid)
 
