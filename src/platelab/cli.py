@@ -394,28 +394,33 @@ def _run_sweep(args):
                          radial_grid(spec.kind, spec.params, args.nr).discrete_area):
             _check_bracket(admitted, args.h, args.Hd, mass_val)
         jobs.append((a, spec, mass_val))
-    rows = []
-    for idx, (a, spec, mass_val) in enumerate(jobs):
-        seed = int(np.random.SeedSequence((args.seed, idx)).generate_state(1)[0])
-        opts = _options(args, seed)
-        pair, rep = optimize(spec, args.grid, args.h, args.Hd, mass_val, opts=opts)
-        radial_res = radial_optimize(
-            spec.kind, spec.params, args.h, args.Hd, mass_val, n_r=args.nr, opts=opts
-        )
-        values = (
-            _fmt(a),
-            _fmt(pair.theta),
-            _fmt(radial_res.theta),
-            _fmt(diagnostics.rotation_asymmetry(pair)),
-            str(pair.theta < radial_res.theta),
-            rep.termination,
-        )
-        rows.append(dict(zip(SWEEP_COLUMNS, values)))
+    rows = [_sweep_row(args, idx, *job) for idx, job in enumerate(jobs)]
     with open(args.out, "w", newline="\n") as fh:
         fh.write(",".join(SWEEP_COLUMNS) + "\n")
         for row in rows:
             fh.write(",".join(row[c] for c in SWEEP_COLUMNS) + "\n")
     return 0 if all(row["termination"] in CONVERGED for row in rows) else 2
+
+
+def _sweep_row(args, idx, a, spec, mass_val):
+    """One sweep row's CSV values; its pair, and with it its grid and
+    factorization, is released when the row returns, before the next
+    row's grid is built."""
+    seed = int(np.random.SeedSequence((args.seed, idx)).generate_state(1)[0])
+    opts = _options(args, seed)
+    pair, rep = optimize(spec, args.grid, args.h, args.Hd, mass_val, opts=opts)
+    radial_res = radial_optimize(
+        spec.kind, spec.params, args.h, args.Hd, mass_val, n_r=args.nr, opts=opts
+    )
+    values = (
+        _fmt(a),
+        _fmt(pair.theta),
+        _fmt(radial_res.theta),
+        _fmt(diagnostics.rotation_asymmetry(pair)),
+        str(pair.theta < radial_res.theta),
+        rep.termination,
+    )
+    return dict(zip(SWEEP_COLUMNS, values))
 
 
 _COMMANDS = {"solve": _run_solve, "verify": _run_verify, "sweep-annulus": _run_sweep}

@@ -4,8 +4,17 @@ For a fixed admissible density the smallest eigenvalue of
 ``lap^2 u = theta * rho * u`` (hinged conditions) is found by inverse
 power iteration on the two-solve biharmonic map. The map is
 positivity-preserving, so the principal pair is simple and the iterates
-stay strictly positive; the quotient decreases monotonically along the
-iteration.
+stay strictly positive.
+
+Where the operator A is symmetric (grids without boundary cuts), each
+step's quotient is the Rayleigh quotient of the pencil (A^2, rho) at an
+inverse-iteration iterate, which cannot rise in exact arithmetic; no
+power step raised it in the solves of ``optimize`` on the square and the
+1x0.5 rectangle at grids 33 and 129. On cut grids A is not symmetric and
+the quotient can rise near convergence: in ``optimize`` on
+ellipse(1, 0.6) at grid 49 (mass 1.5 area) the cold solve rose in 5 of
+its 8 steps, by up to 1.7e-8 relative, and warm solves on the annulus
+a = 0.85 at grid 49 rose by up to 1.0e-7.
 
 Iterates are normalized in the sup norm, which keeps the whole iteration
 exactly scale-covariant: doubling rho halves every reported quotient
@@ -57,8 +66,9 @@ DEFAULT_MAX_ITER = 10000
 # (then it restarts from its Ritz vector), it stops once the dominant
 # Ritz pair's residual is at most KRYLOV_TOL * |mu|, and the returned pair
 # must meet the eigen-residual bound KRYLOV_RESIDUAL. A hand-off stops on
-# the map where it converges: on the 16 annulus rows at grid 97 that takes
-# 13 maps in the median, 4-39 without a restart. The prediction, read off
+# the map where it converges: on the 16 annulus rows at grid 97 a cycle
+# makes 285 hand-offs, which take 13 maps in the median, 4-39 without a
+# restart and at most 64 with one. The prediction, read off
 # early increments, undershoots on a crawl, so a switch point of 10 pays;
 # the disk at grid 257 and the squares and rectangles at grid 129 predict
 # at most about 4 further steps, so they never switch.

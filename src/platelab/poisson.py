@@ -64,8 +64,13 @@ class DiscreteLaplacian:
         if "lu" not in memo:
             # the stencil pattern is symmetric even where the cut-cell
             # values are not, so a minimum-degree ordering of A^T + A
-            # keeps the fill, and with it the memory, well below COLAMD's
-            memo["lu"] = spla.splu(self._csr.tocsc(), permc_spec="MMD_AT_PLUS_A", panel_size=1)
+            # keeps the fill, and with it the memory, well below COLAMD's.
+            # Symmetric mode changes only the column order SuperLU derives
+            # from it: the pivots stay on the diagonal (A is a diagonally
+            # dominant M-matrix) and the fill is the same, but the solves
+            # on cut grids run 15-38 % faster (README, "Linear solves")
+            memo["lu"] = spla.splu(self._csr.tocsc(), permc_spec="MMD_AT_PLUS_A", panel_size=1,
+                                   options={"SymmetricMode": True})
         return memo["lu"]
 
 

@@ -63,6 +63,28 @@ class TestPrincipalPair:
         hist = np.asarray(disk_uniform_eig_128.theta_history)
         assert np.all(np.diff(hist) <= 1e-12 * hist[1:])
 
+    @pytest.mark.parametrize("spec, area", [(pl.unit_square(), 1.0), (pl.rectangle(1.0, 0.5), 0.5)],
+                             ids=["square", "rectangle"])
+    @pytest.mark.parametrize("fraction", [0.3, 0.5, 0.7])
+    def test_uncut_quotient_never_rises(self, monkeypatch, spec, area, fraction):
+        # A is symmetric without boundary cuts, so every step's quotient is
+        # the Rayleigh quotient of the pencil (A^2, rho) at an inverse-
+        # iteration iterate: it cannot rise, cold or warm (on cut grids it
+        # does, by up to 1e-7 relative)
+        histories = []
+
+        def recorded(*args, **kwargs):
+            res = principal_pair(*args, **kwargs)
+            histories.append(np.asarray(res.theta_history))
+            return res
+
+        monkeypatch.setattr(optimizer, "principal_pair", recorded)
+        pl.optimize(spec, 33, 1.0, 2.0, (1.0 + fraction) * area,
+                    opts=pl.OptimizeOptions(restarts=2, seed=1))
+        assert len(histories) >= 4
+        for hist in histories:
+            assert np.all(np.diff(hist) <= 0.0)
+
     def test_unit_weighted_norm(self, disk_uniform_eig_128):
         res = disk_uniform_eig_128
         g = res.u.grid

@@ -59,15 +59,15 @@ ANNULUS_OPTS = OptimizeOptions(
 OPTIMIZE_ROWS = [
     (pl.disk(), 33, math.pi * 1.5, OptimizeOptions(), 17.362154323634442, "rho-fixed", 2,
      (7, 5)),
-    (pl.unit_square(), 33, 1.5, OptimizeOptions(), 198.7766123105963, "rho-fixed", 2, (6, 4)),
+    (pl.unit_square(), 33, 1.5, OptimizeOptions(), 198.77662708938155, "rho-fixed", 2, (6, 4)),
     (pl.annulus(INNER, 1.0), 41, ANNULUS_MASS, ANNULUS_OPTS, 72.47523531018791, "rho-fixed", 3,
      (7, 10, 7)),
     (pl.annulus(THIN, 1.0), 49, THIN_MASS, ANNULUS_OPTS, 91332.31020743366, "rho-fixed", 5,
      (41, 38, 35, 35, 34)),
     (pl.annulus(HALF, 1.0), 33, HALF_MASS, OptimizeOptions(theta_tol=1e-2), 815.5708286669584,
      "theta-converged", 3, (12, 15, 16)),
-    (pl.annulus(THIN, 1.0), 49, THIN_MASS, OptimizeOptions(max_outer=2), 93957.19040520028,
-     "max-outer", 2, (15, 72)),
+    (pl.annulus(THIN, 1.0), 49, THIN_MASS, OptimizeOptions(max_outer=2), 93763.84817811314,
+     "max-outer", 2, (15, 75)),
 ]
 OPTIMIZE_IDS = ["disk-33", "square-33", "annulus-0.12-41", "annulus-0.85-49",
                 "annulus-0.5-33-theta-converged", "annulus-0.85-49-max-outer"]

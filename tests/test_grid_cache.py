@@ -263,20 +263,29 @@ class TestRule:
 
     def test_distinct_sweep_rows_never_keep_two_grids(self, tmp_path, monkeypatch,
                                                       empty_cache, counts):
-        kept_at_build = []
+        kept_at_build, alive_at_build, built = [], [], []
         build = geometry._build_grid
 
         def watched(*args):
             kept_at_build.append(len(geometry._kept))
-            return build(*args)
+            alive_at_build.append(sum(ref() is not None for ref in built))
+            grid = build(*args)
+            built.append(weakref.ref(grid))
+            return grid
 
         monkeypatch.setattr(geometry, "_build_grid", watched)
-        assert cli.main(["sweep-annulus", "--inner-from", "0.2", "--inner-to", "0.6",
-                         "--steps", "8", "--grid", "17", "--nr", "64",
-                         "--out", str(tmp_path / "sweep.csv")]) == 0
+        gc.disable()
+        try:
+            assert cli.main(["sweep-annulus", "--inner-from", "0.2", "--inner-to", "0.6",
+                             "--steps", "8", "--grid", "17", "--nr", "64",
+                             "--out", str(tmp_path / "sweep.csv")]) == 0
+        finally:
+            gc.enable()
         # each row's grid is built for its check and again for its solve,
-        # both times after the last grid is dropped
+        # both times after the last grid is dropped and released: a row's
+        # pair held past its row kept its grid and factorization alive
         assert kept_at_build == [0] * 16 and len(geometry._kept) == 1
+        assert alive_at_build == [0] * 16
         assert counts == {"build": 16, "splu": 8}
 
 

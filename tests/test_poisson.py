@@ -145,6 +145,30 @@ class TestSolve:
         assert np.array_equal(w1.values, w2.values)
 
 
+class TestFactorization:
+    """The memo's LU is taken in SuperLU's symmetric mode (see
+    ``DiscreteLaplacian._factorization``): its pivots stay on the diagonal,
+    and it fills exactly as the unsymmetric-mode factorization of the same
+    ordering, which is kept here as the reference."""
+
+    @pytest.mark.parametrize("spec,nps", [
+        (pl.disk(1.0), 41), (pl.unit_square(), 33), (pl.rectangle(1.0, 0.5), 33),
+        (pl.ellipse(1.0, 0.6), 49), (pl.stadium(1.0, 0.5), 41), (pl.annulus(0.12, 1.0), 41),
+        (pl.annulus(0.5, 1.0), 33), (pl.annulus(0.85, 1.0), 49),
+    ], ids=["disk", "square", "rectangle", "ellipse", "stadium", "annulus-0.12",
+            "annulus-0.5", "annulus-0.85"])
+    def test_pivots_stay_diagonal_with_the_reference_fill(self, spec, nps):
+        g = pl.build_grid(spec, nps)
+        op = pl.assemble_laplacian(g)
+        solve_dirichlet(op, ScalarField(g, np.ones(g.n)))
+        lu = g._memo["lu"]
+        assert np.array_equal(lu.perm_r, lu.perm_c)
+        reference = spla.splu(op._csr.tocsc(), permc_spec="MMD_AT_PLUS_A", panel_size=1)
+        assert lu.L.nnz + lu.U.nnz == reference.L.nnz + reference.U.nnz
+        # only the column order moves: symmetric mode is on
+        assert not np.array_equal(lu.perm_c, reference.perm_c)
+
+
 class TestMaximumPrinciple:
     @pytest.mark.parametrize("spec,nps", [(pl.disk(1.0), 33), (pl.unit_square(), 17)])
     def test_nonnegative_data_gives_nonnegative_solution(self, spec, nps):
