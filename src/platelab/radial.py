@@ -1,22 +1,25 @@
 """One-dimensional radial solver for disks and annuli.
 
 Shares the alternation's control with the 2-D code (the driver
-``optimizer._alternate``: warm starts, stopping rules, report), but
-passes it its own numerics: the radial reduction ``u'' + u'/r`` (planar
-case) on a uniform radius grid, its own eigensolve and its own bathtub.
-The operator is second order, but theta converges at first order in the
+``optimizer._alternate``: warm starts, stopping rules, report) and its
+density rules (``rearrange``: the uniform start, the bathtub step and
+the box-and-mass check of every density), but passes it its own
+numerics: the radial reduction ``u'' + u'/r`` (planar case) on a
+uniform radius grid, its own eigensolve and its own quadrature. The
+operator is second order, but theta converges at first order in the
 radial spacing: the density's jump between h and H falls inside a cell.
-The numerics being independent of the 2-D path, the two can cross-check
-each other; the input rules are shared: ``geometry`` checks the radii
-and ``rearrange`` the mass bracket and each density. It cannot express
-angular symmetry breaking by construction.
+The operator and eigensolve being independent of the 2-D path, the two
+can cross-check each other's discretization; the input rules are
+shared: ``geometry`` checks the radii and ``rearrange`` the mass
+bracket. It cannot express angular symmetry breaking by construction.
 
 Minus the radial Laplacian is a tridiagonal matrix kept in banded form;
 each eigen iteration is two ``solve_banded`` calls, the split form of the
 hinged plate (see ``plate``). Disk grids carry an unknown at r = 0 where
 regularity (``u'(0) = 0`` via a ghost node) replaces the Dirichlet
 condition; annulus grids are Dirichlet at both radii. Node masses use
-exact ring areas, so the bathtub step here is weight-aware.
+exact ring areas (half cells at the radii that bound the grid), and
+they are the weights the shared bathtub step fills.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from scipy.linalg import solve_banded
 from .eigensolver import DEFAULT_MAX_ITER, EigenError
 from .geometry import DomainSpec, GeometryError, _integer
 from .optimizer import OptimizeOptions, _alternate
-from .rearrange import RearrangeError, _check_bracket, _check_density
+from .rearrange import RearrangeError, _bathtub, _check_bracket, _check_density, _uniform
 
 
 class RadialError(ValueError):
@@ -126,29 +129,6 @@ def _principal_pair_radial(grid, ab, rho, tol, max_iter, u0=None):
     return theta, it, u, vs
 
 
-def _bathtub_radial(u, weights, h, H, M):
-    """Weight-aware threshold density: H on the largest-u cells, one
-    fractional cell balancing the mass exactly."""
-    n = u.shape[0]
-    order = np.argsort(-u, kind="stable")
-    rho = np.full(n, h)
-    if h == H:
-        return rho, float(u[order[0]])
-    excess = M - h * float(np.sum(weights))
-    # np.cumsum adds in sequence, so ``filled[k - 1]`` is bitwise the mass
-    # a running sum over the first k cells would reach
-    filled = np.cumsum((H - h) * weights[order])
-    k = int(np.searchsorted(filled, excess * (1.0 + 1e-15), side="right"))
-    rho[order[:k]] = H
-    if k == n:
-        return rho, 0.0
-    i = int(order[k])
-    residual = excess - (filled[k - 1] if k else 0.0)
-    if residual > 1e-13 * abs(M):
-        rho[i] = min(h + residual / weights[i], H)
-    return rho, float(u[i])
-
-
 def radial_optimize(kind, radii, h, H, M, n_r=1024, opts=OptimizeOptions()):
     """Alternating scheme on the radial reduction: one start, from the
     uniform density, reading only ``opts.max_outer``, ``opts.eig_tol`` and
@@ -164,15 +144,18 @@ def radial_optimize(kind, radii, h, H, M, n_r=1024, opts=OptimizeOptions()):
     def eigensolve(rho, u0):
         return _principal_pair_radial(grid, ab, rho, opts.eig_tol, DEFAULT_MAX_ITER, u0=u0)
 
-    def bathtub(u):
-        rho, t = _bathtub_radial(u, w, h, H, M)
+    def admissible(rho):
         _check_density(rho, float(np.sum(rho * w)), h, H, M)
-        return rho, t
+        return rho
+
+    def bathtub(u):
+        rho, t = _bathtub(u, w, h, H, M)
+        return admissible(rho), t
 
     def mass_error(rho):
         return abs(float(np.sum(rho * w)) - M)
 
-    rho0 = np.full(grid.n, M / grid.discrete_area)
+    rho0 = admissible(_uniform(grid, h, H, M))
     rho, u, v, t, report = _alternate(rho0, eigensolve, bathtub, mass_error, opts)
     # unit weighted norm, matching the 2-D convention
     c = math.sqrt(float(np.sum(rho * u * u * w)))

@@ -1,12 +1,19 @@
 """Mass-constrained density rearrangement: the bathtub step.
 
-Given a positive field u (a ``ScalarField``, whose grid is the grid of
-the density) and the admissible box ``h <= rho <= H`` with total lattice
-mass M, the density maximizing ``sum(rho * u^2) * d^2`` puts H on the
-highest-u nodes and h elsewhere, with at most one node carrying an
-intermediate value so the mass constraint holds to machine precision.
-Ties in u are broken by ascending node index, which makes the whole step
-deterministic.
+Given a positive field u on cells of weights w (``cell_area`` on every
+lattice node, exact ring areas on the radial grid) and the admissible
+box ``h <= rho <= H`` with mass ``sum(rho * w) = M``, the density
+maximizing ``sum(rho * u^2 * w)`` puts H on the highest-u cells and h
+elsewhere, with at most one cell carrying an intermediate value so the
+mass constraint holds to machine precision. Ties in u are broken by
+ascending node index, which makes the whole step deterministic. Both
+paths run this one step (``_bathtub``) from one uniform start.
+
+The edge rule: a running sum of the cells' extra mass ``(H - h) * w``
+gives the count k of H cells, and a pairwise sum of the first k moves it
+by at most one cell, within ``1e-13 |M|``. A running sum alone drifts:
+on the 51 429 equal cells of the disk at grid 257 it left one cell 3e-8
+H under H at ``M = H * area``.
 """
 
 from __future__ import annotations
@@ -56,7 +63,15 @@ class ThresholdResult:
 
 def uniform_density(grid, h, H, M):
     """The admissible constant density with mass M."""
-    return DensityField(grid, np.full(grid.n, M / grid.discrete_area), h, H, M)
+    h, H, M = _check_bracket(grid.discrete_area, h, H, M)
+    return DensityField(grid, _uniform(grid, h, H, M), h, H, M)
+
+
+def _uniform(grid, h, H, M):
+    """The one uniform start of both paths, on a lattice or a radial grid:
+    ``M / discrete_area`` clipped into [h, H], which a mass inside the
+    bracket's slack can leave."""
+    return np.clip(np.full(grid.n, M / grid.discrete_area), h, H)
 
 
 def _check_bracket(area, h, H, M):
@@ -91,47 +106,46 @@ def _check_density(values, got, h, H, M):
 
 
 def optimal_density(u, h, H, M):
-    """Threshold density on ``u.grid`` maximizing ``sum(rho u^2)`` at fixed mass.
+    """Threshold density on ``u.grid`` maximizing ``sum(rho u^2)`` at fixed mass:
+    the bathtub step with every node weighing ``cell_area``."""
+    grid = u.grid
+    if np.any(u.values <= 0.0):
+        raise RearrangeError("rearrangement needs a strictly positive field")
+    h, H, M = _check_bracket(grid.discrete_area, h, H, M)
+    values, t = _bathtub(u.values, np.full(grid.n, grid.cell_area), h, H, M)
+    return ThresholdResult(rho=DensityField(grid, values, h, H, M), t=t)
+
+
+def _bathtub(u, weights, h, H, M):
+    """The bathtub step of both paths, on cells of the given weights.
 
     Sorts u descending (ties by ascending node index), fills H from the
-    top, and closes the mass budget with a single intermediate node when
-    the H-count is not integral. The level t is the value of u at the
-    first node not filled with H (0 when every node is), which is the
-    fractional node when there is one.
+    top, and closes the mass budget with a single intermediate cell when
+    the budget does not end on a cell's edge (see the module's edge rule).
+    Returns the density and the level t: the value of u at the first cell
+    not filled with H (0 when every cell is), which is the fractional cell
+    when there is one.
     """
-    grid = u.grid
-    uv = u.values
-    if np.any(uv <= 0.0):
-        raise RearrangeError("rearrangement needs a strictly positive field")
-    # ahead of the arithmetic: a NaN mass must fail here, not in np.floor
-    h, H, M = _check_bracket(grid.discrete_area, h, H, M)
-
-    n = grid.n
-    cell = grid.cell_area
-    order = np.argsort(-uv, kind="stable")
-    values = np.full(n, h)
-
+    n = u.shape[0]
+    order = np.argsort(-u, kind="stable")
+    rho = np.full(n, h)
     if h == H:
         # degenerate box: the admissible set is a single density
-        rho = DensityField(grid, values, h, H, M)
-        return ThresholdResult(rho=rho, t=float(uv[order[0]]))
-
-    cap = (H - h) * cell  # extra mass one node can absorb
-    excess = M - h * n * cell
-    k = max(int(np.floor(excess / cap)), 0)
-    residual = excess - k * cap
-    if residual < 0.0 and k > 0:
+        return rho, float(u[order[0]])
+    caps = (H - h) * weights[order]  # extra mass each cell can absorb
+    excess = M - h * float(np.sum(weights))
+    tol = 1e-13 * abs(M)
+    k = int(np.searchsorted(np.cumsum(caps), excess, side="right"))
+    residual = excess - float(np.sum(caps[:k]))
+    if residual < -tol and k > 0:
         k -= 1
-        residual = excess - k * cap
-    if residual >= cap * (1.0 - 1e-12) and k < n:
+    elif k < n and residual >= caps[k] - tol:
         k += 1
-        residual = excess - k * cap
-    k = min(k, n)
-
-    values[order[:k]] = H
-    t = 0.0 if k == n else float(uv[order[k]])
-    if residual > 1e-13 * abs(M) and k < n:
-        values[order[k]] = h + residual / cell
-
-    rho = DensityField(grid, values, h, H, M)
-    return ThresholdResult(rho=rho, t=t)
+    residual = excess - float(np.sum(caps[:k]))
+    rho[order[:k]] = H
+    if k == n:
+        return rho, 0.0
+    i = order[k]
+    if residual > tol:
+        rho[i] = min(h + residual / weights[i], H)
+    return rho, float(u[i])

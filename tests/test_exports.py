@@ -73,7 +73,8 @@ RETIRED = {
     "platelab.rearrange": ["mass"],
     # copies of geometry's shape table: the CLI and the radial solver read it
     "platelab.cli": ["_DOMAIN_FLAGS"],
-    "platelab.radial": ["_RADII"],
+    # _bathtub_radial: both paths run rearrange's one bathtub
+    "platelab.radial": ["_RADII", "_bathtub_radial"],
 }
 
 

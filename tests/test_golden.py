@@ -31,13 +31,13 @@ from platelab.optimizer import OptimalPair, OptimizeOptions, SolveReport
 from platelab.radial import (
     RadialError,
     RadialResult,
-    _bathtub_radial,
     _principal_pair_radial,
     _radial_operator,
     radial_grid,
 )
 from platelab.rearrange import (
     RearrangeError,
+    _bathtub,
     _check_bracket,
     optimal_density,
     uniform_density,
@@ -176,7 +176,8 @@ def _alternate_loop(op, rho0, h, H, M, opts):
 
 def _radial_loop(kind, radii, h, H, M, n_r=1024, opts=OptimizeOptions()):
     """Reference: ``radial_optimize`` with its own alternation loop,
-    verbatim but for the eigensolve's iteration count, which it drops."""
+    verbatim but for the eigensolve's iteration count, which it drops, and
+    the bathtub, now the one both paths share."""
     grid = radial_grid(kind, radii, n_r)
     area = grid.discrete_area
     try:
@@ -194,7 +195,7 @@ def _radial_loop(kind, radii, h, H, M, n_r=1024, opts=OptimizeOptions()):
         )
         history.append(theta)
         u_warm = u
-        rho_new, t_level = _bathtub_radial(u, grid.weights, h, H, M)
+        rho_new, t_level = _bathtub(u, grid.weights, h, H, M)
         if np.array_equal(rho_new, rho):
             termination = "rho-fixed"
             rho = rho_new

@@ -9,10 +9,9 @@ import platelab as pl
 from platelab import radial
 from platelab.eigensolver import EigenError
 from platelab.fields import ScalarField
-from platelab.rearrange import RearrangeError, _check_bracket, optimal_density
+from platelab.rearrange import RearrangeError, _bathtub, _check_bracket, optimal_density
 from platelab.radial import (
     RadialError,
-    _bathtub_radial,
     _principal_pair_radial,
     _radial_operator,
     radial_grid,
@@ -62,28 +61,6 @@ class TestRadialGrid:
             radial_optimize(kind, radii, 1.0, 2.0, 1.0, n_r=128)
 
 
-def _bathtub_loop(u, weights, h, H, M):
-    """Reference: fill cells by descending u with a running mass sum."""
-    order = np.argsort(-u, kind="stable")
-    rho = np.full(u.shape[0], h)
-    if h == H:
-        return rho, float(u[order[0]])
-    excess = M - h * float(np.sum(weights))
-    t, acc = float(u[order[0]]), 0.0
-    for pos, i in enumerate(order):
-        cap = (H - h) * weights[i]
-        if acc + cap <= excess * (1.0 + 1e-15):
-            rho[i] = H
-            acc += cap
-            t = float(u[order[pos + 1]]) if pos + 1 < u.shape[0] else 0.0
-        else:
-            if excess - acc > 1e-13 * abs(M):
-                rho[i] = min(h + (excess - acc) / weights[i], H)
-                t = float(u[i])
-            break
-    return rho, t
-
-
 def _radial_operator_loop(grid):
     """Reference: the banded operator filled row by row, verbatim."""
     n = grid.n
@@ -119,20 +96,6 @@ class TestRadialOperator:
 
 
 class TestRadialBathtub:
-    def test_matches_running_sum_bitwise(self):
-        rng = np.random.default_rng(5)
-        for case in range(200):
-            radii = (1.0,) if case % 2 else (rng.uniform(0.05, 0.9), 1.0)
-            g = radial_grid("disk" if case % 2 else "annulus", radii, int(rng.integers(64, 300)))
-            u = rng.uniform(0.1, 1.0, g.n)
-            if case % 5 == 0:
-                u = np.round(4.0 * u) / 4.0 + 0.25  # many ties
-            area = g.discrete_area
-            M = (1.0 + (0.0, 1.0, rng.uniform())[case % 3]) * area
-            want = _bathtub_loop(u, g.weights, 1.0, 2.0, M)
-            got = _bathtub_radial(u, g.weights, 1.0, 2.0, M)
-            assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
-
     @pytest.mark.parametrize("kind, radii", [("disk", (1.0,)), ("annulus", (0.3, 1.0))])
     def test_box_edges(self, kind, radii):
         g = radial_grid(kind, radii, 128)
@@ -140,13 +103,13 @@ class TestRadialBathtub:
         area = g.discrete_area
         # each density below takes one value: no cell is fractional
         # all light: nothing fills, the level is the largest u
-        rho, t = _bathtub_radial(u, g.weights, 1.0, 2.0, area)
+        rho, t = _bathtub(u, g.weights, 1.0, 2.0, area)
         assert np.all(rho == 1.0) and t == u.max()
         # all heavy: every cell fills, the level drops to zero
-        rho, t = _bathtub_radial(u, g.weights, 1.0, 2.0, 2.0 * area)
+        rho, t = _bathtub(u, g.weights, 1.0, 2.0, 2.0 * area)
         assert np.all(rho == 2.0) and t == 0.0
         # degenerate box: the one admissible density
-        rho, t = _bathtub_radial(u, g.weights, 1.5, 1.5, 1.5 * area)
+        rho, t = _bathtub(u, g.weights, 1.5, 1.5, 1.5 * area)
         assert np.all(rho == 1.5) and t == u.max()
 
 
@@ -201,14 +164,19 @@ class TestRadialOptimize:
         with pytest.raises(RadialError):
             radial_optimize("disk", (1.0,), 1.0, 2.0, 10.0, n_r=128)
 
-    def test_off_mass_density_is_refused(self, monkeypatch):
-        # the radial bathtub's output runs the density check DensityField runs
-        def off_mass(u, weights, h, H, M):
-            rho, t = _bathtub_radial(u, weights, h, H, M)
-            rho[-1] += 1e-6  # the outermost cell is light: still inside the box
-            return rho, t
+    @pytest.mark.parametrize("rule", ["_uniform", "_bathtub"])
+    def test_off_mass_density_is_refused(self, monkeypatch, rule):
+        # the radial start and each bathtub output run the density check
+        # DensityField runs; the start once skipped it
+        make = getattr(radial, rule)
 
-        monkeypatch.setattr(radial, "_bathtub_radial", off_mass)
+        def off_mass(*args):
+            out = make(*args)
+            rho = out[0] if rule == "_bathtub" else out
+            rho[-1] += 1e-6  # the outermost cell is light: still inside the box
+            return out
+
+        monkeypatch.setattr(radial, rule, off_mass)
         with pytest.raises(RearrangeError, match="density mass .* deviates from M=4.5"):
             radial_optimize("disk", (1.0,), 1.0, 2.0, 4.5, n_r=128)
 
@@ -316,4 +284,8 @@ class TestSharedInputRules:
                           RadialError) for a, b, m, _ in edges(area_r)]
         planar = [refused(lambda: optimal_density(u, a, b, m), RearrangeError)
                   for a, b, m, _ in edges(grid_2d.discrete_area)]
-        assert radial == planar == [want for *_, want in edges(area_r)]
+        # the uniform start of a mass just outside the bracket is clipped into
+        # the box: it once left it, and optimize refused what the others took
+        alternated = [refused(lambda: pl.optimize(pl.disk(1.0), 17, a, b, m, opts=opts),
+                              RearrangeError) for a, b, m, _ in edges(grid_2d.discrete_area)]
+        assert radial == planar == alternated == [want for *_, want in edges(area_r)]
