@@ -14,6 +14,7 @@ fields fails, and the remaining checks still run.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import itertools
 import json
@@ -303,10 +304,13 @@ def _run_verify(args):
         raise CliUsageError("error: %s: unusable report (%s: %s)"
                             % (args.report, type(exc).__name__, exc))
 
+    # sweep(dim): that direction's moving-plane sweep, taken on first use for both plane checks
+    sweep = functools.cache(
+        lambda dim: diagnostics.moving_plane_profile(pair, dim, args.n_lambda))
     all_ok = True
     for name in checks:
         try:
-            ok, detail = _CHECKS[name](pair, args.n_lambda)
+            ok, detail = _CHECKS[name](pair, sweep)
         except diagnostics.DiagnosticsError as exc:  # the check cannot be taken
             ok, detail = False, str(exc)
         all_ok &= ok
@@ -316,58 +320,56 @@ def _run_verify(args):
 
 # ``diagnostics`` is looked up at call time, so a proxy bound to
 # ``cli.diagnostics`` sees every call
-def _check_symmetry(pair, n_lambda):
+def _check_symmetry(pair, sweep):
     worst = max(diagnostics.asymmetry(pair.u, dim) for dim in (0, 1))
     return worst <= SYMMETRY_TOL, "max relative asymmetry %.3e (tol %.0e)" % (
         worst, SYMMETRY_TOL)
 
 
-def _check_monotonicity(pair, n_lambda):
+def _check_monotonicity(pair, sweep):
     worst = max(diagnostics.monotonicity_violation(pair.u, dim) for dim in (0, 1))
     rel = diagnostics.relative(worst, pair.u.norm_inf, "u")
     return rel <= MONOTONICITY_TOL, "max forward difference %.3e rel (tol %.0e)" % (
         rel, MONOTONICITY_TOL)
 
 
-def _check_moving_plane(pair, n_lambda):
+def _check_moving_plane(pair, sweep):
     worst = math.inf
     for dim in (0, 1):
-        rep = diagnostics.moving_plane_profile(pair, dim, n_lambda=n_lambda)
+        rep = sweep(dim)
         worst = min(worst, diagnostics.relative(rep.min_w1, pair.u.norm_inf, "u"),
                     diagnostics.relative(rep.min_w2, pair.v.norm_inf, "v"))
     return worst >= -MOVING_PLANE_TOL, "min reflected deficit %.3e rel (tol -%.0e)" % (
         worst, MOVING_PLANE_TOL)
 
 
-def _check_product(pair, n_lambda):
-    n_case3 = 0
-    worst = math.inf
+def _check_product(pair, sweep):
+    worst, n_case3 = math.inf, 0
     for dim in (0, 1):
-        for lam in diagnostics.plane_positions(pair, dim, n_lambda):
-            res = diagnostics.product_check(pair.u, pair.rho, pair.t, dim, lam)
-            n_case3 += res.case3_count
-            worst = min(worst, res.worst_value)
-            if not res.ok:
-                return False, "defect %.3e at node %d" % (res.worst_value, res.worst_node)
+        rep = sweep(dim)
+        if rep.product_fault is not None:
+            return False, rep.product_fault
+        n_case3 += rep.case3_count
+        worst = min(worst, rep.min_product)
     return True, "worst product difference %.3e, impossible-case nodes %d" % (
         worst, n_case3)
 
 
-def _check_rigidity(pair, n_lambda):
+def _check_rigidity(pair, sweep):
     rep = diagnostics.normal_derivative_stats(pair)
     ok = np.all(rep.samples < 0.0) and rep.cv < RIGIDITY_CV_MAX
     return ok, "normal derivative mean %.4g, CV %.3e (ball-consistent iff CV < %g)" % (
         rep.mean, rep.cv, RIGIDITY_CV_MAX)
 
 
-def _check_structure(pair, n_lambda):
+def _check_structure(pair, sweep):
     res = diagnostics.structural_checks(pair)
     ok = (res.tubular is not False) and res.axis_convex and res.positive
     return ok, "tubular=%s axis_convex=%s positive=%s" % (
         res.tubular, res.axis_convex, res.positive)
 
 
-# check name -> fn(pair, n_lambda) -> (ok, detail), in the order verify runs them
+# check name -> fn(pair, sweep) -> (ok, detail), in the order verify runs them
 _CHECKS = {
     "symmetry": _check_symmetry,
     "monotonicity": _check_monotonicity,

@@ -9,10 +9,11 @@ and ``relative`` says so. The asymmetry and the moving-plane quantities
 compare a field with its reflection on the cap beyond a plane, read off
 the one reflection entry point (``geometry.reflect_cap``): the cap nodes
 whose mirror has interior support, with one stencil per plane for every
-field compared there. Both moving-plane checks take their planes from
-``plane_positions``, which reads the window off the shape table: from
-where the plane stops (``Shape.stop``) to the closure's largest
-coordinate, with a two-spacing margin at both ends. Off-lattice
+field compared there. The one moving-plane sweep reflects u and v once
+per plane and reads both plane checks off that cap; ``plane_positions``
+reads its window off the shape table: from where the plane stops
+(``Shape.stop``) to the closure's largest coordinate, with a two-spacing
+margin at both ends. Off-lattice
 values come from one tensor-product Lagrange interpolator over interior
 nodes: order 1 (bilinear) for the boundary normal derivative, order 2
 (biquadratic) for the rotation metric.
@@ -80,8 +81,17 @@ def monotonicity_violation(u, dim):
 
 @dataclass(frozen=True)
 class MovingPlaneReport:
+    """Over the caps of a plane sweep, or of one plane: the worst
+    ``u o reflection - u`` and ``v o reflection - v`` (+inf on an empty
+    cap); the worst product difference and the impossible-case nodes where
+    the product inequality was taken; and why it fails or cannot be taken
+    at the first cap, in plane order, where it does (None if it holds)."""
+
     min_w1: float
     min_w2: float
+    min_product: float
+    case3_count: int
+    product_fault: str | None
 
 
 def plane_positions(pair, dim, n_lambda=N_LAMBDAS):
@@ -104,67 +114,49 @@ def plane_positions(pair, dim, n_lambda=N_LAMBDAS):
     return np.linspace(lo, hi, n_lambda)
 
 
-def _cap_deficits(grid, fields, dim, lam):
-    """Minimum of (reflected - original) over the cap beyond the plane for
-    each of ``fields``, all read off one cap; +inf when no cap node has
-    interior reflection support."""
-    nodes, reflected = reflect_cap(grid, fields, dim, lam)
-    return [float(np.min(r - f[nodes], initial=math.inf)) for f, r in zip(fields, reflected)]
+def _cap_report(pair, dim, lam):
+    """The moving-plane quantities on the cap beyond the plane
+    ``{x_dim = lam}``, read off one reflection of (u, v).
+
+    Where the reflected u dominates u, rho*u must not decrease under
+    reflection, and no cap node may sit above the level t while its
+    reflection sits at or below it (the impossible case). rho is the
+    threshold density (H above t, h at or below), so the one
+    mass-balancing node cannot produce spurious defects.
+    """
+    u, v = pair.u.values, pair.v.values
+    nodes, (ur, vr) = reflect_cap(pair.grid, [u, v], dim, lam)
+    uu = u[nodes]
+    w1 = float(np.min(ur - uu, initial=math.inf))
+    w2 = float(np.min(vr - v[nodes], initial=math.inf))
+    try:  # the product's precondition reads the same deficit of u
+        if not nodes.size:
+            raise DiagnosticsError("cap at lam=%g has no usable nodes" % lam)
+        if relative(w1, pair.u.norm_inf, "u") < -1e-10:
+            raise DiagnosticsError(
+                "precondition failed: reflected u does not dominate u on the cap")
+    except DiagnosticsError as exc:
+        return MovingPlaneReport(w1, w2, math.inf, 0, str(exc))
+
+    t, h, H = pair.t, pair.rho.h, pair.rho.H
+    diff = np.where(ur > t, H, h) * ur - np.where(uu > t, H, h) * uu
+    worst = int(np.argmin(diff))
+    case3 = int(np.count_nonzero((uu > t) & (ur <= t)))
+    ok = diff[worst] >= -1e-10 * H * pair.u.norm_inf and not case3
+    fault = None if ok else "defect %.3e at node %d" % (diff[worst], nodes[worst])
+    return MovingPlaneReport(w1, w2, float(diff[worst]), case3, fault)
 
 
 def moving_plane_profile(pair, dim, n_lambda=N_LAMBDAS):
-    """Worst sign defect of ``u o reflection - u`` and ``v o reflection - v``
-    on the caps beyond each of ``plane_positions`` across direction ``dim``."""
-    worst = np.min([_cap_deficits(pair.grid, [pair.u.values, pair.v.values], dim, lam)
-                    for lam in plane_positions(pair, dim, n_lambda)], axis=0)
-    return MovingPlaneReport(min_w1=float(worst[0]), min_w2=float(worst[1]))
-
-
-@dataclass(frozen=True)
-class ProductCheckResult:
-    ok: bool
-    worst_value: float
-    worst_node: int | None
-    case3_count: int
-
-
-def product_check(u, rho, t, dim, lam):
-    """Check the reflected-density product inequality on the cap beyond
-    the plane ``{x_dim = lam}``.
-
-    With the threshold density (H above level t, h at or below), whenever
-    the reflected u dominates u on the cap, the product rho*u must not
-    decrease under reflection, and no cap node may sit above the level
-    while its reflection sits at or below it (the impossible case).
-    The density argument supplies the box (h, H); the comparison uses its
-    thresholded form so the single mass-balancing node cannot produce
-    spurious defects.
-    """
-    grid = u.grid
-    h, H = rho.h, rho.H
-    nodes, (ur,) = reflect_cap(grid, [u.values], dim, lam)
-    if not nodes.size:
-        raise DiagnosticsError("cap at lam=%g has no usable nodes" % lam)
-
-    uu = u.values[nodes]
-    if relative(float(np.min(ur - uu)), u.norm_inf, "u") < -1e-10:
-        raise DiagnosticsError(
-            "precondition failed: reflected u does not dominate u on the cap"
-        )
-
-    rho_here = np.where(uu > t, H, h)
-    rho_refl = np.where(ur > t, H, h)
-    diff = rho_refl * ur - rho_here * uu
-    tol = 1e-10 * H * u.norm_inf
-    worst = int(np.argmin(diff))
-    case3 = (uu > t) & (ur <= t)
-    ok = bool(np.min(diff) >= -tol and not case3.any())
-    return ProductCheckResult(
-        ok=ok,
-        worst_value=float(diff[worst]),
-        worst_node=int(nodes[worst]),
-        case3_count=int(case3.sum()),
-    )
+    """The moving-plane sweep across direction ``dim``: one reflection of
+    (u, v) per plane of ``plane_positions``, its quantities kept as
+    scalars and folded into one report."""
+    caps = [_cap_report(pair, dim, lam) for lam in plane_positions(pair, dim, n_lambda)]
+    worst = np.min([(c.min_w1, c.min_w2) for c in caps], axis=0)
+    return MovingPlaneReport(float(worst[0]), float(worst[1]),
+                             min(c.min_product for c in caps),
+                             sum(c.case3_count for c in caps),
+                             next((c.product_fault for c in caps if c.product_fault), None))
 
 
 @dataclass(frozen=True)
@@ -337,13 +329,11 @@ __all__ = [
     "monotonicity_violation",
     "moving_plane_profile",
     "plane_positions",
-    "product_check",
     "normal_derivative_stats",
     "structural_checks",
     "rotation_asymmetry",
     "interpolate",
     "MovingPlaneReport",
-    "ProductCheckResult",
     "RigidityReport",
     "StructuralChecks",
     "DiagnosticsError",

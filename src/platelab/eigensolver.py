@@ -57,7 +57,7 @@ import numpy as np
 from .fields import ScalarField
 from .geometry import _integer, _is_real
 from .plate import solve_navier
-from .poisson import GridMismatchError
+from .poisson import GridMismatchError, _check_grid
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 10000
@@ -122,13 +122,14 @@ def principal_pair(op, rho, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, u0=None)
     max_iter = _integer(max_iter, "max_iter", ValueError)
     grid = rho.grid
 
+    _check_grid(op, rho)
     if u0 is None:
         u = np.ones(grid.n)
     else:
-        u = u0.values
-        if u.shape != (grid.n,) or np.any(u <= 0.0):
-            raise ValueError("u0 must be a strictly positive field on the grid")
-        u = u / np.max(np.abs(u))
+        _check_grid(op, u0)
+        if np.any(u0.values <= 0.0):
+            raise ValueError("u0 must be a strictly positive field")
+        u = u0.values / np.max(np.abs(u0.values))
 
     history = []
     calls = 0

@@ -2,9 +2,12 @@
 
 The double infimum over (density, deflection) is attacked by alternation:
 eigensolve at fixed density, bathtub-rearrange at fixed deflection,
-repeat. Each half step minimizes the quotient in one variable, so the
-quotient history is non-increasing; the loop stops when the density
-reproduces itself node-for-node or the quotient stalls.
+repeat. Where the operator is symmetric (grids without boundary cuts)
+each half step minimizes the quotient in one variable, so the quotient
+history is non-increasing; on cut grids that is observed, not proven (no
+rise over 42 runs: disk at 257; square, 1x0.5 rectangle, ellipse and
+stadium at 129; 16 annuli at 97; one and two starts). The loop stops
+when the density reproduces itself node-for-node or the quotient stalls.
 
 Alternation converges to a fixed point, not provably to the global
 minimum; ``restarts`` reruns the loop from randomized admissible

@@ -13,7 +13,8 @@ The edge rule: a running sum of the cells' extra mass ``(H - h) * w``
 gives the count k of H cells, and a pairwise sum of the first k moves it
 by at most one cell, within ``1e-13 |M|``. A running sum alone drifts:
 on the 51 429 equal cells of the disk at grid 257 it left one cell 3e-8
-H under H at ``M = H * area``.
+H under H at ``M = H * area``. The fractional cell closes the budget the
+H set leaves, summed in node order: it depends on the set, not its order.
 """
 
 from __future__ import annotations
@@ -141,8 +142,10 @@ def _bathtub(u, weights, h, H, M):
         k -= 1
     elif k < n and residual >= caps[k] - tol:
         k += 1
-    residual = excess - float(np.sum(caps[:k]))
-    rho[order[:k]] = H
+    heavy = np.zeros(n, dtype=bool)
+    heavy[order[:k]] = True
+    residual = excess - float(np.sum((H - h) * weights[heavy]))
+    rho[heavy] = H
     if k == n:
         return rho, 0.0
     i = order[k]

@@ -10,8 +10,10 @@ discrete optimum that has nothing to do with the solver.
 import csv
 import itertools
 import time
+from dataclasses import replace
 
 import numpy as np
+import pytest
 from scipy.linalg import eigh
 from scipy.special import jn_zeros
 
@@ -211,26 +213,50 @@ def test_criterion_08_symmetry_suite(disk_pair_128, square_pair_128,
     _report("criterion 8 symmetry suite", ", ".join(details))
 
 
-def test_criterion_09_moving_plane_suite(disk_pair_128, square_pair_128,
-                                         ellipse_pair_128):
+def _moving_plane_suite(pairs):
+    """Criterion 9 on ``(name, pair)`` items, 16 planes per direction:
+    both reflected differences within 1e-8 relative of nonnegative, the
+    product inequality at every plane, and no impossible-case node.
+    Returns the worst relative deficit and the impossible-case count."""
     worst = np.inf
     case3_total = 0
-    for name, (pair, _) in (("disk", disk_pair_128), ("square", square_pair_128),
-                            ("ellipse", ellipse_pair_128)):
+    for name, pair in pairs:
         for dim in (0, 1):
             rep = dg.moving_plane_profile(pair, dim, 16)
             assert rep.min_w1 >= -1e-8 * pair.u.norm_inf, (name, dim)
             assert rep.min_w2 >= -1e-8 * pair.v.norm_inf, (name, dim)
+            assert rep.product_fault is None, (name, dim, rep.product_fault)
             worst = min(worst, rep.min_w1 / pair.u.norm_inf,
                         rep.min_w2 / pair.v.norm_inf)
-            for lam in dg.plane_positions(pair, dim, 16):
-                res = dg.product_check(pair.u, pair.rho, pair.t, dim, lam)
-                assert res.ok, (name, dim, lam)
-                case3_total += res.case3_count
+            case3_total += rep.case3_count
     assert case3_total == 0
+    return worst, case3_total
+
+
+def test_criterion_09_moving_plane_suite(disk_pair_128, square_pair_128,
+                                         ellipse_pair_128):
+    worst, case3_total = _moving_plane_suite(
+        (name, pair) for name, (pair, _) in (("disk", disk_pair_128),
+                                             ("square", square_pair_128),
+                                             ("ellipse", ellipse_pair_128)))
     _report("criterion 9 moving plane",
             "worst reflected deficit %.2e rel, impossible-case nodes %d"
             % (worst, case3_total))
+
+
+def test_criterion_09_fails_on_a_planted_product_defect(disk_pair_128):
+    # one cap node beyond the first plane just above its reflection, and
+    # the level between them: a deficit of 1e-12 passes the sign test,
+    # the impossible case does not
+    pair, _ = disk_pair_128
+    grid = pair.grid
+    u = pair.u.values.copy()
+    nodes, (ur,) = pl.geometry.reflect_cap(grid, [u], 0, dg.plane_positions(pair, 0, 16)[0])
+    k = int(np.flatnonzero(np.abs(grid.node_y[nodes]) < 0.5 * grid.delta)[0])
+    u[nodes[k]] = ur[k] * (1.0 + 1e-12)
+    planted = replace(pair, u=ScalarField(grid, u), t=float(ur[k]))
+    with pytest.raises(AssertionError, match="defect"):
+        _moving_plane_suite([("planted", planted)])
 
 
 def test_criterion_10_rigidity_contrast(disk_pair_128, ellipse_pair_128):

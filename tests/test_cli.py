@@ -225,6 +225,28 @@ class TestVerify:
         assert VALID_CHECKS == ("symmetry", "monotonicity", "moving-plane", "product",
                                 "rigidity", "structure")
 
+    @pytest.mark.parametrize("checks, planes", [
+        (",".join(VALID_CHECKS), [0, 1] + [0] * 16 + [1] * 16),
+        ("product,moving-plane", [0] * 16 + [1] * 16),
+        ("symmetry,rigidity,structure", [0, 1]),
+    ], ids=["all", "plane-checks", "no-plane-check"])
+    def test_one_reflection_per_plane(self, disk_solve, monkeypatch, checks, planes, capsys):
+        # the symmetry check reflects once across each axis; the
+        # moving-plane and product checks read one sweep, which reflects
+        # u and v once per plane and is taken only when one of them runs
+        d, report, fields = disk_solve
+        calls = []
+        stencil = geometry._mirror_stencil
+
+        def counted(grid, dim, lam, nodes):
+            calls.append(dim)
+            return stencil(grid, dim, lam, nodes)
+
+        monkeypatch.setattr(geometry, "_mirror_stencil", counted)
+        assert run(["verify", "--report", str(report), "--fields", str(fields),
+                    "--checks", checks, "--n-lambda", "16"]) == 0
+        assert calls == planes
+
     @pytest.mark.parametrize("checks", ["", " , "], ids=["empty", "blank-items"])
     def test_empty_check_list_exits_1(self, disk_solve, checks, capsys):
         d, report, fields = disk_solve

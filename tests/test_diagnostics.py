@@ -1,5 +1,7 @@
+import functools
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +20,11 @@ from conftest import BAD_COUNTS, reflect_values
 def _fake_pair(grid, u_values, t=0.5, h=1.0, H=2.0):
     """Wrap synthetic fields in a pair record for detector tests."""
     u = ScalarField(grid, u_values)
-    rho = optimal_density(u, h, H, 1.2 * grid.discrete_area).rho
+    return _box_pair(u, optimal_density(u, h, H, 1.2 * grid.discrete_area).rho, t)
+
+
+def _box_pair(u, rho, t):
+    """u (as both fields), a density and a level, for the one-cap checks."""
     return OptimalPair(u=u, v=u, rho=rho, theta=1.0, t=t)
 
 
@@ -98,7 +104,7 @@ class TestMovingPlane:
         assert nodes.size * grid.cell_area < 0.05 * grid.discrete_area
         # half a spacing further in, the cap is one column and stays clean
         lam = lam0 - 1.5 * grid.delta
-        (m,) = dg._cap_deficits(grid, [pair.u.values], 0, lam)
+        m = dg._cap_report(pair, 0, lam).min_w1
         cnt = reflect_cap(grid, [pair.u.values], 0, lam)[0].size
         assert cnt > 0
         assert cnt * grid.cell_area < 0.05 * grid.discrete_area
@@ -107,7 +113,8 @@ class TestMovingPlane:
     def test_antisymmetric_field_detected(self):
         g = pl.build_grid(pl.disk(1.0), 65)
         odd = g.node_x * np.exp(-g.node_y**2)
-        (m,) = dg._cap_deficits(g, [odd], 0, 0.0)
+        rho = uniform_density(g, 1.0, 2.0, 1.5 * g.discrete_area)
+        m = dg._cap_report(_box_pair(ScalarField(g, odd), rho, 0.0), 0, 0.0).min_w1
         assert reflect_cap(g, [odd], 0, 0.0)[0].size > 0
         assert m < -0.1
 
@@ -136,20 +143,21 @@ class TestMovingPlane:
                 dg.plane_positions(pair, dim, dg.MIN_LAMBDAS - 1)
 
     @pytest.mark.parametrize("n_lambda", [8, 16, 33])
-    def test_both_checks_sweep_the_same_planes(self, disk_pair_64, monkeypatch, n_lambda):
+    def test_both_checks_read_one_sweep(self, disk_pair_64, monkeypatch, n_lambda):
         from platelab import cli
 
         pair, _ = disk_pair_64
         seen = []
-        product_check = dg.product_check
+        cap_report = dg._cap_report
 
-        def recorded(u, rho, t, dim, lam):
+        def recorded(pair, dim, lam):
             seen.append((dim, lam))
-            return product_check(u, rho, t, dim, lam)
+            return cap_report(pair, dim, lam)
 
-        monkeypatch.setattr(dg, "product_check", recorded)
-        ok, _ = cli._check_product(pair, n_lambda)
-        assert ok
+        monkeypatch.setattr(dg, "_cap_report", recorded)
+        sweep = functools.cache(lambda dim: dg.moving_plane_profile(pair, dim, n_lambda))
+        assert cli._check_moving_plane(pair, sweep)[0]
+        assert cli._check_product(pair, sweep)[0]
         want = [(dim, lam) for dim in (0, 1)
                 for lam in dg.plane_positions(pair, dim, n_lambda)]
         assert seen == want
@@ -198,8 +206,8 @@ class TestProductCheck:
     def test_disk_pair_all_planes(self, disk_pair_128):
         pair, _ = disk_pair_128
         for lam in dg.plane_positions(pair, 0, 16):
-            res = dg.product_check(pair.u, pair.rho, pair.t, 0, lam)
-            assert res.ok
+            res = dg._cap_report(pair, 0, lam)
+            assert res.product_fault is None
             assert res.case3_count == 0
 
     def test_hand_built_cases(self):
@@ -212,12 +220,12 @@ class TestProductCheck:
         u = ScalarField(g, u_vals)
         rho = optimal_density(u, 1.0, 3.0, 1.25 * g.discrete_area).rho
         t = 1.4  # cap node at x=0.75 sits above t, outer nodes below
-        res = dg.product_check(u, rho, t, 0, 0.0)
+        res = dg._cap_report(_box_pair(u, rho, t), 0, 0.0)
         cap = x > 0.0
         above = u_vals > t
         # the fixture exercises low/low, low/high, and high/high pairs
         assert (cap & ~above).any() and (cap & above).any()
-        assert res.ok
+        assert res.product_fault is None
         assert res.case3_count == 0
 
     def test_forced_impossible_case_detected(self):
@@ -236,8 +244,8 @@ class TestProductCheck:
         u_vals[i_mir] = t - 1e-13
         u = ScalarField(g, u_vals)
         rho = optimal_density(u, 1.0, 3.0, 1.25 * g.discrete_area).rho
-        res = dg.product_check(u, rho, t, 0, 0.0)
-        assert not res.ok
+        res = dg._cap_report(_box_pair(u, rho, t), 0, 0.0)
+        assert res.product_fault == "defect %.3e at node %d" % (res.min_product, i_cap)
         assert res.case3_count >= 1
 
     def test_precondition_enforced(self):
@@ -246,15 +254,48 @@ class TestProductCheck:
         g = make_strip_grid(8, 0.5)
         u = ScalarField(g, 2.0 + g.node_x)  # increasing: reflection loses
         rho = optimal_density(u, 1.0, 3.0, 1.25 * g.discrete_area).rho
-        with pytest.raises(dg.DiagnosticsError):
-            dg.product_check(u, rho, 2.0, 0, 0.0)
+        res = dg._cap_report(_box_pair(u, rho, 2.0), 0, 0.0)
+        assert res.product_fault.startswith("precondition failed: ")
+        assert res.min_w1 < 0.0
 
     def test_vanishing_field_cannot_be_checked(self):
         # with u = 0 every product difference is 0 against a tolerance of 0
         g = pl.build_grid(pl.disk(1.0), 17)
         rho = optimal_density(ScalarField(g, np.ones(g.n)), 1.0, 2.0, 1.5 * g.discrete_area).rho
-        with pytest.raises(dg.DiagnosticsError, match="u vanishes identically"):
-            dg.product_check(ScalarField(g, np.zeros(g.n)), rho, 0.0, 0, 0.0)
+        res = dg._cap_report(_box_pair(ScalarField(g, np.zeros(g.n)), rho, 0.0), 0, 0.0)
+        assert res.product_fault == "u vanishes identically"
+
+    def test_empty_cap_cannot_be_checked(self, disk_pair_64):
+        pair, _ = disk_pair_64
+        res = dg._cap_report(pair, 0, 1.0)
+        assert res.product_fault == "cap at lam=1 has no usable nodes"
+        assert (res.min_w1, res.min_w2, res.case3_count) == (math.inf, math.inf, 0)
+
+    def test_sweep_names_the_first_fault_in_plane_order(self, disk_pair_64):
+        # a straddle at the third plane and a lost precondition at the
+        # fifth: the sweep names the straddle, and its w1 and w2 still
+        # cover every plane
+        pair, _ = disk_pair_64
+        grid = pair.grid
+        lams = dg.plane_positions(pair, 0, 16)
+        u = pair.u.values.copy()
+        on_axis = np.abs(grid.node_y) < 0.5 * grid.delta
+        for k, factor in ((2, 1.0 + 1e-12), (4, 1.0 + 1e-6)):
+            nodes, (ur,) = reflect_cap(grid, [u], 0, lams[k])
+            i = int(np.flatnonzero(on_axis[nodes])[0])
+            assert grid.node_x[nodes[i]] < lams[k + 1]  # in no later plane's cap
+            u[nodes[i]] = ur[i] * factor
+            if k == 2:
+                straddle, t = int(nodes[i]), float(ur[i])
+        planted = OptimalPair(u=ScalarField(grid, u), v=pair.v, rho=pair.rho, theta=1.0, t=t)
+        rep = dg.moving_plane_profile(planted, 0, 16)
+        caps = [dg._cap_report(planted, 0, lam) for lam in lams]
+        assert [c.product_fault is None for c in caps][:5] == [True, True, False, True, False]
+        assert rep.product_fault == caps[2].product_fault
+        assert rep.product_fault.endswith(" at node %d" % straddle)
+        assert caps[4].product_fault.startswith("precondition failed: ")
+        assert rep.min_w1 == min(c.min_w1 for c in caps) < 0.0
+        assert rep.min_w2 == min(c.min_w2 for c in caps)
 
 
 class TestRigidity:
@@ -363,10 +404,28 @@ def _full_grid_cap_deficit(grid, values, dim, lam):
 
 
 def _full_grid_moving_plane_profile(pair, dim, n_lambda=16):
-    worst = np.min([[_full_grid_cap_deficit(pair.grid, f.values, dim, lam)[0]
-                     for f in (pair.u, pair.v)]
-                    for lam in conftest.plane_positions(pair, dim, n_lambda)], axis=0)
-    return dg.MovingPlaneReport(min_w1=float(worst[0]), min_w2=float(worst[1]))
+    caps = [_full_grid_cap_report(pair, dim, lam)
+            for lam in conftest.plane_positions(pair, dim, n_lambda)]
+    worst = np.min([[c.min_w1, c.min_w2] for c in caps], axis=0)
+    faults = [c.product_fault for c in caps if c.product_fault is not None]
+    return dg.MovingPlaneReport(
+        min_w1=float(worst[0]), min_w2=float(worst[1]),
+        min_product=min(c.min_product for c in caps),
+        case3_count=sum(c.case3_count for c in caps),
+        product_fault=faults[0] if faults else None)
+
+
+def _full_grid_cap_report(pair, dim, lam):
+    """One cap's report from the per-field deficits and the product check
+    below, each on its own full-grid reflection."""
+    w1, w2 = [_full_grid_cap_deficit(pair.grid, f.values, dim, lam)[0] for f in (pair.u, pair.v)]
+    try:
+        ok, worst_value, worst_node, case3_count = _full_grid_product_check(
+            pair.u, pair.rho, pair.t, dim, lam)
+    except dg.DiagnosticsError as exc:
+        return dg.MovingPlaneReport(w1, w2, math.inf, 0, str(exc))
+    fault = None if ok else "defect %.3e at node %d" % (worst_value, worst_node)
+    return dg.MovingPlaneReport(w1, w2, worst_value, case3_count, fault)
 
 
 def _full_grid_product_check(u, rho, t, dim, lam):
@@ -390,12 +449,7 @@ def _full_grid_product_check(u, rho, t, dim, lam):
     case3 = (uu > t) & (ur <= t)
     ok = bool(np.min(diff) >= -tol and not case3.any())
     nodes = np.flatnonzero(usable)
-    return dg.ProductCheckResult(
-        ok=ok,
-        worst_value=float(diff[worst]),
-        worst_node=int(nodes[worst]),
-        case3_count=int(case3.sum()),
-    )
+    return ok, float(diff[worst]), int(nodes[worst]), int(case3.sum())
 
 
 def _full_grid_asymmetry(u, dim):
@@ -510,21 +564,21 @@ class TestCapPathsMatchFullGridReferences:
             for dim in (0, 1):
                 assert _outcome(dg.asymmetry, u, dim) == _outcome(_full_grid_asymmetry, u, dim)
 
-    def test_cap_deficit_and_product_check(self, solved_and_random):
+    def test_cap_report(self, solved_and_random):
         for pair in solved_and_random:
             rng = np.random.default_rng(pair.grid.n)
             for dim in (0, 1):
                 for lam in _planes(pair.grid, dim, rng):
                     fields = (pair.u.values, pair.v.values)
-                    minima = dg._cap_deficits(pair.grid, fields, dim, lam)
+                    rep = dg._cap_report(pair, dim, lam)
                     count = reflect_cap(pair.grid, fields, dim, lam)[0].size
-                    for f, minimum in zip(fields, minima):
+                    for f, minimum in zip(fields, (rep.min_w1, rep.min_w2)):
                         want = _full_grid_cap_deficit(pair.grid, f, dim, lam)
                         assert repr((minimum, count)) == repr(want)
                     for t in (pair.t, float(np.median(pair.u.values))):
-                        args = (pair.u, pair.rho, t, dim, lam)
-                        assert (_outcome(dg.product_check, *args)
-                                == _outcome(_full_grid_product_check, *args))
+                        args = (replace(pair, t=t), dim, lam)
+                        assert (_outcome(dg._cap_report, *args)
+                                == _outcome(_full_grid_cap_report, *args))
 
     @pytest.mark.parametrize("n_lambda", [8, 16, 33])
     def test_moving_plane_profile(self, solved_and_random, n_lambda):
@@ -534,13 +588,12 @@ class TestCapPathsMatchFullGridReferences:
                         == _outcome(_full_grid_moving_plane_profile, pair, dim, n_lambda))
 
     @pytest.mark.parametrize("n_lambda", [8, 16, 33])
-    def test_product_check_over_the_window(self, solved_and_random, n_lambda):
+    def test_cap_report_over_the_window(self, solved_and_random, n_lambda):
         pair, _ = solved_and_random
         for dim in (0, 1):
             for lam in dg.plane_positions(pair, dim, n_lambda):
-                args = (pair.u, pair.rho, pair.t, dim, lam)
-                assert (_outcome(dg.product_check, *args)
-                        == _outcome(_full_grid_product_check, *args))
+                assert (_outcome(dg._cap_report, pair, dim, lam)
+                        == _outcome(_full_grid_cap_report, pair, dim, lam))
 
     def test_axis_convexity(self, solved_and_random):
         pair, rand = solved_and_random
@@ -592,10 +645,10 @@ class TestCapStencilCount:
             assert isinstance(nodes, np.ndarray) and nodes.size > 0
             assert np.all(coords[nodes] > lam)
 
-    def test_product_check_one_stencil(self, disk_pair_64, stencil_calls):
+    def test_cap_report_one_stencil(self, disk_pair_64, stencil_calls):
         pair, _ = disk_pair_64
         lo, hi = dg.plane_positions(pair, 1)[[0, -1]]
-        dg.product_check(pair.u, pair.rho, pair.t, 1, 0.5 * (lo + hi))
+        dg._cap_report(pair, 1, 0.5 * (lo + hi))
         (grid, _, lam, nodes), = stencil_calls
         assert np.all(grid.node_y[nodes] > lam)
 
@@ -603,6 +656,6 @@ class TestCapStencilCount:
         pair, _ = disk_pair_64
         for dim in (2, -1):
             with pytest.raises(GeometryError, match="axis dim must be 0 or 1"):
-                dg._cap_deficits(pair.grid, [pair.u.values], dim, 0.0)
+                dg._cap_report(pair, dim, 0.0)
             with pytest.raises(GeometryError, match="axis dim must be 0 or 1"):
                 reflect_cap(pair.grid, [pair.u.values], dim, 0.0)

@@ -144,14 +144,25 @@ class TestPrincipalPair:
             rayleigh_quotient(ScalarField(g1, np.ones(g1.n)), ScalarField(g1, np.ones(g1.n)),
                               _uniform(g2))
 
-    def test_warm_start_must_be_positive_on_the_grid(self):
+    def test_warm_start_must_be_positive(self):
         g = pl.build_grid(pl.unit_square(), 9)
-        other = pl.build_grid(pl.unit_square(), 17)
         zero_node = np.ones(g.n)
         zero_node[3] = 0.0
-        for u0 in (ScalarField(g, zero_node), ScalarField(other, np.ones(other.n))):
-            with pytest.raises(ValueError, match="u0 must be a strictly positive field"):
-                principal_pair(pl.assemble_laplacian(g), _uniform(g), u0=u0)
+        with pytest.raises(ValueError, match="u0 must be a strictly positive field"):
+            principal_pair(pl.assemble_laplacian(g), _uniform(g), u0=ScalarField(g, zero_node))
+
+    @pytest.mark.parametrize("other", [(pl.unit_square(), 17), (pl.disk(2.0), 33)],
+                             ids=["other-size", "same-size"])
+    def test_warm_start_must_live_on_the_grid(self, other):
+        # disk(1) and disk(2) at grid 33 both have 793 nodes: a length check
+        # took the one's u0 as the other's warm start
+        g = pl.build_grid(pl.disk(1.0), 33)
+        o = pl.build_grid(*other)
+        with pytest.raises(GridMismatchError, match="does not match operator grid"):
+            principal_pair(pl.assemble_laplacian(g), _uniform(g), u0=ScalarField(o, np.ones(o.n)))
+        # a warm start on the operator's grid and a density on another one
+        with pytest.raises(GridMismatchError, match="does not match operator grid"):
+            principal_pair(pl.assemble_laplacian(g), _uniform(o), u0=ScalarField(g, np.ones(g.n)))
 
     @pytest.mark.parametrize("case, count", BAD_COUNTS, ids=[case[0] for case in BAD_COUNTS])
     def test_max_iter_must_be_an_integer(self, case, count):

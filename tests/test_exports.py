@@ -46,7 +46,6 @@ PUBLIC = {
     "platelab.diagnostics": {
         "DiagnosticsError",
         "MovingPlaneReport",
-        "ProductCheckResult",
         "RigidityReport",
         "StructuralChecks",
         "asymmetry",
@@ -55,7 +54,6 @@ PUBLIC = {
         "moving_plane_profile",
         "normal_derivative_stats",
         "plane_positions",
-        "product_check",
         "relative",
         "rotation_asymmetry",
         "structural_checks",
@@ -65,7 +63,9 @@ PUBLIC = {
 RETIRED = {
     "platelab": ["apply_laplacian", "constant_field", "field_from_function", "mass",
                  "reflect_values", "reflection_caps"],
-    "platelab.diagnostics": ["cap_deficit", "plane_window"],
+    # product_check: moving_plane_profile reads the product inequality off its own caps
+    "platelab.diagnostics": ["cap_deficit", "plane_window", "product_check",
+                             "ProductCheckResult", "_cap_deficits"],
     "platelab.geometry": ["Reflection", "ReflectionCaps", "mirror_ranks", "reflect_values",
                           "reflection_caps"],
     "platelab.fields": ["constant_field", "field_from_function"],
@@ -127,7 +127,8 @@ RECORD_FIELDS = {
                                      "termination", "outer_iterations"],
     "platelab.radial.RadialGrid": ["kind", "r", "dr", "weights"],
     "platelab.rearrange.ThresholdResult": ["rho", "t"],
-    "platelab.diagnostics.MovingPlaneReport": ["min_w1", "min_w2"],
+    "platelab.diagnostics.MovingPlaneReport": ["min_w1", "min_w2", "min_product",
+                                               "case3_count", "product_fault"],
     "platelab.diagnostics.RigidityReport": ["samples", "mean", "cv"],
 }
 
