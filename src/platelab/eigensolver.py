@@ -27,11 +27,12 @@ Power iteration contracts by about theta_1/theta_2 per step, which nears
 ``log(tol theta / d_k) / log q`` predicts more than ``KRYLOV_AFTER``
 further steps, it hands its iterate to a short Arnoldi loop on the same
 map (``_arnoldi``), which tests its dominant Ritz pair after every map
-and stops on the map where the pair converges. One closure applies the
-map through ``solve_navier`` and counts it, for every power step, every
-Arnoldi step and the closing step that maps the sign-fixed Ritz vector
-to the returned (u, v); ``max_iter`` caps that count. The pair's
-eigen-residual ``||theta_l A^-2 rho x - x|| / ||x||`` with
+and stops on the map where the pair converges. One counted closure
+applies the map for every power step, every Arnoldi step and the closing
+step that maps the sign-fixed Ritz vector to the returned (u, v);
+``max_iter`` caps that count. This loop, ``_principal``, is the
+eigensolve of both paths, each passing its own map and quotient. The
+pair's eigen-residual ``||theta_l A^-2 rho x - x|| / ||x||`` with
 ``theta_l = <x, x> / <x, A^-2 rho x>`` must be below ``KRYLOV_RESIDUAL``.
 Where the increments contract fast (disks, squares, thick annuli) the
 switch never fires and the result is the power loop's, bitwise.
@@ -98,12 +99,15 @@ def rayleigh_quotient(u, v, rho):
     """Discrete quotient ``sum(v^2) / sum(rho u^2)`` (node sums times d^2)."""
     if u.grid.tag != v.grid.tag or u.grid.tag != rho.grid.tag:
         raise GridMismatchError("fields and density live on different grids")
-    cell = u.grid.cell_area
-    den = float(np.sum(rho.values * u.values * u.values)) * cell
+    return _quotient(u.values, v.values, rho.values, u.grid.cell_area)
+
+
+def _quotient(u, v, rho, cell):
+    """``sum(v^2) / sum(rho u^2)`` over node arrays, each sum times ``cell``."""
+    den = float(np.sum(rho * u * u)) * cell
     if den == 0.0:
         raise ZeroDivisionError("zero weighted norm in Rayleigh quotient")
-    num = float(np.sum(v.values * v.values)) * cell
-    return num / den
+    return float(np.sum(v * v)) * cell / den
 
 
 def principal_pair(op, rho, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, u0=None):
@@ -123,45 +127,66 @@ def principal_pair(op, rho, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, u0=None)
     grid = rho.grid
 
     _check_grid(op, rho)
-    if u0 is None:
-        u = np.ones(grid.n)
-    else:
+    if u0 is not None:
         _check_grid(op, u0)
         if np.any(u0.values <= 0.0):
             raise ValueError("u0 must be a strictly positive field")
-        u = u0.values / np.max(np.abs(u0.values))
 
+    def apply(x):
+        u_field, v_field = solve_navier(op, ScalarField(grid, rho.values * x))
+        return u_field.values, v_field.values
+
+    theta, iterations, u, v, history = _principal(
+        apply, lambda u, v: _quotient(u, v, rho.values, grid.cell_area),
+        np.ones(grid.n) if u0 is None else u0.values, tol, max_iter)
+    # final normalization: unit weighted norm
+    c = np.sqrt(float(np.sum(rho.values * u * u)) * grid.cell_area)
+    return EigenResult(theta=theta, u=ScalarField(grid, u / c), v=ScalarField(grid, v / c),
+                       iterations=iterations, theta_history=tuple(history))
+
+
+def _principal(apply, quotient, u, tol, max_iter):
+    """The eigen-iteration of both paths, over node arrays, from the start
+    ``u``: ``apply(x)`` gives the two-solve map's ``(A^-1 A^-1 rho x,
+    A^-1 rho x)`` and ``quotient(u, v)`` the path's energy quotient.
+    Returns ``(theta, iterations, u, v, history)``, u and v scaled to
+    ``max|u| = 1``."""
+    u = u / np.max(np.abs(u))
     history = []
     calls = 0
 
     def fail(message):
         return EigenError(message, last_theta=history[-1] if history else None, iterations=calls)
 
-    def apply(x):
+    def counted(x):
         nonlocal calls
         if calls >= max_iter:
             raise fail("no convergence in %d iterations (last theta %.12g)"
                        % (max_iter, history[-1] if history else math.nan))
         calls += 1
-        return solve_navier(op, ScalarField(grid, rho.values * x))
+        return apply(x)
+
+    def scaled(w, v):
+        scale = np.max(np.abs(w))
+        u, v = w / scale, v / scale
+        history.append(quotient(u, v))
+        return u, v, history[-1]
 
     theta_prev = step_prev = None
     while True:
-        u_field, v_field = apply(u)
-        if np.any(u_field.values <= 0.0):
+        w, v = counted(u)
+        if np.any(w <= 0.0):
             raise fail("iterate lost positivity")
-        u, v, theta = _scaled(u_field, v_field, rho)
-        history.append(theta)
+        u, v, theta = scaled(w, v)
         if theta_prev is not None:
             step = abs(theta - theta_prev)
             if step <= tol * theta:
                 break
             if _crawls(step, step_prev, tol * theta):
-                x = _arnoldi(lambda y: apply(y)[0].values, u)
+                x = _arnoldi(lambda y: counted(y)[0], u)
                 if np.sum(x) < 0.0:
                     x = -x
-                u_field, v_field = apply(x)
-                w = u_field.values
+                w, v = counted(x)
                 theta_l = float(x @ x) / float(x @ w)
                 residual = float(np.linalg.norm(theta_l * w - x) / np.linalg.norm(x))
                 if not residual <= KRYLOV_RESIDUAL:
@@ -169,37 +194,14 @@ def principal_pair(op, rho, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, u0=None)
                                % (residual, KRYLOV_RESIDUAL))
                 if np.any(w <= 0.0):
                     raise fail("Krylov eigenvector is not strictly positive")
-                u, v, theta = _scaled(u_field, v_field, rho)
-                history.append(theta)
+                u, v, theta = scaled(w, v)
                 break
             step_prev = step
         theta_prev = theta
 
-    # final normalization: unit weighted norm
-    c = np.sqrt(float(np.sum(rho.values * u * u)) * grid.cell_area)
-    u_out = ScalarField(grid, u / c)
-    v_out = ScalarField(grid, v / c)
-    if np.any(u_out.values <= 0.0) or np.any(v_out.values <= 0.0):
+    if np.any(u <= 0.0) or np.any(v <= 0.0):
         raise fail("converged pair is not strictly positive")
-    return EigenResult(
-        theta=theta,
-        u=u_out,
-        v=v_out,
-        iterations=calls,
-        theta_history=tuple(history),
-    )
-
-
-def _scaled(u_field, v_field, rho):
-    """``(u, v)`` of one map application scaled to ``max|u| = 1``, and
-    their energy quotient."""
-    cell = rho.grid.cell_area
-    scale = np.max(np.abs(u_field.values))
-    u = u_field.values / scale
-    v = v_field.values / scale
-    num = float(np.sum(v * v)) * cell
-    den = float(np.sum(rho.values * u * u)) * cell
-    return u, v, num / den
+    return theta, calls, u, v, history
 
 
 def _arnoldi(matvec, x):

@@ -5,18 +5,19 @@ Shares the alternation's control with the 2-D code (the driver
 density rules (``rearrange``: the uniform start, the bathtub step and
 the box-and-mass check of every density), but passes it its own
 numerics: the radial reduction ``u'' + u'/r`` (planar case) on a
-uniform radius grid, its own eigensolve and its own quadrature. The
-operator is second order, but theta converges at first order in the
+uniform radius grid and its own quadrature. Its eigen-iteration is the
+2-D path's too (``eigensolver._principal``) on its own map and quotient.
+The operator is second order, but theta converges at first order in the
 radial spacing: the density's jump between h and H falls inside a cell.
-The operator and eigensolve being independent of the 2-D path, the two
+The operator and quadrature being independent of the 2-D path, the two
 can cross-check each other's discretization; the input rules are
 shared: ``geometry`` checks the radii and ``rearrange`` the mass
 bracket. It cannot express angular symmetry breaking by construction.
 
 Minus the radial Laplacian is a tridiagonal matrix kept in banded form;
-each eigen iteration is two ``solve_banded`` calls, the split form of the
-hinged plate (see ``plate``). Disk grids carry an unknown at r = 0 where
-regularity (``u'(0) = 0`` via a ghost node) replaces the Dirichlet
+each map application is two ``solve_banded`` calls, the split form of
+the hinged plate (see ``plate``). Disk grids carry an unknown at r = 0
+where regularity (``u'(0) = 0`` via a ghost node) replaces the Dirichlet
 condition; annulus grids are Dirichlet at both radii. Node masses use
 exact ring areas (half cells at the radii that bound the grid), and
 they are the weights the shared bathtub step fills.
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .eigensolver import DEFAULT_MAX_ITER, EigenError
+from .eigensolver import DEFAULT_MAX_ITER, _principal
 from .geometry import DomainSpec, GeometryError, _integer
 from .optimizer import OptimizeOptions, _alternate
 from .rearrange import RearrangeError, _bathtub, _check_bracket, _check_density, _uniform
@@ -108,27 +109,6 @@ def _radial_operator(grid):
     return ab
 
 
-def _principal_pair_radial(grid, ab, rho, tol, max_iter, u0=None):
-    u = np.ones(grid.n) if u0 is None else u0 / np.max(np.abs(u0))
-    w = grid.weights
-    theta_prev = None
-    for it in range(1, max_iter + 1):
-        v = solve_banded((1, 1), ab, rho * u)
-        uu = solve_banded((1, 1), ab, v)
-        if np.any(uu <= 0.0):
-            raise EigenError("radial iterate lost positivity")
-        scale = np.max(np.abs(uu))
-        u = uu / scale
-        vs = v / scale
-        theta = float(np.sum(vs * vs * w) / np.sum(rho * u * u * w))
-        if theta_prev is not None and abs(theta - theta_prev) <= tol * theta:
-            break
-        theta_prev = theta
-    else:
-        raise EigenError("radial eigensolve did not converge in %d iterations" % max_iter)
-    return theta, it, u, vs
-
-
 def radial_optimize(kind, radii, h, H, M, n_r=1024, opts=OptimizeOptions()):
     """Alternating scheme on the radial reduction: one start, from the
     uniform density, reading only ``opts.max_outer``, ``opts.eig_tol`` and
@@ -142,7 +122,16 @@ def radial_optimize(kind, radii, h, H, M, n_r=1024, opts=OptimizeOptions()):
     ab = _radial_operator(grid)
 
     def eigensolve(rho, u0):
-        return _principal_pair_radial(grid, ab, rho, opts.eig_tol, DEFAULT_MAX_ITER, u0=u0)
+        def apply(x):
+            v = solve_banded((1, 1), ab, rho * x)
+            return solve_banded((1, 1), ab, v), v
+
+        def quotient(u, v):
+            return float(np.sum(v * v * w) / np.sum(rho * u * u * w))
+
+        u = np.ones(grid.n) if u0 is None else u0
+        theta, iterations, u, v, _ = _principal(apply, quotient, u, opts.eig_tol, DEFAULT_MAX_ITER)
+        return theta, iterations, u, v
 
     def admissible(rho):
         _check_density(rho, float(np.sum(rho * w)), h, H, M)

@@ -19,7 +19,7 @@ from platelab.eigensolver import (
     EigenError,
     EigenResult,
     _crawls,
-    _scaled,
+    _principal,
     principal_pair,
     rayleigh_quotient,
 )
@@ -412,6 +412,52 @@ class TestKrylovHandOff:
         assert len(applied) <= max_iter
         assert err.value.iterations == max_iter
         assert err.value.last_theta is not None
+
+    def test_shared_loop_hands_off_on_a_non_lattice_map(self, monkeypatch):
+        # a symmetric positive map B^2 off any grid, |mu_2 / mu_1| = 0.999,
+        # and the energy quotient <Bx, Bx> / <B^2 x, B^2 x>, which is
+        # 1 / mu_1 at the Perron vector
+        n = 200
+        b = np.append(np.linspace(0.5, 0.9995, n - 1), 1.0)
+        B = np.diag(b) + 1e-4 / n
+        mu, vectors = np.linalg.eigh(B @ B)
+        assert mu[-2] / mu[-1] == pytest.approx(0.999, rel=1e-6)
+
+        def solve(start):
+            return _principal(lambda x: (B @ (B @ x), B @ x),
+                              lambda u, v: float(v @ v) / float(u @ u), start, 1e-11, 1000)
+
+        calls = []
+        arnoldi = eigensolver._arnoldi
+        monkeypatch.setattr(eigensolver, "_arnoldi", lambda m, x: calls.append(1) or arnoldi(m, x))
+        theta, iterations, u, v, history = solve(np.ones(n))
+        assert len(calls) == 1 and iterations > len(history)  # handed off
+        assert iterations < 1000
+        w = B @ (B @ u)
+        theta_l = float(u @ u) / float(u @ w)
+        assert np.linalg.norm(theta_l * w - u) / np.linalg.norm(u) <= KRYLOV_RESIDUAL
+        assert abs(theta * mu[-1] - 1.0) <= 1e-12
+        assert np.max(u) == 1.0 and (u > 0).all() and (v > 0).all()
+        perron = np.abs(vectors[:, -1])
+        assert np.max(np.abs(u - perron / np.max(perron))) <= 1e-6
+        # power iteration alone spends the cap
+        monkeypatch.setattr(eigensolver, "KRYLOV_AFTER", math.inf)
+        with pytest.raises(EigenError, match="no convergence in 1000 iterations"):
+            solve(np.ones(n))
+
+
+# Reference: principal_pair's scaling step before both paths ran
+# eigensolver._principal, verbatim.
+def _scaled(u_field, v_field, rho):
+    """``(u, v)`` of one map application scaled to ``max|u| = 1``, and
+    their energy quotient."""
+    cell = rho.grid.cell_area
+    scale = np.max(np.abs(u_field.values))
+    u = u_field.values / scale
+    v = v_field.values / scale
+    num = float(np.sum(v * v)) * cell
+    den = float(np.sum(rho.values * u * u)) * cell
+    return u, v, num / den
 
 
 def _two_function_pair(op, rho, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, u0=None):

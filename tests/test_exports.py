@@ -73,8 +73,11 @@ RETIRED = {
     "platelab.rearrange": ["mass"],
     # copies of geometry's shape table: the CLI and the radial solver read it
     "platelab.cli": ["_DOMAIN_FLAGS"],
-    # _bathtub_radial: both paths run rearrange's one bathtub
-    "platelab.radial": ["_RADII", "_bathtub_radial"],
+    # _bathtub_radial: both paths run rearrange's one bathtub;
+    # _principal_pair_radial: both paths run eigensolver's one eigen-iteration
+    "platelab.radial": ["_RADII", "_bathtub_radial", "_principal_pair_radial"],
+    # _scaled: rayleigh_quotient and the 2-D eigensolve read one lattice quotient
+    "platelab.eigensolver": ["_scaled"],
 }
 
 

@@ -13,8 +13,10 @@ than 1e-12 relative, or changes the termination, the outer-iteration
 count or the eigen-iteration count of an outer step, has changed the
 numerics and must say why.
 
-Both paths run one alternation driver. Verbatim copies of the two loops
-it replaced are kept below, and every row is compared with them bitwise.
+Both paths run one alternation driver and one eigen-iteration. Verbatim
+copies of the two alternation loops they replaced, and of the radial
+path's own power loop, are kept below, and every row is compared with
+them bitwise.
 """
 
 import contextlib
@@ -26,19 +28,14 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 import platelab as pl
-from platelab.eigensolver import DEFAULT_MAX_ITER, principal_pair, rayleigh_quotient
+from platelab.eigensolver import DEFAULT_MAX_ITER, EigenError, principal_pair, rayleigh_quotient
 from platelab.fields import ScalarField
 from platelab.geometry import DomainSpec, reflect_cap
 from platelab.optimizer import OptimalPair, OptimizeOptions, SolveReport
-from platelab.radial import (
-    RadialError,
-    RadialResult,
-    _principal_pair_radial,
-    _radial_operator,
-    radial_grid,
-)
+from platelab.radial import RadialError, RadialResult, _radial_operator, radial_grid
 from platelab.rearrange import (
     RearrangeError,
     _bathtub,
@@ -231,6 +228,29 @@ def _radial_loop(kind, radii, h, H, M, n_r=1024, opts=OptimizeOptions()):
         termination=termination,
         outer_iterations=len(history),
     )
+
+
+# Reference: the radial path's own power loop, verbatim, before both
+# paths ran ``eigensolver._principal``.
+def _principal_pair_radial(grid, ab, rho, tol, max_iter, u0=None):
+    u = np.ones(grid.n) if u0 is None else u0 / np.max(np.abs(u0))
+    w = grid.weights
+    theta_prev = None
+    for it in range(1, max_iter + 1):
+        v = solve_banded((1, 1), ab, rho * u)
+        uu = solve_banded((1, 1), ab, v)
+        if np.any(uu <= 0.0):
+            raise EigenError("radial iterate lost positivity")
+        scale = np.max(np.abs(uu))
+        u = uu / scale
+        vs = v / scale
+        theta = float(np.sum(vs * vs * w) / np.sum(rho * u * u * w))
+        if theta_prev is not None and abs(theta - theta_prev) <= tol * theta:
+            break
+        theta_prev = theta
+    else:
+        raise EigenError("radial eigensolve did not converge in %d iterations" % max_iter)
+    return theta, it, u, vs
 
 
 def _record(obj, skip=("wall_time",)):

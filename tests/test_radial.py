@@ -3,20 +3,16 @@ import re
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 from scipy.special import jn_zeros
 
 import platelab as pl
-from platelab import radial
+from platelab import eigensolver, radial
+from platelab.cli import main
 from platelab.eigensolver import EigenError
 from platelab.fields import ScalarField
 from platelab.rearrange import RearrangeError, _bathtub, _check_bracket, optimal_density
-from platelab.radial import (
-    RadialError,
-    _principal_pair_radial,
-    _radial_operator,
-    radial_grid,
-    radial_optimize,
-)
+from platelab.radial import RadialError, _radial_operator, radial_grid, radial_optimize
 from conftest import BAD_COUNTS, BAD_PARAMS
 
 J01 = jn_zeros(0, 1)[0]
@@ -154,11 +150,49 @@ class TestRadialOptimize:
         pair, _ = pl.optimize(pl.disk(1.0), 129, 1.0, 2.0, 1.5 * np.pi)
         assert abs(pair.theta - res.theta) / res.theta < 0.01
 
-    def test_nonconvergence_is_a_solver_error(self):
-        grid = radial_grid("disk", (1.0,), 128)
-        ab = _radial_operator(grid)
-        with pytest.raises(EigenError):  # a solver failure, not an input error
-            _principal_pair_radial(grid, ab, np.ones(grid.n), 1e-12, 2)
+    def test_nonconvergence_is_a_solver_error(self, monkeypatch):
+        # a solver failure, not an input error, with the 2-D path's count
+        # and last theta
+        monkeypatch.setattr(radial, "DEFAULT_MAX_ITER", 2)
+        message = r"no convergence in 2 iterations \(last theta "
+        with pytest.raises(EigenError, match=message) as err:
+            radial_optimize("disk", (1.0,), 1.0, 2.0, 4.5, n_r=128)
+        assert err.value.iterations == 2
+        assert err.value.last_theta is not None
+
+    def test_nonconvergence_exits_2_from_the_cli(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(radial, "DEFAULT_MAX_ITER", 2)
+        rc = main(["solve", "--domain", "disk", "--radial", "--nr", "64", "--h", "1", "--H", "2",
+                   "--mass", "4.5", "--out", str(tmp_path / "report.json")])
+        assert rc == 2
+        assert re.match(r"error: no convergence in 2 iterations \(last theta [0-9.]+\)$",
+                        capsys.readouterr().err.strip())
+
+    def test_non_positive_iterate_is_a_solver_error(self, monkeypatch):
+        # every second banded solve, the map's u, planted negative
+        calls = []
+
+        def planted(*args):
+            calls.append(1)
+            x = solve_banded(*args)
+            return -x if len(calls) % 2 == 0 else x
+
+        monkeypatch.setattr(radial, "solve_banded", planted)
+        with pytest.raises(EigenError, match="^iterate lost positivity$") as err:
+            radial_optimize("disk", (1.0,), 1.0, 2.0, 4.5, n_r=128)
+        assert err.value.iterations == 1
+
+    def test_never_hands_off_on_the_sweep_rows(self, monkeypatch):
+        # the radial subspace has no angular modes near theta_1, so power
+        # iteration contracts fast: no solve reaches the Krylov phase
+        def refuse(matvec, x):
+            raise AssertionError("a radial eigensolve handed off")
+
+        monkeypatch.setattr(eigensolver, "_arnoldi", refuse)
+        for a in np.linspace(0.05, 0.85, 16):
+            area = np.pi * (1.0 - a * a)
+            radial_optimize("annulus", (float(a), 1.0), 1.0, 2.0, 1.5 * area, n_r=1024)
+        radial_optimize("disk", (1.0,), 1.0, 2.0, 1.5 * np.pi, n_r=1024)
 
     def test_mass_bracket_enforced(self):
         with pytest.raises(RadialError):
