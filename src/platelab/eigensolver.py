@@ -99,15 +99,16 @@ def rayleigh_quotient(u, v, rho):
     """Discrete quotient ``sum(v^2) / sum(rho u^2)`` (node sums times d^2)."""
     if u.grid.tag != v.grid.tag or u.grid.tag != rho.grid.tag:
         raise GridMismatchError("fields and density live on different grids")
-    return _quotient(u.values, v.values, rho.values, u.grid.cell_area)
+    return _quotient(u.values, v.values, rho.values, u.grid)
 
 
-def _quotient(u, v, rho, cell):
-    """``sum(v^2) / sum(rho u^2)`` over node arrays, each sum times ``cell``."""
-    den = float(np.sum(rho * u * u)) * cell
+def _quotient(u, v, rho, grid):
+    """``sum(v^2) / sum(rho u^2)`` over node arrays, each a weighted node
+    sum of ``grid`` (a lattice or a radial grid)."""
+    den = grid._integral(rho * u * u)
     if den == 0.0:
         raise ZeroDivisionError("zero weighted norm in Rayleigh quotient")
-    return float(np.sum(v * v)) * cell / den
+    return grid._integral(v * v) / den
 
 
 def principal_pair(op, rho, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, u0=None):
@@ -137,10 +138,10 @@ def principal_pair(op, rho, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, u0=None)
         return u_field.values, v_field.values
 
     theta, iterations, u, v, history = _principal(
-        apply, lambda u, v: _quotient(u, v, rho.values, grid.cell_area),
+        apply, lambda u, v: _quotient(u, v, rho.values, grid),
         np.ones(grid.n) if u0 is None else u0.values, tol, max_iter)
     # final normalization: unit weighted norm
-    c = np.sqrt(float(np.sum(rho.values * u * u)) * grid.cell_area)
+    c = np.sqrt(grid._integral(rho.values * u * u))
     return EigenResult(theta=theta, u=ScalarField(grid, u / c), v=ScalarField(grid, v / c),
                        iterations=iterations, theta_history=tuple(history))
 

@@ -434,6 +434,14 @@ class Grid:
         """Lattice measure of the interior: n * delta^2."""
         return self.n * self.delta * self.delta
 
+    @property
+    def weights(self):
+        return np.full(self.n, self.cell_area)
+
+    def _integral(self, x):
+        """Weighted node sum of ``x``, summed plain then times ``cell_area``."""
+        return float(np.sum(x)) * self.cell_area
+
     def boundary_adjacent_mask(self):
         """Nodes with at least one link leaving the interior node set."""
         return np.any(self.neighbor < 0, axis=1)

@@ -101,15 +101,8 @@ def optimize(spec, nodes_per_side, h, H, M, opts=OptimizeOptions()):
     op = assemble_laplacian(grid)
 
     def eigensolve(rho, u0):
-        eig = principal_pair(op, DensityField(grid, rho, h, H, M), tol=opts.eig_tol, u0=u0)
+        eig = principal_pair(op, rho, tol=opts.eig_tol, u0=u0)
         return eig.theta, eig.iterations, eig.u, eig.v
-
-    def bathtub(u):
-        thr = optimal_density(u, h, H, M)
-        return thr.rho.values, thr.t
-
-    def mass_error(rho):
-        return abs(float(np.sum(rho)) * grid.cell_area - M)
 
     starts = [uniform_density(grid, h, H, M)]
     if opts.restarts > 1:
@@ -121,8 +114,7 @@ def optimize(spec, nodes_per_side, h, H, M, opts=OptimizeOptions()):
     best = None
     thetas = []
     for rho0 in starts:
-        rho, u, v, t, report = _alternate(rho0.values, eigensolve, bathtub, mass_error, opts)
-        rho = DensityField(grid, rho, h, H, M)
+        rho, u, v, t, report = _alternate(rho0, eigensolve, opts)
         pair = OptimalPair(u=u, v=v, rho=rho, theta=rayleigh_quotient(u, v, rho), t=t)
         thetas.append(pair.theta)
         if best is None or pair.theta < best[0].theta:
@@ -131,14 +123,14 @@ def optimize(spec, nodes_per_side, h, H, M, opts=OptimizeOptions()):
     return pair, replace(report, restart_thetas=tuple(thetas))
 
 
-def _alternate(rho, eigensolve, bathtub, mass_error, opts):
+def _alternate(rho, eigensolve, opts):
     """The alternation's control, shared by ``optimize`` and ``radial_optimize``.
 
-    Each path passes its own numerics over node arrays: ``eigensolve(rho,
-    u0)`` gives ``(theta, iterations, u, v)``, warm-started from the last
-    step's u (None at the first); ``bathtub(u)`` gives the next density
-    and its level t; ``mass_error(rho)`` is ``|mass - M|``. Returns the
-    last step's ``(rho, u, v, t)`` and a report with no restart thetas.
+    From the start ``rho``, a ``DensityField`` on the path's grid, it runs
+    the bathtub (``optimal_density``) and the mass error on that grid; the
+    path passes only ``eigensolve(rho, u0) -> (theta, iterations, u, v)``,
+    u and v ``ScalarField``s, warm-started from the last u (None at first).
+    Returns the last step's ``(rho, u, v, t)`` and a report with no restart thetas.
     """
     t0 = time.perf_counter()
     theta_history = []
@@ -150,10 +142,11 @@ def _alternate(rho, eigensolve, bathtub, mass_error, opts):
         theta, iterations, u, v = eigensolve(rho, u)
         theta_history.append(theta)
         inner_iterations.append(iterations)
-        mass_errors.append(mass_error(rho))
+        mass_errors.append(abs(rho.grid._integral(rho.values) - rho.M))
         rho_prev = rho
-        rho, t = bathtub(u)
-        if np.array_equal(rho, rho_prev):
+        thr = optimal_density(u, rho.h, rho.H, rho.M)
+        rho, t = thr.rho, thr.t
+        if np.array_equal(rho.values, rho_prev.values):
             termination = "rho-fixed"
             break
         tol = opts.theta_tol * abs(theta)

@@ -1,26 +1,25 @@
 """One-dimensional radial solver for disks and annuli.
 
-Shares the alternation's control with the 2-D code (the driver
-``optimizer._alternate``: warm starts, stopping rules, report) and its
-density rules (``rearrange``: the uniform start, the bathtub step and
-the box-and-mass check of every density), but passes it its own
-numerics: the radial reduction ``u'' + u'/r`` (planar case) on a
-uniform radius grid and its own quadrature. Its eigen-iteration is the
-2-D path's too (``eigensolver._principal``) on its own map and quotient.
-The operator is second order, but theta converges at first order in the
-radial spacing: the density's jump between h and H falls inside a cell.
-The operator and quadrature being independent of the 2-D path, the two
-can cross-check each other's discretization; the input rules are
-shared: ``geometry`` checks the radii and ``rearrange`` the mass
-bracket. It cannot express angular symmetry breaking by construction.
+Shares all but its map with the 2-D code: the driver
+``optimizer._alternate`` (warm starts, stopping rules, the bathtub step,
+the mass error, report), ``rearrange``'s density rules and the
+eigen-iteration ``eigensolver._principal``, which read the path off its
+``RadialGrid``: ring-area weights and their node sum. Its own numerics
+are the radial reduction ``u'' + u'/r`` (planar case) on a uniform
+radius grid. The operator is second order, but theta converges at first
+order in the radial spacing: M is laid on the rings' ``discrete_area``,
+which misses the half rings next to the Dirichlet radii (pi (1 - dr/2)^2
+on the unit disk); ``M - h (area - discrete_area)`` is second order
+(ROADMAP item 15). The operator and quadrature being independent of the
+2-D path, the two can cross-check each other's discretization;
+``geometry`` checks the radii and ``rearrange`` the mass bracket. It
+cannot express angular symmetry breaking by construction.
 
 Minus the radial Laplacian is a tridiagonal matrix kept in banded form;
 each map application is two ``solve_banded`` calls, the split form of
 the hinged plate (see ``plate``). Disk grids carry an unknown at r = 0
 where regularity (``u'(0) = 0`` via a ghost node) replaces the Dirichlet
-condition; annulus grids are Dirichlet at both radii. Node masses use
-exact ring areas (half cells at the radii that bound the grid), and
-they are the weights the shared bathtub step fills.
+condition; annulus grids are Dirichlet at both radii.
 """
 
 from __future__ import annotations
@@ -31,10 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .eigensolver import DEFAULT_MAX_ITER, _principal
+from .eigensolver import DEFAULT_MAX_ITER, _principal, _quotient
+from .fields import ScalarField
 from .geometry import DomainSpec, GeometryError, _integer
 from .optimizer import OptimizeOptions, _alternate
-from .rearrange import RearrangeError, _bathtub, _check_bracket, _check_density, _uniform
+from .rearrange import RearrangeError, _check_bracket, uniform_density
 
 
 class RadialError(ValueError):
@@ -46,7 +46,9 @@ class RadialGrid:
     kind: str
     r: np.ndarray        # unknown locations
     dr: float
-    weights: np.ndarray  # exact cell areas (2*pi*r*dr rings, half cells at ends)
+    # exact areas of the 2*pi*r*dr rings about the nodes (pi (dr/2)^2 at r=0);
+    # the half rings next to the Dirichlet radii carry no node (ROADMAP item 15)
+    weights: np.ndarray
 
     @property
     def n(self):
@@ -55,6 +57,10 @@ class RadialGrid:
     @property
     def discrete_area(self):
         return float(np.sum(self.weights))
+
+    def _integral(self, x):
+        """Weighted node sum of ``x``: the sum of ``x * weights``."""
+        return float(np.sum(x * self.weights))
 
 
 @dataclass(frozen=True)
@@ -114,7 +120,6 @@ def radial_optimize(kind, radii, h, H, M, n_r=1024, opts=OptimizeOptions()):
     uniform density, reading only ``opts.max_outer``, ``opts.eig_tol`` and
     ``opts.theta_tol`` (``restarts`` and ``seed`` have no effect)."""
     grid = radial_grid(kind, radii, n_r)
-    w = grid.weights
     try:
         h, H, M = _check_bracket(grid.discrete_area, h, H, M)
     except RearrangeError as exc:
@@ -123,35 +128,22 @@ def radial_optimize(kind, radii, h, H, M, n_r=1024, opts=OptimizeOptions()):
 
     def eigensolve(rho, u0):
         def apply(x):
-            v = solve_banded((1, 1), ab, rho * x)
+            v = solve_banded((1, 1), ab, rho.values * x)
             return solve_banded((1, 1), ab, v), v
 
-        def quotient(u, v):
-            return float(np.sum(v * v * w) / np.sum(rho * u * u * w))
+        theta, iterations, u, v, _ = _principal(
+            apply, lambda u, v: _quotient(u, v, rho.values, grid),
+            np.ones(grid.n) if u0 is None else u0.values, opts.eig_tol, DEFAULT_MAX_ITER)
+        return theta, iterations, ScalarField(grid, u), ScalarField(grid, v)
 
-        u = np.ones(grid.n) if u0 is None else u0
-        theta, iterations, u, v, _ = _principal(apply, quotient, u, opts.eig_tol, DEFAULT_MAX_ITER)
-        return theta, iterations, u, v
-
-    def admissible(rho):
-        _check_density(rho, float(np.sum(rho * w)), h, H, M)
-        return rho
-
-    def bathtub(u):
-        rho, t = _bathtub(u, w, h, H, M)
-        return admissible(rho), t
-
-    def mass_error(rho):
-        return abs(float(np.sum(rho * w)) - M)
-
-    rho0 = admissible(_uniform(grid, h, H, M))
-    rho, u, v, t, report = _alternate(rho0, eigensolve, bathtub, mass_error, opts)
+    rho, u, v, t, report = _alternate(uniform_density(grid, h, H, M), eigensolve, opts)
+    rho, u, v = rho.values, u.values, v.values
     # unit weighted norm, matching the 2-D convention
-    c = math.sqrt(float(np.sum(rho * u * u * w)))
+    c = math.sqrt(grid._integral(rho * u * u))
     u = u / c
     v = v / c
     return RadialResult(
-        theta=float(np.sum(v * v * w) / np.sum(rho * u * u * w)), r=grid.r, u=u, v=v, rho=rho,
+        theta=_quotient(u, v, rho, grid), r=grid.r, u=u, v=v, rho=rho,
         t=t / c, theta_history=report.theta_history, termination=report.termination,
         outer_iterations=report.outer_iterations,
     )

@@ -1,13 +1,14 @@
 """Mass-constrained density rearrangement: the bathtub step.
 
-Given a positive field u on cells of weights w (``cell_area`` on every
-lattice node, exact ring areas on the radial grid) and the admissible
-box ``h <= rho <= H`` with mass ``sum(rho * w) = M``, the density
+Given a positive field u on cells of weights w (the grid's ``weights``:
+``cell_area`` on a lattice, ring areas on a radial grid) and the box
+``h <= rho <= H`` with mass ``sum(rho * w) = M``, the density
 maximizing ``sum(rho * u^2 * w)`` puts H on the highest-u cells and h
 elsewhere, with at most one cell carrying an intermediate value so the
 mass constraint holds to machine precision. Ties in u are broken by
-ascending node index, which makes the whole step deterministic. Both
-paths run this one step (``_bathtub``) from one uniform start.
+ascending node index, which makes the whole step deterministic. Every
+density of both paths is a ``DensityField``: the uniform start, then
+``optimal_density`` (``_bathtub``), which the shared driver calls.
 
 The edge rule: a running sum of the cells' extra mass ``(H - h) * w``
 gives the count k of H cells, and a pairwise sum of the first k moves it
@@ -36,7 +37,8 @@ class RearrangeError(ValueError):
 
 @dataclass(frozen=True)
 class DensityField:
-    """Admissible density: values in [h, H], lattice mass M."""
+    """Admissible density on a lattice or a radial grid: values in [h, H]
+    and mass M, the grid's weighted node sum (``grid._integral``)."""
 
     grid: Grid
     values: np.ndarray
@@ -49,7 +51,7 @@ class DensityField:
         if v.shape != (self.grid.n,):
             raise RearrangeError("density length does not match grid")
         h, H, M = _check_bracket(self.grid.discrete_area, self.h, self.H, self.M)
-        _check_density(v, float(np.sum(v)) * self.grid.cell_area, h, H, M)
+        _check_density(v, self.grid._integral(v), h, H, M)
         for name, value in (("values", v), ("h", h), ("H", H), ("M", M)):
             object.__setattr__(self, name, value)
 
@@ -108,12 +110,12 @@ def _check_density(values, got, h, H, M):
 
 def optimal_density(u, h, H, M):
     """Threshold density on ``u.grid`` maximizing ``sum(rho u^2)`` at fixed mass:
-    the bathtub step with every node weighing ``cell_area``."""
+    the bathtub step on the grid's node weights."""
     grid = u.grid
     if np.any(u.values <= 0.0):
         raise RearrangeError("rearrangement needs a strictly positive field")
     h, H, M = _check_bracket(grid.discrete_area, h, H, M)
-    values, t = _bathtub(u.values, np.full(grid.n, grid.cell_area), h, H, M)
+    values, t = _bathtub(u.values, grid.weights, h, H, M)
     return ThresholdResult(rho=DensityField(grid, values, h, H, M), t=t)
 
 

@@ -74,8 +74,11 @@ RETIRED = {
     # copies of geometry's shape table: the CLI and the radial solver read it
     "platelab.cli": ["_DOMAIN_FLAGS"],
     # _bathtub_radial: both paths run rearrange's one bathtub;
-    # _principal_pair_radial: both paths run eigensolver's one eigen-iteration
-    "platelab.radial": ["_RADII", "_bathtub_radial", "_principal_pair_radial"],
+    # _principal_pair_radial: both paths run eigensolver's one eigen-iteration;
+    # _bathtub, _check_density, _uniform: the driver runs the radial path's
+    # bathtub, and its densities are DensityFields
+    "platelab.radial": ["_RADII", "_bathtub_radial", "_principal_pair_radial", "_bathtub",
+                        "_check_density", "_uniform"],
     # _scaled: rayleigh_quotient and the 2-D eigensolve read one lattice quotient
     "platelab.eigensolver": ["_scaled"],
 }
@@ -199,3 +202,39 @@ def test_every_field_is_read_and_every_export_called():
         unused |= {"%s.%s" % (module, name) for name in mod.__all__
                    if inspect.isfunction(getattr(mod, name)) and name not in called}
     assert unused == UNUSED_KEPT
+
+
+def _unread_imports(source):
+    """Names a module's ``source`` imports and never reads, as ``(line,
+    name)``; an ``__all__`` entry counts as a read."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name.partition(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((a.asname or a.name, node.lineno) for a in node.names)
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                  for t in node.targets):
+            read |= {e.value for e in node.value.elts}
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # catches a refactor's leftovers: an import kept after its last reader went
+    unread = ["%s:%d %s" % (path.relative_to(ROOT), line, name)
+              for top in ("src", "platebench") for path in sorted((ROOT / top).rglob("*.py"))
+              for line, name in _unread_imports(path.read_text())]
+    assert unread == []
+
+
+def test_unread_import_search_sees_a_leftover():
+    source = (ROOT / "src" / "platelab" / "radial.py").read_text()
+    planted = source.replace("import math\n", "import math\nfrom .rearrange import _bathtub\n", 1)
+    assert [name for _, name in _unread_imports(planted)] == ["_bathtub"]
+    # an import read only through ``__all__`` is kept
+    assert _unread_imports("from .x import y, z\n__all__ = ['y']\nz\n") == []

@@ -161,6 +161,39 @@ class TestOptimize:
         assert report.wall_time > 0
 
 
+class TestCallGraph:
+    """The call sites the benchmark's probe wraps in ``optimizer``: every
+    assembly, eigensolve and bathtub of both paths goes through them."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        from platelab import optimizer
+
+        counts = {"assemble_laplacian": 0, "principal_pair": 0, "cold": 0,
+                  "optimal_density": 0}
+        for name in ("assemble_laplacian", "principal_pair", "optimal_density"):
+            def counted(*args, _name=name, _fn=getattr(optimizer, name), **kwargs):
+                counts[_name] += 1
+                counts["cold"] += _name == "principal_pair" and kwargs.get("u0") is None
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(optimizer, name, counted)
+        return counts
+
+    def test_optimize_calls_each_site(self, counts):
+        spec = pl.annulus(0.5)
+        opts = OptimizeOptions(restarts=3, seed=4)
+        optimize(spec, 33, 1.0, 2.0, 1.5 * spec.area(), opts=opts)
+        assert (counts["assemble_laplacian"], counts["cold"]) == (1, 3)
+        # one bathtub per eigensolve, and one per randomized start
+        assert (counts["principal_pair"], counts["optimal_density"]) == (30, 32)
+
+    def test_radial_bathtub_is_the_drivers(self, counts):
+        spec = pl.annulus(0.5)
+        res = pl.radial_optimize("annulus", (0.5, 1.0), 1.0, 2.0, 1.5 * spec.area(), n_r=256)
+        assert counts["optimal_density"] == res.outer_iterations
+        assert counts["principal_pair"] == counts["assemble_laplacian"] == 0
+
+
 class TestAnnulusRegimes:
     def test_thick_annulus_stays_radial(self):
         # the rotation metric is dominated by the inner-hole discretization

@@ -7,7 +7,7 @@ from scipy.linalg import solve_banded
 from scipy.special import jn_zeros
 
 import platelab as pl
-from platelab import eigensolver, radial
+from platelab import eigensolver, radial, rearrange
 from platelab.cli import main
 from platelab.eigensolver import EigenError
 from platelab.fields import ScalarField
@@ -200,9 +200,9 @@ class TestRadialOptimize:
 
     @pytest.mark.parametrize("rule", ["_uniform", "_bathtub"])
     def test_off_mass_density_is_refused(self, monkeypatch, rule):
-        # the radial start and each bathtub output run the density check
-        # DensityField runs; the start once skipped it
-        make = getattr(radial, rule)
+        # the radial start and each bathtub output are DensityFields, so
+        # they run its density check; the start once skipped it
+        make = getattr(rearrange, rule)
 
         def off_mass(*args):
             out = make(*args)
@@ -210,7 +210,7 @@ class TestRadialOptimize:
             rho[-1] += 1e-6  # the outermost cell is light: still inside the box
             return out
 
-        monkeypatch.setattr(radial, rule, off_mass)
+        monkeypatch.setattr(rearrange, rule, off_mass)
         with pytest.raises(RearrangeError, match="density mass .* deviates from M=4.5"):
             radial_optimize("disk", (1.0,), 1.0, 2.0, 4.5, n_r=128)
 

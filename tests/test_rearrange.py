@@ -446,6 +446,50 @@ class TestDensityField:
             DensityField(g, v, 1.0, 2.0, M)
 
 
+class TestEitherGrid:
+    """A lattice and a radial grid each give their node ``weights`` and one
+    weighted node sum, which DensityField, the uniform start and the bathtub
+    read; the two sums keep their own summation order, bit for bit."""
+
+    GRIDS = [("lattice", lambda: pl.build_grid(pl.disk(1.0), 33)),
+             ("rings", lambda: radial_grid("annulus", (0.3, 1.0), 256))]
+
+    def test_lattice_weights_are_the_cell_area(self):
+        g = pl.build_grid(pl.annulus(0.4), 41)
+        assert g.weights.tobytes() == np.full(g.n, g.cell_area).tobytes()
+
+    def test_sums_keep_each_grids_order(self):
+        rng = np.random.default_rng(11)
+        lattice = pl.build_grid(pl.disk(1.0), 33)
+        rings = radial_grid("disk", (1.0,), 256)
+        for _ in range(20):
+            x = rng.uniform(-1.0, 3.0, lattice.n)
+            assert lattice._integral(x).hex() == (float(np.sum(x)) * lattice.cell_area).hex()
+            y = rng.uniform(-1.0, 3.0, rings.n)
+            assert rings._integral(y).hex() == float(np.sum(y * rings.weights)).hex()
+
+    @pytest.mark.parametrize("kind, make", GRIDS, ids=[g[0] for g in GRIDS])
+    def test_density_checks_its_grids_mass(self, kind, make):
+        g = make()
+        M = 1.5 * g.discrete_area
+        rho = uniform_density(g, 1.0, 2.0, M)
+        assert abs(g._integral(rho.values) - M) <= _MASS_RTOL * M
+        off = rho.values.copy()
+        off[-1] += 1e-6
+        with pytest.raises(RearrangeError, match="density mass .* deviates"):
+            DensityField(g, off, 1.0, 2.0, M)
+
+    @pytest.mark.parametrize("kind, make", GRIDS, ids=[g[0] for g in GRIDS])
+    def test_bathtub_fills_the_grids_weights(self, kind, make):
+        g = make()
+        u = np.random.default_rng(3).uniform(0.1, 1.0, g.n)
+        M = 1.3 * g.discrete_area
+        res = optimal_density(ScalarField(g, u), 1.0, 2.0, M)
+        rho, t = _bathtub(u, g.weights, 1.0, 2.0, M)
+        assert res.rho.grid is g and res.t == t
+        assert res.rho.values.tobytes() == rho.tobytes()
+
+
 class TestNumberTypes:
     """(h, H, M) are taken as floats: Python and numpy integers give the
     float result bitwise, bools and non-numbers are refused."""
