@@ -28,15 +28,15 @@ from . import __version__, diagnostics, geometry
 from .fields import ScalarField
 from .geometry import DomainSpec, GeometryError, _integer, build_grid
 from .optimizer import OptimizeError, OptimizeOptions, OptimalPair, optimize
-from .radial import RadialError, radial_grid, radial_optimize
-from .rearrange import DensityField, RearrangeError, _check_bracket
+from .radial import radial_grid, radial_optimize
+from .rearrange import DensityField, RearrangeError, _check_bracket, uniform_density
 
 SYMMETRY_TOL = 1e-6
 MONOTONICITY_TOL = 1e-10
 MOVING_PLANE_TOL = 1e-8
 RIGIDITY_CV_MAX = 0.01
 CONVERGED = ("theta-converged", "rho-fixed")
-INPUT_ERRORS = (GeometryError, OptimizeError, RearrangeError, RadialError)  # bad input values
+INPUT_ERRORS = (GeometryError, OptimizeError, RearrangeError)  # bad input values
 FIELD_COLUMNS = ("x", "y", "u", "v", "rho")
 FIELD_ROW = ",".join(["%.17g"] * len(FIELD_COLUMNS)) + "\n"
 FIELDS_BLOCK = 4096  # rows formatted or parsed at a time
@@ -390,11 +390,10 @@ def _run_sweep(args):
         spec = geometry.annulus(a, 1.0)  # outer radius fixed at 1
         area = spec.area()
         mass_val = args.h * area + args.mass_fraction * (args.Hd - args.h) * area
-        # the domain's bracket, then the lattice's and the rings' that each
-        # solver checks first
-        for admitted in (area, build_grid(spec, args.grid).discrete_area,
-                         radial_grid(spec.kind, spec.params, args.nr).discrete_area):
-            _check_bracket(admitted, args.h, args.Hd, mass_val)
+        # the domain's bracket, then the start density each solver builds first
+        _check_bracket(area, args.h, args.Hd, mass_val)
+        uniform_density(build_grid(spec, args.grid), args.h, args.Hd, mass_val)
+        uniform_density(radial_grid(spec.kind, spec.params, args.nr), args.h, args.Hd, mass_val)
         jobs.append((a, spec, mass_val))
     rows = [_sweep_row(args, idx, *job) for idx, job in enumerate(jobs)]
     with open(args.out, "w", newline="\n") as fh:

@@ -91,11 +91,9 @@ def optimize(spec, nodes_per_side, h, H, M, opts=OptimizeOptions()):
     ``opts.restarts - 1`` starts are randomized threshold densities drawn
     from ``opts.seed``. All calls on a grid ``build_grid`` keeps share it
     and its operator: its starts, and any later ``optimize`` on the same
-    ``spec`` and size, reuse one matrix and one factorization.
-    ``build_grid`` keeps the last grid, and a second one only after an
-    A, B, A return, so a caller alternating two domains builds and
-    factorizes nothing after its first return; at most two factorizations
-    are kept (disk at 257: about 31 MB each).
+    ``spec`` and size, reuse one matrix and one factorization. Which grids
+    stay kept, and so how many factorizations stay alive, is
+    ``build_grid``'s policy.
     """
     grid = build_grid(spec, nodes_per_side)
     op = assemble_laplacian(grid)

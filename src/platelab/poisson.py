@@ -92,9 +92,7 @@ def assemble_laplacian(grid):
     ``DiscreteLaplacian`` over that matrix and, after the first solve, its
     factorization. The memo holds no operator, so no reference cycle keeps
     a grid and its factorization alive: they live as long as
-    ``build_grid`` keeps the grid or a caller holds it. ``build_grid``
-    keeps at most two grids, the second only after an A, B, A return, so
-    at most two factorizations are kept (disk at 257: about 31 MB each).
+    ``build_grid`` keeps the grid (see its policy) or a caller holds it.
     """
     return DiscreteLaplacian(grid)
 

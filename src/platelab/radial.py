@@ -11,9 +11,12 @@ order in the radial spacing: M is laid on the rings' ``discrete_area``,
 which misses the half rings next to the Dirichlet radii (pi (1 - dr/2)^2
 on the unit disk); ``M - h (area - discrete_area)`` is second order
 (ROADMAP item 15). The operator and quadrature being independent of the
-2-D path, the two can cross-check each other's discretization;
-``geometry`` checks the radii and ``rearrange`` the mass bracket. It
-cannot express angular symmetry breaking by construction.
+2-D path, the two can cross-check each other's discretization. An input
+fault raises the error of the module that owns it, as on the 2-D path:
+``GeometryError`` for the radii and for ``n_r`` (which follows
+``nodes_per_side``'s rules), ``RearrangeError`` for h, H and M from the
+uniform start. It cannot express angular symmetry breaking by
+construction.
 
 Minus the radial Laplacian is a tridiagonal matrix kept in banded form;
 each map application is two ``solve_banded`` calls, the split form of
@@ -34,11 +37,7 @@ from .eigensolver import DEFAULT_MAX_ITER, _principal, _quotient
 from .fields import ScalarField
 from .geometry import DomainSpec, GeometryError, _integer
 from .optimizer import OptimizeOptions, _alternate
-from .rearrange import RearrangeError, _check_bracket, uniform_density
-
-
-class RadialError(ValueError):
-    """Invalid input to the radial solver; solver failures raise EigenError."""
+from .rearrange import uniform_density
 
 
 @dataclass(frozen=True)
@@ -79,15 +78,12 @@ class RadialResult:
 def radial_grid(kind, radii, n_r):
     """The radius grid of a disk or an annulus; ``radii`` is the kind's
     ``DomainSpec.params``, checked by ``DomainSpec.from_dict``."""
-    n_r = _integer(n_r, "n_r", RadialError)
+    n_r = _integer(n_r, "n_r")
     if n_r < 64:
-        raise RadialError("n_r must be at least 64")
+        raise GeometryError("n_r must be at least 64")
     if kind not in ("disk", "annulus"):
-        raise RadialError("radial solver handles disk and annulus, got %r" % (kind,))
-    try:
-        radii = DomainSpec.from_dict({"kind": kind, "params": radii}).params
-    except GeometryError as exc:
-        raise RadialError(str(exc)) from None
+        raise GeometryError("radial solver handles disk and annulus, got %r" % (kind,))
+    radii = DomainSpec.from_dict({"kind": kind, "params": radii}).params
     inner, outer = (0.0, *radii) if kind == "disk" else radii
     dr = (outer - inner) / n_r
     # an unknown at the disk's r=0; Dirichlet nodes at the other radii
@@ -120,10 +116,6 @@ def radial_optimize(kind, radii, h, H, M, n_r=1024, opts=OptimizeOptions()):
     uniform density, reading only ``opts.max_outer``, ``opts.eig_tol`` and
     ``opts.theta_tol`` (``restarts`` and ``seed`` have no effect)."""
     grid = radial_grid(kind, radii, n_r)
-    try:
-        h, H, M = _check_bracket(grid.discrete_area, h, H, M)
-    except RearrangeError as exc:
-        raise RadialError(str(exc)) from None
     ab = _radial_operator(grid)
 
     def eigensolve(rho, u0):

@@ -445,6 +445,42 @@ class TestKrylovHandOff:
         with pytest.raises(EigenError, match="no convergence in 1000 iterations"):
             solve(np.ones(n))
 
+    def test_non_positive_krylov_eigenvector_is_refused(self, monkeypatch):
+        # a symmetric map whose dominant eigenvector (1, ..., 1, -0.05) has
+        # one negative entry, |mu_2 / mu_1| = 0.995: the power steps from the
+        # ones stay positive while they crawl, and the hand-off finds the
+        # true eigenvector, which the loop must not return
+        n = 50
+        e = np.append(np.ones(n - 1), -0.05)
+        e /= np.linalg.norm(e)
+        rest = np.random.default_rng(0).standard_normal((n, n - 1))
+        q, _ = np.linalg.qr(np.column_stack([e, rest]))
+        M = q @ np.diag(np.append(1.0, np.full(n - 1, 0.995))) @ q.T
+        calls = []
+        arnoldi = eigensolver._arnoldi
+        monkeypatch.setattr(eigensolver, "_arnoldi", lambda m, x: calls.append(1) or arnoldi(m, x))
+        message = "^Krylov eigenvector is not strictly positive$"
+        with pytest.raises(EigenError, match=message) as err:
+            _principal(lambda x: (M @ x, x.copy()), lambda u, v: float(v @ v) / float(v @ u),
+                       np.ones(n), 1e-11, 1000)
+        assert calls == [1]
+        assert 0 < err.value.iterations < 1000
+        assert err.value.last_theta is not None
+
+    def test_non_positive_converged_pair_is_refused(self):
+        # a positive map whose second output, the pair's v, is negative: the
+        # quotient converges at once, and the pair is refused
+        B = np.diag(np.linspace(0.5, 1.0, 50)) + 1e-3
+
+        def apply(x):
+            w = B @ x
+            return w, -w
+
+        with pytest.raises(EigenError, match="^converged pair is not strictly positive$") as err:
+            _principal(apply, lambda u, v: float(v @ v) / float(u @ u), np.ones(50), 1e-11, 1000)
+        assert err.value.iterations == 2
+        assert err.value.last_theta == 1.0
+
 
 # Reference: principal_pair's scaling step before both paths ran
 # eigensolver._principal, verbatim.

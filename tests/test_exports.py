@@ -76,9 +76,10 @@ RETIRED = {
     # _bathtub_radial: both paths run rearrange's one bathtub;
     # _principal_pair_radial: both paths run eigensolver's one eigen-iteration;
     # _bathtub, _check_density, _uniform: the driver runs the radial path's
-    # bathtub, and its densities are DensityFields
+    # bathtub, and its densities are DensityFields;
+    # RadialError: an input fault raises its owner's GeometryError or RearrangeError
     "platelab.radial": ["_RADII", "_bathtub_radial", "_principal_pair_radial", "_bathtub",
-                        "_check_density", "_uniform"],
+                        "_check_density", "_uniform", "RadialError"],
     # _scaled: rayleigh_quotient and the 2-D eigensolve read one lattice quotient
     "platelab.eigensolver": ["_scaled"],
 }

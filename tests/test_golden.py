@@ -35,7 +35,7 @@ from platelab.eigensolver import DEFAULT_MAX_ITER, EigenError, principal_pair, r
 from platelab.fields import ScalarField
 from platelab.geometry import DomainSpec, reflect_cap
 from platelab.optimizer import OptimalPair, OptimizeOptions, SolveReport
-from platelab.radial import RadialError, RadialResult, _radial_operator, radial_grid
+from platelab.radial import RadialResult, _radial_operator, radial_grid
 from platelab.rearrange import (
     RearrangeError,
     _bathtub,
@@ -187,7 +187,7 @@ def _radial_loop(kind, radii, h, H, M, n_r=1024, opts=OptimizeOptions()):
     try:
         _check_bracket(area, h, H, M)
     except RearrangeError as exc:
-        raise RadialError(str(exc)) from None
+        raise exc from None
     ab = _radial_operator(grid)
     rho = np.full(grid.n, M / area)
     history = []

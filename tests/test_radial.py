@@ -11,8 +11,9 @@ from platelab import eigensolver, radial, rearrange
 from platelab.cli import main
 from platelab.eigensolver import EigenError
 from platelab.fields import ScalarField
+from platelab.geometry import DomainSpec, GeometryError
 from platelab.rearrange import RearrangeError, _bathtub, _check_bracket, optimal_density
-from platelab.radial import RadialError, _radial_operator, radial_grid, radial_optimize
+from platelab.radial import _radial_operator, radial_grid, radial_optimize
 from conftest import BAD_COUNTS, BAD_PARAMS
 
 J01 = jn_zeros(0, 1)[0]
@@ -24,16 +25,21 @@ class TestRadialGrid:
         assert g.discrete_area == pytest.approx(np.pi * (1 - 0.5 * g.dr) ** 2, rel=1e-12)
 
     def test_annulus_needs_ordered_radii(self):
-        with pytest.raises(RadialError):
+        with pytest.raises(GeometryError, match="^annulus needs inner < outer radius$"):
             radial_grid("annulus", (1.0, 0.5), 128)
 
     def test_minimum_resolution(self):
-        with pytest.raises(RadialError):
+        with pytest.raises(GeometryError, match="^n_r must be at least 64$"):
             radial_grid("disk", (1.0,), 32)
+        with pytest.raises(GeometryError, match="^n_r must be at least 64$"):
+            radial_optimize("disk", (1.0,), 1.0, 2.0, 4.5, n_r=63)
 
     def test_unknown_kind(self):
-        with pytest.raises(RadialError):
+        message = "^radial solver handles disk and annulus, got 'ellipse'$"
+        with pytest.raises(GeometryError, match=message):
             radial_grid("ellipse", (1.0, 0.5), 128)
+        with pytest.raises(GeometryError, match=message):
+            radial_optimize("ellipse", (1.0, 0.5), 1.0, 2.0, 1.0, n_r=128)
 
     @pytest.mark.parametrize("radii", [[1.0], (1.0,), np.array([1.0])],
                              ids=["list", "tuple", "array"])
@@ -51,9 +57,9 @@ class TestRadialGrid:
     ], ids=["disk-scalar", "disk-list-of-2", "disk-tuple-of-2", "disk-empty", "disk-text",
             "annulus-tuple-of-1", "annulus-scalar", "annulus-ragged", "annulus-tuple-of-3"])
     def test_radii_count_must_match_kind(self, kind, radii):
-        with pytest.raises(RadialError, match="%s takes" % kind):
+        with pytest.raises(GeometryError, match="%s takes" % kind):
             radial_grid(kind, radii, 128)
-        with pytest.raises(RadialError, match="%s takes" % kind):
+        with pytest.raises(GeometryError, match="%s takes" % kind):
             radial_optimize(kind, radii, 1.0, 2.0, 1.0, n_r=128)
 
 
@@ -195,7 +201,7 @@ class TestRadialOptimize:
         radial_optimize("disk", (1.0,), 1.0, 2.0, 1.5 * np.pi, n_r=1024)
 
     def test_mass_bracket_enforced(self):
-        with pytest.raises(RadialError):
+        with pytest.raises(RearrangeError, match="outside admissible bracket"):
             radial_optimize("disk", (1.0,), 1.0, 2.0, 10.0, n_r=128)
 
     @pytest.mark.parametrize("rule", ["_uniform", "_bathtub"])
@@ -216,21 +222,31 @@ class TestRadialOptimize:
 
     def test_bracket_slack_is_relative_below_unit_mass(self):
         area = radial_grid("disk", (1.0,), 128).discrete_area
-        with pytest.raises(RadialError, match="outside admissible bracket"):
+        with pytest.raises(RearrangeError, match="outside admissible bracket"):
             radial_optimize("disk", (1.0,), 0.1, 0.2, 0.2 * area + 8e-13, n_r=128)
+
+
+def _outcome(call):
+    """None when ``call`` returns, else the type and the text of its error."""
+    try:
+        call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
 
 
 class TestSharedInputRules:
     """The radial solver reads geometry's domain check and rearrange's
-    bracket check, so it takes and refuses what the 2-D path does."""
+    bracket check, so it refuses what the 2-D path does, with the same
+    error type and text."""
 
     @pytest.mark.parametrize("case, kind, params, message", BAD_PARAMS,
                              ids=[case[0] for case in BAD_PARAMS])
     def test_bad_radii_raise_geometry_messages(self, case, kind, params, message):
-        with pytest.raises(RadialError, match=re.escape(message)):
-            radial_grid(kind, params, 128)
-        with pytest.raises(RadialError, match=re.escape(message)):
-            radial_optimize(kind, params, 1.0, 2.0, 1.0, n_r=128)
+        planar = _outcome(lambda: DomainSpec.from_dict({"kind": kind, "params": params}))
+        assert planar[0] is GeometryError and message in planar[1]
+        assert _outcome(lambda: radial_grid(kind, params, 128)) == planar
+        assert _outcome(lambda: radial_optimize(kind, params, 1.0, 2.0, 1.0, n_r=128)) == planar
 
     @pytest.mark.parametrize("h, H, M, message", [
         (0.0, 2.0, 4.0, "need 0 < h <= H, got h=0.0 H=2.0"),
@@ -239,23 +255,27 @@ class TestSharedInputRules:
         (1.0, math.inf, 5.0, "H must be finite, got inf"),
     ], ids=["h-zero", "h-above-H", "mass-above-bracket", "H-inf"])
     def test_bracket_errors_carry_rearranges_messages(self, h, H, M, message):
-        area = radial_grid("disk", (1.0,), 128).discrete_area
-        with pytest.raises(RearrangeError) as planar:
-            _check_bracket(area, h, H, M)
-        with pytest.raises(RadialError) as radial:
-            radial_optimize("disk", (1.0,), h, H, M, n_r=128)
-        assert str(radial.value) == str(planar.value)
-        assert str(radial.value).startswith(message)
+        # each path raises the one bracket rule's error on its own grid's area
+        area_2d = pl.build_grid(pl.disk(1.0), 17).discrete_area
+        area_r = radial_grid("disk", (1.0,), 128).discrete_area
+        planar = _outcome(lambda: pl.optimize(pl.disk(1.0), 17, h, H, M))
+        radial = _outcome(lambda: radial_optimize("disk", (1.0,), h, H, M, n_r=128))
+        assert planar == _outcome(lambda: _check_bracket(area_2d, h, H, M))
+        assert radial == _outcome(lambda: _check_bracket(area_r, h, H, M))
+        assert planar[0] is radial[0] is RearrangeError
+        assert planar[1].startswith(message) and radial[1].startswith(message)
 
     @pytest.mark.parametrize("case, n_r", BAD_COUNTS, ids=[case[0] for case in BAD_COUNTS])
     def test_n_r_must_be_an_integer(self, case, n_r):
         # n_r = 100.5 put the disk's Dirichlet node at r = 1.005 and gave
-        # theta 17.1606 (17.4262 at 100 cells); "100" raised a bare TypeError
-        message = re.escape("n_r must be an integer, got %r" % (n_r,))
-        with pytest.raises(RadialError, match=message):
-            radial_grid("disk", (1.0,), n_r)
-        with pytest.raises(RadialError, match=message):
-            radial_optimize("disk", (1.0,), 1.0, 2.0, 1.5 * math.pi, n_r=n_r)
+        # theta 17.1606 (17.4262 at 100 cells); "100" raised a bare TypeError.
+        # n_r follows nodes_per_side's rule, under its own name
+        error, text = _outcome(lambda: pl.build_grid(pl.disk(1.0), n_r))
+        planar = (error, text.replace("nodes_per_side", "n_r"))
+        assert planar == (GeometryError, "n_r must be an integer, got %r" % (n_r,))
+        assert _outcome(lambda: radial_grid("disk", (1.0,), n_r)) == planar
+        assert _outcome(
+            lambda: radial_optimize("disk", (1.0,), 1.0, 2.0, 1.5 * math.pi, n_r=n_r)) == planar
 
     @pytest.mark.parametrize("n_r", [np.int32(100), np.int64(100), np.uint8(100)], ids=repr)
     def test_numpy_integer_n_r_is_taken(self, n_r):
@@ -282,10 +302,9 @@ class TestSharedInputRules:
     ], ids=["bool-h", "numpy-bool-h", "numpy-bool-H", "string-h"])
     def test_bools_are_refused_on_both_paths(self, h, H, M):
         message = "h, H and M must be real numbers, got h=%r H=%r M=%r" % (h, H, M)
-        with pytest.raises(RearrangeError, match=re.escape(message)):
-            pl.optimize(pl.disk(1.0), 33, h, H, M)
-        with pytest.raises(RadialError, match=re.escape(message)):
-            radial_optimize("disk", (1.0,), h, H, M, n_r=128)
+        planar = _outcome(lambda: pl.optimize(pl.disk(1.0), 33, h, H, M))
+        assert planar == (RearrangeError, message)
+        assert _outcome(lambda: radial_optimize("disk", (1.0,), h, H, M, n_r=128)) == planar
 
     @pytest.mark.parametrize("scale", [0.1, 10.0], ids=["mass-below-1", "mass-above-1"])
     def test_bracket_edges_match_the_2d_path(self, scale):
@@ -306,20 +325,19 @@ class TestSharedInputRules:
                 (h, H, math.nan, True),
             ]
 
-        def refused(call, error):
-            try:
-                call()
-            except error:
-                return True
-            return False
-
         opts = pl.OptimizeOptions(max_outer=2)
-        radial = [refused(lambda: radial_optimize("disk", (1.0,), a, b, m, n_r=64, opts=opts),
-                          RadialError) for a, b, m, _ in edges(area_r)]
-        planar = [refused(lambda: optimal_density(u, a, b, m), RearrangeError)
-                  for a, b, m, _ in edges(grid_2d.discrete_area)]
+        rings = [hHM for *hHM, _ in edges(area_r)]
+        lattice = [hHM for *hHM, _ in edges(grid_2d.discrete_area)]
+        radial = [_outcome(lambda: radial_optimize("disk", (1.0,), *hHM, n_r=64, opts=opts))
+                  for hHM in rings]
+        planar = [_outcome(lambda: optimal_density(u, *hHM)) for hHM in lattice]
         # the uniform start of a mass just outside the bracket is clipped into
         # the box: it once left it, and optimize refused what the others took
-        alternated = [refused(lambda: pl.optimize(pl.disk(1.0), 17, a, b, m, opts=opts),
-                              RearrangeError) for a, b, m, _ in edges(grid_2d.discrete_area)]
-        assert radial == planar == alternated == [want for *_, want in edges(area_r)]
+        alternated = [_outcome(lambda: pl.optimize(pl.disk(1.0), 17, *hHM, opts=opts))
+                      for hHM in lattice]
+        # every refusal is the one bracket rule's, on the path's own area
+        assert radial == [_outcome(lambda: _check_bracket(area_r, *hHM)) for hHM in rings]
+        assert planar == alternated == [
+            _outcome(lambda: _check_bracket(grid_2d.discrete_area, *hHM)) for hHM in lattice]
+        assert [out is not None for out in radial] == [out is not None for out in planar] == [
+            want for *_, want in edges(area_r)]
