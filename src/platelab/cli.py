@@ -38,8 +38,11 @@ RIGIDITY_CV_MAX = 0.01
 CONVERGED = ("theta-converged", "rho-fixed")
 INPUT_ERRORS = (GeometryError, OptimizeError, RearrangeError)  # bad input values
 FIELD_COLUMNS = ("x", "y", "u", "v", "rho")
-FIELD_ROW = ",".join(["%.17g"] * len(FIELD_COLUMNS)) + "\n"
 FIELDS_BLOCK = 4096  # rows formatted or parsed at a time
+_TABLE_ROWS = 4  # a column with at most one distinct value per this many rows is tabled
+# every byte the writer puts below the header: the digits, the signs, the
+# point, the exponent, nan and inf, the comma and LF
+_WRITER_BYTES = b"0123456789+-.enaif,\n"
 RADIAL_CELLS = inspect.signature(radial_optimize).parameters["n_r"].default
 SWEEP_COLUMNS = ("inner_radius", "theta_2d", "theta_radial", "rotation_asymmetry",
                  "beats_radial", "termination")
@@ -139,12 +142,35 @@ def _fmt(v):
 
 
 def _write_fields_csv(path, *columns):
-    data = np.column_stack(columns)
+    """Write ``columns`` under the ``x,y,u,v,rho`` header, ``%.17g`` per
+    cell, ``FIELDS_BLOCK`` rows at a time. A column with at most one
+    distinct bit pattern per ``_TABLE_ROWS`` rows (the lattice's x and y,
+    the density's two or three levels) formats each pattern once and
+    substitutes the strings, which writes the same bytes."""
+    cells, formats = [], []
+    for c in columns:
+        c = np.ascontiguousarray(c, dtype=float)
+        bits = c.view(np.uint64)  # so that -0.0 and 0.0 keep their own strings
+        ordered = np.sort(bits)  # np.unique takes ten times as long on u and v
+        step = ordered[1:] != ordered[:-1]
+        if (1 + np.count_nonzero(step)) * _TABLE_ROWS <= len(c):
+            distinct = np.r_[ordered[:1], ordered[1:][step]]
+            table = np.array(["%.17g" % x for x in distinct.view(float).tolist()], dtype=object)
+            cells.append((table, np.searchsorted(distinct, bits)))
+            formats.append("%s")
+        else:
+            cells.append((None, c))
+            formats.append("%.17g")
+    row = ",".join(formats) + "\n"
+    n = len(cells[0][1])
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(FIELD_COLUMNS) + "\n")
-        for start in range(0, len(data), FIELDS_BLOCK):
-            block = data[start : start + FIELDS_BLOCK]
-            fh.write(FIELD_ROW * len(block) % tuple(block.ravel().tolist()))
+        for start in range(0, n, FIELDS_BLOCK):
+            block = np.empty((min(n - start, FIELDS_BLOCK), len(cells)), dtype=object)
+            for j, (table, values) in enumerate(cells):
+                part = values[start : start + len(block)]
+                block[:, j] = part if table is None else table[part]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def _write_pgm(path, grid, values):
@@ -224,8 +250,53 @@ def _run_solve(args):
 def _load_fields_csv(path, grid):
     """The u, v and rho columns of a fields CSV on ``grid``. Lines end in
     LF, CRLF or CR, and each cell is parsed as Python's ``float`` parses
-    it. Rows are parsed ``FIELDS_BLOCK`` at a time; a block that fails is
-    rescanned row by row to name its first bad row."""
+    it. A file as ``solve`` writes it goes to numpy's C parser; any other
+    goes to ``_parse_fields_csv``, which names the first bad row."""
+    data = _read_own_fields_csv(path, grid)
+    if data is None:
+        data = _parse_fields_csv(path, grid)
+    tol = 1e-9 * grid.delta
+    for bad, what in (
+        (~np.isfinite(data).all(axis=1), "non-finite value"),
+        ((np.abs(data[:, 0] - grid.node_x) > tol) | (np.abs(data[:, 1] - grid.node_y) > tol),
+         "coordinates do not match the grid"),
+    ):
+        if bad.any():
+            raise CliUsageError("error: %s row %d: %s" % (path, np.argmax(bad) + 2, what))
+    return data[:, 2], data[:, 3], data[:, 4]
+
+
+def _read_own_fields_csv(path, grid):
+    """The rows of a fields CSV by ``np.loadtxt``, or None unless the file
+    is one the writer could have written on ``grid``: the LF header, then
+    ``grid.n`` LF-ended lines of the writer's bytes only, parsed to
+    ``grid.n`` rows of five. Outside those bytes numpy and ``float``
+    differ: numpy skips blank lines, refuses digit underscores and strips
+    ``\\x1c``-``\\x1f`` as whitespace, which ``float`` refuses."""
+    with open(path, "rb") as fh:
+        if fh.readline() != (",".join(FIELD_COLUMNS) + "\n").encode():
+            return None
+        body = fh.tell()
+        lines, last = 0, b""
+        while chunk := fh.read(1 << 18):  # scanned in chunks, not held whole
+            if chunk.translate(None, _WRITER_BYTES):
+                return None
+            lines += chunk.count(b"\n")
+            last = chunk
+        if lines != grid.n or not last.endswith(b"\n"):
+            return None
+        fh.seek(body)
+        try:
+            data = np.loadtxt(fh, delimiter=",", comments=None, dtype=float, ndmin=2)
+        except ValueError:
+            return None
+    return data if data.shape == (grid.n, len(FIELD_COLUMNS)) else None
+
+
+def _parse_fields_csv(path, grid):
+    """The rows of a fields CSV on ``grid``. Rows are parsed
+    ``FIELDS_BLOCK`` at a time; a block that fails is rescanned row by row
+    to name its first bad row."""
     data = np.empty((grid.n, len(FIELD_COLUMNS)))
     with open(path) as fh:
         if fh.readline().rstrip("\n") != ",".join(FIELD_COLUMNS):
@@ -248,15 +319,7 @@ def _load_fields_csv(path, grid):
         raise CliUsageError(
             "error: %s has %d rows but the grid has %d interior nodes" % (path, rows, grid.n)
         )
-    tol = 1e-9 * grid.delta
-    for bad, what in (
-        (~np.isfinite(data).all(axis=1), "non-finite value"),
-        ((np.abs(data[:, 0] - grid.node_x) > tol) | (np.abs(data[:, 1] - grid.node_y) > tol),
-         "coordinates do not match the grid"),
-    ):
-        if bad.any():
-            raise CliUsageError("error: %s row %d: %s" % (path, np.argmax(bad) + 2, what))
-    return data[:, 2], data[:, 3], data[:, 4]
+    return data
 
 
 def _first_bad_row(lines):

@@ -3,9 +3,12 @@ import csv
 import inspect
 import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import platelab as pl
 from platelab import cli, geometry
@@ -571,6 +574,20 @@ SPECIAL_VALUES = [-0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308,
                   123456789.0, 0.1]
 
 
+def _radial_columns(rows, rng):
+    """The ``solve --radial --fields`` columns: r, zeros, u, v and rho."""
+    r = np.cumsum(rng.uniform(0.5, 1.5, rows)) / max(rows, 1)
+    return [r, np.zeros(rows), rng.normal(size=rows), rng.normal(size=rows),
+            rng.choice([1.0, 2.0, 1.2345678901234567], rows)]
+
+
+def _signed_columns(rows, rng):
+    """Columns of 0.0 and -0.0, which compare equal but print apart, and of
+    NaNs of both signs."""
+    pools = [[-0.0, 0.0], [np.nan, -np.nan], [-0.0, 0.0, np.nan, -np.nan]]
+    return [rng.permutation(np.resize(pools[k % 3], rows)) for k in range(len(FIELD_COLUMNS))]
+
+
 class TestFieldsFiles:
     """The block writer and reader against the row loops they replaced."""
 
@@ -623,10 +640,17 @@ class TestFieldsFiles:
         (lambda ls: ls[:12] + ["7" + ls[12]] + ls[13:], "\n", "\n"),
         (lambda ls: ls[:4099] + [ls[4099].rsplit(",", 1)[0] + ",nan"] + ls[4100:], "\n", "\n"),
         (lambda ls: ls[:4099] + [ls[4099].rsplit(",", 1)[0] + ",1e999"] + ls[4100:], "\n", "\n"),
+        (lambda ls: ls[:12] + [ls[12].replace(",", "\x1c,", 1)] + ls[13:], "\n", "\n"),
+        (lambda ls: ls[:12] + [ls[12] + "\x1f"] + ls[13:], "\n", "\n"),
+        (lambda ls: ls[:12] + [ls[12].rsplit(",", 1)[0] + ",1.5#x"] + ls[13:], "\n", "\n"),
+        (lambda ls: ls[:30] + [""] + ls[31:], "\n", "\n"),
+        (lambda ls: ls[:30] + [" \t "] + ls[31:], "\n", "\n"),
+        (lambda ls: ls[:12] + [ls[12].rsplit(",", 1)[0] + ",\u0661\u0662"] + ls[13:], "\n", "\n"),
     ], ids=["lf", "crlf", "cr", "no-final-newline", "whitespace", "trailing-blank-line",
             "missing-row", "header-only", "empty", "bad-header", "six-columns", "bad-float",
             "ragged-pair", "float-before-columns", "columns-before-float", "extra-short-row",
-            "underscore", "last-digit", "coordinates", "nan", "overflow"])
+            "underscore", "last-digit", "coordinates", "nan", "overflow", "separator-x1c",
+            "separator-x1f", "hash", "blank-row", "whitespace-row", "arabic-indic-digits"])
     def test_reader_matches_csv_reader(self, grid_and_text, tmp_path, edit, end, final):
         grid, lines = grid_and_text
         lines = edit(lines)
@@ -639,6 +663,93 @@ class TestFieldsFiles:
             except CliUsageError as exc:
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1]
+
+    def test_c_parser_takes_only_the_writers_own_files(self, disk_solve, grid_and_text,
+                                                       tmp_path, monkeypatch, capsys):
+        class BlockParser(Exception):
+            pass
+
+        def refuse(path, grid):
+            raise BlockParser
+
+        monkeypatch.setattr(cli, "_parse_fields_csv", refuse)
+        d, report, fields = disk_solve
+        assert run(["verify", "--report", str(report), "--fields", str(fields)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        grid, lines = grid_and_text
+        for edit, end in (
+            (lambda ls: ls, "\r\n"),
+            (lambda ls: ls[:12] + [ls[12].replace(",", ",1_0", 1)] + ls[13:], "\n"),
+            (lambda ls: ls[:12] + [ls[12].replace(",", "\x1c,", 1)] + ls[13:], "\n"),
+        ):
+            path = tmp_path / "fields.csv"
+            path.write_bytes((end.join(edit(lines)) + end).encode())
+            with pytest.raises(BlockParser):
+                cli._load_fields_csv(path, grid)
+
+    @pytest.fixture(scope="class")
+    def small_text(self, tmp_path_factory):
+        grid = pl.build_grid(pl.disk(1.0), 9)
+        rng = np.random.default_rng(3)
+        columns = [grid.node_x, grid.node_y, rng.normal(size=grid.n),
+                   np.ldexp(rng.normal(size=grid.n), rng.integers(-30, 30, grid.n)),
+                   rng.choice([1.0, 2.0, -0.0], grid.n)]
+        text = "\n".join(["x,y,u,v,rho"] + [",".join(_fmt(c) for c in row)
+                                             for row in zip(*columns)]) + "\n"
+        return grid, text, tmp_path_factory.mktemp("edits") / "fields.csv"
+
+    # each edit: at a cell's end or anywhere, an offset, delete / replace /
+    # insert, and a character
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(edits=st.lists(st.tuples(st.booleans(), st.integers(0, 4000), st.integers(0, 2),
+                                    st.sampled_from(",#_ \t\r\n\x1c\x1f\xa0\u0661eE+-.naif")),
+                          min_size=1, max_size=4))
+    def test_c_parser_and_block_parser_agree_on_edits(self, small_text, edits):
+        grid, text, path = small_text
+        for at_end, at, how, char in edits:
+            ends = [k for k, c in enumerate(text) if c in ",\n"] if at_end else []
+            at = ends[at % len(ends)] if ends else at % (len(text) + 1)
+            text = text[:at] + char * (how > 0) + text[at + (how < 2):]
+        path.write_bytes(text.encode())
+        outcomes = []
+        for own in (cli._read_own_fields_csv, lambda path, grid: None):
+            with mock.patch.object(cli, "_read_own_fields_csv", own):
+                try:
+                    outcomes.append(tuple(col.tobytes() for col in cli._load_fields_csv(path, grid)))
+                except CliUsageError as exc:
+                    outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
+    # the last count is one row past the table threshold of a four-pattern column
+    @pytest.mark.parametrize("rows", [0, 1, cli.FIELDS_BLOCK - 1, cli.FIELDS_BLOCK + 1,
+                                      4 * cli._TABLE_ROWS + 1])
+    @pytest.mark.parametrize("make", [_radial_columns, _signed_columns],
+                             ids=["radial", "signed-zeros-and-nans"])
+    def test_tabled_writer_bytes(self, tmp_path, rows, make):
+        columns = make(rows, np.random.default_rng(rows))
+        ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
+        cli._write_fields_csv(ours, *columns)
+        _row_loop_write_fields_csv(theirs, *columns)
+        assert ours.read_bytes() == theirs.read_bytes()
+
+    def test_round_trip_memory_on_the_disk_at_257(self, tmp_path):
+        grid = pl.build_grid(pl.disk(1.0), 257)
+        rng = np.random.default_rng(11)
+        columns = (grid.node_x, grid.node_y, rng.normal(size=grid.n), rng.normal(size=grid.n),
+                   rng.choice([1.0, 2.0, 1.5], grid.n))
+        path = tmp_path / "fields.csv"
+        peaks = []
+        tracemalloc.start()
+        try:
+            for call in (lambda: cli._write_fields_csv(path, *columns),
+                         lambda: cli._load_fields_csv(path, grid)):
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        assert max(peaks) <= 5e6, peaks
 
 
 def _solve_parser():
