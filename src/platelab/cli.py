@@ -6,9 +6,10 @@ with header ``x,y,u,v,rho`` and 17-significant-digit floats (bit-exact
 round trip), and for 2-D solves optional 8-bit PGM images of u and rho
 with the gray scale recorded in the report.
 
-Exit codes: 0 converged / all checks pass, 1 usage or input error,
-2 non-convergence or failed checks; a check that cannot be taken on the
-fields fails, and the remaining checks still run.
+Exit codes: 0 converged / all checks pass, 1 usage or input error (a
+file that cannot be opened included), 2 non-convergence or failed
+checks; a check that cannot be taken on the fields fails, and the
+remaining checks still run.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import inspect
-import itertools
 import json
 import math
 import sys
@@ -36,9 +36,10 @@ MONOTONICITY_TOL = 1e-10
 MOVING_PLANE_TOL = 1e-8
 RIGIDITY_CV_MAX = 0.01
 CONVERGED = ("theta-converged", "rho-fixed")
-INPUT_ERRORS = (GeometryError, OptimizeError, RearrangeError)  # bad input values
+# bad input values, and input or output files that cannot be opened
+INPUT_ERRORS = (GeometryError, OptimizeError, RearrangeError, OSError)
 FIELD_COLUMNS = ("x", "y", "u", "v", "rho")
-FIELDS_BLOCK = 4096  # rows formatted or parsed at a time
+FIELDS_BLOCK = 4096  # rows formatted at a time
 _TABLE_ROWS = 4  # a column with at most one distinct value per this many rows is tabled
 # every byte the writer puts below the header: the digits, the signs, the
 # point, the exponent, nan and inf, the comma and LF
@@ -294,45 +295,30 @@ def _read_own_fields_csv(path, grid):
 
 
 def _parse_fields_csv(path, grid):
-    """The rows of a fields CSV on ``grid``. Rows are parsed
-    ``FIELDS_BLOCK`` at a time; a block that fails is rescanned row by row
-    to name its first bad row."""
+    """The rows of a fields CSV on ``grid``, read line by line, each cell
+    by ``float``; the first bad row is named. A byte that is not UTF-8
+    fails ``float`` on its own row."""
     data = np.empty((grid.n, len(FIELD_COLUMNS)))
-    with open(path) as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         if fh.readline().rstrip("\n") != ",".join(FIELD_COLUMNS):
             raise CliUsageError("error: %s row 1: expected header %s"
                                 % (path, ",".join(FIELD_COLUMNS)))
         rows = 0
-        while lines := list(itertools.islice(fh, FIELDS_BLOCK)):
+        for rows, line in enumerate(fh, 1):
+            cells = line.split(",")  # a line's end stays in its last cell, which float() allows
+            if len(cells) != len(FIELD_COLUMNS):
+                raise CliUsageError("error: %s row %d: expected 5 columns" % (path, rows + 1))
             try:
-                if any(line.count(",") != len(FIELD_COLUMNS) - 1 for line in lines):
-                    raise ValueError
-                # a line's end stays in its last cell, which float() allows
-                block = np.array(",".join(lines).split(","), dtype=float)
+                row = [float(c) for c in cells]
             except ValueError:
-                k, what = _first_bad_row(lines)
-                raise CliUsageError("error: %s row %d: %s" % (path, rows + 2 + k, what))
-            if rows + len(lines) <= grid.n:
-                data[rows : rows + len(lines)] = block.reshape(len(lines), -1)
-            rows += len(lines)
+                raise CliUsageError("error: %s row %d: malformed float" % (path, rows + 1))
+            if rows <= grid.n:
+                data[rows - 1] = row
     if rows != grid.n:
         raise CliUsageError(
             "error: %s has %d rows but the grid has %d interior nodes" % (path, rows, grid.n)
         )
     return data
-
-
-def _first_bad_row(lines):
-    """Position and fault of the first of ``lines`` that is not one float
-    per column."""
-    for k, line in enumerate(lines):
-        cells = line.split(",")
-        if len(cells) != len(FIELD_COLUMNS):
-            return k, "expected 5 columns"
-        try:
-            [float(c) for c in cells]
-        except ValueError:
-            return k, "malformed float"
 
 
 def _run_verify(args):
@@ -506,7 +492,7 @@ def main(argv=None):
     except INPUT_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except Exception as exc:  # solver/IO failures: report, non-zero exit
+    except Exception as exc:  # solver failures: report, non-zero exit
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -100,6 +100,15 @@ class TestSolve:
         rep = json.loads(report.read_text())
         assert abs(rep["theta"] - 389.6364) / 389.6364 < 0.01
 
+    def test_out_into_a_missing_directory_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "report.json"
+        rc = run(["solve", "--domain", "square", "--h", "1", "--H", "2", "--mass", "1.2",
+                  "--grid", "17", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.count("\n") == 1 and str(out) in captured.err
+        assert captured.out == ""
+
     def test_missing_mass_names_flag(self, capsys):
         rc = run(["solve", "--domain", "square", "--h", "1", "--H", "1"])
         assert rc == 1
@@ -525,6 +534,36 @@ class TestVerify:
         assert outputs[0] == outputs[1]
         assert outputs[0][0] == 0
 
+    # a byte that is not UTF-8 blamed the report: "unusable report (UnicodeDecodeError ...)"
+    @pytest.mark.parametrize("line, message", [
+        (9, "row 10: malformed float"),
+        (0, "row 1: expected header x,y,u,v,rho"),
+    ], ids=["row", "header"])
+    def test_non_utf8_byte_names_the_fields_row(self, disk_solve, tmp_path, line, message,
+                                                capsys):
+        d, report, fields = disk_solve
+        lines = fields.read_bytes().split(b"\n")
+        lines[line] = lines[line][:3] + b"\xff" + lines[line][3:]
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\n".join(lines))
+        rc = run(["verify", "--report", str(report), "--fields", str(bad)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == "error: %s %s\n" % (bad, message)
+        assert captured.out == ""
+
+    # a file that cannot be opened exited 2, the code of a failed check
+    @pytest.mark.parametrize("flag", ["--report", "--fields"])
+    def test_missing_input_file_exits_1(self, disk_solve, tmp_path, flag, capsys):
+        d, report, fields = disk_solve
+        paths = {"--report": str(report), "--fields": str(fields)}
+        paths[flag] = missing = str(tmp_path / "missing")
+        rc = run(["verify"] + [arg for item in paths.items() for arg in item])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.count("\n") == 1 and missing in captured.err
+        assert captured.out == ""
+
 
 # References: the row-loop writer and the csv.reader loader, verbatim.
 def _fmt(v):
@@ -589,7 +628,8 @@ def _signed_columns(rows, rng):
 
 
 class TestFieldsFiles:
-    """The block writer and reader against the row loops they replaced."""
+    """The block writer and the two-path reader against the row-loop writer
+    and the csv.reader loader they replaced."""
 
     @pytest.mark.parametrize("rows", [0, 1, cli.FIELDS_BLOCK - 1, cli.FIELDS_BLOCK,
                                       2 * cli.FIELDS_BLOCK + 3])
@@ -737,12 +777,15 @@ class TestFieldsFiles:
         rng = np.random.default_rng(11)
         columns = (grid.node_x, grid.node_y, rng.normal(size=grid.n), rng.normal(size=grid.n),
                    rng.choice([1.0, 2.0, 1.5], grid.n))
-        path = tmp_path / "fields.csv"
+        path, crlf = tmp_path / "fields.csv", tmp_path / "crlf.csv"
+        cli._write_fields_csv(crlf, *columns)
+        crlf.write_bytes(crlf.read_bytes().replace(b"\n", b"\r\n"))  # read by the row loop
         peaks = []
         tracemalloc.start()
         try:
             for call in (lambda: cli._write_fields_csv(path, *columns),
-                         lambda: cli._load_fields_csv(path, grid)):
+                         lambda: cli._load_fields_csv(path, grid),
+                         lambda: cli._load_fields_csv(crlf, grid)):
                 before = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
                 call()
@@ -824,7 +867,7 @@ class TestDomainFlags:
         report = tmp_path / "report.json"
         report.write_text(json.dumps({"domain": domain, "grid": 33, "h": 1.0, "H": 2.0,
                                       "mass": 4.0, "theta": 1.0, "t": 1.0}))
-        # no fields file: a domain that passed would fail reading it, exit 2
+        # no fields file: a domain that passed would fail opening it, exit 1 naming none.csv
         return run(["verify", "--report", str(report), "--fields", str(tmp_path / "none.csv")])
 
     @pytest.mark.parametrize("case, kind, params, message", BAD_PARAMS,
@@ -843,7 +886,7 @@ class TestDomainFlags:
             "error: center must be a finite (x, y) pair, got %r\n" % (read,))
 
     def test_verify_takes_a_good_domain_to_the_fields(self, tmp_path, capsys):
-        assert self._verify(tmp_path, {"kind": "disk", "params": [1.0], "center": [0, 0]}) == 2
+        assert self._verify(tmp_path, {"kind": "disk", "params": [1.0], "center": [0, 0]}) == 1
         assert "none.csv" in capsys.readouterr().err
 
 

@@ -72,8 +72,9 @@ RETIRED = {
     "platelab.poisson": ["apply_laplacian"],
     "platelab.rearrange": ["mass"],
     # copies of geometry's shape table: the CLI and the radial solver read it;
-    # FIELD_ROW: the fields writer builds each block's row format from its columns
-    "platelab.cli": ["_DOMAIN_FLAGS", "FIELD_ROW"],
+    # FIELD_ROW: the fields writer builds each block's row format from its columns;
+    # _first_bad_row: the fields row loop names the first bad row as it reads it
+    "platelab.cli": ["_DOMAIN_FLAGS", "FIELD_ROW", "_first_bad_row"],
     # _bathtub_radial: both paths run rearrange's one bathtub;
     # _principal_pair_radial: both paths run eigensolver's one eigen-iteration;
     # _bathtub, _check_density, _uniform: the driver runs the radial path's
