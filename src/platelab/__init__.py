@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from . import diagnostics, geometry, radial
-from .eigensolver import EigenResult, principal_pair, rayleigh_quotient
+from .eigensolver import EigenResult, principal_pair
 from .fields import ScalarField
 from .geometry import (
     DomainSpec,
@@ -51,7 +51,6 @@ __all__ = [
     "principal_pair",
     "radial",
     "radial_optimize",
-    "rayleigh_quotient",
     "rectangle",
     "solve_dirichlet",
     "solve_navier",

@@ -6,10 +6,15 @@ with header ``x,y,u,v,rho`` and 17-significant-digit floats (bit-exact
 round trip), and for 2-D solves optional 8-bit PGM images of u and rho
 with the gray scale recorded in the report.
 
+``sweep-annulus`` writes one CSV row per inner radius: ``inner_radius,
+theta_2d, theta_radial, rotation_asymmetry, termination`` (the 2-D
+solve's). No column compares the two thetas: they come from two
+discretizations, so the radial one was the larger on every row.
+
 Exit codes: 0 converged / all checks pass, 1 usage or input error (a
-file that cannot be opened included), 2 non-convergence or failed
-checks; a check that cannot be taken on the fields fails, and the
-remaining checks still run.
+file that cannot be opened included), 2 non-convergence (of either
+solve of a sweep row) or failed checks; a check that cannot be taken
+on the fields fails, and the remaining checks still run.
 """
 
 from __future__ import annotations
@@ -45,8 +50,7 @@ _TABLE_ROWS = 4  # a column with at most one distinct value per this many rows i
 # point, the exponent, nan and inf, the comma and LF
 _WRITER_BYTES = b"0123456789+-.enaif,\n"
 RADIAL_CELLS = inspect.signature(radial_optimize).parameters["n_r"].default
-SWEEP_COLUMNS = ("inner_radius", "theta_2d", "theta_radial", "rotation_asymmetry",
-                 "beats_radial", "termination")
+SWEEP_COLUMNS = ("inner_radius", "theta_2d", "theta_radial", "rotation_asymmetry", "termination")
 
 
 class CliUsageError(Exception):
@@ -447,13 +451,14 @@ def _run_sweep(args):
     rows = [_sweep_row(args, idx, *job) for idx, job in enumerate(jobs)]
     with open(args.out, "w", newline="\n") as fh:
         fh.write(",".join(SWEEP_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(row[c] for c in SWEEP_COLUMNS) + "\n")
-    return 0 if all(row["termination"] in CONVERGED for row in rows) else 2
+        for row, _ in rows:
+            fh.write(",".join(row) + "\n")
+    return 0 if all(converged for _, converged in rows) else 2
 
 
 def _sweep_row(args, idx, a, spec, mass_val):
-    """One sweep row's CSV values; its pair, and with it its grid and
+    """One sweep row's CSV values, in ``SWEEP_COLUMNS`` order, and whether
+    both of its solves converged; its pair, and with it its grid and
     factorization, is released when the row returns, before the next
     row's grid is built."""
     seed = int(np.random.SeedSequence((args.seed, idx)).generate_state(1)[0])
@@ -467,10 +472,9 @@ def _sweep_row(args, idx, a, spec, mass_val):
         _fmt(pair.theta),
         _fmt(radial_res.theta),
         _fmt(diagnostics.rotation_asymmetry(pair)),
-        str(pair.theta < radial_res.theta),
         rep.termination,
     )
-    return dict(zip(SWEEP_COLUMNS, values))
+    return values, rep.termination in CONVERGED and radial_res.termination in CONVERGED
 
 
 _COMMANDS = {"solve": _run_solve, "verify": _run_verify, "sweep-annulus": _run_sweep}

@@ -58,7 +58,7 @@ import numpy as np
 from .fields import ScalarField
 from .geometry import _integer, _is_real
 from .plate import solve_navier
-from .poisson import GridMismatchError, _check_grid
+from .poisson import _check_grid
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 10000
@@ -93,13 +93,6 @@ class EigenResult:
     v: ScalarField
     iterations: int
     theta_history: tuple
-
-
-def rayleigh_quotient(u, v, rho):
-    """Discrete quotient ``sum(v^2) / sum(rho u^2)`` (node sums times d^2)."""
-    if u.grid.tag != v.grid.tag or u.grid.tag != rho.grid.tag:
-        raise GridMismatchError("fields and density live on different grids")
-    return _quotient(u.values, v.values, rho.values, u.grid)
 
 
 def _quotient(u, v, rho, grid):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .eigensolver import principal_pair, rayleigh_quotient
+from .eigensolver import _quotient, principal_pair
 from .fields import ScalarField
 from .geometry import _integer, _is_real, build_grid
 from .poisson import assemble_laplacian
@@ -113,7 +113,8 @@ def optimize(spec, nodes_per_side, h, H, M, opts=OptimizeOptions()):
     thetas = []
     for rho0 in starts:
         rho, u, v, t, report = _alternate(rho0, eigensolve, opts)
-        pair = OptimalPair(u=u, v=v, rho=rho, theta=rayleigh_quotient(u, v, rho), t=t)
+        theta = _quotient(u.values, v.values, rho.values, rho.grid)
+        pair = OptimalPair(u=u, v=v, rho=rho, theta=theta, t=t)
         thetas.append(pair.theta)
         if best is None or pair.theta < best[0].theta:
             best = (pair, report)

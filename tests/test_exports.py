@@ -35,7 +35,6 @@ PUBLIC = {
         "principal_pair",
         "radial",
         "radial_optimize",
-        "rayleigh_quotient",
         "rectangle",
         "solve_dirichlet",
         "solve_navier",
@@ -61,8 +60,9 @@ PUBLIC = {
 }
 
 RETIRED = {
+    # rayleigh_quotient: optimize scores its pair with the eigen-iteration's own quotient
     "platelab": ["apply_laplacian", "constant_field", "field_from_function", "mass",
-                 "reflect_values", "reflection_caps"],
+                 "rayleigh_quotient", "reflect_values", "reflection_caps"],
     # product_check: moving_plane_profile reads the product inequality off its own caps
     "platelab.diagnostics": ["cap_deficit", "plane_window", "product_check",
                              "ProductCheckResult", "_cap_deficits"],
@@ -82,8 +82,9 @@ RETIRED = {
     # RadialError: an input fault raises its owner's GeometryError or RearrangeError
     "platelab.radial": ["_RADII", "_bathtub_radial", "_principal_pair_radial", "_bathtub",
                         "_check_density", "_uniform", "RadialError"],
-    # _scaled: rayleigh_quotient and the 2-D eigensolve read one lattice quotient
-    "platelab.eigensolver": ["_scaled"],
+    # _scaled: both paths' eigensolves and optimize read one quotient, _quotient;
+    # rayleigh_quotient: optimize calls _quotient on its pair's node arrays
+    "platelab.eigensolver": ["_scaled", "rayleigh_quotient"],
 }
 
 

@@ -31,7 +31,7 @@ import pytest
 from scipy.linalg import solve_banded
 
 import platelab as pl
-from platelab.eigensolver import DEFAULT_MAX_ITER, EigenError, principal_pair, rayleigh_quotient
+from platelab.eigensolver import DEFAULT_MAX_ITER, EigenError, _quotient, principal_pair
 from platelab.fields import ScalarField
 from platelab.geometry import DomainSpec, reflect_cap
 from platelab.optimizer import OptimalPair, OptimizeOptions, SolveReport
@@ -164,7 +164,7 @@ def _alternate_loop(op, rho0, h, H, M, opts):
             termination = "theta-converged"
             break
 
-    theta = rayleigh_quotient(eig.u, eig.v, rho)
+    theta = _quotient(eig.u.values, eig.v.values, rho.values, rho.grid)
     pair = OptimalPair(u=eig.u, v=eig.v, rho=rho, theta=theta, t=thr.t)
     report = SolveReport(
         theta_history=tuple(theta_history),
