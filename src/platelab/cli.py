@@ -7,14 +7,17 @@ round trip), and for 2-D solves optional 8-bit PGM images of u and rho
 with the gray scale recorded in the report.
 
 ``sweep-annulus`` writes one CSV row per inner radius: ``inner_radius,
-theta_2d, theta_radial, rotation_asymmetry, termination`` (the 2-D
-solve's). No column compares the two thetas: they come from two
-discretizations, so the radial one was the larger on every row.
+theta_2d, theta_radial, rotation_asymmetry, termination,
+termination_radial``, the last two the 2-D and the radial solve's. No
+column compares the two thetas: they come from two discretizations, so
+the radial one was the larger on every row.
 
 Exit codes: 0 converged / all checks pass, 1 usage or input error (a
-file that cannot be opened included), 2 non-convergence (of either
-solve of a sweep row) or failed checks; a check that cannot be taken
-on the fields fails, and the remaining checks still run.
+file that cannot be opened included), 2 non-convergence or failed
+checks. A sweep exits 2, after writing every row, unless both
+termination columns of every row read ``rho-fixed`` or
+``theta-converged``. A check that cannot be taken on the fields fails,
+and the remaining checks still run.
 """
 
 from __future__ import annotations
@@ -50,7 +53,8 @@ _TABLE_ROWS = 4  # a column with at most one distinct value per this many rows i
 # point, the exponent, nan and inf, the comma and LF
 _WRITER_BYTES = b"0123456789+-.enaif,\n"
 RADIAL_CELLS = inspect.signature(radial_optimize).parameters["n_r"].default
-SWEEP_COLUMNS = ("inner_radius", "theta_2d", "theta_radial", "rotation_asymmetry", "termination")
+SWEEP_COLUMNS = ("inner_radius", "theta_2d", "theta_radial", "rotation_asymmetry", "termination",
+                 "termination_radial")
 
 
 class CliUsageError(Exception):
@@ -212,13 +216,10 @@ def _run_solve(args):
             spec.kind, spec.params, args.h, args.Hd, args.mass, n_r=args.nr, opts=opts
         )
         grid = args.nr
-        columns = (pair.r, np.zeros_like(pair.r), pair.u, pair.v, pair.rho)
         extra = {}
     else:
         pair, rep = optimize(spec, args.grid, args.h, args.Hd, args.mass, opts=opts)
         grid = args.grid
-        columns = (pair.grid.node_x, pair.grid.node_y,
-                   pair.u.values, pair.v.values, pair.rho.values)
         extra = {"restart_thetas": list(rep.restart_thetas)}
         if args.images:
             extra["images"] = {
@@ -226,7 +227,8 @@ def _run_solve(args):
                 for name, values in (("u", pair.u.values), ("rho", pair.rho.values))
             }
     if args.fields:
-        _write_fields_csv(args.fields, *columns)
+        _write_fields_csv(args.fields, pair.grid.node_x, pair.grid.node_y,
+                          pair.u.values, pair.v.values, pair.rho.values)
 
     report = {
         "domain": spec.to_dict(),
@@ -451,30 +453,30 @@ def _run_sweep(args):
     rows = [_sweep_row(args, idx, *job) for idx, job in enumerate(jobs)]
     with open(args.out, "w", newline="\n") as fh:
         fh.write(",".join(SWEEP_COLUMNS) + "\n")
-        for row, _ in rows:
+        for row in rows:
             fh.write(",".join(row) + "\n")
-    return 0 if all(converged for _, converged in rows) else 2
+    # a row has converged when both of its solves have: its two termination columns
+    return 0 if all(term in CONVERGED for row in rows for term in row[-2:]) else 2
 
 
 def _sweep_row(args, idx, a, spec, mass_val):
-    """One sweep row's CSV values, in ``SWEEP_COLUMNS`` order, and whether
-    both of its solves converged; its pair, and with it its grid and
-    factorization, is released when the row returns, before the next
-    row's grid is built."""
+    """One sweep row's CSV values, in ``SWEEP_COLUMNS`` order; its pair,
+    and with it its grid and factorization, is released when the row
+    returns, before the next row's grid is built."""
     seed = int(np.random.SeedSequence((args.seed, idx)).generate_state(1)[0])
     opts = _options(args, seed)
     pair, rep = optimize(spec, args.grid, args.h, args.Hd, mass_val, opts=opts)
     radial_res = radial_optimize(
         spec.kind, spec.params, args.h, args.Hd, mass_val, n_r=args.nr, opts=opts
     )
-    values = (
+    return (
         _fmt(a),
         _fmt(pair.theta),
         _fmt(radial_res.theta),
         _fmt(diagnostics.rotation_asymmetry(pair)),
         rep.termination,
+        radial_res.termination,
     )
-    return values, rep.termination in CONVERGED and radial_res.termination in CONVERGED
 
 
 _COMMANDS = {"solve": _run_solve, "verify": _run_verify, "sweep-annulus": _run_sweep}

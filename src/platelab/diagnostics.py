@@ -105,7 +105,7 @@ def plane_positions(pair, dim, n_lambda=N_LAMBDAS):
     """
     if _integer(n_lambda, "n_lambda", DiagnosticsError) < MIN_LAMBDAS:
         raise DiagnosticsError("n_lambda must be at least %d" % MIN_LAMBDAS)
-    spec = pair.spec
+    spec = pair.grid.spec
     margin = PLANE_MARGIN * pair.grid.delta
     lo = symmetry_axis(spec, dim) + spec.shape.stop(spec.params) + margin
     hi = spec.bbox()[2 * dim + 1] - margin
@@ -177,7 +177,7 @@ def normal_derivative_stats(pair):
     s = RIGIDITY_STEP * grid.delta
     vals = []
     skipped = 0
-    for pts, nrms in pair.spec.boundary_loops(RIGIDITY_SAMPLES):
+    for pts, nrms in pair.grid.spec.boundary_loops(RIGIDITY_SAMPLES):
         p1 = pts - s * nrms
         p2 = pts - 2.0 * s * nrms
         u1, ok1 = interpolate(grid, pair.u.values, p1, order=1)
@@ -248,7 +248,7 @@ def rotation_asymmetry(pair):
     states give O(1).
     """
     grid = pair.grid
-    cx, cy = pair.spec.center
+    cx, cy = pair.grid.spec.center
     x = grid.node_x - cx
     y = grid.node_y - cy
     worst = 0.0

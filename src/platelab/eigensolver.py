@@ -30,9 +30,10 @@ map (``_arnoldi``), which tests its dominant Ritz pair after every map
 and stops on the map where the pair converges. One counted closure
 applies the map for every power step, every Arnoldi step and the closing
 step that maps the sign-fixed Ritz vector to the returned (u, v);
-``max_iter`` caps that count. This loop, ``_principal``, is the
-eigensolve of both paths, each passing its own map and quotient. The
-pair's eigen-residual ``||theta_l A^-2 rho x - x|| / ||x||`` with
+``DEFAULT_MAX_ITER`` caps that count in every eigensolve. This loop,
+``_principal``, is the eigensolve of both paths, each passing its own
+map and quotient. The pair's eigen-residual
+``||theta_l A^-2 rho x - x|| / ||x||`` with
 ``theta_l = <x, x> / <x, A^-2 rho x>`` must be below ``KRYLOV_RESIDUAL``.
 Where the increments contract fast (disks, squares, thick annuli) the
 switch never fires and the result is the power loop's, bitwise.
@@ -56,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ScalarField
-from .geometry import _integer, _is_real
+from .geometry import _is_real
 from .plate import solve_navier
 from .poisson import _check_grid
 
@@ -104,7 +105,7 @@ def _quotient(u, v, rho, grid):
     return grid._integral(v * v) / den
 
 
-def principal_pair(op, rho, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, u0=None):
+def principal_pair(op, rho, tol=DEFAULT_TOL, u0=None):
     """Principal pair at fixed density: power iteration, then Arnoldi if it crawls.
 
     Starts from the positive constant unless a ``ScalarField`` ``u0`` is
@@ -112,12 +113,11 @@ def principal_pair(op, rho, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, u0=None)
     relative quotient increment falls below ``tol``, or hands the iterate
     to ``_arnoldi`` once the observed contraction predicts more than
     ``KRYLOV_AFTER`` further steps. ``iterations`` counts applications of
-    the two-solve map over both phases, and ``max_iter`` caps every one,
-    the closing application after the Arnoldi loop included.
+    the two-solve map over both phases, and ``DEFAULT_MAX_ITER`` caps
+    every one, the closing application after the Arnoldi loop included.
     """
     if not (_is_real(tol) and 0.0 < tol <= 1e-6):
         raise ValueError("tol must be a real in (0, 1e-6], got %r" % (tol,))
-    max_iter = _integer(max_iter, "max_iter", ValueError)
     grid = rho.grid
 
     _check_grid(op, rho)
@@ -132,17 +132,18 @@ def principal_pair(op, rho, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, u0=None)
 
     theta, iterations, u, v, history = _principal(
         apply, lambda u, v: _quotient(u, v, rho.values, grid),
-        np.ones(grid.n) if u0 is None else u0.values, tol, max_iter)
+        np.ones(grid.n) if u0 is None else u0.values, tol)
     # final normalization: unit weighted norm
     c = np.sqrt(grid._integral(rho.values * u * u))
     return EigenResult(theta=theta, u=ScalarField(grid, u / c), v=ScalarField(grid, v / c),
                        iterations=iterations, theta_history=tuple(history))
 
 
-def _principal(apply, quotient, u, tol, max_iter):
+def _principal(apply, quotient, u, tol):
     """The eigen-iteration of both paths, over node arrays, from the start
     ``u``: ``apply(x)`` gives the two-solve map's ``(A^-1 A^-1 rho x,
-    A^-1 rho x)`` and ``quotient(u, v)`` the path's energy quotient.
+    A^-1 rho x)`` and ``quotient(u, v)`` the path's energy quotient;
+    ``DEFAULT_MAX_ITER``, read at call time, caps the maps applied.
     Returns ``(theta, iterations, u, v, history)``, u and v scaled to
     ``max|u| = 1``."""
     u = u / np.max(np.abs(u))
@@ -154,9 +155,9 @@ def _principal(apply, quotient, u, tol, max_iter):
 
     def counted(x):
         nonlocal calls
-        if calls >= max_iter:
+        if calls >= DEFAULT_MAX_ITER:
             raise fail("no convergence in %d iterations (last theta %.12g)"
-                       % (max_iter, history[-1] if history else math.nan))
+                       % (DEFAULT_MAX_ITER, history[-1] if history else math.nan))
         calls += 1
         return apply(x)
 

@@ -67,10 +67,6 @@ class OptimalPair:
     def grid(self):
         return self.u.grid
 
-    @property
-    def spec(self):
-        return self.u.grid.spec
-
 
 @dataclass(frozen=True)
 class SolveReport:

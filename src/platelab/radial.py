@@ -4,9 +4,10 @@ Shares all but its map with the 2-D code: the driver
 ``optimizer._alternate`` (warm starts, stopping rules, the bathtub step,
 the mass error, report), ``rearrange``'s density rules and the
 eigen-iteration ``eigensolver._principal``, which read the path off its
-``RadialGrid``: ring-area weights and their node sum. Its own numerics
-are the radial reduction ``u'' + u'/r`` (planar case) on a uniform
-radius grid. The operator is second order, but theta converges at first
+``RadialGrid``: ring-area weights and their node sum. Its result is an
+``OptimalPair`` on that grid, whose nodes are ``(r, 0)``. Its own
+numerics are the radial reduction ``u'' + u'/r`` (planar case) on a
+uniform radius grid. The operator is second order, but theta converges at first
 order in the radial spacing: M is laid on the rings' ``discrete_area``,
 which misses the half rings next to the Dirichlet radii (pi (1 - dr/2)^2
 on the unit disk); ``M - h (area - discrete_area)`` is second order
@@ -33,10 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .eigensolver import DEFAULT_MAX_ITER, _principal, _quotient
+from .eigensolver import _principal, _quotient
 from .fields import ScalarField
 from .geometry import DomainSpec, GeometryError, _integer
-from .optimizer import OptimizeOptions, _alternate
+from .optimizer import OptimalPair, OptimizeOptions, _alternate
 from .rearrange import uniform_density
 
 
@@ -54,6 +55,14 @@ class RadialGrid:
         return self.r.shape[0]
 
     @property
+    def node_x(self):
+        return self.r
+
+    @property
+    def node_y(self):
+        return np.zeros(self.n)
+
+    @property
     def discrete_area(self):
         return float(np.sum(self.weights))
 
@@ -63,16 +72,12 @@ class RadialGrid:
 
 
 @dataclass(frozen=True)
-class RadialResult:
-    theta: float
-    r: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    rho: np.ndarray
-    t: float
-    theta_history: tuple
+class RadialResult(OptimalPair):
+    """An ``OptimalPair`` on the ``RadialGrid``, with its run's report fields."""
+
     termination: str
     outer_iterations: int
+    theta_history: tuple
 
 
 def radial_grid(kind, radii, n_r):
@@ -114,7 +119,8 @@ def _radial_operator(grid):
 def radial_optimize(kind, radii, h, H, M, n_r=1024, opts=OptimizeOptions()):
     """Alternating scheme on the radial reduction: one start, from the
     uniform density, reading only ``opts.max_outer``, ``opts.eig_tol`` and
-    ``opts.theta_tol`` (``restarts`` and ``seed`` have no effect)."""
+    ``opts.theta_tol`` (``restarts`` and ``seed`` have no effect); returns
+    a ``RadialResult`` on the ring grid."""
     grid = radial_grid(kind, radii, n_r)
     ab = _radial_operator(grid)
 
@@ -125,17 +131,16 @@ def radial_optimize(kind, radii, h, H, M, n_r=1024, opts=OptimizeOptions()):
 
         theta, iterations, u, v, _ = _principal(
             apply, lambda u, v: _quotient(u, v, rho.values, grid),
-            np.ones(grid.n) if u0 is None else u0.values, opts.eig_tol, DEFAULT_MAX_ITER)
+            np.ones(grid.n) if u0 is None else u0.values, opts.eig_tol)
         return theta, iterations, ScalarField(grid, u), ScalarField(grid, v)
 
     rho, u, v, t, report = _alternate(uniform_density(grid, h, H, M), eigensolve, opts)
-    rho, u, v = rho.values, u.values, v.values
     # unit weighted norm, matching the 2-D convention
-    c = math.sqrt(grid._integral(rho * u * u))
-    u = u / c
-    v = v / c
+    c = math.sqrt(grid._integral(rho.values * u.values * u.values))
+    u = u.values / c
+    v = v.values / c
     return RadialResult(
-        theta=_quotient(u, v, rho, grid), r=grid.r, u=u, v=v, rho=rho,
-        t=t / c, theta_history=report.theta_history, termination=report.termination,
-        outer_iterations=report.outer_iterations,
+        u=ScalarField(grid, u), v=ScalarField(grid, v), rho=rho,
+        theta=_quotient(u, v, rho.values, grid), t=t / c, termination=report.termination,
+        outer_iterations=report.outer_iterations, theta_history=report.theta_history,
     )

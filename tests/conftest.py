@@ -221,7 +221,7 @@ def reflection_caps(spec, dim):
 def plane_window(pair, dim):
     """Reference open interval of plane positions across direction
     ``dim`` used by the moving-plane checks."""
-    caps = reflection_caps(pair.spec, dim)
+    caps = reflection_caps(pair.grid.spec, dim)
     margin = PLANE_MARGIN * pair.grid.delta
     lo = caps.lam1 + margin
     hi = caps.lam0 - margin

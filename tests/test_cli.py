@@ -156,6 +156,33 @@ class TestSolve:
         assert rows[0] == ["x", "y", "u", "v", "rho"]
         assert all(float(r[1]) == 0.0 for r in rows[1:])
 
+    @pytest.mark.parametrize("solver, flags", [
+        ("optimize", ["--domain", "disk", "--grid", "33"]),
+        ("radial_optimize", ["--domain", "disk", "--radial", "--nr", "64"]),
+    ], ids=["2d", "radial"])
+    def test_fields_columns_parse_back_to_the_pair(self, tmp_path, monkeypatch, solver, flags):
+        # both paths write their pair's grid nodes and fields through one call
+        solve, pairs = getattr(cli, solver), []
+
+        def keep(*args, **kwargs):
+            out = solve(*args, **kwargs)
+            pairs.append(out[0] if isinstance(out, tuple) else out)
+            return out
+
+        monkeypatch.setattr(cli, solver, keep)
+        fields = tmp_path / "fields.csv"
+        assert run(["solve", *flags, "--h", "1", "--H", "2", "--mass", "4.6",
+                    "--out", str(tmp_path / "report.json"), "--fields", str(fields)]) == 0
+        [pair] = pairs
+        lines = fields.read_text().splitlines()
+        assert lines[0] == ",".join(FIELD_COLUMNS)
+        parsed = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
+        want = (pair.grid.node_x, pair.grid.node_y, pair.u.values, pair.v.values,
+                pair.rho.values)
+        assert parsed.shape == (pair.grid.n, len(want))
+        for column, values in zip(parsed.T, want):
+            assert column.tobytes() == np.ascontiguousarray(values, dtype=float).tobytes()
+
     @pytest.mark.parametrize("flags", [["--radial", "--nr", "128"], ["--grid", "33"]],
                              ids=["radial", "2d"])
     def test_infinite_upper_bound_exits_1_without_a_report(self, tmp_path, flags, capsys):
@@ -951,7 +978,8 @@ class TestSweep:
         assert run(["sweep-annulus", "--inner-from", "0.5", "--inner-to", "0.5",
                     "--steps", "1", "--grid", "33", "--nr", "64", "--out", str(out)]) == 0
         assert out.read_text().splitlines()[0] == (
-            "inner_radius,theta_2d,theta_radial,rotation_asymmetry,termination")
+            "inner_radius,theta_2d,theta_radial,rotation_asymmetry,termination,"
+            "termination_radial")
 
     @BAD_OPTIONS
     def test_bad_option_exits_1(self, flags, tmp_path, capsys):
@@ -977,8 +1005,8 @@ class TestSweep:
         assert [r["termination"] for r in rows] == ["max-outer"]
 
     def test_unconverged_radial_solve_exits_2(self, tmp_path, monkeypatch):
-        # the termination column is the 2-D solve's; the exit code also reads
-        # the radial solve's, so an unconverged theta_radial is not passed as converged
+        # each solve has its termination column, and the exit code reads both,
+        # so an unconverged theta_radial is not passed as converged
         solve = cli.radial_optimize
         monkeypatch.setattr(cli, "radial_optimize", lambda *args, **kwargs: dataclasses.replace(
             solve(*args, **kwargs), termination="max-outer"))
@@ -988,3 +1016,4 @@ class TestSweep:
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         assert [r["termination"] for r in rows] == ["rho-fixed"]
+        assert [r["termination_radial"] for r in rows] == ["max-outer"]

@@ -27,7 +27,7 @@ from platelab.fields import ScalarField
 from platelab.plate import solve_navier
 from platelab.poisson import GridMismatchError
 from platelab.rearrange import DensityField, optimal_density
-from conftest import BAD_COUNTS, BAD_REALS
+from conftest import BAD_REALS
 from test_golden import OPTIMIZE_IDS, OPTIMIZE_ROWS
 
 J01 = jn_zeros(0, 1)[0]
@@ -161,19 +161,12 @@ class TestPrincipalPair:
         with pytest.raises(GridMismatchError, match="does not match operator grid"):
             principal_pair(pl.assemble_laplacian(g), _uniform(o), u0=ScalarField(g, np.ones(g.n)))
 
-    @pytest.mark.parametrize("case, count", BAD_COUNTS, ids=[case[0] for case in BAD_COUNTS])
-    def test_max_iter_must_be_an_integer(self, case, count):
-        # 64.5 ran 65 applications and reported "no convergence in 64 iterations"
-        g = pl.build_grid(pl.unit_square(), 9)
-        with pytest.raises(ValueError, match=re.escape("max_iter must be an integer, got %r"
-                                                       % (count,))):
-            principal_pair(pl.assemble_laplacian(g), _uniform(g), max_iter=count)
-
-    def test_iteration_cap_raises_with_last_theta(self):
+    def test_iteration_cap_raises_with_last_theta(self, monkeypatch):
         g = pl.build_grid(pl.unit_square(), 9)
         op = pl.assemble_laplacian(g)
+        monkeypatch.setattr(eigensolver, "DEFAULT_MAX_ITER", 1)
         with pytest.raises(EigenError) as err:
-            principal_pair(op, _uniform(g), max_iter=1)
+            principal_pair(op, _uniform(g))
         assert err.value.last_theta is not None
 
 
@@ -358,14 +351,15 @@ class TestKrylovHandOff:
         assert res.theta_history[:-1] == full.theta_history[:-1]  # same power phase
         _assert_accurate(res, op, rho)
 
-    def test_budget_spent_in_the_krylov_phase_raises(self, thin_annulus):
+    def test_budget_spent_in_the_krylov_phase_raises(self, thin_annulus, monkeypatch):
         op, rho = thin_annulus
         full = principal_pair(op, rho, tol=1e-11)
         power = len(full.theta_history) - 1  # maps before the hand-off
         max_iter = (power + full.iterations) // 2
         assert power < max_iter < full.iterations - 1
+        monkeypatch.setattr(eigensolver, "DEFAULT_MAX_ITER", max_iter)
         with pytest.raises(EigenError, match="no convergence in %d iterations" % max_iter) as err:
-            principal_pair(op, rho, tol=1e-11, max_iter=max_iter)
+            principal_pair(op, rho, tol=1e-11)
         assert err.value.iterations == max_iter
         assert err.value.last_theta == full.theta_history[-2]  # the last power step's
         assert math.isfinite(err.value.last_theta)
@@ -404,8 +398,9 @@ class TestKrylovHandOff:
         monkeypatch.setattr(
             eigensolver, "solve_navier", lambda op, f: applied.append(1) or solve_navier(op, f)
         )
+        monkeypatch.setattr(eigensolver, "DEFAULT_MAX_ITER", max_iter)
         with pytest.raises(EigenError) as err:
-            principal_pair(op, rho, tol=1e-11, max_iter=max_iter)
+            principal_pair(op, rho, tol=1e-11)
         assert len(applied) <= max_iter
         assert err.value.iterations == max_iter
         assert err.value.last_theta is not None
@@ -420,9 +415,11 @@ class TestKrylovHandOff:
         mu, vectors = np.linalg.eigh(B @ B)
         assert mu[-2] / mu[-1] == pytest.approx(0.999, rel=1e-6)
 
+        monkeypatch.setattr(eigensolver, "DEFAULT_MAX_ITER", 1000)
+
         def solve(start):
             return _principal(lambda x: (B @ (B @ x), B @ x),
-                              lambda u, v: float(v @ v) / float(u @ u), start, 1e-11, 1000)
+                              lambda u, v: float(v @ v) / float(u @ u), start, 1e-11)
 
         calls = []
         arnoldi = eigensolver._arnoldi
@@ -456,15 +453,16 @@ class TestKrylovHandOff:
         calls = []
         arnoldi = eigensolver._arnoldi
         monkeypatch.setattr(eigensolver, "_arnoldi", lambda m, x: calls.append(1) or arnoldi(m, x))
+        monkeypatch.setattr(eigensolver, "DEFAULT_MAX_ITER", 1000)
         message = "^Krylov eigenvector is not strictly positive$"
         with pytest.raises(EigenError, match=message) as err:
             _principal(lambda x: (M @ x, x.copy()), lambda u, v: float(v @ v) / float(v @ u),
-                       np.ones(n), 1e-11, 1000)
+                       np.ones(n), 1e-11)
         assert calls == [1]
         assert 0 < err.value.iterations < 1000
         assert err.value.last_theta is not None
 
-    def test_non_positive_converged_pair_is_refused(self):
+    def test_non_positive_converged_pair_is_refused(self, monkeypatch):
         # a positive map whose second output, the pair's v, is negative: the
         # quotient converges at once, and the pair is refused
         B = np.diag(np.linspace(0.5, 1.0, 50)) + 1e-3
@@ -473,8 +471,9 @@ class TestKrylovHandOff:
             w = B @ x
             return w, -w
 
+        monkeypatch.setattr(eigensolver, "DEFAULT_MAX_ITER", 1000)
         with pytest.raises(EigenError, match="^converged pair is not strictly positive$") as err:
-            _principal(apply, lambda u, v: float(v @ v) / float(u @ u), np.ones(50), 1e-11, 1000)
+            _principal(apply, lambda u, v: float(v @ v) / float(u @ u), np.ones(50), 1e-11)
         assert err.value.iterations == 2
         assert err.value.last_theta == 1.0
 
@@ -621,10 +620,10 @@ class TestOneCountedMap:
                                              termination, outer, inner):
         solves = []
 
-        def both(op, rho, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, u0=None):
-            got = principal_pair(op, rho, tol, max_iter, u0)
+        def both(op, rho, tol=DEFAULT_TOL, u0=None):
+            got = principal_pair(op, rho, tol, u0)
             if got.iterations == len(got.theta_history):  # power iteration alone
-                want = _outcome(_two_function_pair, op, rho, tol, max_iter, u0)
+                want = _outcome(_two_function_pair, op, rho, tol, DEFAULT_MAX_ITER, u0)
                 assert _outcome(lambda: got) == want
             else:
                 _assert_accurate(got, op, rho)
@@ -653,24 +652,29 @@ class TestOneCountedMap:
         full = principal_pair(op, rho, tol=1e-11, u0=u0)
         power = len(full.theta_history) - 1  # maps before the hand-off
         assert full.iterations == len(applied) > power + 1  # handed off
+
+        def capped(max_iter):
+            monkeypatch.setattr(eigensolver, "DEFAULT_MAX_ITER", max_iter)
+            return _outcome(principal_pair, op, rho, tol=1e-11, u0=u0)
+
         # caps in the power phase and at the switch: as the two-function form
         for max_iter in range(power + 1):
             want = _outcome(_two_function_pair, op, rho, 1e-11, max_iter, u0)
-            assert _outcome(principal_pair, op, rho, tol=1e-11, max_iter=max_iter, u0=u0) == want
+            assert capped(max_iter) == want
         # caps in the Arnoldi loop and on the closing map: the one cap error
         last = full.theta_history[-2]
         for max_iter in range(power + 1, full.iterations):
-            assert _outcome(principal_pair, op, rho, tol=1e-11, max_iter=max_iter, u0=u0) == (
+            assert capped(max_iter) == (
                 EigenError, "no convergence in %d iterations (last theta %.12g)"
                 % (max_iter, last), max_iter, repr(last))
 
         # the cap counts the closing application too
         for max_iter in (full.iterations, full.iterations + 1):
-            assert _outcome(principal_pair, op, rho, tol=1e-11, max_iter=max_iter,
-                            u0=u0) == _outcome(lambda: full)
+            assert capped(max_iter) == _outcome(lambda: full)
+        monkeypatch.setattr(eigensolver, "DEFAULT_MAX_ITER", full.iterations - 1)
         with pytest.raises(EigenError, match="no convergence in %d iterations"
                            % (full.iterations - 1)) as err:
-            principal_pair(op, rho, tol=1e-11, max_iter=full.iterations - 1, u0=u0)
+            principal_pair(op, rho, tol=1e-11, u0=u0)
         assert err.value.iterations == full.iterations - 1
 
 

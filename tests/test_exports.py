@@ -79,9 +79,10 @@ RETIRED = {
     # _principal_pair_radial: both paths run eigensolver's one eigen-iteration;
     # _bathtub, _check_density, _uniform: the driver runs the radial path's
     # bathtub, and its densities are DensityFields;
-    # RadialError: an input fault raises its owner's GeometryError or RearrangeError
+    # RadialError: an input fault raises its owner's GeometryError or RearrangeError;
+    # DEFAULT_MAX_ITER: eigensolver._principal reads its own cap
     "platelab.radial": ["_RADII", "_bathtub_radial", "_principal_pair_radial", "_bathtub",
-                        "_check_density", "_uniform", "RadialError"],
+                        "_check_density", "_uniform", "RadialError", "DEFAULT_MAX_ITER"],
     # _scaled: both paths' eigensolves and optimize read one quotient, _quotient;
     # rayleigh_quotient: optimize calls _quotient on its pair's node arrays
     "platelab.eigensolver": ["_scaled", "rayleigh_quotient"],
@@ -116,6 +117,10 @@ def test_retired_methods_stay_gone():
     assert not hasattr(DomainSpec, "diameter")
     assert not hasattr(DiscreteLaplacian, "as_csr")
     assert not hasattr(pl.Grid, "has_cut")
+    # a pair's domain is its grid's; the radial pair's grid has none
+    assert not hasattr(pl.OptimalPair, "spec")
+    # one map cap for every eigensolve, eigensolver.DEFAULT_MAX_ITER
+    assert "max_iter" not in inspect.signature(pl.principal_pair).parameters
     # an operator is built over a grid, whose memo owns its matrix and LU
     assert list(inspect.signature(DiscreteLaplacian).parameters) == ["grid"]
     op = pl.assemble_laplacian(pl.build_grid(pl.unit_square(), 9))
@@ -133,8 +138,9 @@ RECORD_FIELDS = {
     "platelab.optimizer.SolveReport": ["theta_history", "inner_iterations", "mass_errors",
                                        "termination", "outer_iterations", "wall_time",
                                        "restart_thetas"],
-    "platelab.radial.RadialResult": ["theta", "r", "u", "v", "rho", "t", "theta_history",
-                                     "termination", "outer_iterations"],
+    # an OptimalPair on the ring grid, with the report fields its readers take
+    "platelab.radial.RadialResult": ["u", "v", "rho", "theta", "t", "termination",
+                                     "outer_iterations", "theta_history"],
     "platelab.radial.RadialGrid": ["kind", "r", "dr", "weights"],
     "platelab.rearrange.ThresholdResult": ["rho", "t"],
     "platelab.diagnostics.MovingPlaneReport": ["min_w1", "min_w2", "min_product",

@@ -151,6 +151,14 @@ class TestBuildGrid:
         with pytest.raises(GeometryError):
             pl.build_grid(pl.disk(1.0), 4)
 
+    def test_interior_node_on_the_lattice_edge_is_refused(self, monkeypatch):
+        # a bbox half the disk's lays the lattice's last nodes inside the disk
+        disk = geometry._SHAPES["disk"]
+        monkeypatch.setitem(geometry._SHAPES, "disk", dataclasses.replace(
+            disk, bbox=lambda p, cx, cy: geometry._box(cx, cy, 0.5 * p[0], 0.5 * p[0])))
+        with pytest.raises(GeometryError, match="^interior node touches the lattice edge$"):
+            geometry._build_grid(pl.disk(1.0), 17, "planted")
+
     @pytest.mark.parametrize("size", [33.5, 33.0, np.float64(33.0), True, np.True_, "33", None],
                              ids=["fraction", "whole-float", "numpy-float", "bool",
                                   "numpy-bool", "string", "none"])

@@ -180,8 +180,9 @@ def _alternate_loop(op, rho0, h, H, M, opts):
 
 def _radial_loop(kind, radii, h, H, M, n_r=1024, opts=OptimizeOptions()):
     """Reference: ``radial_optimize`` with its own alternation loop,
-    verbatim but for the eigensolve's iteration count, which it drops, and
-    the bathtub, now the one both paths share."""
+    verbatim but for the eigensolve's iteration count, which it drops, the
+    bathtub, now the one both paths share, and its record, now a pair of
+    fields on the ring grid."""
     grid = radial_grid(kind, radii, n_r)
     area = grid.discrete_area
     try:
@@ -218,15 +219,14 @@ def _radial_loop(kind, radii, h, H, M, n_r=1024, opts=OptimizeOptions()):
     t_level = t_level / c
     theta = float(np.sum(v * v * grid.weights) / np.sum(rho * u * u * grid.weights))
     return RadialResult(
+        u=ScalarField(grid, u),
+        v=ScalarField(grid, v),
+        rho=pl.DensityField(grid, rho, h, H, M),
         theta=theta,
-        r=grid.r,
-        u=u,
-        v=v,
-        rho=rho,
         t=t_level,
-        theta_history=tuple(history),
         termination=termination,
         outer_iterations=len(history),
+        theta_history=tuple(history),
     )
 
 

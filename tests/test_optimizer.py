@@ -88,7 +88,7 @@ class TestOptimize:
         grid = pair.grid
         H = pair.rho.H
         radial = pl.radial_optimize("disk", (1.0,), pair.rho.h, H, pair.rho.M, n_r=1024)
-        r_star = radial.r[radial.rho >= H].max()
+        r_star = radial.grid.r[radial.rho.values >= H].max()
         r = np.hypot(grid.node_x, grid.node_y)
         heavy = pair.rho.values >= H
         assert heavy.any()

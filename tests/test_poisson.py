@@ -4,7 +4,14 @@ import scipy.sparse.linalg as spla
 
 import platelab as pl
 from platelab.fields import ScalarField
-from platelab.poisson import GridMismatchError, SolveError, solve_dirichlet
+from platelab.poisson import (
+    GridMismatchError,
+    SolveError,
+    _assembled,
+    _assert_m_matrix,
+    _diag_positions,
+    solve_dirichlet,
+)
 from conftest import make_strip_grid
 
 
@@ -47,6 +54,69 @@ class TestAssembly:
         assert abs(mat - mat.T).max() > 0.0
         pattern = (mat != 0).astype(int)
         assert abs(pattern - pattern.T).max() == 0
+
+
+class TestMMatrixChecks:
+    """Each structural check of the assembled matrix refuses a small
+    disk grid's matrix with its fault planted."""
+
+    @pytest.fixture
+    def assembled(self):
+        grid = pl.build_grid(pl.disk(1.0), 17)
+        mat = _assembled(grid)
+        pos = _diag_positions(mat.indptr, mat.indices)
+        off = mat.data.copy()
+        off[pos] = 0.0
+        # each row's off-diagonal sum, as the check takes it
+        return grid, mat, pos, -np.add.reduceat(off, mat.indptr[:-1])
+
+    def test_the_assembled_matrix_passes(self, assembled):
+        grid, mat, _, _ = assembled
+        _assert_m_matrix(grid, mat)
+
+    def test_missing_diagonal_entry(self, assembled):
+        grid, mat, pos, _ = assembled
+        mat.data[pos[grid.n // 2]] = 0.0
+        mat.eliminate_zeros()
+        with pytest.raises(ValueError, match="^operator is missing diagonal entries$"):
+            _assert_m_matrix(grid, mat)
+
+    @pytest.mark.parametrize("at", [0.0, 0.5, 1.0], ids=["first", "middle", "last"])
+    def test_positive_off_diagonal_names_its_row(self, assembled, at):
+        grid, mat, pos, _ = assembled
+        row = round(at * (grid.n - 1))
+        entries = np.arange(mat.indptr[row], mat.indptr[row + 1])
+        # its first off-diagonal: past row 0, the first entry the row stores
+        mat.data[entries[entries != pos[row]][0]] = 1.0
+        with pytest.raises(AssertionError, match="^positive off-diagonal in row %d$" % row):
+            _assert_m_matrix(grid, mat)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_non_positive_diagonal(self, assembled, value):
+        grid, mat, pos, _ = assembled
+        mat.data[pos[grid.n // 2]] = value
+        with pytest.raises(AssertionError, match="^non-positive diagonal entry$"):
+            _assert_m_matrix(grid, mat)
+
+    def test_lost_row_dominance(self, assembled):
+        grid, mat, pos, offsum = assembled
+        row = grid.n // 2
+        mat.data[pos[row]] = 0.5 * offsum[row]
+        with pytest.raises(AssertionError, match="^row diagonal dominance violated$"):
+            _assert_m_matrix(grid, mat)
+
+    def test_boundary_adjacent_row_must_dominate_strictly(self, assembled):
+        grid, mat, pos, offsum = assembled
+        adjacent = grid.boundary_adjacent_mask()
+        # an inner row's diagonal may equal its off-diagonal sum
+        inner = int(np.flatnonzero(~adjacent)[0])
+        mat.data[pos[inner]] = offsum[inner]
+        _assert_m_matrix(grid, mat)
+        # a row next to the boundary may not
+        row = int(np.flatnonzero(adjacent)[0])
+        mat.data[pos[row]] = offsum[row]
+        with pytest.raises(AssertionError, match="^boundary-adjacent row not strictly dominant$"):
+            _assert_m_matrix(grid, mat)
 
 
 class TestSolve:

@@ -124,30 +124,30 @@ class TestRadialOptimize:
 
     def test_composite_disk_heavy_core(self):
         res = radial_optimize("disk", (1.0,), 1.0, 2.0, 1.5 * np.pi, n_r=1024)
-        rho = res.rho
+        rho = res.rho.values
         heavy = rho >= 2.0
         light = rho <= 1.0
         frac = (~heavy) & (~light)
         assert frac.sum() <= 1
         assert heavy.any() and light.any()
         # contiguity: all heavy radii below all light radii
-        assert res.r[heavy].max() <= res.r[light].min()
-        assert (np.diff(res.u) < 0.0).all()
+        assert res.grid.r[heavy].max() <= res.grid.r[light].min()
+        assert (np.diff(res.u.values) < 0.0).all()
         assert res.t > 0
 
     def test_mass_exact_and_descending(self):
         grid = radial_grid("disk", (1.0,), 512)
         M = 1.4 * np.pi
         res = radial_optimize("disk", (1.0,), 1.0, 2.0, M, n_r=512)
-        assert abs(float(np.sum(res.rho * grid.weights)) - M) <= 1e-12 * M
+        assert abs(float(np.sum(res.rho.values * grid.weights)) - M) <= 1e-12 * M
         hist = np.asarray(res.theta_history)
         assert np.all(np.diff(hist) <= 1e-10 * hist[1:])
 
     def test_annulus_positive_unimodal(self):
         area = np.pi * (1 - 0.25)
         res = radial_optimize("annulus", (0.5, 1.0), 1.0, 2.0, 1.5 * area, n_r=512)
-        assert (res.u > 0).all()
-        d = np.diff(res.u)
+        assert (res.u.values > 0).all()
+        d = np.diff(res.u.values)
         sign_changes = int(np.sum(np.diff(np.sign(d)) != 0))
         assert sign_changes <= 1  # single interior maximum
 
@@ -159,7 +159,7 @@ class TestRadialOptimize:
     def test_nonconvergence_is_a_solver_error(self, monkeypatch):
         # a solver failure, not an input error, with the 2-D path's count
         # and last theta
-        monkeypatch.setattr(radial, "DEFAULT_MAX_ITER", 2)
+        monkeypatch.setattr(eigensolver, "DEFAULT_MAX_ITER", 2)
         message = r"no convergence in 2 iterations \(last theta "
         with pytest.raises(EigenError, match=message) as err:
             radial_optimize("disk", (1.0,), 1.0, 2.0, 4.5, n_r=128)
@@ -167,7 +167,7 @@ class TestRadialOptimize:
         assert err.value.last_theta is not None
 
     def test_nonconvergence_exits_2_from_the_cli(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setattr(radial, "DEFAULT_MAX_ITER", 2)
+        monkeypatch.setattr(eigensolver, "DEFAULT_MAX_ITER", 2)
         rc = main(["solve", "--domain", "disk", "--radial", "--nr", "64", "--h", "1", "--H", "2",
                    "--mass", "4.5", "--out", str(tmp_path / "report.json")])
         assert rc == 2
@@ -290,9 +290,9 @@ class TestSharedInputRules:
         # path failed the density's mass check
         ints, floats = (kind(1), kind(2), kind(4)), (1.0, 2.0, 4.0)
         got, want = (radial_optimize("disk", (1.0,), *hHM, n_r=256) for hHM in (ints, floats))
-        assert got.rho.dtype == np.float64
+        assert got.rho.values.dtype == np.float64
         assert repr(got.theta) == repr(want.theta)
-        assert got.rho.tobytes() == want.rho.tobytes()
+        assert got.rho.values.tobytes() == want.rho.values.tobytes()
         got, want = (pl.optimize(pl.disk(1.0), 33, *hHM) for hHM in (ints, floats))
         assert repr(got[0].theta) == repr(want[0].theta)
         assert got[0].rho.values.tobytes() == want[0].rho.values.tobytes()
