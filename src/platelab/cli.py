@@ -106,7 +106,6 @@ def _add_solver_flags(ps, grid, seed):
     opts = OptimizeOptions()
     ps.add_argument("--grid", type=int, default=grid, help="nodes per side (boundary inclusive)")
     ps.add_argument("--nr", type=int, default=RADIAL_CELLS, help="radial grid cells")
-    ps.add_argument("--tol", type=float, default=opts.eig_tol, help="eigensolver tolerance")
     ps.add_argument("--theta-tol", type=float, default=opts.theta_tol)
     ps.add_argument("--max-outer", type=int, default=opts.max_outer)
     ps.add_argument("--restarts", type=int, default=opts.restarts)
@@ -117,7 +116,6 @@ def _options(args, seed):
     return OptimizeOptions(
         theta_tol=args.theta_tol,
         max_outer=args.max_outer,
-        eig_tol=args.tol,
         restarts=args.restarts,
         seed=seed,
     )

@@ -21,10 +21,11 @@ exactly scale-covariant: doubling rho halves every reported quotient
 bitwise. The converged pair is rescaled at the end so the weighted norm
 ``sum(rho u^2) d^2`` equals one.
 
-Power iteration contracts by about theta_1/theta_2 per step, which nears
-1 on thin annuli. After each step the loop reads the contraction
-``q = d_k / d_{k-1}`` of its quotient increments; once
-``log(tol theta / d_k) / log q`` predicts more than ``KRYLOV_AFTER``
+Power iteration stops once the quotient increment d_k is at most
+``DEFAULT_TOL`` theta. It contracts by about theta_1/theta_2 per step,
+which nears 1 on thin annuli. After each step the loop reads the
+contraction ``q = d_k / d_{k-1}`` of its quotient increments; once
+``log(DEFAULT_TOL theta / d_k) / log q`` predicts more than ``KRYLOV_AFTER``
 further steps, it hands its iterate to a short Arnoldi loop on the same
 map (``_arnoldi``), which tests its dominant Ritz pair after every map
 and stops on the map where the pair converges. One counted closure
@@ -32,7 +33,7 @@ applies the map for every power step, every Arnoldi step and the closing
 step that maps the sign-fixed Ritz vector to the returned (u, v);
 ``DEFAULT_MAX_ITER`` caps that count in every eigensolve. This loop,
 ``_principal``, is the eigensolve of both paths, each passing its own
-map and quotient. The pair's eigen-residual
+map and its density, which gives the quotient. The pair's eigen-residual
 ``||theta_l A^-2 rho x - x|| / ||x||`` with
 ``theta_l = <x, x> / <x, A^-2 rho x>`` must be below ``KRYLOV_RESIDUAL``.
 Where the increments contract fast (disks, squares, thick annuli) the
@@ -57,11 +58,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ScalarField
-from .geometry import _is_real
 from .plate import solve_navier
 from .poisson import _check_grid
 
-DEFAULT_TOL = 1e-9
+DEFAULT_TOL = 1e-11
 DEFAULT_MAX_ITER = 10000
 # Hand-off to the Arnoldi loop: more predicted power steps than
 # KRYLOV_AFTER switch to it. Its basis holds at most KRYLOV_NCV vectors
@@ -105,19 +105,18 @@ def _quotient(u, v, rho, grid):
     return grid._integral(v * v) / den
 
 
-def principal_pair(op, rho, tol=DEFAULT_TOL, u0=None):
+def principal_pair(op, rho, u0=None):
     """Principal pair at fixed density: power iteration, then Arnoldi if it crawls.
 
     Starts from the positive constant unless a ``ScalarField`` ``u0`` is
     given (warm starts from a previous outer iterate). Stops when the
-    relative quotient increment falls below ``tol``, or hands the iterate
-    to ``_arnoldi`` once the observed contraction predicts more than
-    ``KRYLOV_AFTER`` further steps. ``iterations`` counts applications of
-    the two-solve map over both phases, and ``DEFAULT_MAX_ITER`` caps
-    every one, the closing application after the Arnoldi loop included.
+    relative quotient increment falls below ``DEFAULT_TOL``, or hands the
+    iterate to ``_arnoldi`` once the observed contraction predicts more
+    than ``KRYLOV_AFTER`` further steps. ``iterations`` counts
+    applications of the two-solve map over both phases, and
+    ``DEFAULT_MAX_ITER`` caps every one, the closing application after the
+    Arnoldi loop included.
     """
-    if not (_is_real(tol) and 0.0 < tol <= 1e-6):
-        raise ValueError("tol must be a real in (0, 1e-6], got %r" % (tol,))
     grid = rho.grid
 
     _check_grid(op, rho)
@@ -130,22 +129,22 @@ def principal_pair(op, rho, tol=DEFAULT_TOL, u0=None):
         u_field, v_field = solve_navier(op, ScalarField(grid, rho.values * x))
         return u_field.values, v_field.values
 
-    theta, iterations, u, v, history = _principal(
-        apply, lambda u, v: _quotient(u, v, rho.values, grid),
-        np.ones(grid.n) if u0 is None else u0.values, tol)
+    theta, iterations, u, v, history = _principal(apply, rho, u0)
     # final normalization: unit weighted norm
     c = np.sqrt(grid._integral(rho.values * u * u))
     return EigenResult(theta=theta, u=ScalarField(grid, u / c), v=ScalarField(grid, v / c),
                        iterations=iterations, theta_history=tuple(history))
 
 
-def _principal(apply, quotient, u, tol):
-    """The eigen-iteration of both paths, over node arrays, from the start
-    ``u``: ``apply(x)`` gives the two-solve map's ``(A^-1 A^-1 rho x,
-    A^-1 rho x)`` and ``quotient(u, v)`` the path's energy quotient;
-    ``DEFAULT_MAX_ITER``, read at call time, caps the maps applied.
-    Returns ``(theta, iterations, u, v, history)``, u and v scaled to
-    ``max|u| = 1``."""
+def _principal(apply, rho, u0):
+    """The eigen-iteration of both paths, over node arrays, from ``u0``'s
+    values or, if ``u0`` is None, the ones: ``apply(x)`` gives the
+    two-solve map's ``(A^-1 A^-1 rho x, A^-1 rho x)``, and the density
+    ``rho`` (its values and its grid) the energy quotient.
+    ``DEFAULT_TOL`` and ``DEFAULT_MAX_ITER``, read at call time, set the
+    stopping tolerance and cap the maps applied. Returns ``(theta,
+    iterations, u, v, history)``, u and v scaled to ``max|u| = 1``."""
+    u = np.ones(rho.grid.n) if u0 is None else u0.values
     u = u / np.max(np.abs(u))
     history = []
     calls = 0
@@ -164,7 +163,7 @@ def _principal(apply, quotient, u, tol):
     def scaled(w, v):
         scale = np.max(np.abs(w))
         u, v = w / scale, v / scale
-        history.append(quotient(u, v))
+        history.append(_quotient(u, v, rho.values, rho.grid))
         return u, v, history[-1]
 
     theta_prev = step_prev = None
@@ -175,9 +174,9 @@ def _principal(apply, quotient, u, tol):
         u, v, theta = scaled(w, v)
         if theta_prev is not None:
             step = abs(theta - theta_prev)
-            if step <= tol * theta:
+            if step <= DEFAULT_TOL * theta:
                 break
-            if _crawls(step, step_prev, tol * theta):
+            if _crawls(step, step_prev, DEFAULT_TOL * theta):
                 x = _arnoldi(lambda y: counted(y)[0], u)
                 if np.sum(x) < 0.0:
                     x = -x

@@ -16,6 +16,7 @@ densities and keeps the best quotient found.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -36,7 +37,6 @@ class OptimizeError(ValueError):
 class OptimizeOptions:
     theta_tol: float = 1e-8
     max_outer: int = 200
-    eig_tol: float = 1e-11
     restarts: int = 1
     seed: int | None = None
 
@@ -47,10 +47,8 @@ class OptimizeOptions:
                 raise OptimizeError("%s must be at least 1, got %r" % (name, count))
         if self.seed is not None and _integer(self.seed, "seed", OptimizeError) < 0:
             raise OptimizeError("seed must be non-negative, got %r" % (self.seed,))
-        if not (_is_real(self.theta_tol) and self.theta_tol > 0.0):
+        if not (_is_real(self.theta_tol) and 0.0 < self.theta_tol < math.inf):
             raise OptimizeError("theta_tol must be a positive real, got %r" % (self.theta_tol,))
-        if not (_is_real(self.eig_tol) and 0.0 < self.eig_tol <= 1e-6):
-            raise OptimizeError("eig_tol must be a real in (0, 1e-6], got %r" % (self.eig_tol,))
 
 
 @dataclass(frozen=True)
@@ -95,7 +93,7 @@ def optimize(spec, nodes_per_side, h, H, M, opts=OptimizeOptions()):
     op = assemble_laplacian(grid)
 
     def eigensolve(rho, u0):
-        eig = principal_pair(op, rho, tol=opts.eig_tol, u0=u0)
+        eig = principal_pair(op, rho, u0=u0)
         return eig.theta, eig.iterations, eig.u, eig.v
 
     starts = [uniform_density(grid, h, H, M)]

@@ -118,7 +118,7 @@ def _radial_operator(grid):
 
 def radial_optimize(kind, radii, h, H, M, n_r=1024, opts=OptimizeOptions()):
     """Alternating scheme on the radial reduction: one start, from the
-    uniform density, reading only ``opts.max_outer``, ``opts.eig_tol`` and
+    uniform density, reading only ``opts.max_outer`` and
     ``opts.theta_tol`` (``restarts`` and ``seed`` have no effect); returns
     a ``RadialResult`` on the ring grid."""
     grid = radial_grid(kind, radii, n_r)
@@ -129,9 +129,7 @@ def radial_optimize(kind, radii, h, H, M, n_r=1024, opts=OptimizeOptions()):
             v = solve_banded((1, 1), ab, rho.values * x)
             return solve_banded((1, 1), ab, v), v
 
-        theta, iterations, u, v, _ = _principal(
-            apply, lambda u, v: _quotient(u, v, rho.values, grid),
-            np.ones(grid.n) if u0 is None else u0.values, opts.eig_tol)
+        theta, iterations, u, v, _ = _principal(apply, rho, u0)
         return theta, iterations, ScalarField(grid, u), ScalarField(grid, v)
 
     rho, u, v, t, report = _alternate(uniform_density(grid, h, H, M), eigensolve, opts)

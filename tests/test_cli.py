@@ -31,10 +31,9 @@ BAD_OPTIONS = pytest.mark.parametrize("flags", [
     ["--max-outer", "0"],
     ["--restarts", "-2"],
     ["--theta-tol", "-1"],
-    ["--tol", "1e-3"],
-    ["--tol", "-1"],
+    ["--theta-tol", "inf"],  # ended theta-converged after two outer steps
     ["--restarts", "2", "--seed", "-1"],  # exited 2 from numpy's SeedSequence
-], ids=["max-outer-0", "restarts-neg", "theta-tol-neg", "tol-above-1e-6", "tol-neg", "seed-neg"])
+], ids=["max-outer-0", "restarts-neg", "theta-tol-neg", "theta-tol-inf", "seed-neg"])
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
 import math
 import pathlib
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from platelab.fields import ScalarField
 from platelab.plate import solve_navier
 from platelab.poisson import GridMismatchError
 from platelab.rearrange import DensityField, optimal_density
-from conftest import BAD_REALS
 from test_golden import OPTIMIZE_IDS, OPTIMIZE_ROWS
 
 J01 = jn_zeros(0, 1)[0]
@@ -105,13 +105,15 @@ class TestPrincipalPair:
             assert (w.values > 0).all() and (v.values > 0).all()
             u = w.values / np.max(w.values)
 
-    def test_two_random_starts_agree(self):
+    def test_two_random_starts_agree(self, monkeypatch):
+        # at the default 1e-11 the two starts agree to about 6e-8
+        monkeypatch.setattr(eigensolver, "DEFAULT_TOL", 1e-13)
         g = pl.build_grid(pl.disk(1.0), 65)
         op = pl.assemble_laplacian(g)
         rho = _uniform(g)
         rng = np.random.default_rng(0)
-        r1 = principal_pair(op, rho, tol=1e-13, u0=ScalarField(g, rng.uniform(0.5, 1.5, g.n)))
-        r2 = principal_pair(op, rho, tol=1e-13, u0=ScalarField(g, rng.uniform(0.5, 1.5, g.n)))
+        r1 = principal_pair(op, rho, u0=ScalarField(g, rng.uniform(0.5, 1.5, g.n)))
+        r2 = principal_pair(op, rho, u0=ScalarField(g, rng.uniform(0.5, 1.5, g.n)))
         scale = np.max(np.abs(r1.u.values))
         assert np.max(np.abs(r1.u.values - r2.u.values)) <= 1e-8 * scale
 
@@ -121,18 +123,15 @@ class TestPrincipalPair:
         q = _quotient(res.u.values, res.v.values, _uniform(g).values, g)
         assert abs(q - res.theta) <= 1e-9 * res.theta
 
-    def test_tol_validated(self):
-        g = pl.build_grid(pl.unit_square(), 9)
+    def test_tolerance_is_read_at_call_time(self, monkeypatch):
+        # one tolerance for every eigensolve, eigensolver.DEFAULT_TOL
+        g = pl.build_grid(pl.disk(1.0), 33)
         op = pl.assemble_laplacian(g)
-        with pytest.raises(ValueError):
-            principal_pair(op, _uniform(g), tol=1e-3)
-
-    @pytest.mark.parametrize("case, tol", BAD_REALS, ids=[case[0] for case in BAD_REALS])
-    def test_tol_must_be_a_real_number(self, case, tol):
-        g = pl.build_grid(pl.unit_square(), 9)
-        with pytest.raises(ValueError, match=re.escape("tol must be a real in (0, 1e-6], got %r"
-                                                       % (tol,))):
-            principal_pair(pl.assemble_laplacian(g), _uniform(g), tol=tol)
+        tight = principal_pair(op, _uniform(g))
+        monkeypatch.setattr(eigensolver, "DEFAULT_TOL", 1e-6)
+        loose = principal_pair(op, _uniform(g))
+        assert loose.iterations < tight.iterations
+        assert loose.theta_history == tight.theta_history[: loose.iterations]
 
     def test_grid_mismatch_rejected(self):
         g1 = pl.build_grid(pl.unit_square(), 9)
@@ -211,6 +210,13 @@ def _power_reference(op, rho, tol, max_iter=10000, u0=None):
         iterations=it,
         theta_history=tuple(history),
     )
+
+
+def _unit_density(n):
+    """Ones on ``n`` nodes of unit weight, off any grid: ``_principal``'s
+    quotient over it is ``sum(v^2) / sum(u^2)``."""
+    grid = SimpleNamespace(n=n, _integral=lambda x: float(np.sum(x)))
+    return SimpleNamespace(values=np.ones(n), grid=grid)
 
 
 def _threshold_case(spec, nodes_per_side, seed=0):
@@ -295,12 +301,12 @@ class TestKrylovHandOff:
     )
     def test_fast_contraction_stays_power_iteration_bitwise(self, spec, nodes):
         op, rho = _threshold_case(spec, nodes)
-        cold = principal_pair(op, rho, tol=1e-11)
+        cold = principal_pair(op, rho)
         warm_start = _threshold_case(spec, nodes, seed=1)[1]
-        u0 = principal_pair(op, warm_start, tol=1e-11).u
+        u0 = principal_pair(op, warm_start).u
         for got, ref in [
-            (cold, _power_reference(op, rho, 1e-11)),
-            (principal_pair(op, rho, tol=1e-11, u0=u0), _power_reference(op, rho, 1e-11, u0=u0)),
+            (cold, _power_reference(op, rho, DEFAULT_TOL)),
+            (principal_pair(op, rho, u0=u0), _power_reference(op, rho, DEFAULT_TOL, u0=u0)),
         ]:
             assert got.theta == ref.theta
             assert np.array_equal(got.u.values, ref.u.values)
@@ -312,7 +318,7 @@ class TestKrylovHandOff:
     def test_slow_contraction_hands_off_to_an_accurate_pair(self, spec, nodes, monkeypatch):
         op, rho = _threshold_case(spec, nodes)
         warm_start = _threshold_case(spec, nodes, seed=1)[1]
-        u0 = principal_pair(op, warm_start, tol=1e-11).u
+        u0 = principal_pair(op, warm_start).u
         tight = _tight_theta(op, rho)
         applied = []
         monkeypatch.setattr(
@@ -320,9 +326,9 @@ class TestKrylovHandOff:
         )
         for start in (None, u0):
             del applied[:]
-            res = principal_pair(op, rho, tol=1e-11, u0=start)
+            res = principal_pair(op, rho, u0=start)
             assert res.iterations == len(applied)
-            assert res.iterations < _power_reference(op, rho, 1e-11, u0=start).iterations
+            assert res.iterations < _power_reference(op, rho, DEFAULT_TOL, u0=start).iterations
             _assert_accurate(res, op, rho, tight)
 
     @HAND_OFF_CASES
@@ -338,28 +344,28 @@ class TestKrylovHandOff:
         arnoldi = eigensolver._arnoldi
         monkeypatch.setattr(eigensolver, "_arnoldi", spy)
         monkeypatch.setattr(eigensolver, "KRYLOV_NCV", 64)  # no restart
-        principal_pair(op, rho, tol=1e-11)
+        principal_pair(op, rho)
         [(x, maps)] = calls
         assert len(maps) == _first_converged_map(lambda y: _map(op, rho, y), x)
 
     def test_restarts_when_the_basis_is_full(self, thin_annulus, monkeypatch):
         op, rho = thin_annulus
-        full = principal_pair(op, rho, tol=1e-11)
+        full = principal_pair(op, rho)
         monkeypatch.setattr(eigensolver, "KRYLOV_NCV", 3)
-        res = principal_pair(op, rho, tol=1e-11)
+        res = principal_pair(op, rho)
         assert res.iterations - len(res.theta_history) > 3  # more Arnoldi maps than one basis
         assert res.theta_history[:-1] == full.theta_history[:-1]  # same power phase
         _assert_accurate(res, op, rho)
 
     def test_budget_spent_in_the_krylov_phase_raises(self, thin_annulus, monkeypatch):
         op, rho = thin_annulus
-        full = principal_pair(op, rho, tol=1e-11)
+        full = principal_pair(op, rho)
         power = len(full.theta_history) - 1  # maps before the hand-off
         max_iter = (power + full.iterations) // 2
         assert power < max_iter < full.iterations - 1
         monkeypatch.setattr(eigensolver, "DEFAULT_MAX_ITER", max_iter)
         with pytest.raises(EigenError, match="no convergence in %d iterations" % max_iter) as err:
-            principal_pair(op, rho, tol=1e-11)
+            principal_pair(op, rho)
         assert err.value.iterations == max_iter
         assert err.value.last_theta == full.theta_history[-2]  # the last power step's
         assert math.isfinite(err.value.last_theta)
@@ -373,7 +379,7 @@ class TestKrylovHandOff:
         assert n <= KRYLOV_NCV
         monkeypatch.setattr(eigensolver, "KRYLOV_AFTER", -1)  # hand off at the first chance
         monkeypatch.setattr(eigensolver, "KRYLOV_TOL", 0.0)
-        res = principal_pair(op, rho, tol=1e-11)
+        res = principal_pair(op, rho)
         power = len(res.theta_history) - 1
         assert res.iterations == power + n + 1  # n Arnoldi maps and the closing one
 
@@ -388,7 +394,7 @@ class TestKrylovHandOff:
         op, rho = thin_annulus
         monkeypatch.setattr(eigensolver, "KRYLOV_RESIDUAL", 0.0)
         with pytest.raises(EigenError, match="eigen-residual") as err:
-            principal_pair(op, rho, tol=1e-11)
+            principal_pair(op, rho)
         assert err.value.last_theta is not None
 
     @pytest.mark.parametrize("max_iter", [10, 25])
@@ -400,7 +406,7 @@ class TestKrylovHandOff:
         )
         monkeypatch.setattr(eigensolver, "DEFAULT_MAX_ITER", max_iter)
         with pytest.raises(EigenError) as err:
-            principal_pair(op, rho, tol=1e-11)
+            principal_pair(op, rho)
         assert len(applied) <= max_iter
         assert err.value.iterations == max_iter
         assert err.value.last_theta is not None
@@ -417,14 +423,13 @@ class TestKrylovHandOff:
 
         monkeypatch.setattr(eigensolver, "DEFAULT_MAX_ITER", 1000)
 
-        def solve(start):
-            return _principal(lambda x: (B @ (B @ x), B @ x),
-                              lambda u, v: float(v @ v) / float(u @ u), start, 1e-11)
+        def solve():
+            return _principal(lambda x: (B @ (B @ x), B @ x), _unit_density(n), None)
 
         calls = []
         arnoldi = eigensolver._arnoldi
         monkeypatch.setattr(eigensolver, "_arnoldi", lambda m, x: calls.append(1) or arnoldi(m, x))
-        theta, iterations, u, v, history = solve(np.ones(n))
+        theta, iterations, u, v, history = solve()
         assert len(calls) == 1 and iterations > len(history)  # handed off
         assert iterations < 1000
         w = B @ (B @ u)
@@ -437,7 +442,7 @@ class TestKrylovHandOff:
         # power iteration alone spends the cap
         monkeypatch.setattr(eigensolver, "KRYLOV_AFTER", math.inf)
         with pytest.raises(EigenError, match="no convergence in 1000 iterations"):
-            solve(np.ones(n))
+            solve()
 
     def test_non_positive_krylov_eigenvector_is_refused(self, monkeypatch):
         # a symmetric map whose dominant eigenvector (1, ..., 1, -0.05) has
@@ -456,8 +461,7 @@ class TestKrylovHandOff:
         monkeypatch.setattr(eigensolver, "DEFAULT_MAX_ITER", 1000)
         message = "^Krylov eigenvector is not strictly positive$"
         with pytest.raises(EigenError, match=message) as err:
-            _principal(lambda x: (M @ x, x.copy()), lambda u, v: float(v @ v) / float(v @ u),
-                       np.ones(n), 1e-11)
+            _principal(lambda x: (M @ x, x.copy()), _unit_density(n), None)
         assert calls == [1]
         assert 0 < err.value.iterations < 1000
         assert err.value.last_theta is not None
@@ -473,7 +477,7 @@ class TestKrylovHandOff:
 
         monkeypatch.setattr(eigensolver, "DEFAULT_MAX_ITER", 1000)
         with pytest.raises(EigenError, match="^converged pair is not strictly positive$") as err:
-            _principal(apply, lambda u, v: float(v @ v) / float(u @ u), np.ones(50), 1e-11)
+            _principal(apply, _unit_density(50), None)
         assert err.value.iterations == 2
         assert err.value.last_theta == 1.0
 
@@ -620,10 +624,10 @@ class TestOneCountedMap:
                                              termination, outer, inner):
         solves = []
 
-        def both(op, rho, tol=DEFAULT_TOL, u0=None):
-            got = principal_pair(op, rho, tol, u0)
+        def both(op, rho, u0=None):
+            got = principal_pair(op, rho, u0=u0)
             if got.iterations == len(got.theta_history):  # power iteration alone
-                want = _outcome(_two_function_pair, op, rho, tol, DEFAULT_MAX_ITER, u0)
+                want = _outcome(_two_function_pair, op, rho, DEFAULT_TOL, DEFAULT_MAX_ITER, u0)
                 assert _outcome(lambda: got) == want
             else:
                 _assert_accurate(got, op, rho)
@@ -638,8 +642,7 @@ class TestOneCountedMap:
     @pytest.fixture(scope="class")
     def warm_start(self, thin_annulus):
         op = thin_annulus[0]
-        return principal_pair(op, _threshold_case(pl.annulus(0.85, 1.0), 49, seed=1)[1],
-                              tol=1e-11).u
+        return principal_pair(op, _threshold_case(pl.annulus(0.85, 1.0), 49, seed=1)[1]).u
 
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
     def test_thin_annulus_caps_match(self, thin_annulus, warm_start, warm, monkeypatch):
@@ -649,17 +652,17 @@ class TestOneCountedMap:
         monkeypatch.setattr(
             eigensolver, "solve_navier", lambda op, f: applied.append(1) or solve_navier(op, f)
         )
-        full = principal_pair(op, rho, tol=1e-11, u0=u0)
+        full = principal_pair(op, rho, u0=u0)
         power = len(full.theta_history) - 1  # maps before the hand-off
         assert full.iterations == len(applied) > power + 1  # handed off
 
         def capped(max_iter):
             monkeypatch.setattr(eigensolver, "DEFAULT_MAX_ITER", max_iter)
-            return _outcome(principal_pair, op, rho, tol=1e-11, u0=u0)
+            return _outcome(principal_pair, op, rho, u0=u0)
 
         # caps in the power phase and at the switch: as the two-function form
         for max_iter in range(power + 1):
-            want = _outcome(_two_function_pair, op, rho, 1e-11, max_iter, u0)
+            want = _outcome(_two_function_pair, op, rho, DEFAULT_TOL, max_iter, u0)
             assert capped(max_iter) == want
         # caps in the Arnoldi loop and on the closing map: the one cap error
         last = full.theta_history[-2]
@@ -674,7 +677,7 @@ class TestOneCountedMap:
         monkeypatch.setattr(eigensolver, "DEFAULT_MAX_ITER", full.iterations - 1)
         with pytest.raises(EigenError, match="no convergence in %d iterations"
                            % (full.iterations - 1)) as err:
-            principal_pair(op, rho, tol=1e-11, u0=u0)
+            principal_pair(op, rho, u0=u0)
         assert err.value.iterations == full.iterations - 1
 
 

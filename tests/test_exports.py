@@ -1,3 +1,4 @@
+import argparse
 import ast
 import dataclasses
 import importlib
@@ -111,6 +112,7 @@ def test_retired_names_stay_gone(module):
 
 def test_retired_methods_stay_gone():
     import platelab as pl
+    from platelab import cli
     from platelab.geometry import DomainSpec
     from platelab.poisson import DiscreteLaplacian
 
@@ -119,8 +121,13 @@ def test_retired_methods_stay_gone():
     assert not hasattr(pl.Grid, "has_cut")
     # a pair's domain is its grid's; the radial pair's grid has none
     assert not hasattr(pl.OptimalPair, "spec")
-    # one map cap for every eigensolve, eigensolver.DEFAULT_MAX_ITER
-    assert "max_iter" not in inspect.signature(pl.principal_pair).parameters
+    # one map cap and one tolerance for every eigensolve, eigensolver.DEFAULT_MAX_ITER
+    # and eigensolver.DEFAULT_TOL: neither the call, the options nor the CLI sets them
+    assert list(inspect.signature(pl.principal_pair).parameters) == ["op", "rho", "u0"]
+    subparsers = next(a for a in cli._build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for command in ("solve", "sweep-annulus"):
+        assert "--tol" not in subparsers.choices[command]._option_string_actions
     # an operator is built over a grid, whose memo owns its matrix and LU
     assert list(inspect.signature(DiscreteLaplacian).parameters) == ["grid"]
     op = pl.assemble_laplacian(pl.build_grid(pl.unit_square(), 9))
@@ -135,6 +142,9 @@ def test_retired_methods_stay_gone():
 # its inputs.
 RECORD_FIELDS = {
     "platelab.optimizer.OptimalPair": ["u", "v", "rho", "theta", "t"],
+    # the eigen tolerance and map cap are eigensolver constants, not options
+    "platelab.optimizer.OptimizeOptions": ["theta_tol", "max_outer", "restarts", "seed"],
+    "platelab.eigensolver.EigenResult": ["theta", "u", "v", "iterations", "theta_history"],
     "platelab.optimizer.SolveReport": ["theta_history", "inner_iterations", "mass_errors",
                                        "termination", "outer_iterations", "wall_time",
                                        "restart_thetas"],

@@ -31,7 +31,13 @@ import pytest
 from scipy.linalg import solve_banded
 
 import platelab as pl
-from platelab.eigensolver import DEFAULT_MAX_ITER, EigenError, _quotient, principal_pair
+from platelab.eigensolver import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    EigenError,
+    _quotient,
+    principal_pair,
+)
 from platelab.fields import ScalarField
 from platelab.geometry import DomainSpec, reflect_cap
 from platelab.optimizer import OptimalPair, OptimizeOptions, SolveReport
@@ -146,7 +152,7 @@ def _alternate_loop(op, rho0, h, H, M, opts):
     termination = "max-outer"
     u_warm = None
     for _ in range(opts.max_outer):
-        eig = principal_pair(op, rho, tol=opts.eig_tol, u0=u_warm)
+        eig = principal_pair(op, rho, u0=u_warm)
         theta_history.append(eig.theta)
         inner_iterations.append(eig.iterations)
         mass_errors.append(abs(mass(rho) - M))
@@ -196,7 +202,7 @@ def _radial_loop(kind, radii, h, H, M, n_r=1024, opts=OptimizeOptions()):
     u_warm = None
     for _ in range(opts.max_outer):
         theta, _, u, v = _principal_pair_radial(
-            grid, ab, rho, opts.eig_tol, DEFAULT_MAX_ITER, u0=u_warm
+            grid, ab, rho, DEFAULT_TOL, DEFAULT_MAX_ITER, u0=u_warm
         )
         history.append(theta)
         u_warm = u

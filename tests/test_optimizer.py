@@ -17,8 +17,8 @@ from conftest import BAD_COUNTS, BAD_REALS
 class TestOptions:
     @pytest.mark.parametrize("kwargs", [
         {"max_outer": 0}, {"restarts": 0}, {"restarts": -2}, {"theta_tol": 0.0},
-        {"theta_tol": -1.0}, {"theta_tol": float("nan")}, {"eig_tol": 1e-3},
-        {"eig_tol": 0.0}, {"eig_tol": -1.0},
+        {"theta_tol": -1.0}, {"theta_tol": float("nan")},
+        {"theta_tol": math.inf},  # ended every run theta-converged after two outer steps
     ], ids=str)
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(OptimizeError):
@@ -33,13 +33,12 @@ class TestOptions:
                            match=re.escape("%s must be an integer, got %r" % (name, count))):
             OptimizeOptions(**{name: count})
 
-    @pytest.mark.parametrize("name", ["theta_tol", "eig_tol"])
+    @pytest.mark.parametrize("name", ["theta_tol"])  # the one tolerance the options hold
     @pytest.mark.parametrize("case, value", BAD_REALS, ids=[case[0] for case in BAD_REALS])
     def test_tolerances_must_be_real_numbers(self, case, value, name):
         # True ran as theta_tol 1.0; "1e-8" and complex values raised a bare TypeError
-        message = {"theta_tol": "theta_tol must be a positive real, got %r",
-                   "eig_tol": "eig_tol must be a real in (0, 1e-6], got %r"}[name]
-        with pytest.raises(OptimizeError, match=re.escape(message % (value,))):
+        with pytest.raises(OptimizeError, match=re.escape(
+                "%s must be a positive real, got %r" % (name, value))):
             OptimizeOptions(**{name: value})
 
     @pytest.mark.parametrize("seed, message", [
@@ -78,9 +77,7 @@ class TestOptimize:
         op = pl.assemble_laplacian(grid)
         pair, report = optimize(spec, 65, 1.0, 2.0, 2.0 * grid.discrete_area)
         assert np.allclose(pair.rho.values, 2.0)
-        uniform = principal_pair(op, pl.uniform_density(grid, 1.0, 1.0,
-                                                        grid.discrete_area),
-                                 tol=OptimizeOptions().eig_tol)
+        uniform = principal_pair(op, pl.uniform_density(grid, 1.0, 1.0, grid.discrete_area))
         assert pair.theta == pytest.approx(uniform.theta / 2.0, rel=1e-12)
 
     def test_disk_heavy_core_is_centered(self, disk_pair_64):
@@ -121,8 +118,7 @@ class TestOptimize:
         pair, report = disk_pair_64
         grid = pair.grid
         op = pl.assemble_laplacian(grid)
-        opts = OptimizeOptions()
-        eig = principal_pair(op, pair.rho, tol=opts.eig_tol, u0=pair.u)
+        eig = principal_pair(op, pair.rho, u0=pair.u)
         redo = optimal_density(eig.u, pair.rho.h, pair.rho.H, pair.rho.M)
         assert np.array_equal(redo.rho.values, pair.rho.values)
         assert abs(eig.theta - pair.theta) <= 1e-7 * pair.theta

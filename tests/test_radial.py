@@ -174,6 +174,19 @@ class TestRadialOptimize:
         assert re.match(r"error: no convergence in 2 iterations \(last theta [0-9.]+\)$",
                         capsys.readouterr().err.strip())
 
+    def test_eigen_tolerance_is_read_at_call_time(self, monkeypatch):
+        # the radial eigensolves stop at eigensolver.DEFAULT_TOL, as the 2-D ones do
+        def banded_solves():
+            calls = []
+            monkeypatch.setattr(radial, "solve_banded",
+                                lambda *args: calls.append(1) or solve_banded(*args))
+            radial_optimize("disk", (1.0,), 1.0, 2.0, 4.5, n_r=128)
+            return len(calls)
+
+        tight = banded_solves()
+        monkeypatch.setattr(eigensolver, "DEFAULT_TOL", 1e-6)
+        assert banded_solves() < tight
+
     def test_non_positive_iterate_is_a_solver_error(self, monkeypatch):
         # every second banded solve, the map's u, planted negative
         calls = []
