@@ -85,7 +85,6 @@ def _build_parser():
     pv.add_argument("--report", required=True, help="JSON report from solve")
     pv.add_argument("--fields", required=True, help="CSV fields from solve")
     pv.add_argument("--checks", default=",".join(VALID_CHECKS))
-    pv.add_argument("--n-lambda", type=int, default=diagnostics.N_LAMBDAS)
 
     pw = sub.add_parser("sweep-annulus", help="inner-radius sweep with restarts")
     pw.add_argument("--inner-from", type=float, required=True)
@@ -101,42 +100,41 @@ def _build_parser():
 
 
 def _add_solver_flags(ps, grid, seed):
-    """Grid sizes and optimizer options; the radial grid's and the
-    options' defaults are ``radial_optimize``'s and ``OptimizeOptions``'s own."""
-    opts = OptimizeOptions()
+    """Grid sizes and restarts; the radial grid's and the restarts'
+    defaults are ``radial_optimize``'s and ``OptimizeOptions``'s own."""
     ps.add_argument("--grid", type=int, default=grid, help="nodes per side (boundary inclusive)")
     ps.add_argument("--nr", type=int, default=RADIAL_CELLS, help="radial grid cells")
-    ps.add_argument("--theta-tol", type=float, default=opts.theta_tol)
-    ps.add_argument("--max-outer", type=int, default=opts.max_outer)
-    ps.add_argument("--restarts", type=int, default=opts.restarts)
+    ps.add_argument("--restarts", type=int, default=OptimizeOptions().restarts)
     ps.add_argument("--seed", type=int, default=seed)
-
-
-def _options(args, seed):
-    return OptimizeOptions(
-        theta_tol=args.theta_tol,
-        max_outer=args.max_outer,
-        restarts=args.restarts,
-        seed=seed,
-    )
 
 
 _FLAG_OF = {"outer": "radius"}  # shape parameters whose flag is not their name
 _FLAG_HELP = {"radius": "disk/annulus outer radius", "inner": "annulus inner radius",
               "length": "stadium straight length"}
+# every kind's shape flags, as argparse dests, in table order
+_SHAPE_FLAGS = tuple(dict.fromkeys(_FLAG_OF.get(n, n) for ns in geometry.PARAMS.values()
+                                   for n in ns))
 
 
 def _add_domain_flags(ps):
     ps.add_argument("--domain", required=True, choices=["square", *geometry.PARAMS])
-    for flag in dict.fromkeys(_FLAG_OF.get(n, n) for ns in geometry.PARAMS.values() for n in ns):
+    for flag in _SHAPE_FLAGS:
         ps.add_argument("--" + flag.replace("_", "-"), type=float, help=_FLAG_HELP.get(flag))
 
 
 def _domain_from_args(args):
+    """The domain of ``--domain`` and its shape flags; a shape flag of
+    another kind is refused, not dropped."""
+    names = geometry.PARAMS.get(args.domain, ())  # the square takes none
+    takes = [_FLAG_OF.get(n, n) for n in names]
+    for flag in _SHAPE_FLAGS:
+        if getattr(args, flag) is not None and flag not in takes:
+            raise CliUsageError("error: --%s does not apply to --domain %s"
+                                % (flag.replace("_", "-"), args.domain))
     if args.domain == "square":
         return geometry.unit_square()
     build = getattr(geometry, args.domain)  # the kind's constructor holds the defaults
-    given = {n: getattr(args, _FLAG_OF.get(n, n)) for n in geometry.PARAMS[args.domain]}
+    given = {n: getattr(args, flag) for n, flag in zip(names, takes)}
     for name, p in inspect.signature(build).parameters.items():
         if p.default is p.empty and given[name] is None:
             raise CliUsageError("error: --%s is required for --domain %s"
@@ -206,16 +204,15 @@ def _run_solve(args):
                             "the radial solve runs one start")
     spec = _domain_from_args(args)
     timestamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    opts = _options(args, args.seed)
     # ``pair`` gives theta and t, ``rep`` the outer iterations and the
     # termination; the radial result gives all four
     if args.radial:
-        pair = rep = radial_optimize(
-            spec.kind, spec.params, args.h, args.Hd, args.mass, n_r=args.nr, opts=opts
-        )
+        pair = rep = radial_optimize(spec.kind, spec.params, args.h, args.Hd, args.mass,
+                                     n_r=args.nr)
         grid = args.nr
         extra = {}
     else:
+        opts = OptimizeOptions(restarts=args.restarts, seed=args.seed)
         pair, rep = optimize(spec, args.grid, args.h, args.Hd, args.mass, opts=opts)
         grid = args.grid
         extra = {"restart_thetas": list(rep.restart_thetas)}
@@ -332,8 +329,6 @@ def _run_verify(args):
             raise CliUsageError(
                 "error: unknown check %r; valid checks: %s" % (c, ", ".join(VALID_CHECKS))
             )
-    if args.n_lambda < diagnostics.MIN_LAMBDAS:
-        raise CliUsageError("error: --n-lambda must be at least %d" % diagnostics.MIN_LAMBDAS)
     try:
         with open(args.report) as fh:
             report = json.load(fh)
@@ -358,8 +353,7 @@ def _run_verify(args):
                             % (args.report, type(exc).__name__, exc))
 
     # sweep(dim): that direction's moving-plane sweep, taken on first use for both plane checks
-    sweep = functools.cache(
-        lambda dim: diagnostics.moving_plane_profile(pair, dim, args.n_lambda))
+    sweep = functools.cache(lambda dim: diagnostics.moving_plane_profile(pair, dim))
     all_ok = True
     for name in checks:
         try:
@@ -437,7 +431,10 @@ VALID_CHECKS = tuple(_CHECKS)
 def _run_sweep(args):
     if args.steps < 1:
         raise CliUsageError("error: --steps must be positive")
-    _options(args, args.seed)  # every option, the seed included, before it seeds a row
+    if args.steps == 1 and args.inner_to != args.inner_from:
+        raise CliUsageError("error: --steps 1 sweeps one radius; --inner-to must equal "
+                            "--inner-from")
+    OptimizeOptions(restarts=args.restarts, seed=args.seed)  # before the seed seeds a row
     jobs = []  # every row's domain and mass, checked before the first solve
     for a in np.linspace(args.inner_from, args.inner_to, args.steps):
         spec = geometry.annulus(a, 1.0)  # outer radius fixed at 1
@@ -462,11 +459,9 @@ def _sweep_row(args, idx, a, spec, mass_val):
     and with it its grid and factorization, is released when the row
     returns, before the next row's grid is built."""
     seed = int(np.random.SeedSequence((args.seed, idx)).generate_state(1)[0])
-    opts = _options(args, seed)
+    opts = OptimizeOptions(restarts=args.restarts, seed=seed)
     pair, rep = optimize(spec, args.grid, args.h, args.Hd, mass_val, opts=opts)
-    radial_res = radial_optimize(
-        spec.kind, spec.params, args.h, args.Hd, mass_val, n_r=args.nr, opts=opts
-    )
+    radial_res = radial_optimize(spec.kind, spec.params, args.h, args.Hd, mass_val, n_r=args.nr)
     return (
         _fmt(a),
         _fmt(pair.theta),

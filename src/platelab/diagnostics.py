@@ -26,10 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import EAST, NORTH, _integer, reflect_cap, symmetry_axis
+from .geometry import EAST, NORTH, reflect_cap, symmetry_axis
 
-MIN_LAMBDAS = 8  # fewest plane positions a moving-plane sweep takes
-N_LAMBDAS = 16  # plane positions a moving-plane sweep takes by default
+N_LAMBDAS = 16  # plane positions a moving-plane sweep takes
 PLANE_MARGIN = 2.0  # spacings kept clear at both ends of the plane window
 RIGIDITY_SAMPLES = 64  # boundary samples of the normal derivative
 RIGIDITY_STEP = 2.0  # finite-difference step along the normal, in spacings
@@ -94,24 +93,23 @@ class MovingPlaneReport:
     product_fault: str | None
 
 
-def plane_positions(pair, dim, n_lambda=N_LAMBDAS):
-    """The ``n_lambda`` equally spaced plane positions across direction
-    ``dim`` that the moving-plane checks sweep, ends of the window included.
+def plane_positions(pair, dim):
+    """The ``N_LAMBDAS`` equally spaced plane positions across direction
+    ``dim`` that the moving-plane checks sweep, ends of the window
+    included; the count is read when it runs.
 
     The plane moving in from the largest coordinate stops ``Shape.stop``
     beyond the symmetry axis (Gidas, Ni and Nirenberg); the window keeps
     ``PLANE_MARGIN`` spacings clear of both, away from interpolation
     artifacts.
     """
-    if _integer(n_lambda, "n_lambda", DiagnosticsError) < MIN_LAMBDAS:
-        raise DiagnosticsError("n_lambda must be at least %d" % MIN_LAMBDAS)
     spec = pair.grid.spec
     margin = PLANE_MARGIN * pair.grid.delta
     lo = symmetry_axis(spec, dim) + spec.shape.stop(spec.params) + margin
     hi = spec.bbox()[2 * dim + 1] - margin
     if not lo < hi:
         raise DiagnosticsError("empty plane window: [%g, %g]" % (lo, hi))
-    return np.linspace(lo, hi, n_lambda)
+    return np.linspace(lo, hi, N_LAMBDAS)
 
 
 def _cap_report(pair, dim, lam):
@@ -147,11 +145,11 @@ def _cap_report(pair, dim, lam):
     return MovingPlaneReport(w1, w2, float(diff[worst]), case3, fault)
 
 
-def moving_plane_profile(pair, dim, n_lambda=N_LAMBDAS):
+def moving_plane_profile(pair, dim):
     """The moving-plane sweep across direction ``dim``: one reflection of
     (u, v) per plane of ``plane_positions``, its quantities kept as
     scalars and folded into one report."""
-    caps = [_cap_report(pair, dim, lam) for lam in plane_positions(pair, dim, n_lambda)]
+    caps = [_cap_report(pair, dim, lam) for lam in plane_positions(pair, dim)]
     worst = np.min([(c.min_w1, c.min_w2) for c in caps], axis=0)
     return MovingPlaneReport(float(worst[0]), float(worst[1]),
                              min(c.min_product for c in caps),

@@ -16,7 +16,6 @@ densities and keeps the best quotient found.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, replace
 
@@ -24,9 +23,12 @@ import numpy as np
 
 from .eigensolver import _quotient, principal_pair
 from .fields import ScalarField
-from .geometry import _integer, _is_real, build_grid
+from .geometry import _integer, build_grid
 from .poisson import assemble_laplacian
 from .rearrange import DensityField, optimal_density, uniform_density
+
+THETA_TOL = 1e-8  # relative quotient change at which the alternation stops
+MAX_OUTER = 200  # outer steps after which the alternation stops
 
 
 class OptimizeError(ValueError):
@@ -35,20 +37,15 @@ class OptimizeError(ValueError):
 
 @dataclass(frozen=True)
 class OptimizeOptions:
-    theta_tol: float = 1e-8
-    max_outer: int = 200
     restarts: int = 1
     seed: int | None = None
 
     def __post_init__(self):
-        for name in ("max_outer", "restarts"):
-            count = _integer(getattr(self, name), name, OptimizeError)
-            if count < 1:
-                raise OptimizeError("%s must be at least 1, got %r" % (name, count))
+        restarts = _integer(self.restarts, "restarts", OptimizeError)
+        if restarts < 1:
+            raise OptimizeError("restarts must be at least 1, got %r" % (restarts,))
         if self.seed is not None and _integer(self.seed, "seed", OptimizeError) < 0:
             raise OptimizeError("seed must be non-negative, got %r" % (self.seed,))
-        if not (_is_real(self.theta_tol) and 0.0 < self.theta_tol < math.inf):
-            raise OptimizeError("theta_tol must be a positive real, got %r" % (self.theta_tol,))
 
 
 @dataclass(frozen=True)
@@ -106,7 +103,7 @@ def optimize(spec, nodes_per_side, h, H, M, opts=OptimizeOptions()):
     best = None
     thetas = []
     for rho0 in starts:
-        rho, u, v, t, report = _alternate(rho0, eigensolve, opts)
+        rho, u, v, t, report = _alternate(rho0, eigensolve)
         theta = _quotient(u.values, v.values, rho.values, rho.grid)
         pair = OptimalPair(u=u, v=v, rho=rho, theta=theta, t=t)
         thetas.append(pair.theta)
@@ -116,14 +113,16 @@ def optimize(spec, nodes_per_side, h, H, M, opts=OptimizeOptions()):
     return pair, replace(report, restart_thetas=tuple(thetas))
 
 
-def _alternate(rho, eigensolve, opts):
+def _alternate(rho, eigensolve):
     """The alternation's control, shared by ``optimize`` and ``radial_optimize``.
 
     From the start ``rho``, a ``DensityField`` on the path's grid, it runs
     the bathtub (``optimal_density``) and the mass error on that grid; the
     path passes only ``eigensolve(rho, u0) -> (theta, iterations, u, v)``,
     u and v ``ScalarField``s, warm-started from the last u (None at first).
-    Returns the last step's ``(rho, u, v, t)`` and a report with no restart thetas.
+    It stops after ``MAX_OUTER`` steps, or once the quotient moves by at
+    most ``THETA_TOL`` of itself; both are read when it runs. Returns the
+    last step's ``(rho, u, v, t)`` and a report with no restart thetas.
     """
     t0 = time.perf_counter()
     theta_history = []
@@ -131,7 +130,7 @@ def _alternate(rho, eigensolve, opts):
     mass_errors = []
     termination = "max-outer"
     u = None
-    for _ in range(opts.max_outer):
+    for _ in range(MAX_OUTER):
         theta, iterations, u, v = eigensolve(rho, u)
         theta_history.append(theta)
         inner_iterations.append(iterations)
@@ -142,7 +141,7 @@ def _alternate(rho, eigensolve, opts):
         if np.array_equal(rho.values, rho_prev.values):
             termination = "rho-fixed"
             break
-        tol = opts.theta_tol * abs(theta)
+        tol = THETA_TOL * abs(theta)
         if len(theta_history) >= 2 and abs(theta - theta_history[-2]) <= tol:
             termination = "theta-converged"
             break

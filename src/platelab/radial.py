@@ -37,7 +37,7 @@ from scipy.linalg import solve_banded
 from .eigensolver import _principal, _quotient
 from .fields import ScalarField
 from .geometry import DomainSpec, GeometryError, _integer
-from .optimizer import OptimalPair, OptimizeOptions, _alternate
+from .optimizer import OptimalPair, _alternate
 from .rearrange import uniform_density
 
 
@@ -116,11 +116,11 @@ def _radial_operator(grid):
     return ab
 
 
-def radial_optimize(kind, radii, h, H, M, n_r=1024, opts=OptimizeOptions()):
+def radial_optimize(kind, radii, h, H, M, n_r=1024):
     """Alternating scheme on the radial reduction: one start, from the
-    uniform density, reading only ``opts.max_outer`` and
-    ``opts.theta_tol`` (``restarts`` and ``seed`` have no effect); returns
-    a ``RadialResult`` on the ring grid."""
+    uniform density, stopped by the 2-D path's rules
+    (``optimizer.THETA_TOL``, ``optimizer.MAX_OUTER``); returns a
+    ``RadialResult`` on the ring grid."""
     grid = radial_grid(kind, radii, n_r)
     ab = _radial_operator(grid)
 
@@ -132,7 +132,7 @@ def radial_optimize(kind, radii, h, H, M, n_r=1024, opts=OptimizeOptions()):
         theta, iterations, u, v, _ = _principal(apply, rho, u0)
         return theta, iterations, ScalarField(grid, u), ScalarField(grid, v)
 
-    rho, u, v, t, report = _alternate(uniform_density(grid, h, H, M), eigensolve, opts)
+    rho, u, v, t, report = _alternate(uniform_density(grid, h, H, M), eigensolve)
     # unit weighted norm, matching the 2-D convention
     c = math.sqrt(grid._integral(rho.values * u.values * u.values))
     u = u.values / c

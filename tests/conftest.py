@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import platelab as pl
-from platelab.diagnostics import MIN_LAMBDAS, N_LAMBDAS, PLANE_MARGIN, DiagnosticsError
+from platelab.diagnostics import N_LAMBDAS, PLANE_MARGIN, DiagnosticsError
 from platelab.geometry import GeometryError, Grid, _mirror_stencil, symmetry_axis
 
 
@@ -233,8 +233,6 @@ def plane_window(pair, dim):
 def plane_positions(pair, dim, n_lambda=N_LAMBDAS):
     """Reference plane list: ``n_lambda`` equally spaced positions over
     ``plane_window``, ends included."""
-    if n_lambda < MIN_LAMBDAS:
-        raise DiagnosticsError("n_lambda must be at least %d" % MIN_LAMBDAS)
     lo, hi = plane_window(pair, dim)
     return np.linspace(lo, hi, n_lambda)
 

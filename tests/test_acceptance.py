@@ -222,7 +222,7 @@ def _moving_plane_suite(pairs):
     case3_total = 0
     for name, pair in pairs:
         for dim in (0, 1):
-            rep = dg.moving_plane_profile(pair, dim, 16)
+            rep = dg.moving_plane_profile(pair, dim)
             assert rep.min_w1 >= -1e-8 * pair.u.norm_inf, (name, dim)
             assert rep.min_w2 >= -1e-8 * pair.v.norm_inf, (name, dim)
             assert rep.product_fault is None, (name, dim, rep.product_fault)
@@ -251,7 +251,7 @@ def test_criterion_09_fails_on_a_planted_product_defect(disk_pair_128):
     pair, _ = disk_pair_128
     grid = pair.grid
     u = pair.u.values.copy()
-    nodes, (ur,) = pl.geometry.reflect_cap(grid, [u], 0, dg.plane_positions(pair, 0, 16)[0])
+    nodes, (ur,) = pl.geometry.reflect_cap(grid, [u], 0, dg.plane_positions(pair, 0)[0])
     k = int(np.flatnonzero(np.abs(grid.node_y[nodes]) < 0.5 * grid.delta)[0])
     u[nodes[k]] = ur[k] * (1.0 + 1e-12)
     planted = replace(pair, u=ScalarField(grid, u), t=float(ur[k]))

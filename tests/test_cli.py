@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import platelab as pl
-from platelab import cli, geometry
+from platelab import cli, geometry, optimizer
 from platelab.cli import FIELD_COLUMNS, VALID_CHECKS, CliUsageError, main
 from conftest import BAD_CENTRES, BAD_PARAMS, orbit_aligned_mass
 
@@ -28,12 +28,9 @@ STABLE_KEYS = {"domain", "h", "H", "mass", "grid", "theta", "t", "outer_iteratio
 # one bad value per optimizer option; each exited 2 or was accepted before
 # the options validated themselves
 BAD_OPTIONS = pytest.mark.parametrize("flags", [
-    ["--max-outer", "0"],
     ["--restarts", "-2"],
-    ["--theta-tol", "-1"],
-    ["--theta-tol", "inf"],  # ended theta-converged after two outer steps
     ["--restarts", "2", "--seed", "-1"],  # exited 2 from numpy's SeedSequence
-], ids=["max-outer-0", "restarts-neg", "theta-tol-neg", "theta-tol-inf", "seed-neg"])
+], ids=["restarts-neg", "seed-neg"])
 
 
 @pytest.fixture(scope="module")
@@ -283,7 +280,7 @@ class TestVerify:
 
         monkeypatch.setattr(geometry, "_mirror_stencil", counted)
         assert run(["verify", "--report", str(report), "--fields", str(fields),
-                    "--checks", checks, "--n-lambda", "16"]) == 0
+                    "--checks", checks]) == 0
         assert calls == planes
 
     @pytest.mark.parametrize("checks", ["", " , "], ids=["empty", "blank-items"])
@@ -458,7 +455,7 @@ class TestVerify:
         assert run(["verify", "--report", str(report), "--fields", str(fields)]) == 1
         assert capsys.readouterr().err == "error: verify supports 2-D reports only\n"
 
-    def test_product_defect_names_its_node(self, tmp_path, capsys):
+    def test_product_defect_names_its_node(self, tmp_path, monkeypatch, capsys):
         # the diagnostics suite's straddling-threshold fixture on a lattice a
         # report names: a cap node beyond the first plane sits just above t,
         # its mirror at t, so the product check fails rather than raising
@@ -468,7 +465,8 @@ class TestVerify:
         rho = pl.uniform_density(grid, 1.0, 2.0, 1.5 * grid.discrete_area)
         pair = pl.OptimalPair(u=pl.ScalarField(grid, u), v=pl.ScalarField(grid, u), rho=rho,
                               theta=1.0, t=0.5)
-        lam = pl.diagnostics.plane_positions(pair, 0, 8)[0]
+        monkeypatch.setattr(pl.diagnostics, "N_LAMBDAS", 8)
+        lam = pl.diagnostics.plane_positions(pair, 0)[0]
         nodes, (ur,) = geometry.reflect_cap(grid, [u], 0, lam)
         k = int(np.flatnonzero(grid.node_x[nodes] > lam + grid.delta)[0])
         node = int(nodes[k])
@@ -478,7 +476,7 @@ class TestVerify:
                                       "H": 2.0, "mass": rho.M, "theta": 1.0, "t": ur[k]}))
         cli._write_fields_csv(fields, grid.node_x, grid.node_y, u, u, rho.values)
         rc = run(["verify", "--report", str(report), "--fields", str(fields),
-                  "--checks", "product", "--n-lambda", "8"])
+                  "--checks", "product"])
         captured = capsys.readouterr()
         assert rc == 2
         assert captured.out.startswith("FAIL product: defect -")
@@ -493,9 +491,21 @@ class TestVerify:
         assert rc == 1
         assert "symmetry" in err and "rigidity" in err
 
-    def test_plane_count_default_is_diagnostics_own(self):
-        args = cli._build_parser().parse_args(["verify", "--report", "r", "--fields", "f"])
-        assert args.n_lambda == pl.diagnostics.N_LAMBDAS
+    def test_plane_count_default_is_diagnostics_own(self, disk_solve, monkeypatch, capsys):
+        # verify sweeps diagnostics.N_LAMBDAS planes, read when it runs:
+        # one reflection per plane in each direction; 5 is below the floor
+        # of 8 that --n-lambda had
+        d, report, fields = disk_solve
+        calls = []
+        stencil = geometry._mirror_stencil
+        monkeypatch.setattr(geometry, "_mirror_stencil", lambda grid, dim, lam, nodes: (
+            calls.append(dim) or stencil(grid, dim, lam, nodes)))
+        for n_lambda in (5, 33):
+            calls.clear()
+            monkeypatch.setattr(pl.diagnostics, "N_LAMBDAS", n_lambda)
+            assert run(["verify", "--report", str(report), "--fields", str(fields),
+                        "--checks", "moving-plane"]) == 0
+            assert calls == [0] * n_lambda + [1] * n_lambda
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--domain", "disk", "--h", "1", "--H", "2", "--mass", "4"],
@@ -505,16 +515,6 @@ class TestVerify:
     def test_radial_cell_default_is_radial_optimizes_own(self, argv):
         n_r = inspect.signature(pl.radial_optimize).parameters["n_r"].default
         assert cli._build_parser().parse_args(argv).nr == n_r
-
-    @pytest.mark.parametrize("n_lambda", ["0", "7", "-1"])
-    def test_too_few_planes_exits_1(self, disk_solve, n_lambda, capsys):
-        d, report, fields = disk_solve
-        rc = run(["verify", "--report", str(report), "--fields", str(fields),
-                  "--checks", "product", "--n-lambda", n_lambda])
-        captured = capsys.readouterr()
-        assert rc == 1
-        assert "--n-lambda" in captured.err
-        assert "PASS" not in captured.out
 
     def test_malformed_csv_reports_row(self, disk_solve, tmp_path, capsys):
         d, report, fields = disk_solve
@@ -873,6 +873,25 @@ class TestDomainFlags:
         assert cli._domain_from_args(args) == getattr(geometry, kind)(*params)
 
     @pytest.mark.parametrize("radial", [False, True], ids=["2d", "radial"])
+    @pytest.mark.parametrize("kind", ["square", *geometry.PARAMS])
+    def test_foreign_shape_flags_exit_1(self, kind, radial, capsys):
+        # each was dropped without a word: a 2-D solve ran on the kind's own
+        # parameters and exited 0 (the square's report read params [1.0, 1.0])
+        shape_flags = {"radius" if n == "outer" else n for ns in geometry.PARAMS.values()
+                       for n in ns}
+        own = ["radius" if n == "outer" else n for n in geometry.PARAMS.get(kind, ())]
+        for flag in sorted(shape_flags - set(own)):
+            rc = run(["solve", "--domain", kind, "--h", "1", "--H", "2", "--mass", "1",
+                      "--grid", "33", "--nr", "64"] + ["--radial"] * radial
+                     + ["--inner", "0.3"] * (kind == "annulus")
+                     + ["--%s" % flag.replace("_", "-"), "0.5"])
+            captured = capsys.readouterr()
+            assert rc == 1
+            assert captured.err == "error: --%s does not apply to --domain %s\n" % (
+                flag.replace("_", "-"), kind)
+            assert captured.out == ""
+
+    @pytest.mark.parametrize("radial", [False, True], ids=["2d", "radial"])
     @pytest.mark.parametrize("case, kind, params, message", AS_FLAGS,
                              ids=[case[0] for case in AS_FLAGS])
     def test_bad_parameter_flags_exit_1(self, case, kind, params, message, radial, capsys):
@@ -991,17 +1010,28 @@ class TestSweep:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
-    def test_unconverged_row_exits_2(self, tmp_path):
+    def test_unconverged_row_exits_2(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(optimizer, "MAX_OUTER", 1)
         out = tmp_path / "sweep.csv"
         rc = run([
             "sweep-annulus", "--inner-from", "0.5", "--inner-to", "0.5",
-            "--steps", "1", "--grid", "33", "--nr", "64", "--max-outer", "1",
-            "--out", str(out),
+            "--steps", "1", "--grid", "33", "--nr", "64", "--out", str(out),
         ])
         assert rc == 2
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         assert [r["termination"] for r in rows] == ["max-outer"]
+        assert [r["termination_radial"] for r in rows] == ["max-outer"]
+
+    def test_one_step_over_two_radii_exits_1(self, tmp_path, capsys):
+        # wrote the one row at --inner-from and exited 0, --inner-to dropped
+        out = tmp_path / "sweep.csv"
+        rc = run(["sweep-annulus", "--inner-from", "0.3", "--inner-to", "0.6", "--steps", "1",
+                  "--grid", "33", "--nr", "64", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: --steps 1 sweeps one radius; --inner-to must equal --inner-from\n")
+        assert not out.exists()
 
     def test_unconverged_radial_solve_exits_2(self, tmp_path, monkeypatch):
         # each solve has its termination column, and the exit code reads both,

@@ -1,6 +1,5 @@
 import functools
 import math
-import re
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +13,7 @@ from platelab.geometry import GeometryError, reflect_cap, symmetry_axis
 from platelab.optimizer import OptimalPair
 from platelab.rearrange import optimal_density, uniform_density
 import conftest
-from conftest import BAD_COUNTS, reflect_values
+from conftest import reflect_values
 
 
 def _fake_pair(grid, u_values, t=0.5, h=1.0, H=2.0):
@@ -87,10 +86,10 @@ class TestMonotonicity:
 class TestMovingPlane:
     def test_disk_profile_nonnegative(self, disk_pair_128):
         pair, _ = disk_pair_128
-        rep = dg.moving_plane_profile(pair, 0, 16)
+        rep = dg.moving_plane_profile(pair, 0)
         assert rep.min_w1 >= -1e-8 * pair.u.norm_inf
         assert rep.min_w2 >= -1e-8 * pair.v.norm_inf
-        lambdas = dg.plane_positions(pair, 0, 16)
+        lambdas = dg.plane_positions(pair, 0)
         assert lambdas.shape == (16,)
         lo, hi = lambdas[[0, -1]]
         assert lo > 0.0 and hi < 1.0
@@ -118,29 +117,15 @@ class TestMovingPlane:
         assert reflect_cap(g, [odd], 0, 0.0)[0].size > 0
         assert m < -0.1
 
-    def test_lambda_count_validated(self, disk_pair_128):
-        pair, _ = disk_pair_128
-        with pytest.raises(dg.DiagnosticsError):
-            dg.moving_plane_profile(pair, 0, 4)
-
-    @pytest.mark.parametrize("case, count", BAD_COUNTS, ids=[case[0] for case in BAD_COUNTS])
-    def test_plane_count_must_be_an_integer(self, case, count):
-        # 16.0 raised numpy's TypeError from linspace
-        g = pl.build_grid(pl.disk(1.0), 17)
-        pair = _fake_pair(g, 1.0 - g.node_x**2 - g.node_y**2)
-        with pytest.raises(dg.DiagnosticsError,
-                           match=re.escape("n_lambda must be an integer, got %r" % (count,))):
-            dg.plane_positions(pair, 0, count)
-
-    def test_plane_positions_span_the_window(self, disk_pair_64):
+    def test_plane_positions_span_the_window(self, disk_pair_64, monkeypatch):
         pair, _ = disk_pair_64
         for dim in (0, 1):
             lo, hi = conftest.plane_window(pair, dim)
             got = dg.plane_positions(pair, dim)
             assert got.tobytes() == np.linspace(lo, hi, dg.N_LAMBDAS).tobytes()
-            assert dg.plane_positions(pair, dim, dg.MIN_LAMBDAS).shape == (dg.MIN_LAMBDAS,)
-            with pytest.raises(dg.DiagnosticsError, match="at least %d" % dg.MIN_LAMBDAS):
-                dg.plane_positions(pair, dim, dg.MIN_LAMBDAS - 1)
+        # the count is read when the positions are taken
+        monkeypatch.setattr(dg, "N_LAMBDAS", 5)
+        assert dg.plane_positions(pair, 0).shape == (5,)
 
     @pytest.mark.parametrize("n_lambda", [8, 16, 33])
     def test_both_checks_read_one_sweep(self, disk_pair_64, monkeypatch, n_lambda):
@@ -155,11 +140,12 @@ class TestMovingPlane:
             return cap_report(pair, dim, lam)
 
         monkeypatch.setattr(dg, "_cap_report", recorded)
-        sweep = functools.cache(lambda dim: dg.moving_plane_profile(pair, dim, n_lambda))
+        monkeypatch.setattr(dg, "N_LAMBDAS", n_lambda)
+        sweep = functools.cache(lambda dim: dg.moving_plane_profile(pair, dim))
         assert cli._check_moving_plane(pair, sweep)[0]
         assert cli._check_product(pair, sweep)[0]
         want = [(dim, lam) for dim in (0, 1)
-                for lam in dg.plane_positions(pair, dim, n_lambda)]
+                for lam in conftest.plane_positions(pair, dim, n_lambda)]
         assert seen == want
 
     def test_empty_window_rejected(self):
@@ -168,9 +154,9 @@ class TestMovingPlane:
         rho = uniform_density(g, 1.0, 2.0, 1.2 * g.discrete_area)
         pair = OptimalPair(u=u, v=u, rho=rho, theta=1.0, t=2.0)
         with pytest.raises(dg.DiagnosticsError):
-            dg.moving_plane_profile(pair, 0, 16)
+            dg.moving_plane_profile(pair, 0)
 
-    def test_plane_positions_match_the_landmark_chain(self):
+    def test_plane_positions_match_the_landmark_chain(self, monkeypatch):
         """The shape table read in one function gives the plane lists and
         the errors of the landmark record and plane window it replaced."""
         # the off-centre annulus tells (axis + stop) + margin from
@@ -186,16 +172,16 @@ class TestMovingPlane:
                 rho = uniform_density(g, 1.0, 1.0, g.discrete_area)
                 pair = OptimalPair(u=u, v=u, rho=rho, theta=1.0, t=0.5)
                 for dim in (0, 1, 2, -1):
-                    for n_lambda in (7, 8, 16, 33):
+                    for n_lambda in (8, 16, 33):
+                        monkeypatch.setattr(dg, "N_LAMBDAS", n_lambda)
                         want = _outcome(conftest.plane_positions, pair, dim, n_lambda)
-                        assert _outcome(dg.plane_positions, pair, dim, n_lambda) == want
+                        assert _outcome(dg.plane_positions, pair, dim) == want
                         cases += 1
                         outcomes.add(":".join(want.split(":")[:2])
                                      if isinstance(want, str) else "planes")
-        assert cases == 640
+        assert cases == 480
         assert outcomes == {
             "planes",
-            "DiagnosticsError: n_lambda must be at least 8",
             "DiagnosticsError: empty plane window",
             "GeometryError: axis dim must be 0 or 1, got 2",
             "GeometryError: axis dim must be 0 or 1, got -1",
@@ -205,7 +191,7 @@ class TestMovingPlane:
 class TestProductCheck:
     def test_disk_pair_all_planes(self, disk_pair_128):
         pair, _ = disk_pair_128
-        for lam in dg.plane_positions(pair, 0, 16):
+        for lam in dg.plane_positions(pair, 0):
             res = dg._cap_report(pair, 0, lam)
             assert res.product_fault is None
             assert res.case3_count == 0
@@ -277,7 +263,7 @@ class TestProductCheck:
         # cover every plane
         pair, _ = disk_pair_64
         grid = pair.grid
-        lams = dg.plane_positions(pair, 0, 16)
+        lams = dg.plane_positions(pair, 0)
         u = pair.u.values.copy()
         on_axis = np.abs(grid.node_y) < 0.5 * grid.delta
         for k, factor in ((2, 1.0 + 1e-12), (4, 1.0 + 1e-6)):
@@ -288,7 +274,7 @@ class TestProductCheck:
             if k == 2:
                 straddle, t = int(nodes[i]), float(ur[i])
         planted = OptimalPair(u=ScalarField(grid, u), v=pair.v, rho=pair.rho, theta=1.0, t=t)
-        rep = dg.moving_plane_profile(planted, 0, 16)
+        rep = dg.moving_plane_profile(planted, 0)
         caps = [dg._cap_report(planted, 0, lam) for lam in lams]
         assert [c.product_fault is None for c in caps][:5] == [True, True, False, True, False]
         assert rep.product_fault == caps[2].product_fault
@@ -376,8 +362,8 @@ class TestToleranceScaling:
         m64 = max(0.0, dg.monotonicity_violation(coarse.u, 0))
         m128 = max(0.0, dg.monotonicity_violation(fine.u, 0))
         assert m128 <= 2.0 * m64 + floor
-        w64 = dg.moving_plane_profile(coarse, 0, 16)
-        w128 = dg.moving_plane_profile(fine, 0, 16)
+        w64 = dg.moving_plane_profile(coarse, 0)
+        w128 = dg.moving_plane_profile(fine, 0)
         v64 = max(0.0, -w64.min_w1 / coarse.u.norm_inf)
         v128 = max(0.0, -w128.min_w1 / fine.u.norm_inf)
         assert v128 <= 2.0 * v64 + floor
@@ -581,17 +567,19 @@ class TestCapPathsMatchFullGridReferences:
                                 == _outcome(_full_grid_cap_report, *args))
 
     @pytest.mark.parametrize("n_lambda", [8, 16, 33])
-    def test_moving_plane_profile(self, solved_and_random, n_lambda):
+    def test_moving_plane_profile(self, solved_and_random, n_lambda, monkeypatch):
+        monkeypatch.setattr(dg, "N_LAMBDAS", n_lambda)
         for pair in solved_and_random:
             for dim in (0, 1):
-                assert (_outcome(dg.moving_plane_profile, pair, dim, n_lambda)
+                assert (_outcome(dg.moving_plane_profile, pair, dim)
                         == _outcome(_full_grid_moving_plane_profile, pair, dim, n_lambda))
 
     @pytest.mark.parametrize("n_lambda", [8, 16, 33])
-    def test_cap_report_over_the_window(self, solved_and_random, n_lambda):
+    def test_cap_report_over_the_window(self, solved_and_random, n_lambda, monkeypatch):
+        monkeypatch.setattr(dg, "N_LAMBDAS", n_lambda)
         pair, _ = solved_and_random
         for dim in (0, 1):
-            for lam in dg.plane_positions(pair, dim, n_lambda):
+            for lam in dg.plane_positions(pair, dim):
                 assert (_outcome(dg._cap_report, pair, dim, lam)
                         == _outcome(_full_grid_cap_report, pair, dim, lam))
 
@@ -637,9 +625,9 @@ class TestCapStencilCount:
     @pytest.mark.parametrize("dim", [0, 1])
     def test_moving_plane_profile_one_stencil_per_plane(self, disk_pair_64, stencil_calls, dim):
         pair, _ = disk_pair_64
-        dg.moving_plane_profile(pair, dim, 16)
+        dg.moving_plane_profile(pair, dim)
         assert len(stencil_calls) == 16
-        for (grid, d, lam, nodes), want in zip(stencil_calls, dg.plane_positions(pair, dim, 16)):
+        for (grid, d, lam, nodes), want in zip(stencil_calls, dg.plane_positions(pair, dim)):
             assert d == dim and lam == want
             coords = grid.node_x if dim == 0 else grid.node_y
             assert isinstance(nodes, np.ndarray) and nodes.size > 0

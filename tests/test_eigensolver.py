@@ -28,7 +28,7 @@ from platelab.fields import ScalarField
 from platelab.plate import solve_navier
 from platelab.poisson import GridMismatchError
 from platelab.rearrange import DensityField, optimal_density
-from test_golden import OPTIMIZE_IDS, OPTIMIZE_ROWS
+from test_golden import OPTIMIZE_IDS, OPTIMIZE_ROWS, _patch_stop
 
 J01 = jn_zeros(0, 1)[0]
 
@@ -618,10 +618,11 @@ class TestOneCountedMap:
     it does not hand off it returns and raises bitwise as the two-function
     form did; the pairs it hands off meet the tight reference."""
 
-    @pytest.mark.parametrize("spec, grid, mass, opts, theta, termination, outer, inner",
+    @pytest.mark.parametrize("spec, grid, mass, opts, stop, theta, termination, outer, inner",
                              OPTIMIZE_ROWS, ids=OPTIMIZE_IDS)
-    def test_every_golden_eigensolve_matches(self, monkeypatch, spec, grid, mass, opts, theta,
-                                             termination, outer, inner):
+    def test_every_golden_eigensolve_matches(self, monkeypatch, spec, grid, mass, opts, stop,
+                                             theta, termination, outer, inner):
+        _patch_stop(monkeypatch, stop)
         solves = []
 
         def both(op, rho, u0=None):

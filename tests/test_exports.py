@@ -112,7 +112,6 @@ def test_retired_names_stay_gone(module):
 
 def test_retired_methods_stay_gone():
     import platelab as pl
-    from platelab import cli
     from platelab.geometry import DomainSpec
     from platelab.poisson import DiscreteLaplacian
 
@@ -121,13 +120,6 @@ def test_retired_methods_stay_gone():
     assert not hasattr(pl.Grid, "has_cut")
     # a pair's domain is its grid's; the radial pair's grid has none
     assert not hasattr(pl.OptimalPair, "spec")
-    # one map cap and one tolerance for every eigensolve, eigensolver.DEFAULT_MAX_ITER
-    # and eigensolver.DEFAULT_TOL: neither the call, the options nor the CLI sets them
-    assert list(inspect.signature(pl.principal_pair).parameters) == ["op", "rho", "u0"]
-    subparsers = next(a for a in cli._build_parser()._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    for command in ("solve", "sweep-annulus"):
-        assert "--tol" not in subparsers.choices[command]._option_string_actions
     # an operator is built over a grid, whose memo owns its matrix and LU
     assert list(inspect.signature(DiscreteLaplacian).parameters) == ["grid"]
     op = pl.assemble_laplacian(pl.build_grid(pl.unit_square(), 9))
@@ -137,13 +129,62 @@ def test_retired_methods_stay_gone():
     assert (op.n, op.has_cut) == (49, False)
 
 
+# Numerical settings with one value in use are module constants, read
+# when the call runs (tests patch them), not parameters: the eigensolve's
+# eigensolver.DEFAULT_MAX_ITER and DEFAULT_TOL, the alternation's
+# optimizer.MAX_OUTER and THETA_TOL, the moving-plane sweep's
+# diagnostics.N_LAMBDAS.
+SIGNATURES = {
+    "platelab.eigensolver.principal_pair": ["op", "rho", "u0"],
+    "platelab.radial.radial_optimize": ["kind", "radii", "h", "H", "M", "n_r"],
+    "platelab.diagnostics.plane_positions": ["pair", "dim"],
+    "platelab.diagnostics.moving_plane_profile": ["pair", "dim"],
+}
+
+
+@pytest.mark.parametrize("path", sorted(SIGNATURES))
+def test_signatures_are_pinned(path):
+    module, name = path.rsplit(".", 1)
+    fn = getattr(importlib.import_module(module), name)
+    assert list(inspect.signature(fn).parameters) == SIGNATURES[path]
+
+
+# Each subcommand's flags, pinned as PUBLIC pins the API: adding or
+# retiring a flag is an edit here.
+CLI_FLAGS = {
+    "solve": ["-h", "--help", "--domain", "--radius", "--inner", "--semi-x", "--semi-y",
+              "--width", "--height", "--length", "--cap-radius", "--h", "--H", "--mass",
+              "--grid", "--nr", "--restarts", "--seed", "--radial", "--out", "--fields",
+              "--images"],
+    "verify": ["-h", "--help", "--report", "--fields", "--checks"],
+    "sweep-annulus": ["-h", "--help", "--inner-from", "--inner-to", "--steps", "--h", "--H",
+                      "--mass-fraction", "--grid", "--nr", "--restarts", "--seed", "--out"],
+}
+# flags of the constants above, which no caller set to another value:
+# --tol (eigensolver.DEFAULT_TOL), --theta-tol and --max-outer
+# (optimizer.THETA_TOL, MAX_OUTER), --n-lambda (diagnostics.N_LAMBDAS)
+RETIRED_FLAGS = ["--tol", "--theta-tol", "--max-outer", "--n-lambda"]
+
+
+def test_cli_flags_are_pinned():
+    from platelab import cli
+
+    subparsers = next(a for a in cli._build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    got = {command: [flag for action in parser._actions for flag in action.option_strings]
+           for command, parser in subparsers.choices.items()}
+    assert got == CLI_FLAGS
+    assert [flag for flags in got.values() for flag in flags if flag in RETIRED_FLAGS] == []
+
+
 # The records' fields, pinned: a pair's grid and domain are read off its
 # fields rather than stored beside them, and a report carries no copy of
 # its inputs.
 RECORD_FIELDS = {
     "platelab.optimizer.OptimalPair": ["u", "v", "rho", "theta", "t"],
-    # the eigen tolerance and map cap are eigensolver constants, not options
-    "platelab.optimizer.OptimizeOptions": ["theta_tol", "max_outer", "restarts", "seed"],
+    # the eigen tolerance and map cap are eigensolver constants, the outer
+    # stop's tolerance and cap optimizer constants, not options
+    "platelab.optimizer.OptimizeOptions": ["restarts", "seed"],
     "platelab.eigensolver.EigenResult": ["theta", "u", "v", "iterations", "theta_history"],
     "platelab.optimizer.SolveReport": ["theta_history", "inner_iterations", "mass_errors",
                                        "termination", "outer_iterations", "wall_time",

@@ -8,7 +8,8 @@ solver on that annulus at 128 cells. One more row, the thin annulus of
 inner radius 0.85 at grid 49 seeded the same way, is one whose
 eigensolves hand off from power iteration to the Krylov solve. The
 remaining rows end on the other two terminations, ``theta-converged``
-and ``max-outer``, on both paths. A change that moves theta by more
+and ``max-outer``, on both paths, under a patched ``optimizer.THETA_TOL``
+or ``optimizer.MAX_OUTER``. A change that moves theta by more
 than 1e-12 relative, or changes the termination, the outer-iteration
 count or the eigen-iteration count of an outer step, has changed the
 numerics and must say why.
@@ -40,6 +41,7 @@ from platelab.eigensolver import (
 )
 from platelab.fields import ScalarField
 from platelab.geometry import DomainSpec, reflect_cap
+from platelab import optimizer
 from platelab.optimizer import OptimalPair, OptimizeOptions, SolveReport
 from platelab.radial import RadialResult, _radial_operator, radial_grid
 from platelab.rearrange import (
@@ -62,40 +64,50 @@ ANNULUS_OPTS = OptimizeOptions(
     restarts=2, seed=int(np.random.SeedSequence((0, 0)).generate_state(1)[0])
 )
 
-# spec, grid, mass, opts, theta, termination, outer steps, inner iterations
+# spec, grid, mass, opts, the optimizer stop constants patched, theta,
+# termination, outer steps, inner iterations
 OPTIMIZE_ROWS = [
-    (pl.disk(), 33, math.pi * 1.5, OptimizeOptions(), 17.362154323634442, "rho-fixed", 2,
+    (pl.disk(), 33, math.pi * 1.5, OptimizeOptions(), {}, 17.362154323634442, "rho-fixed", 2,
      (7, 5)),
-    (pl.unit_square(), 33, 1.5, OptimizeOptions(), 198.77662708938155, "rho-fixed", 2, (6, 4)),
-    (pl.annulus(INNER, 1.0), 41, ANNULUS_MASS, ANNULUS_OPTS, 72.47523531018791, "rho-fixed", 3,
-     (7, 10, 7)),
-    (pl.annulus(THIN, 1.0), 49, THIN_MASS, ANNULUS_OPTS, 91332.31020743366, "rho-fixed", 5,
+    (pl.unit_square(), 33, 1.5, OptimizeOptions(), {}, 198.77662708938155, "rho-fixed", 2,
+     (6, 4)),
+    (pl.annulus(INNER, 1.0), 41, ANNULUS_MASS, ANNULUS_OPTS, {}, 72.47523531018791,
+     "rho-fixed", 3, (7, 10, 7)),
+    (pl.annulus(THIN, 1.0), 49, THIN_MASS, ANNULUS_OPTS, {}, 91332.31020743366, "rho-fixed", 5,
      (41, 38, 35, 35, 34)),
-    (pl.annulus(HALF, 1.0), 33, HALF_MASS, OptimizeOptions(theta_tol=1e-2), 815.5708286669584,
-     "theta-converged", 3, (12, 15, 16)),
-    (pl.annulus(THIN, 1.0), 49, THIN_MASS, OptimizeOptions(max_outer=2), 93763.84817811314,
-     "max-outer", 2, (15, 75)),
+    (pl.annulus(HALF, 1.0), 33, HALF_MASS, OptimizeOptions(), {"THETA_TOL": 1e-2},
+     815.5708286669584, "theta-converged", 3, (12, 15, 16)),
+    (pl.annulus(THIN, 1.0), 49, THIN_MASS, OptimizeOptions(), {"MAX_OUTER": 2},
+     93763.84817811314, "max-outer", 2, (15, 75)),
 ]
 OPTIMIZE_IDS = ["disk-33", "square-33", "annulus-0.12-41", "annulus-0.85-49",
                 "annulus-0.5-33-theta-converged", "annulus-0.85-49-max-outer"]
 
-# kind, radii, mass, n_r, opts, theta, termination, outer steps
+# kind, radii, mass, n_r, the optimizer stop constants patched, theta,
+# termination, outer steps
 RADIAL_ROWS = [
     # 3 outer steps and theta 72.87768318344891 while the bathtub's closing
     # sum ran in u order: the first two steps gave one H set two densities
     # 6.7e-15 apart
-    ("annulus", (INNER, 1.0), ANNULUS_MASS, 128, ANNULUS_OPTS, 72.87768318344958, "rho-fixed", 2),
-    ("annulus", (HALF, 1.0), HALF_MASS, 256, OptimizeOptions(theta_tol=0.5), 832.8204628735149,
+    ("annulus", (INNER, 1.0), ANNULUS_MASS, 128, {}, 72.87768318344958, "rho-fixed", 2),
+    ("annulus", (HALF, 1.0), HALF_MASS, 256, {"THETA_TOL": 0.5}, 832.8204628735149,
      "theta-converged", 2),
-    ("disk", (1.0,), 1.5 * math.pi, 512, OptimizeOptions(max_outer=1), 17.474556984244632,
-     "max-outer", 1),
+    ("disk", (1.0,), 1.5 * math.pi, 512, {"MAX_OUTER": 1}, 17.474556984244632, "max-outer", 1),
 ]
 RADIAL_IDS = ["annulus-0.12-128", "annulus-0.5-256-theta-converged", "disk-512-max-outer"]
 
 
-@pytest.mark.parametrize("spec, grid, mass, opts, theta, termination, outer, inner",
+def _patch_stop(monkeypatch, stop):
+    """Set the optimizer's stop constants named in ``stop``."""
+    for name, value in stop.items():
+        monkeypatch.setattr(optimizer, name, value)
+
+
+@pytest.mark.parametrize("spec, grid, mass, opts, stop, theta, termination, outer, inner",
                          OPTIMIZE_ROWS, ids=OPTIMIZE_IDS)
-def test_optimize_golden(spec, grid, mass, opts, theta, termination, outer, inner):
+def test_optimize_golden(spec, grid, mass, opts, stop, theta, termination, outer, inner,
+                         monkeypatch):
+    _patch_stop(monkeypatch, stop)
     pair, report = pl.optimize(spec, grid, 1.0, 2.0, mass, opts=opts)
     assert pair.theta == pytest.approx(theta, rel=REL, abs=0.0)
     assert report.termination == termination
@@ -104,17 +116,18 @@ def test_optimize_golden(spec, grid, mass, opts, theta, termination, outer, inne
 
 
 def test_radial_golden():
-    res = pl.radial_optimize("annulus", (INNER, 1.0), 1.0, 2.0, ANNULUS_MASS, n_r=128,
-                             opts=ANNULUS_OPTS)
+    res = pl.radial_optimize("annulus", (INNER, 1.0), 1.0, 2.0, ANNULUS_MASS, n_r=128)
     assert res.theta == pytest.approx(72.87768318344958, rel=REL, abs=0.0)
     assert res.termination == "rho-fixed"
     assert res.outer_iterations == 2
 
 
-@pytest.mark.parametrize("kind, radii, mass, n_r, opts, theta, termination, outer",
+@pytest.mark.parametrize("kind, radii, mass, n_r, stop, theta, termination, outer",
                          RADIAL_ROWS[1:], ids=RADIAL_IDS[1:])
-def test_radial_golden_terminations(kind, radii, mass, n_r, opts, theta, termination, outer):
-    res = pl.radial_optimize(kind, radii, 1.0, 2.0, mass, n_r=n_r, opts=opts)
+def test_radial_golden_terminations(kind, radii, mass, n_r, stop, theta, termination, outer,
+                                    monkeypatch):
+    _patch_stop(monkeypatch, stop)
+    res = pl.radial_optimize(kind, radii, 1.0, 2.0, mass, n_r=n_r)
     assert res.theta == pytest.approx(theta, rel=REL, abs=0.0)
     assert res.termination == termination
     assert res.outer_iterations == outer
@@ -135,7 +148,7 @@ def _optimize_loop(spec, nodes_per_side, h, H, M, opts=OptimizeOptions()):
     best = None
     thetas = []
     for rho0 in starts:
-        pair, report = _alternate_loop(op, rho0, h, H, M, opts)
+        pair, report = _alternate_loop(op, rho0, h, H, M)
         thetas.append(pair.theta)
         if best is None or pair.theta < best[0].theta:
             best = (pair, report)
@@ -143,7 +156,7 @@ def _optimize_loop(spec, nodes_per_side, h, H, M, opts=OptimizeOptions()):
     return pair, replace(report, restart_thetas=tuple(thetas))
 
 
-def _alternate_loop(op, rho0, h, H, M, opts):
+def _alternate_loop(op, rho0, h, H, M):
     t0 = time.perf_counter()
     rho = rho0
     theta_history = []
@@ -151,7 +164,7 @@ def _alternate_loop(op, rho0, h, H, M, opts):
     mass_errors = []
     termination = "max-outer"
     u_warm = None
-    for _ in range(opts.max_outer):
+    for _ in range(optimizer.MAX_OUTER):
         eig = principal_pair(op, rho, u0=u_warm)
         theta_history.append(eig.theta)
         inner_iterations.append(eig.iterations)
@@ -166,7 +179,7 @@ def _alternate_loop(op, rho0, h, H, M, opts):
         rho = thr.rho
         if len(theta_history) >= 2 and abs(
             theta_history[-1] - theta_history[-2]
-        ) <= opts.theta_tol * abs(theta_history[-1]):
+        ) <= optimizer.THETA_TOL * abs(theta_history[-1]):
             termination = "theta-converged"
             break
 
@@ -184,11 +197,11 @@ def _alternate_loop(op, rho0, h, H, M, opts):
     return pair, report
 
 
-def _radial_loop(kind, radii, h, H, M, n_r=1024, opts=OptimizeOptions()):
+def _radial_loop(kind, radii, h, H, M, n_r=1024):
     """Reference: ``radial_optimize`` with its own alternation loop,
     verbatim but for the eigensolve's iteration count, which it drops, the
-    bathtub, now the one both paths share, and its record, now a pair of
-    fields on the ring grid."""
+    bathtub, now the one both paths share, its record, now a pair of
+    fields on the ring grid, and its stop, now the optimizer's constants."""
     grid = radial_grid(kind, radii, n_r)
     area = grid.discrete_area
     try:
@@ -200,7 +213,7 @@ def _radial_loop(kind, radii, h, H, M, n_r=1024, opts=OptimizeOptions()):
     history = []
     termination = "max-outer"
     u_warm = None
-    for _ in range(opts.max_outer):
+    for _ in range(optimizer.MAX_OUTER):
         theta, _, u, v = _principal_pair_radial(
             grid, ab, rho, DEFAULT_TOL, DEFAULT_MAX_ITER, u0=u_warm
         )
@@ -212,7 +225,7 @@ def _radial_loop(kind, radii, h, H, M, n_r=1024, opts=OptimizeOptions()):
             rho = rho_new
             break
         rho = rho_new
-        if len(history) >= 2 and abs(history[-1] - history[-2]) <= opts.theta_tol * abs(
+        if len(history) >= 2 and abs(history[-1] - history[-2]) <= optimizer.THETA_TOL * abs(
             history[-1]
         ):
             termination = "theta-converged"
@@ -274,10 +287,11 @@ def _record(obj, skip=("wall_time",)):
     return {f.name: exact(getattr(obj, f.name)) for f in fields(obj) if f.name not in skip}
 
 
-@pytest.mark.parametrize("spec, grid, mass, opts, theta, termination, outer, inner",
+@pytest.mark.parametrize("spec, grid, mass, opts, stop, theta, termination, outer, inner",
                          OPTIMIZE_ROWS, ids=OPTIMIZE_IDS)
-def test_optimize_matches_verbatim_loop(spec, grid, mass, opts, theta, termination, outer,
-                                        inner):
+def test_optimize_matches_verbatim_loop(spec, grid, mass, opts, stop, theta, termination, outer,
+                                        inner, monkeypatch):
+    _patch_stop(monkeypatch, stop)
     pair, report = pl.optimize(spec, grid, 1.0, 2.0, mass, opts=opts)
     want_pair, want_report = _optimize_loop(spec, grid, 1.0, 2.0, mass, opts=opts)
     assert _record(pair) == _record(want_pair)
@@ -285,11 +299,13 @@ def test_optimize_matches_verbatim_loop(spec, grid, mass, opts, theta, terminati
     assert report.termination == termination
 
 
-@pytest.mark.parametrize("kind, radii, mass, n_r, opts, theta, termination, outer",
+@pytest.mark.parametrize("kind, radii, mass, n_r, stop, theta, termination, outer",
                          RADIAL_ROWS, ids=RADIAL_IDS)
-def test_radial_matches_verbatim_loop(kind, radii, mass, n_r, opts, theta, termination, outer):
-    res = pl.radial_optimize(kind, radii, 1.0, 2.0, mass, n_r=n_r, opts=opts)
-    want = _radial_loop(kind, radii, 1.0, 2.0, mass, n_r=n_r, opts=opts)
+def test_radial_matches_verbatim_loop(kind, radii, mass, n_r, stop, theta, termination, outer,
+                                      monkeypatch):
+    _patch_stop(monkeypatch, stop)
+    res = pl.radial_optimize(kind, radii, 1.0, 2.0, mass, n_r=n_r)
+    want = _radial_loop(kind, radii, 1.0, 2.0, mass, n_r=n_r)
     assert _record(res) == _record(want)
     assert res.termination == termination
 
@@ -334,7 +350,7 @@ def _first_cap_node(report, cols):
     grid = pl.build_grid(DomainSpec.from_dict(report["domain"]), report["grid"])
     u = ScalarField(grid, cols[:, 2])
     pair = OptimalPair(u=u, v=u, rho=None, theta=1.0, t=report["t"])
-    lam = pl.diagnostics.plane_positions(pair, 0, 16)[0]  # the first plane at any count
+    lam = pl.diagnostics.plane_positions(pair, 0)[0]  # the first plane at any count
     nodes, (ur,) = reflect_cap(grid, [u.values], 0, lam)
     k = np.lexsort((grid.node_x[nodes], np.abs(grid.node_y[nodes] - grid.spec.center[1])))[0]
     return nodes[k], ur[k]
@@ -412,7 +428,8 @@ def verify_solves(tmp_path_factory):
 
 
 def verify_transcript(verify_solves, tmp_path, solve, fault, n_lambda):
-    """(exit code, stdout) of ``plate-lab verify`` on one case."""
+    """(exit code, stdout) of ``plate-lab verify`` on one case, with
+    ``n_lambda`` planes (``diagnostics.N_LAMBDAS`` patched)."""
     from platelab import cli
 
     report, cols = VERIFY_FAULTS[fault](*verify_solves(solve))
@@ -420,9 +437,9 @@ def verify_transcript(verify_solves, tmp_path, solve, fault, n_lambda):
     report_path.write_text(json.dumps(report))
     cli._write_fields_csv(fields_path, *cols.T)
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        rc = cli.main(["verify", "--report", str(report_path), "--fields", str(fields_path),
-                       "--n-lambda", str(n_lambda)])
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+        mp.setattr(pl.diagnostics, "N_LAMBDAS", n_lambda)
+        rc = cli.main(["verify", "--report", str(report_path), "--fields", str(fields_path)])
     return rc, out.getvalue()
 
 

@@ -7,7 +7,7 @@ from scipy.linalg import solve_banded
 from scipy.special import jn_zeros
 
 import platelab as pl
-from platelab import eigensolver, radial, rearrange
+from platelab import eigensolver, optimizer, radial, rearrange
 from platelab.cli import main
 from platelab.eigensolver import EigenError
 from platelab.fields import ScalarField
@@ -320,7 +320,7 @@ class TestSharedInputRules:
         assert _outcome(lambda: radial_optimize("disk", (1.0,), h, H, M, n_r=128)) == planar
 
     @pytest.mark.parametrize("scale", [0.1, 10.0], ids=["mass-below-1", "mass-above-1"])
-    def test_bracket_edges_match_the_2d_path(self, scale):
+    def test_bracket_edges_match_the_2d_path(self, scale, monkeypatch):
         grid_2d = pl.build_grid(pl.disk(1.0), 17)
         u = ScalarField(grid_2d, np.linspace(1.0, 2.0, grid_2d.n))
         area_r = radial_grid("disk", (1.0,), 64).discrete_area
@@ -338,15 +338,15 @@ class TestSharedInputRules:
                 (h, H, math.nan, True),
             ]
 
-        opts = pl.OptimizeOptions(max_outer=2)
+        monkeypatch.setattr(optimizer, "MAX_OUTER", 2)
         rings = [hHM for *hHM, _ in edges(area_r)]
         lattice = [hHM for *hHM, _ in edges(grid_2d.discrete_area)]
-        radial = [_outcome(lambda: radial_optimize("disk", (1.0,), *hHM, n_r=64, opts=opts))
+        radial = [_outcome(lambda: radial_optimize("disk", (1.0,), *hHM, n_r=64))
                   for hHM in rings]
         planar = [_outcome(lambda: optimal_density(u, *hHM)) for hHM in lattice]
         # the uniform start of a mass just outside the bracket is clipped into
         # the box: it once left it, and optimize refused what the others took
-        alternated = [_outcome(lambda: pl.optimize(pl.disk(1.0), 17, *hHM, opts=opts))
+        alternated = [_outcome(lambda: pl.optimize(pl.disk(1.0), 17, *hHM))
                       for hHM in lattice]
         # every refusal is the one bracket rule's, on the path's own area
         assert radial == [_outcome(lambda: _check_bracket(area_r, *hHM)) for hHM in rings]
