@@ -16,16 +16,11 @@ from .geometry import (
     stadium,
     unit_square,
 )
-from .optimizer import OptimalPair, OptimizeOptions, SolveReport, optimize
+from .optimizer import OptimalPair, SolveReport, optimize
 from .plate import solve_navier
 from .poisson import DiscreteLaplacian, assemble_laplacian, solve_dirichlet
 from .radial import radial_optimize
-from .rearrange import (
-    DensityField,
-    ThresholdResult,
-    optimal_density,
-    uniform_density,
-)
+from .rearrange import DensityField, optimal_density, uniform_density
 
 __all__ = [
     "__version__",
@@ -35,10 +30,8 @@ __all__ = [
     "EigenResult",
     "Grid",
     "OptimalPair",
-    "OptimizeOptions",
     "ScalarField",
     "SolveReport",
-    "ThresholdResult",
     "annulus",
     "assemble_laplacian",
     "build_grid",

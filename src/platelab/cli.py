@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__, diagnostics, geometry
 from .fields import ScalarField
 from .geometry import DomainSpec, GeometryError, _integer, build_grid
-from .optimizer import OptimizeError, OptimizeOptions, OptimalPair, optimize
+from .optimizer import OptimizeError, OptimalPair, _check_starts, optimize
 from .radial import radial_grid, radial_optimize
 from .rearrange import DensityField, RearrangeError, _check_bracket, uniform_density
 
@@ -53,6 +53,8 @@ _TABLE_ROWS = 4  # a column with at most one distinct value per this many rows i
 # point, the exponent, nan and inf, the comma and LF
 _WRITER_BYTES = b"0123456789+-.enaif,\n"
 RADIAL_CELLS = inspect.signature(radial_optimize).parameters["n_r"].default
+RESTARTS, SEED = (inspect.signature(optimize).parameters[name].default
+                  for name in ("restarts", "seed"))
 SWEEP_COLUMNS = ("inner_radius", "theta_2d", "theta_radial", "rotation_asymmetry", "termination",
                  "termination_radial")
 
@@ -75,7 +77,8 @@ def _build_parser():
     ps.add_argument("--h", type=float, required=True, help="lower density bound")
     ps.add_argument("--H", dest="Hd", type=float, required=True, help="upper density bound")
     ps.add_argument("--mass", type=float, required=True, help="total density mass")
-    _add_solver_flags(ps, grid=129, seed=None)
+    _add_solver_flags(ps, grid=129)
+    ps.set_defaults(seed=None)  # None: --seed not given, which --radial refuses
     ps.add_argument("--radial", action="store_true", help="use the 1-D radial solver")
     ps.add_argument("--out", default=None, help="JSON report path")
     ps.add_argument("--fields", default=None, help="CSV fields path")
@@ -94,18 +97,18 @@ def _build_parser():
     pw.add_argument("--H", dest="Hd", type=float, default=2.0)
     pw.add_argument("--mass-fraction", type=float, default=0.5,
                     help="position of the mass inside [h*area, H*area]")
-    _add_solver_flags(pw, grid=193, seed=0)
+    _add_solver_flags(pw, grid=193)
     pw.add_argument("--out", required=True, help="CSV output path")
     return p
 
 
-def _add_solver_flags(ps, grid, seed):
-    """Grid sizes and restarts; the radial grid's and the restarts'
-    defaults are ``radial_optimize``'s and ``OptimizeOptions``'s own."""
+def _add_solver_flags(ps, grid):
+    """Grid sizes and starts; the radial grid's and the starts' defaults
+    are ``radial_optimize``'s and ``optimize``'s own."""
     ps.add_argument("--grid", type=int, default=grid, help="nodes per side (boundary inclusive)")
     ps.add_argument("--nr", type=int, default=RADIAL_CELLS, help="radial grid cells")
-    ps.add_argument("--restarts", type=int, default=OptimizeOptions().restarts)
-    ps.add_argument("--seed", type=int, default=seed)
+    ps.add_argument("--restarts", type=int, default=RESTARTS)
+    ps.add_argument("--seed", type=int, default=SEED)
 
 
 _FLAG_OF = {"outer": "radius"}  # shape parameters whose flag is not their name
@@ -212,8 +215,8 @@ def _run_solve(args):
         grid = args.nr
         extra = {}
     else:
-        opts = OptimizeOptions(restarts=args.restarts, seed=args.seed)
-        pair, rep = optimize(spec, args.grid, args.h, args.Hd, args.mass, opts=opts)
+        seed = SEED if args.seed is None else args.seed
+        pair, rep = optimize(spec, args.grid, args.h, args.Hd, args.mass, args.restarts, seed)
         grid = args.grid
         extra = {"restart_thetas": list(rep.restart_thetas)}
         if args.images:
@@ -434,7 +437,7 @@ def _run_sweep(args):
     if args.steps == 1 and args.inner_to != args.inner_from:
         raise CliUsageError("error: --steps 1 sweeps one radius; --inner-to must equal "
                             "--inner-from")
-    OptimizeOptions(restarts=args.restarts, seed=args.seed)  # before the seed seeds a row
+    _check_starts(args.restarts, args.seed)  # before the seed seeds a row
     jobs = []  # every row's domain and mass, checked before the first solve
     for a in np.linspace(args.inner_from, args.inner_to, args.steps):
         spec = geometry.annulus(a, 1.0)  # outer radius fixed at 1
@@ -459,8 +462,7 @@ def _sweep_row(args, idx, a, spec, mass_val):
     and with it its grid and factorization, is released when the row
     returns, before the next row's grid is built."""
     seed = int(np.random.SeedSequence((args.seed, idx)).generate_state(1)[0])
-    opts = OptimizeOptions(restarts=args.restarts, seed=seed)
-    pair, rep = optimize(spec, args.grid, args.h, args.Hd, mass_val, opts=opts)
+    pair, rep = optimize(spec, args.grid, args.h, args.Hd, mass_val, args.restarts, seed)
     radial_res = radial_optimize(spec.kind, spec.params, args.h, args.Hd, mass_val, n_r=args.nr)
     return (
         _fmt(a),

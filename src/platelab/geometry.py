@@ -256,11 +256,36 @@ PARAMS = {kind: shape.names for kind, shape in _SHAPES.items()}  # in table orde
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """Analytic description of the domain: kind, parameters, centre."""
+    """Analytic description of the domain: kind, parameters, centre.
+
+    The one domain check runs on construction: a known kind, a flat
+    sequence of its count of finite, positive parameters and a finite
+    (x, y) centre. Parameters and centre are stored as tuples of floats.
+    """
 
     kind: str
     params: tuple
     center: tuple
+
+    def __post_init__(self):
+        if self.kind not in _SHAPES:
+            raise GeometryError("unknown domain kind %r" % (self.kind,))
+        shape = _SHAPES[self.kind]
+        values = _reals(self.params, len(shape.names))
+        if values is None:
+            raise GeometryError("%s takes parameters %s, got %r"
+                                % (self.kind, shape.names, self.params))
+        for name, v in zip(shape.names, values):
+            if not 0 < v < math.inf:
+                raise GeometryError("%s must be %s, got %r"
+                                    % (name, "finite" if v > 0 else "strictly positive", v))
+        if fault := shape.check(values):
+            raise GeometryError(fault)
+        xy = _reals(self.center, 2)
+        if xy is None or not np.isfinite(xy).all():
+            raise GeometryError("center must be a finite (x, y) pair, got %r" % (self.center,))
+        object.__setattr__(self, "params", values)
+        object.__setattr__(self, "center", xy)
 
     @property
     def shape(self):
@@ -297,7 +322,7 @@ class DomainSpec:
     def from_dict(cls, d):
         """Validated spec from :meth:`to_dict` output; any other key is
         not read. Without ``center`` the domain sits at the origin."""
-        return _validated(d["kind"], d["params"], d.get("center", (0.0, 0.0)))
+        return cls(d["kind"], d["params"], d.get("center", (0.0, 0.0)))
 
 
 def symmetry_axis(spec, dim):
@@ -305,27 +330,6 @@ def symmetry_axis(spec, dim):
     direction ``dim`` (0 or 1): the centre line, as every kind is
     symmetric about both centre lines."""
     return spec.center[_direction(dim)]
-
-
-def _validated(kind, params, center):
-    """The spec of a known kind from a flat sequence of its count of finite,
-    positive parameters and a finite (x, y) centre: the one domain check."""
-    if kind not in _SHAPES:
-        raise GeometryError("unknown domain kind %r" % (kind,))
-    shape = _SHAPES[kind]
-    values = _reals(params, len(shape.names))
-    if values is None:
-        raise GeometryError("%s takes parameters %s, got %r" % (kind, shape.names, params))
-    for name, v in zip(shape.names, values):
-        if not 0 < v < math.inf:
-            raise GeometryError("%s must be %s, got %r"
-                                % (name, "finite" if v > 0 else "strictly positive", v))
-    if fault := shape.check(values):
-        raise GeometryError(fault)
-    xy = _reals(center, 2)
-    if xy is None or not np.isfinite(xy).all():
-        raise GeometryError("center must be a finite (x, y) pair, got %r" % (center,))
-    return DomainSpec(kind, values, xy)
 
 
 def _reals(seq, count):
@@ -359,19 +363,19 @@ def _is_real(value):
 
 
 def disk(radius=1.0, center=(0.0, 0.0)):
-    return _validated("disk", (radius,), center)
+    return DomainSpec("disk", (radius,), center)
 
 
 def annulus(inner, outer=1.0, center=(0.0, 0.0)):
-    return _validated("annulus", (inner, outer), center)
+    return DomainSpec("annulus", (inner, outer), center)
 
 
 def ellipse(semi_x=1.0, semi_y=0.6, center=(0.0, 0.0)):
-    return _validated("ellipse", (semi_x, semi_y), center)
+    return DomainSpec("ellipse", (semi_x, semi_y), center)
 
 
 def rectangle(width=1.0, height=1.0, center=(0.0, 0.0)):
-    return _validated("rectangle", (width, height), center)
+    return DomainSpec("rectangle", (width, height), center)
 
 
 def unit_square():
@@ -380,7 +384,7 @@ def unit_square():
 
 
 def stadium(length=1.0, cap_radius=0.5, center=(0.0, 0.0)):
-    return _validated("stadium", (length, cap_radius), center)
+    return DomainSpec("stadium", (length, cap_radius), center)
 
 
 # ---------------------------------------------------------------------- grid

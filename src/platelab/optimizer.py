@@ -10,12 +10,14 @@ stadium at 129; 16 annuli at 97; one and two starts). The loop stops
 when the density reproduces itself node-for-node or the quotient stalls.
 
 Alternation converges to a fixed point, not provably to the global
-minimum; ``restarts`` reruns the loop from randomized admissible
-densities and keeps the best quotient found.
+minimum; ``optimize``'s ``restarts`` reruns the loop from randomized
+admissible densities drawn from ``seed``, and keeps the best quotient
+found.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, replace
 
@@ -32,20 +34,16 @@ MAX_OUTER = 200  # outer steps after which the alternation stops
 
 
 class OptimizeError(ValueError):
-    """Invalid optimizer options."""
+    """Invalid optimizer starts."""
 
 
-@dataclass(frozen=True)
-class OptimizeOptions:
-    restarts: int = 1
-    seed: int | None = None
-
-    def __post_init__(self):
-        restarts = _integer(self.restarts, "restarts", OptimizeError)
-        if restarts < 1:
-            raise OptimizeError("restarts must be at least 1, got %r" % (restarts,))
-        if self.seed is not None and _integer(self.seed, "seed", OptimizeError) < 0:
-            raise OptimizeError("seed must be non-negative, got %r" % (self.seed,))
+def _check_starts(restarts, seed):
+    """The one check of ``optimize``'s starts: ``restarts`` an integer of
+    at least 1, ``seed`` a non-negative integer."""
+    if _integer(restarts, "restarts", OptimizeError) < 1:
+        raise OptimizeError("restarts must be at least 1, got %r" % (restarts,))
+    if _integer(seed, "seed", OptimizeError) < 0:
+        raise OptimizeError("seed must be non-negative, got %r" % (seed,))
 
 
 @dataclass(frozen=True)
@@ -74,18 +72,19 @@ class SolveReport:
     restart_thetas: tuple
 
 
-def optimize(spec, nodes_per_side, h, H, M, opts=OptimizeOptions()):
+def optimize(spec, nodes_per_side, h, H, M, restarts=1, seed=0):
     """Run the alternating scheme; returns the best (pair, report) found.
 
     Builds the grid of ``spec`` at ``nodes_per_side`` and its operator.
-    The first start is the uniform admissible density; additional
-    ``opts.restarts - 1`` starts are randomized threshold densities drawn
-    from ``opts.seed``. All calls on a grid ``build_grid`` keeps share it
-    and its operator: its starts, and any later ``optimize`` on the same
-    ``spec`` and size, reuse one matrix and one factorization. Which grids
-    stay kept, and so how many factorizations stay alive, is
-    ``build_grid``'s policy.
+    The first start is the uniform admissible density; the other
+    ``restarts - 1`` are randomized threshold densities drawn from
+    ``seed``, each when its turn comes. All calls on a grid
+    ``build_grid`` keeps share it and its operator: its starts, and any
+    later ``optimize`` on the same ``spec`` and size, reuse one matrix and
+    one factorization. Which grids stay kept, and so how many
+    factorizations stay alive, is ``build_grid``'s policy.
     """
+    _check_starts(restarts, seed)
     grid = build_grid(spec, nodes_per_side)
     op = assemble_laplacian(grid)
 
@@ -93,16 +92,13 @@ def optimize(spec, nodes_per_side, h, H, M, opts=OptimizeOptions()):
         eig = principal_pair(op, rho, u0=u0)
         return eig.theta, eig.iterations, eig.u, eig.v
 
-    starts = [uniform_density(grid, h, H, M)]
-    if opts.restarts > 1:
-        rng = np.random.default_rng(opts.seed)
-        for _ in range(opts.restarts - 1):
-            probe = ScalarField(grid, rng.uniform(0.5, 1.5, grid.n))
-            starts.append(optimal_density(probe, h, H, M).rho)
+    rng = np.random.default_rng(seed)
+    drawn = (optimal_density(ScalarField(grid, rng.uniform(0.5, 1.5, grid.n)), h, H, M)[0]
+             for _ in range(restarts - 1))
 
     best = None
     thetas = []
-    for rho0 in starts:
+    for rho0 in itertools.chain([uniform_density(grid, h, H, M)], drawn):
         rho, u, v, t, report = _alternate(rho0, eigensolve)
         theta = _quotient(u.values, v.values, rho.values, rho.grid)
         pair = OptimalPair(u=u, v=v, rho=rho, theta=theta, t=t)
@@ -136,8 +132,7 @@ def _alternate(rho, eigensolve):
         inner_iterations.append(iterations)
         mass_errors.append(abs(rho.grid._integral(rho.values) - rho.M))
         rho_prev = rho
-        thr = optimal_density(u, rho.h, rho.H, rho.M)
-        rho, t = thr.rho, thr.t
+        rho, t = optimal_density(u, rho.h, rho.H, rho.M)
         if np.array_equal(rho.values, rho_prev.values):
             termination = "rho-fixed"
             break

@@ -56,14 +56,6 @@ class DensityField:
             object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
-    """Bathtub output: density and threshold level t."""
-
-    rho: DensityField
-    t: float
-
-
 def uniform_density(grid, h, H, M):
     """The admissible constant density with mass M."""
     h, H, M = _check_bracket(grid.discrete_area, h, H, M)
@@ -110,13 +102,14 @@ def _check_density(values, got, h, H, M):
 
 def optimal_density(u, h, H, M):
     """Threshold density on ``u.grid`` maximizing ``sum(rho u^2)`` at fixed mass:
-    the bathtub step on the grid's node weights."""
+    the bathtub step on the grid's node weights. Returns ``(rho, t)``, the
+    ``DensityField`` and the threshold level."""
     grid = u.grid
     if np.any(u.values <= 0.0):
         raise RearrangeError("rearrangement needs a strictly positive field")
     h, H, M = _check_bracket(grid.discrete_area, h, H, M)
     values, t = _bathtub(u.values, grid.weights, h, H, M)
-    return ThresholdResult(rho=DensityField(grid, values, h, H, M), t=t)
+    return DensityField(grid, values, h, H, M), t
 
 
 def _bathtub(u, weights, h, H, M):

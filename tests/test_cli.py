@@ -244,6 +244,21 @@ class TestSolve:
         assert r1 == r2
 
 
+    def test_unseeded_multi_start_is_the_seed_0_run(self, tmp_path):
+        # two unseeded runs drew fresh entropy: restart_thetas such as
+        # [779.5118, 779.5378, 779.4538] and [779.5118, 779.4546, 779.5118]
+        args = ["solve", "--domain", "annulus", "--inner", "0.5", "--grid", "33",
+                "--h", "1", "--H", "2", "--mass", "3.6", "--restarts", "3"]
+        reports = []
+        for name, seed in (("a", []), ("b", []), ("seeded", ["--seed", "0"])):
+            out = tmp_path / (name + ".json")
+            assert run(args + seed + ["--out", str(out)]) == 0
+            report = json.loads(out.read_text())
+            report.pop("timestamp")
+            reports.append(report)
+        assert reports[0] == reports[1] == reports[2]
+
+
 class TestVerify:
     def test_all_checks_pass_on_disk_fields(self, disk_solve, capsys):
         d, report, fields = disk_solve
@@ -515,6 +530,26 @@ class TestVerify:
     def test_radial_cell_default_is_radial_optimizes_own(self, argv):
         n_r = inspect.signature(pl.radial_optimize).parameters["n_r"].default
         assert cli._build_parser().parse_args(argv).nr == n_r
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--domain", "disk", "--h", "1", "--H", "2", "--mass", "4"],
+        ["sweep-annulus", "--inner-from", "0.5", "--inner-to", "0.5", "--steps", "1",
+         "--out", "o"],
+    ], ids=["solve", "sweep-annulus"])
+    def test_start_defaults_are_optimizes_own(self, argv, monkeypatch, tmp_path):
+        # solve's --seed defaulted to None and sweep-annulus's to 0
+        params = inspect.signature(pl.optimize).parameters
+        args = cli._build_parser().parse_args(argv)
+        assert args.restarts == params["restarts"].default
+        if argv[0] == "sweep-annulus":
+            assert args.seed == params["seed"].default
+            return
+        # solve keeps None to tell whether --seed was given, and passes optimize's own
+        assert args.seed is None
+        calls = []
+        monkeypatch.setattr(cli, "optimize", lambda *a: calls.append(a) or optimizer.optimize(*a))
+        assert run(argv + ["--grid", "17", "--out", str(tmp_path / "r.json")]) == 0
+        assert calls[0][-2:] == (params["restarts"].default, params["seed"].default)
 
     def test_malformed_csv_reports_row(self, disk_solve, tmp_path, capsys):
         d, report, fields = disk_solve

@@ -19,7 +19,7 @@ from conftest import reflect_values
 def _fake_pair(grid, u_values, t=0.5, h=1.0, H=2.0):
     """Wrap synthetic fields in a pair record for detector tests."""
     u = ScalarField(grid, u_values)
-    return _box_pair(u, optimal_density(u, h, H, 1.2 * grid.discrete_area).rho, t)
+    return _box_pair(u, optimal_density(u, h, H, 1.2 * grid.discrete_area)[0], t)
 
 
 def _box_pair(u, rho, t):
@@ -204,7 +204,7 @@ class TestProductCheck:
         # symmetric tent: reflected values dominate on the cap x > lam
         u_vals = 2.0 - np.abs(x)
         u = ScalarField(g, u_vals)
-        rho = optimal_density(u, 1.0, 3.0, 1.25 * g.discrete_area).rho
+        rho, _ = optimal_density(u, 1.0, 3.0, 1.25 * g.discrete_area)
         t = 1.4  # cap node at x=0.75 sits above t, outer nodes below
         res = dg._cap_report(_box_pair(u, rho, t), 0, 0.0)
         cap = x > 0.0
@@ -229,7 +229,7 @@ class TestProductCheck:
         u_vals[i_cap] = t + 1e-13
         u_vals[i_mir] = t - 1e-13
         u = ScalarField(g, u_vals)
-        rho = optimal_density(u, 1.0, 3.0, 1.25 * g.discrete_area).rho
+        rho, _ = optimal_density(u, 1.0, 3.0, 1.25 * g.discrete_area)
         res = dg._cap_report(_box_pair(u, rho, t), 0, 0.0)
         assert res.product_fault == "defect %.3e at node %d" % (res.min_product, i_cap)
         assert res.case3_count >= 1
@@ -239,7 +239,7 @@ class TestProductCheck:
 
         g = make_strip_grid(8, 0.5)
         u = ScalarField(g, 2.0 + g.node_x)  # increasing: reflection loses
-        rho = optimal_density(u, 1.0, 3.0, 1.25 * g.discrete_area).rho
+        rho, _ = optimal_density(u, 1.0, 3.0, 1.25 * g.discrete_area)
         res = dg._cap_report(_box_pair(u, rho, 2.0), 0, 0.0)
         assert res.product_fault.startswith("precondition failed: ")
         assert res.min_w1 < 0.0
@@ -247,7 +247,7 @@ class TestProductCheck:
     def test_vanishing_field_cannot_be_checked(self):
         # with u = 0 every product difference is 0 against a tolerance of 0
         g = pl.build_grid(pl.disk(1.0), 17)
-        rho = optimal_density(ScalarField(g, np.ones(g.n)), 1.0, 2.0, 1.5 * g.discrete_area).rho
+        rho, _ = optimal_density(ScalarField(g, np.ones(g.n)), 1.0, 2.0, 1.5 * g.discrete_area)
         res = dg._cap_report(_box_pair(ScalarField(g, np.zeros(g.n)), rho, 0.0), 0, 0.0)
         assert res.product_fault == "u vanishes identically"
 

@@ -79,8 +79,7 @@ class TestPrincipalPair:
             return res
 
         monkeypatch.setattr(optimizer, "principal_pair", recorded)
-        pl.optimize(spec, 33, 1.0, 2.0, (1.0 + fraction) * area,
-                    opts=pl.OptimizeOptions(restarts=2, seed=1))
+        pl.optimize(spec, 33, 1.0, 2.0, (1.0 + fraction) * area, restarts=2, seed=1)
         assert len(histories) >= 4
         for hist in histories:
             assert np.all(np.diff(hist) <= 0.0)
@@ -225,7 +224,7 @@ def _threshold_case(spec, nodes_per_side, seed=0):
     g = pl.build_grid(spec, nodes_per_side)
     op = pl.assemble_laplacian(g)
     probe = ScalarField(g, np.random.default_rng(seed).uniform(0.5, 1.5, g.n))
-    return op, optimal_density(probe, 1.0, 2.0, 1.5 * g.discrete_area).rho
+    return op, optimal_density(probe, 1.0, 2.0, 1.5 * g.discrete_area)[0]
 
 
 def _map(op, rho, x):
@@ -618,9 +617,9 @@ class TestOneCountedMap:
     it does not hand off it returns and raises bitwise as the two-function
     form did; the pairs it hands off meet the tight reference."""
 
-    @pytest.mark.parametrize("spec, grid, mass, opts, stop, theta, termination, outer, inner",
+    @pytest.mark.parametrize("spec, grid, mass, starts, stop, theta, termination, outer, inner",
                              OPTIMIZE_ROWS, ids=OPTIMIZE_IDS)
-    def test_every_golden_eigensolve_matches(self, monkeypatch, spec, grid, mass, opts, stop,
+    def test_every_golden_eigensolve_matches(self, monkeypatch, spec, grid, mass, starts, stop,
                                              theta, termination, outer, inner):
         _patch_stop(monkeypatch, stop)
         solves = []
@@ -636,7 +635,7 @@ class TestOneCountedMap:
             return got
 
         monkeypatch.setattr(optimizer, "principal_pair", both)
-        _, report = pl.optimize(spec, grid, 1.0, 2.0, mass, opts=opts)
+        _, report = pl.optimize(spec, grid, 1.0, 2.0, mass, **starts)
         assert report.inner_iterations == inner
         assert len(solves) >= outer and any(solves)  # cold and warm starts
 

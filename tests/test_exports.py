@@ -20,10 +20,8 @@ PUBLIC = {
         "EigenResult",
         "Grid",
         "OptimalPair",
-        "OptimizeOptions",
         "ScalarField",
         "SolveReport",
-        "ThresholdResult",
         "annulus",
         "assemble_laplacian",
         "build_grid",
@@ -61,17 +59,22 @@ PUBLIC = {
 }
 
 RETIRED = {
-    # rayleigh_quotient: optimize scores its pair with the eigen-iteration's own quotient
+    # rayleigh_quotient: optimize scores its pair with the eigen-iteration's own quotient;
+    # OptimizeOptions: optimize takes restarts and seed; ThresholdResult:
+    # optimal_density returns (rho, t)
     "platelab": ["apply_laplacian", "constant_field", "field_from_function", "mass",
-                 "rayleigh_quotient", "reflect_values", "reflection_caps"],
+                 "rayleigh_quotient", "reflect_values", "reflection_caps", "OptimizeOptions",
+                 "ThresholdResult"],
     # product_check: moving_plane_profile reads the product inequality off its own caps
     "platelab.diagnostics": ["cap_deficit", "plane_window", "product_check",
                              "ProductCheckResult", "_cap_deficits"],
+    # _validated: DomainSpec runs the one domain check on construction
     "platelab.geometry": ["Reflection", "ReflectionCaps", "mirror_ranks", "reflect_values",
-                          "reflection_caps"],
+                          "reflection_caps", "_validated"],
+    "platelab.optimizer": ["OptimizeOptions"],
     "platelab.fields": ["constant_field", "field_from_function"],
     "platelab.poisson": ["apply_laplacian"],
-    "platelab.rearrange": ["mass"],
+    "platelab.rearrange": ["mass", "ThresholdResult"],
     # copies of geometry's shape table: the CLI and the radial solver read it;
     # FIELD_ROW: the fields writer builds each block's row format from its columns;
     # _first_bad_row: the fields row loop names the first bad row as it reads it
@@ -129,16 +132,37 @@ def test_retired_methods_stay_gone():
     assert (op.n, op.has_cut) == (49, False)
 
 
-# Numerical settings with one value in use are module constants, read
-# when the call runs (tests patch them), not parameters: the eigensolve's
-# eigensolver.DEFAULT_MAX_ITER and DEFAULT_TOL, the alternation's
-# optimizer.MAX_OUTER and THETA_TOL, the moving-plane sweep's
-# diagnostics.N_LAMBDAS.
+# Every exported function's parameters, pinned. Numerical settings with
+# one value in use are module constants, read when the call runs (tests
+# patch them), not parameters: the eigensolve's eigensolver.DEFAULT_MAX_ITER
+# and DEFAULT_TOL, the alternation's optimizer.MAX_OUTER and THETA_TOL, the
+# moving-plane sweep's diagnostics.N_LAMBDAS. Values and results are plain:
+# optimize takes restarts and seed, and optimal_density returns (rho, t).
 SIGNATURES = {
-    "platelab.eigensolver.principal_pair": ["op", "rho", "u0"],
-    "platelab.radial.radial_optimize": ["kind", "radii", "h", "H", "M", "n_r"],
-    "platelab.diagnostics.plane_positions": ["pair", "dim"],
+    "platelab.diagnostics.asymmetry": ["u", "dim"],
+    "platelab.diagnostics.interpolate": ["grid", "values", "pts", "order"],
+    "platelab.diagnostics.monotonicity_violation": ["u", "dim"],
     "platelab.diagnostics.moving_plane_profile": ["pair", "dim"],
+    "platelab.diagnostics.normal_derivative_stats": ["pair"],
+    "platelab.diagnostics.plane_positions": ["pair", "dim"],
+    "platelab.diagnostics.relative": ["value", "scale", "name"],
+    "platelab.diagnostics.rotation_asymmetry": ["pair"],
+    "platelab.diagnostics.structural_checks": ["pair"],
+    "platelab.eigensolver.principal_pair": ["op", "rho", "u0"],
+    "platelab.geometry.annulus": ["inner", "outer", "center"],
+    "platelab.geometry.build_grid": ["spec", "nodes_per_side"],
+    "platelab.geometry.disk": ["radius", "center"],
+    "platelab.geometry.ellipse": ["semi_x", "semi_y", "center"],
+    "platelab.geometry.rectangle": ["width", "height", "center"],
+    "platelab.geometry.stadium": ["length", "cap_radius", "center"],
+    "platelab.geometry.unit_square": [],
+    "platelab.optimizer.optimize": ["spec", "nodes_per_side", "h", "H", "M", "restarts", "seed"],
+    "platelab.plate.solve_navier": ["op", "f"],
+    "platelab.poisson.assemble_laplacian": ["grid"],
+    "platelab.poisson.solve_dirichlet": ["op", "f"],
+    "platelab.radial.radial_optimize": ["kind", "radii", "h", "H", "M", "n_r"],
+    "platelab.rearrange.optimal_density": ["u", "h", "H", "M"],
+    "platelab.rearrange.uniform_density": ["grid", "h", "H", "M"],
 }
 
 
@@ -147,6 +171,14 @@ def test_signatures_are_pinned(path):
     module, name = path.rsplit(".", 1)
     fn = getattr(importlib.import_module(module), name)
     assert list(inspect.signature(fn).parameters) == SIGNATURES[path]
+
+
+@pytest.mark.parametrize("module", sorted(PUBLIC))
+def test_every_exported_function_is_pinned(module):
+    mod = importlib.import_module(module)
+    paths = ["%s.%s" % (fn.__module__, fn.__name__) for fn in map(mod.__dict__.get, mod.__all__)
+             if inspect.isfunction(fn)]
+    assert paths and [path for path in paths if path not in SIGNATURES] == []
 
 
 # Each subcommand's flags, pinned as PUBLIC pins the API: adding or
@@ -182,9 +214,6 @@ def test_cli_flags_are_pinned():
 # its inputs.
 RECORD_FIELDS = {
     "platelab.optimizer.OptimalPair": ["u", "v", "rho", "theta", "t"],
-    # the eigen tolerance and map cap are eigensolver constants, the outer
-    # stop's tolerance and cap optimizer constants, not options
-    "platelab.optimizer.OptimizeOptions": ["restarts", "seed"],
     "platelab.eigensolver.EigenResult": ["theta", "u", "v", "iterations", "theta_history"],
     "platelab.optimizer.SolveReport": ["theta_history", "inner_iterations", "mass_errors",
                                        "termination", "outer_iterations", "wall_time",
@@ -193,7 +222,6 @@ RECORD_FIELDS = {
     "platelab.radial.RadialResult": ["u", "v", "rho", "theta", "t", "termination",
                                      "outer_iterations", "theta_history"],
     "platelab.radial.RadialGrid": ["kind", "r", "dr", "weights"],
-    "platelab.rearrange.ThresholdResult": ["rho", "t"],
     "platelab.diagnostics.MovingPlaneReport": ["min_w1", "min_w2", "min_product",
                                                "case3_count", "product_fault"],
     "platelab.diagnostics.RigidityReport": ["samples", "mean", "cv"],

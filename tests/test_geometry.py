@@ -67,10 +67,12 @@ class TestDomainSpec:
         assert geometry.PARAMS == {kind: shape.names for kind, shape in geometry._SHAPES.items()}
 
     def test_params_and_centre_stored_as_floats(self):
-        spec = DomainSpec.from_dict({"kind": "annulus", "params": np.array([1, 2]),
-                                     "center": [np.int64(1), np.float32(0.5)]})
-        assert spec.params == (1.0, 2.0) and spec.center == (1.0, 0.5)
-        assert all(type(v) is float for v in spec.params + spec.center)
+        params, center = np.array([1, 2]), [np.int64(1), np.float32(0.5)]
+        for spec in (DomainSpec.from_dict({"kind": "annulus", "params": params,
+                                           "center": center}),
+                     DomainSpec("annulus", params, center)):
+            assert spec.params == (1.0, 2.0) and spec.center == (1.0, 0.5)
+            assert all(type(v) is float for v in spec.params + spec.center)
 
     def test_level_sign(self):
         for spec in (pl.disk(1.0), pl.annulus(0.5), pl.ellipse(1, 0.6),
@@ -93,7 +95,7 @@ BY_ARGUMENT = [case for case in BAD_PARAMS
 
 class TestOneDomainCheck:
     """Every bad parameter or centre in the shared matrix raises the same
-    ``GeometryError`` from the constructors and from ``from_dict``."""
+    ``GeometryError`` from the class, the constructors and ``from_dict``."""
 
     @pytest.mark.parametrize("case, kind, params, message", BAD_PARAMS, ids=_ids(BAD_PARAMS))
     def test_from_dict_rejects_params(self, case, kind, params, message):
@@ -104,6 +106,22 @@ class TestOneDomainCheck:
     def test_constructors_reject_params(self, case, kind, params, message):
         with pytest.raises(GeometryError, match=re.escape(message)):
             getattr(geometry, kind)(*params)
+
+    @pytest.mark.parametrize("case, kind, params, message", BAD_PARAMS, ids=_ids(BAD_PARAMS))
+    def test_class_rejects_params(self, case, kind, params, message):
+        with pytest.raises(GeometryError, match=re.escape(message)):
+            DomainSpec(kind, params, (0.0, 0.0))
+
+    @pytest.mark.parametrize("kind, params, center, message", [
+        ("blob", (1.0,), (0.0, 0.0), "unknown domain kind 'blob'"),
+        ("disk", (1.0,), (math.nan, 0.0), "center must be a finite (x, y) pair, got (nan, 0.0)"),
+        ("disk", (-1.0,), (0.0, 0.0), "radius must be strictly positive, got -1.0"),
+    ], ids=["unknown-kind", "nan-centre", "negative-radius"])
+    def test_class_fails_at_the_cause(self, kind, params, center, message):
+        # a spec built directly skipped the check and failed in build_grid:
+        # KeyError 'blob', numpy's NaN-to-integer ValueError, no interior nodes
+        with pytest.raises(GeometryError, match="^%s$" % re.escape(message)):
+            DomainSpec(kind, params, center)
 
     # numpy bools, which JSON cannot carry to the other entry points
     @pytest.mark.parametrize("params, center", [
@@ -126,6 +144,8 @@ class TestOneDomainCheck:
         with pytest.raises(GeometryError, match=message):
             DomainSpec.from_dict({"kind": kind, "params": [0.5, 1.0][-len(geometry.PARAMS[kind]):],
                                   "center": center})
+        with pytest.raises(GeometryError, match=message):
+            DomainSpec(kind, (0.5, 1.0)[-len(geometry.PARAMS[kind]):], center)
 
 
 class TestBuildGrid:

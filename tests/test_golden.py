@@ -42,7 +42,7 @@ from platelab.eigensolver import (
 from platelab.fields import ScalarField
 from platelab.geometry import DomainSpec, reflect_cap
 from platelab import optimizer
-from platelab.optimizer import OptimalPair, OptimizeOptions, SolveReport
+from platelab.optimizer import OptimalPair, SolveReport
 from platelab.radial import RadialResult, _radial_operator, radial_grid
 from platelab.rearrange import (
     RearrangeError,
@@ -60,24 +60,24 @@ THIN = 0.85
 THIN_MASS = 1.5 * math.pi * (1.0 - THIN * THIN)
 HALF = 0.5
 HALF_MASS = 1.5 * math.pi * (1.0 - HALF * HALF)
-ANNULUS_OPTS = OptimizeOptions(
-    restarts=2, seed=int(np.random.SeedSequence((0, 0)).generate_state(1)[0])
-)
+ANNULUS_STARTS = {
+    "restarts": 2, "seed": int(np.random.SeedSequence((0, 0)).generate_state(1)[0])
+}
 
-# spec, grid, mass, opts, the optimizer stop constants patched, theta,
-# termination, outer steps, inner iterations
+# spec, grid, mass, optimize's start keywords, the optimizer stop constants
+# patched, theta, termination, outer steps, inner iterations
 OPTIMIZE_ROWS = [
-    (pl.disk(), 33, math.pi * 1.5, OptimizeOptions(), {}, 17.362154323634442, "rho-fixed", 2,
+    (pl.disk(), 33, math.pi * 1.5, {}, {}, 17.362154323634442, "rho-fixed", 2,
      (7, 5)),
-    (pl.unit_square(), 33, 1.5, OptimizeOptions(), {}, 198.77662708938155, "rho-fixed", 2,
+    (pl.unit_square(), 33, 1.5, {}, {}, 198.77662708938155, "rho-fixed", 2,
      (6, 4)),
-    (pl.annulus(INNER, 1.0), 41, ANNULUS_MASS, ANNULUS_OPTS, {}, 72.47523531018791,
+    (pl.annulus(INNER, 1.0), 41, ANNULUS_MASS, ANNULUS_STARTS, {}, 72.47523531018791,
      "rho-fixed", 3, (7, 10, 7)),
-    (pl.annulus(THIN, 1.0), 49, THIN_MASS, ANNULUS_OPTS, {}, 91332.31020743366, "rho-fixed", 5,
+    (pl.annulus(THIN, 1.0), 49, THIN_MASS, ANNULUS_STARTS, {}, 91332.31020743366, "rho-fixed", 5,
      (41, 38, 35, 35, 34)),
-    (pl.annulus(HALF, 1.0), 33, HALF_MASS, OptimizeOptions(), {"THETA_TOL": 1e-2},
+    (pl.annulus(HALF, 1.0), 33, HALF_MASS, {}, {"THETA_TOL": 1e-2},
      815.5708286669584, "theta-converged", 3, (12, 15, 16)),
-    (pl.annulus(THIN, 1.0), 49, THIN_MASS, OptimizeOptions(), {"MAX_OUTER": 2},
+    (pl.annulus(THIN, 1.0), 49, THIN_MASS, {}, {"MAX_OUTER": 2},
      93763.84817811314, "max-outer", 2, (15, 75)),
 ]
 OPTIMIZE_IDS = ["disk-33", "square-33", "annulus-0.12-41", "annulus-0.85-49",
@@ -103,12 +103,12 @@ def _patch_stop(monkeypatch, stop):
         monkeypatch.setattr(optimizer, name, value)
 
 
-@pytest.mark.parametrize("spec, grid, mass, opts, stop, theta, termination, outer, inner",
+@pytest.mark.parametrize("spec, grid, mass, starts, stop, theta, termination, outer, inner",
                          OPTIMIZE_ROWS, ids=OPTIMIZE_IDS)
-def test_optimize_golden(spec, grid, mass, opts, stop, theta, termination, outer, inner,
+def test_optimize_golden(spec, grid, mass, starts, stop, theta, termination, outer, inner,
                          monkeypatch):
     _patch_stop(monkeypatch, stop)
-    pair, report = pl.optimize(spec, grid, 1.0, 2.0, mass, opts=opts)
+    pair, report = pl.optimize(spec, grid, 1.0, 2.0, mass, **starts)
     assert pair.theta == pytest.approx(theta, rel=REL, abs=0.0)
     assert report.termination == termination
     assert report.outer_iterations == outer
@@ -133,17 +133,17 @@ def test_radial_golden_terminations(kind, radii, mass, n_r, stop, theta, termina
     assert res.outer_iterations == outer
 
 
-def _optimize_loop(spec, nodes_per_side, h, H, M, opts=OptimizeOptions()):
+def _optimize_loop(spec, nodes_per_side, h, H, M, restarts=1, seed=0):
     """Reference: ``optimize`` and its own alternation loop, verbatim."""
     grid = pl.build_grid(spec, nodes_per_side)
     op = pl.assemble_laplacian(grid)
 
     starts = [uniform_density(grid, h, H, M)]
-    if opts.restarts > 1:
-        rng = np.random.default_rng(opts.seed)
-        for _ in range(opts.restarts - 1):
+    if restarts > 1:
+        rng = np.random.default_rng(seed)
+        for _ in range(restarts - 1):
             probe = ScalarField(grid, rng.uniform(0.5, 1.5, grid.n))
-            starts.append(optimal_density(probe, h, H, M).rho)
+            starts.append(optimal_density(probe, h, H, M)[0])
 
     best = None
     thetas = []
@@ -171,12 +171,12 @@ def _alternate_loop(op, rho0, h, H, M):
         mass_errors.append(abs(mass(rho) - M))
         u_warm = eig.u
 
-        thr = optimal_density(eig.u, h, H, M)
-        if np.array_equal(thr.rho.values, rho.values):
+        rho_new, t = optimal_density(eig.u, h, H, M)
+        if np.array_equal(rho_new.values, rho.values):
             termination = "rho-fixed"
-            rho = thr.rho
+            rho = rho_new
             break
-        rho = thr.rho
+        rho = rho_new
         if len(theta_history) >= 2 and abs(
             theta_history[-1] - theta_history[-2]
         ) <= optimizer.THETA_TOL * abs(theta_history[-1]):
@@ -184,7 +184,7 @@ def _alternate_loop(op, rho0, h, H, M):
             break
 
     theta = _quotient(eig.u.values, eig.v.values, rho.values, rho.grid)
-    pair = OptimalPair(u=eig.u, v=eig.v, rho=rho, theta=theta, t=thr.t)
+    pair = OptimalPair(u=eig.u, v=eig.v, rho=rho, theta=theta, t=t)
     report = SolveReport(
         theta_history=tuple(theta_history),
         inner_iterations=tuple(inner_iterations),
@@ -287,13 +287,13 @@ def _record(obj, skip=("wall_time",)):
     return {f.name: exact(getattr(obj, f.name)) for f in fields(obj) if f.name not in skip}
 
 
-@pytest.mark.parametrize("spec, grid, mass, opts, stop, theta, termination, outer, inner",
+@pytest.mark.parametrize("spec, grid, mass, starts, stop, theta, termination, outer, inner",
                          OPTIMIZE_ROWS, ids=OPTIMIZE_IDS)
-def test_optimize_matches_verbatim_loop(spec, grid, mass, opts, stop, theta, termination, outer,
+def test_optimize_matches_verbatim_loop(spec, grid, mass, starts, stop, theta, termination, outer,
                                         inner, monkeypatch):
     _patch_stop(monkeypatch, stop)
-    pair, report = pl.optimize(spec, grid, 1.0, 2.0, mass, opts=opts)
-    want_pair, want_report = _optimize_loop(spec, grid, 1.0, 2.0, mass, opts=opts)
+    pair, report = pl.optimize(spec, grid, 1.0, 2.0, mass, **starts)
+    want_pair, want_report = _optimize_loop(spec, grid, 1.0, 2.0, mass, **starts)
     assert _record(pair) == _record(want_pair)
     assert _record(report) == _record(want_report)
     assert report.termination == termination

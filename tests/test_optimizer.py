@@ -10,16 +10,24 @@ import platelab as pl
 from platelab import optimizer
 from platelab.eigensolver import _quotient, principal_pair
 from platelab.fields import ScalarField
-from platelab.optimizer import OptimizeError, OptimizeOptions, optimize
+from platelab.optimizer import OptimizeError, optimize
 from platelab.rearrange import RearrangeError, optimal_density
 from conftest import BAD_COUNTS
 
 
+def _optimize_starts(**starts):
+    """``optimize`` on a small square with the given ``restarts`` and ``seed``."""
+    return optimize(pl.unit_square(), 17, 1.0, 2.0, 1.5, **starts)
+
+
 class TestOptions:
+    """``optimize``'s ``restarts`` and ``seed``, checked at entry."""
+
     @pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"restarts": -2}], ids=str)
     def test_bad_values_rejected(self, kwargs):
-        with pytest.raises(OptimizeError):
-            OptimizeOptions(**kwargs)
+        with pytest.raises(OptimizeError, match=re.escape(
+                "restarts must be at least 1, got %r" % (kwargs["restarts"],))):
+            _optimize_starts(**kwargs)
         assert issubclass(OptimizeError, ValueError)
 
     @pytest.mark.parametrize("name", ["restarts"])
@@ -28,24 +36,24 @@ class TestOptions:
         # restarts = 2.5 failed later in ``range``; True was read as 1
         with pytest.raises(OptimizeError,
                            match=re.escape("%s must be an integer, got %r" % (name, count))):
-            OptimizeOptions(**{name: count})
+            _optimize_starts(**{name: count})
 
     @pytest.mark.parametrize("seed, message", [
         (2.5, "seed must be an integer, got 2.5"),
         ("3", "seed must be an integer, got '3'"),
         (True, "seed must be an integer, got True"),
         (-1, "seed must be non-negative, got -1"),
-    ], ids=["fraction", "string", "bool", "negative"])
+        (None, "seed must be an integer, got None"),
+    ], ids=["fraction", "string", "bool", "negative", "none"])
     def test_seed_must_be_a_non_negative_integer(self, seed, message):
-        # 2.5 and "3" failed inside optimize with numpy's TypeError; True ran as seed 1
+        # 2.5 and "3" failed inside optimize with numpy's TypeError; True ran as seed 1;
+        # None drew fresh entropy, so two runs differed
         with pytest.raises(OptimizeError, match=re.escape(message)):
-            OptimizeOptions(restarts=2, seed=seed)
+            _optimize_starts(restarts=2, seed=seed)
 
     @pytest.mark.parametrize("count", [np.int32(2), np.int64(2), np.uint8(2)], ids=repr)
     def test_numpy_integer_counts_are_taken(self, count):
-        got, want = (optimize(pl.unit_square(), 17, 1.0, 2.0, 1.5,
-                              opts=OptimizeOptions(restarts=n, seed=n))
-                     for n in (count, 2))
+        got, want = (_optimize_starts(restarts=n, seed=n) for n in (count, 2))
         assert repr(got[0].theta) == repr(want[0].theta)
         assert got[1].restart_thetas == want[1].restart_thetas
 
@@ -100,32 +108,31 @@ class TestOptimize:
 
     def test_rho_consistent_with_rearrangement(self, pair_matrix):
         for name, fill, M, pair, report in pair_matrix:
-            redo = optimal_density(pair.u, pair.rho.h, pair.rho.H, M)
-            assert np.array_equal(redo.rho.values, pair.rho.values), name
+            redo, _ = optimal_density(pair.u, pair.rho.h, pair.rho.H, M)
+            assert np.array_equal(redo.values, pair.rho.values), name
 
     def test_idempotence_at_fixed_point(self, disk_pair_64):
         pair, report = disk_pair_64
         grid = pair.grid
         op = pl.assemble_laplacian(grid)
         eig = principal_pair(op, pair.rho, u0=pair.u)
-        redo = optimal_density(eig.u, pair.rho.h, pair.rho.H, pair.rho.M)
-        assert np.array_equal(redo.rho.values, pair.rho.values)
+        redo, _ = optimal_density(eig.u, pair.rho.h, pair.rho.H, pair.rho.M)
+        assert np.array_equal(redo.values, pair.rho.values)
         assert abs(eig.theta - pair.theta) <= 1e-7 * pair.theta
 
     def test_scale_invariance_of_threshold_step(self, disk_pair_64):
         pair, _ = disk_pair_64
         h, H, M = pair.rho.h, pair.rho.H, pair.rho.M
-        base = optimal_density(pair.u, h, H, M)
-        scaled = optimal_density(ScalarField(pair.grid, 4.0 * pair.u.values), h, H, M)
-        assert np.array_equal(scaled.rho.values, base.rho.values)
-        assert scaled.t == 4.0 * base.t
+        base, t = optimal_density(pair.u, h, H, M)
+        scaled, scaled_t = optimal_density(ScalarField(pair.grid, 4.0 * pair.u.values), h, H, M)
+        assert np.array_equal(scaled.values, base.values)
+        assert scaled_t == 4.0 * t
 
     def test_restarts_deterministic_and_no_worse(self):
         spec = pl.annulus(0.5, 1.0)
         area = np.pi * 0.75
-        opts = OptimizeOptions(restarts=3, seed=123)
-        p1, r1 = optimize(spec, 65, 1.0, 2.0, 1.5 * area, opts=opts)
-        p2, r2 = optimize(spec, 65, 1.0, 2.0, 1.5 * area, opts=opts)
+        p1, r1 = optimize(spec, 65, 1.0, 2.0, 1.5 * area, restarts=3, seed=123)
+        p2, r2 = optimize(spec, 65, 1.0, 2.0, 1.5 * area, restarts=3, seed=123)
         assert r1.restart_thetas == r2.restart_thetas
         assert len(r1.restart_thetas) == 3
         assert p1.theta <= min(r1.restart_thetas) * (1 + 1e-12)
@@ -191,11 +198,34 @@ class TestCallGraph:
 
     def test_optimize_calls_each_site(self, counts):
         spec = pl.annulus(0.5)
-        opts = OptimizeOptions(restarts=3, seed=4)
-        optimize(spec, 33, 1.0, 2.0, 1.5 * spec.area(), opts=opts)
+        optimize(spec, 33, 1.0, 2.0, 1.5 * spec.area(), restarts=3, seed=4)
         assert (counts["assemble_laplacian"], counts["cold"]) == (1, 3)
         # one bathtub per eigensolve, and one per randomized start
         assert (counts["principal_pair"], counts["optimal_density"]) == (30, 32)
+
+    def test_each_start_is_drawn_when_its_turn_comes(self, monkeypatch):
+        # every start was drawn before the first alternation, all held at once
+        events, depth = [], []
+        bathtub, alternate = optimizer.optimal_density, optimizer._alternate
+
+        def drawn(*args):
+            if not depth:
+                events.append("draw")
+            return bathtub(*args)
+
+        def alternated(*args):
+            events.append("alternate")
+            depth.append(1)
+            try:
+                return alternate(*args)
+            finally:
+                depth.pop()
+
+        monkeypatch.setattr(optimizer, "optimal_density", drawn)
+        monkeypatch.setattr(optimizer, "_alternate", alternated)
+        spec = pl.annulus(0.5)
+        optimize(spec, 33, 1.0, 2.0, 1.5 * spec.area(), restarts=3, seed=4)
+        assert events == ["alternate", "draw", "alternate", "draw", "alternate"]
 
     def test_radial_bathtub_is_the_drivers(self, counts):
         spec = pl.annulus(0.5)
@@ -232,8 +262,7 @@ class TestAnnulusRegimes:
 
         spec = pl.annulus(0.6, 1.0)
         area = np.pi * (1 - 0.36)
-        opts = OptimizeOptions(restarts=2, seed=5)
-        pair, report = optimize(spec, 129, 1.0, 2.0, 1.5 * area, opts=opts)
+        pair, report = optimize(spec, 129, 1.0, 2.0, 1.5 * area, restarts=2, seed=5)
         radial = pl.radial_optimize("annulus", (0.6, 1.0), 1.0, 2.0, 1.5 * area,
                                     n_r=1024)
         asym = dg.rotation_asymmetry(pair)

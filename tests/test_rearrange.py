@@ -11,7 +11,6 @@ from platelab.radial import radial_grid
 from platelab.rearrange import (
     DensityField,
     RearrangeError,
-    ThresholdResult,
     _MASS_RTOL,
     _bathtub,
     _check_bracket,
@@ -42,41 +41,41 @@ class TestOptimalDensity:
     def test_exact_bang_bang(self):
         g = strip_grid_4()
         u = ScalarField(g, np.array([4.0, 3.0, 2.0, 1.0]))
-        res = optimal_density(u, 1.0, 3.0, 1.5)
-        assert np.allclose(res.rho.values, [3.0, 1.0, 1.0, 1.0])
-        assert res.t == 3.0
-        assert fractional_nodes(res.rho) == []
-        assert mass(res.rho) == pytest.approx(1.5, rel=1e-14)
+        rho, t = optimal_density(u, 1.0, 3.0, 1.5)
+        assert np.allclose(rho.values, [3.0, 1.0, 1.0, 1.0])
+        assert t == 3.0
+        assert fractional_nodes(rho) == []
+        assert mass(rho) == pytest.approx(1.5, rel=1e-14)
 
     def test_fractional_node(self):
         g = strip_grid_4()
         u = ScalarField(g, np.array([4.0, 3.0, 2.0, 1.0]))
-        res = optimal_density(u, 1.0, 3.0, 1.25)
-        assert np.allclose(res.rho.values, [2.0, 1.0, 1.0, 1.0])
-        assert fractional_nodes(res.rho) == [0]
-        assert res.t == 4.0
-        assert mass(res.rho) == pytest.approx(1.25, rel=1e-14)
+        rho, t = optimal_density(u, 1.0, 3.0, 1.25)
+        assert np.allclose(rho.values, [2.0, 1.0, 1.0, 1.0])
+        assert fractional_nodes(rho) == [0]
+        assert t == 4.0
+        assert mass(rho) == pytest.approx(1.25, rel=1e-14)
 
     def test_lower_mass_bound_gives_uniform_floor(self):
         g = strip_grid_4()
         u = ScalarField(g, np.array([4.0, 3.0, 2.0, 1.0]))
-        res = optimal_density(u, 1.0, 3.0, 1.0)  # h * |domain|
-        assert np.allclose(res.rho.values, 1.0)
-        assert res.t == 4.0  # max of u
-        assert fractional_nodes(res.rho) == []
+        rho, t = optimal_density(u, 1.0, 3.0, 1.0)  # h * |domain|
+        assert np.allclose(rho.values, 1.0)
+        assert t == 4.0  # max of u
+        assert fractional_nodes(rho) == []
 
     def test_upper_mass_bound_gives_uniform_ceiling(self):
         g = strip_grid_4()
         u = ScalarField(g, np.array([4.0, 3.0, 2.0, 1.0]))
-        res = optimal_density(u, 1.0, 3.0, 3.0)
-        assert np.allclose(res.rho.values, 3.0)
-        assert res.t == 0.0
+        rho, t = optimal_density(u, 1.0, 3.0, 3.0)
+        assert np.allclose(rho.values, 3.0)
+        assert t == 0.0
 
     def test_degenerate_box(self):
         g = strip_grid_4()
         u = ScalarField(g, np.array([4.0, 3.0, 2.0, 1.0]))
-        res = optimal_density(u, 2.0, 2.0, 2.0)
-        assert np.allclose(res.rho.values, 2.0)
+        rho, t = optimal_density(u, 2.0, 2.0, 2.0)
+        assert np.allclose(rho.values, 2.0)
 
     def test_mass_out_of_bracket_rejected(self):
         g = strip_grid_4()
@@ -119,20 +118,20 @@ class TestOptimalDensity:
             u = ScalarField(g, rng.uniform(0.1, 2.0, g.n))
             h, H = 1.0, 1.0 + rng.uniform(0.1, 3.0)
             M = rng.uniform(h * area, H * area)
-            res = optimal_density(u, h, H, M)
-            rho = res.rho.values
-            assert (rho[u.values > res.t] == H).all()
-            assert (rho[u.values < res.t] == h).all()
-            interior = (rho > h) & (rho < H)
+            rho, t = optimal_density(u, h, H, M)
+            values = rho.values
+            assert (values[u.values > t] == H).all()
+            assert (values[u.values < t] == h).all()
+            interior = (values > h) & (values < H)
             assert interior.sum() <= 1
-            assert abs(mass(res.rho) - M) <= 1e-12 * M
+            assert abs(mass(rho) - M) <= 1e-12 * M
 
     def test_monotone_coupling(self):
         rng = np.random.default_rng(23)
         g = pl.build_grid(pl.unit_square(), 7)
         u = ScalarField(g, rng.uniform(0.1, 2.0, g.n))
-        res = optimal_density(u, 1.0, 2.0, 1.3 * g.discrete_area)
-        uv, rv = u.values, res.rho.values
+        rho, t = optimal_density(u, 1.0, 2.0, 1.3 * g.discrete_area)
+        uv, rv = u.values, rho.values
         ii, jj = np.meshgrid(np.arange(g.n), np.arange(g.n))
         higher = uv[ii] > uv[jj]
         assert (rv[ii][higher] >= rv[jj][higher]).all()
@@ -142,16 +141,16 @@ class TestOptimalDensity:
         g = strip_grid_4()
         u = np.array([0.9, 2.3, 1.1, 3.4])  # distinct values: tie rule idle
         perm = rng.permutation(4)
-        r1 = optimal_density(ScalarField(g, u), 1.0, 3.0, 1.6)
-        r2 = optimal_density(ScalarField(g, u[perm]), 1.0, 3.0, 1.6)
-        assert np.array_equal(r2.rho.values, r1.rho.values[perm])
-        assert r2.t == r1.t
+        r1, t1 = optimal_density(ScalarField(g, u), 1.0, 3.0, 1.6)
+        r2, t2 = optimal_density(ScalarField(g, u[perm]), 1.0, 3.0, 1.6)
+        assert np.array_equal(r2.values, r1.values[perm])
+        assert t2 == t1
 
     def test_plateau_tie_breaks_by_node_index(self):
         g = strip_grid_4()
         u = ScalarField(g, np.array([2.0, 2.0, 2.0, 2.0]))
-        res = optimal_density(u, 1.0, 3.0, 1.5)  # one full H node
-        assert np.allclose(res.rho.values, [3.0, 1.0, 1.0, 1.0])
+        rho, t = optimal_density(u, 1.0, 3.0, 1.5)  # one full H node
+        assert np.allclose(rho.values, [3.0, 1.0, 1.0, 1.0])
 
 
 def brute_force_best_objective(u, cell, h, H, M):
@@ -199,8 +198,8 @@ class TestBathtubOracle:
                     M = h * area
                 else:
                     M = rng.uniform(h * area, H * area)
-                res = optimal_density(ScalarField(grid, u), h, H, M)
-                ours = float(np.sum(res.rho.values * u * u) * cell)
+                rho, t = optimal_density(ScalarField(grid, u), h, H, M)
+                ours = float(np.sum(rho.values * u * u) * cell)
                 best = brute_force_best_objective(u, cell, h, H, M)
                 assert ours >= best * (1.0 - 1e-12)
 
@@ -228,8 +227,7 @@ def _two_form_optimal_density(u, h, H, M, grid=None):
 
     if h == H:
         # degenerate box: the admissible set is a single density
-        rho = DensityField(grid, values, h, H, M)
-        return ThresholdResult(rho=rho, t=float(uv[order[0]]))
+        return DensityField(grid, values, h, H, M), float(uv[order[0]])
 
     cap = (H - h) * cell  # extra mass one node can absorb
     excess = M - h * n * cell
@@ -259,20 +257,19 @@ def _two_form_optimal_density(u, h, H, M, grid=None):
         else:
             t = float(uv[order[k]])
 
-    rho = DensityField(grid, values, h, H, M)
-    return ThresholdResult(rho=rho, t=t)
+    return DensityField(grid, values, h, H, M), t
 
 
 def _bathtub_outcome(fn, u, h, H, M):
     """The H nodes, level bits, fractional nodes and their values, or the
     error raised."""
     try:
-        res = fn(u, h, H, M)
+        rho, t = fn(u, h, H, M)
     except RearrangeError as exc:
         return type(exc), str(exc)
-    rho = res.rho.values
-    frac = fractional_nodes(res.rho)
-    return np.flatnonzero(rho == res.rho.H).tolist(), res.t.hex(), frac, rho[frac]
+    values = rho.values
+    frac = fractional_nodes(rho)
+    return np.flatnonzero(values == rho.H).tolist(), t.hex(), frac, values[frac]
 
 
 class TestOptimalDensityReference:
@@ -367,8 +364,8 @@ class TestEdgeRule:
             masses = [(k, h * g.discrete_area + k * (H - h) * g.cell_area)
                       for k in _whole_cell_counts(g.n)]
             for k, M in masses + [(g.n, H * g.discrete_area)]:
-                res = optimal_density(ScalarField(g, u), h, H, M)
-                _assert_whole_cells(u, res.rho.values, res.t, h, H, k)
+                rho, t = optimal_density(ScalarField(g, u), h, H, M)
+                _assert_whole_cells(u, rho.values, t, h, H, k)
 
     @pytest.mark.parametrize("kind, radii", [
         ("disk", (1.0,)), ("annulus", (0.3, 1.0)), ("annulus", (0.05, 1.0)),
@@ -407,8 +404,8 @@ class TestMass:
         for _ in range(25):
             u = ScalarField(g, rng.uniform(0.1, 1.0, g.n))
             M = rng.uniform(1.0 * g.discrete_area, 2.0 * g.discrete_area)
-            res = optimal_density(u, 1.0, 2.0, M)
-            assert abs(mass(res.rho) - M) <= 1e-12 * M
+            rho, t = optimal_density(u, 1.0, 2.0, M)
+            assert abs(mass(rho) - M) <= 1e-12 * M
 
 
 class TestDensityField:
@@ -484,10 +481,10 @@ class TestEitherGrid:
         g = make()
         u = np.random.default_rng(3).uniform(0.1, 1.0, g.n)
         M = 1.3 * g.discrete_area
-        res = optimal_density(ScalarField(g, u), 1.0, 2.0, M)
+        got, got_t = optimal_density(ScalarField(g, u), 1.0, 2.0, M)
         rho, t = _bathtub(u, g.weights, 1.0, 2.0, M)
-        assert res.rho.grid is g and res.t == t
-        assert res.rho.values.tobytes() == rho.tobytes()
+        assert got.grid is g and got_t == t
+        assert got.values.tobytes() == rho.tobytes()
 
 
 class TestNumberTypes:
@@ -501,10 +498,10 @@ class TestNumberTypes:
         # fractional node (1.5 here) and failed the density's mass check
         g = strip_grid_4()
         u = ScalarField(g, np.array([4.0, 3.0, 2.0, 1.0]))
-        want = optimal_density(u, 1.0, 3.0, 1.125)
-        got = optimal_density(u, kind(1), kind(3), 1.125)
-        assert got.rho.values.tobytes() == want.rho.values.tobytes()
-        assert got.rho.values[0] == 1.5 and got.t == want.t
+        want, want_t = optimal_density(u, 1.0, 3.0, 1.125)
+        got, got_t = optimal_density(u, kind(1), kind(3), 1.125)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.values[0] == 1.5 and got_t == want_t
         rho = DensityField(g, np.full(4, 2.0), kind(1), kind(3), kind(2))
         assert [type(x) for x in (rho.h, rho.H, rho.M)] == [float] * 3
         assert uniform_density(g, kind(1), kind(3), kind(2)).values.dtype == np.float64
