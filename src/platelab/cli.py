@@ -16,7 +16,8 @@ Exit codes: 0 converged / all checks pass, 1 usage or input error (a
 file that cannot be opened included), 2 non-convergence or failed
 checks. A sweep exits 2, after writing every row, unless both
 termination columns of every row read ``rho-fixed`` or
-``theta-converged``. A check that cannot be taken on the fields fails,
+``theta-converged``; a row that raises ends it with exit 2, one
+``error:`` line and no CSV. A check that cannot be taken on the fields fails,
 and the remaining checks still run.
 """
 

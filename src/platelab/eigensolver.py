@@ -18,8 +18,8 @@ a = 0.85 at grid 49 rose by up to 1.0e-7.
 
 Iterates are normalized in the sup norm, which keeps the whole iteration
 exactly scale-covariant: doubling rho halves every reported quotient
-bitwise. The converged pair is rescaled at the end so the weighted norm
-``sum(rho u^2) d^2`` equals one.
+bitwise. ``_principal`` rescales the converged pair to unit weighted
+norm ``sum(rho u^2)`` on the density it solved at, on both paths.
 
 Power iteration stops once the quotient increment d_k is at most
 ``DEFAULT_TOL`` theta. It contracts by about theta_1/theta_2 per step,
@@ -30,11 +30,11 @@ further steps, it hands its iterate to a short Arnoldi loop on the same
 map (``_arnoldi``), which tests its dominant Ritz pair after every map
 and stops on the map where the pair converges. One counted closure
 applies the map for every power step, every Arnoldi step and the closing
-step that maps the sign-fixed Ritz vector to the returned (u, v);
+step that maps the Ritz vector, sign-fixed and clipped at 0, to (u, v);
 ``DEFAULT_MAX_ITER`` caps that count in every eigensolve. This loop,
 ``_principal``, is the eigensolve of both paths, each passing its own
-map and its density, which gives the quotient. The pair's eigen-residual
-``||theta_l A^-2 rho x - x|| / ||x||`` with
+map and its density, which gives the quotient. The closing map must be
+positive, and the residual ``||theta_l A^-2 rho x - x|| / ||x||`` with
 ``theta_l = <x, x> / <x, A^-2 rho x>`` must be below ``KRYLOV_RESIDUAL``.
 Where the increments contract fast (disks, squares, thick annuli) the
 switch never fires and the result is the power loop's, bitwise.
@@ -117,8 +117,6 @@ def principal_pair(op, rho, u0=None):
     ``DEFAULT_MAX_ITER`` caps every one, the closing application after the
     Arnoldi loop included.
     """
-    grid = rho.grid
-
     _check_grid(op, rho)
     if u0 is not None:
         _check_grid(op, u0)
@@ -126,14 +124,10 @@ def principal_pair(op, rho, u0=None):
             raise ValueError("u0 must be a strictly positive field")
 
     def apply(x):
-        u_field, v_field = solve_navier(op, ScalarField(grid, rho.values * x))
+        u_field, v_field = solve_navier(op, ScalarField(rho.grid, rho.values * x))
         return u_field.values, v_field.values
 
-    theta, iterations, u, v, history = _principal(apply, rho, u0)
-    # final normalization: unit weighted norm
-    c = np.sqrt(grid._integral(rho.values * u * u))
-    return EigenResult(theta=theta, u=ScalarField(grid, u / c), v=ScalarField(grid, v / c),
-                       iterations=iterations, theta_history=tuple(history))
+    return _principal(apply, rho, u0)
 
 
 def _principal(apply, rho, u0):
@@ -142,8 +136,8 @@ def _principal(apply, rho, u0):
     two-solve map's ``(A^-1 A^-1 rho x, A^-1 rho x)``, and the density
     ``rho`` (its values and its grid) the energy quotient.
     ``DEFAULT_TOL`` and ``DEFAULT_MAX_ITER``, read at call time, set the
-    stopping tolerance and cap the maps applied. Returns ``(theta,
-    iterations, u, v, history)``, u and v scaled to ``max|u| = 1``."""
+    stopping tolerance and cap the maps applied. Returns the
+    ``EigenResult``, its u and v of unit weighted norm on ``rho``."""
     u = np.ones(rho.grid.n) if u0 is None else u0.values
     u = u / np.max(np.abs(u))
     history = []
@@ -180,14 +174,18 @@ def _principal(apply, rho, u0):
                 x = _arnoldi(lambda y: counted(y)[0], u)
                 if np.sum(x) < 0.0:
                     x = -x
+                # a localized vector is rounding noise of either sign where it
+                # decays; the LU of the M-matrix A, pivots on the diagonal,
+                # substitutes a nonnegative x by adding nonnegative terms only
+                x = np.maximum(x, 0.0)
                 w, v = counted(x)
+                if np.any(w <= 0.0):
+                    raise fail("Krylov eigenvector is not strictly positive")
                 theta_l = float(x @ x) / float(x @ w)
                 residual = float(np.linalg.norm(theta_l * w - x) / np.linalg.norm(x))
                 if not residual <= KRYLOV_RESIDUAL:
                     raise fail("Krylov eigen-residual %.3e exceeds %.0e"
                                % (residual, KRYLOV_RESIDUAL))
-                if np.any(w <= 0.0):
-                    raise fail("Krylov eigenvector is not strictly positive")
                 u, v, theta = scaled(w, v)
                 break
             step_prev = step
@@ -195,7 +193,9 @@ def _principal(apply, rho, u0):
 
     if np.any(u <= 0.0) or np.any(v <= 0.0):
         raise fail("converged pair is not strictly positive")
-    return theta, calls, u, v, history
+    c = np.sqrt(rho.grid._integral(rho.values * u * u))
+    u, v = ScalarField(rho.grid, u / c), ScalarField(rho.grid, v / c)
+    return EigenResult(theta=theta, u=u, v=v, iterations=calls, theta_history=tuple(history))
 
 
 def _arnoldi(matvec, x):

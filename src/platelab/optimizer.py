@@ -89,8 +89,7 @@ def optimize(spec, nodes_per_side, h, H, M, restarts=1, seed=0):
     op = assemble_laplacian(grid)
 
     def eigensolve(rho, u0):
-        eig = principal_pair(op, rho, u0=u0)
-        return eig.theta, eig.iterations, eig.u, eig.v
+        return principal_pair(op, rho, u0=u0)
 
     rng = np.random.default_rng(seed)
     drawn = (optimal_density(ScalarField(grid, rng.uniform(0.5, 1.5, grid.n)), h, H, M)[0]
@@ -99,9 +98,7 @@ def optimize(spec, nodes_per_side, h, H, M, restarts=1, seed=0):
     best = None
     thetas = []
     for rho0 in itertools.chain([uniform_density(grid, h, H, M)], drawn):
-        rho, u, v, t, report = _alternate(rho0, eigensolve)
-        theta = _quotient(u.values, v.values, rho.values, rho.grid)
-        pair = OptimalPair(u=u, v=v, rho=rho, theta=theta, t=t)
+        pair, report = _alternate(rho0, eigensolve)
         thetas.append(pair.theta)
         if best is None or pair.theta < best[0].theta:
             best = (pair, report)
@@ -114,11 +111,12 @@ def _alternate(rho, eigensolve):
 
     From the start ``rho``, a ``DensityField`` on the path's grid, it runs
     the bathtub (``optimal_density``) and the mass error on that grid; the
-    path passes only ``eigensolve(rho, u0) -> (theta, iterations, u, v)``,
-    u and v ``ScalarField``s, warm-started from the last u (None at first).
-    It stops after ``MAX_OUTER`` steps, or once the quotient moves by at
-    most ``THETA_TOL`` of itself; both are read when it runs. Returns the
-    last step's ``(rho, u, v, t)`` and a report with no restart thetas.
+    path passes only ``eigensolve(rho, u0) -> EigenResult``, warm-started
+    from the last u (None at first). It stops after ``MAX_OUTER`` steps, or
+    once the quotient moves by at most ``THETA_TOL`` of itself; both are
+    read when it runs. Returns the last eigensolve's u and v and the last
+    bathtub's rho and t as an ``OptimalPair``, its theta the quotient at
+    that rho, and a report with no restart thetas.
     """
     t0 = time.perf_counter()
     theta_history = []
@@ -127,17 +125,18 @@ def _alternate(rho, eigensolve):
     termination = "max-outer"
     u = None
     for _ in range(MAX_OUTER):
-        theta, iterations, u, v = eigensolve(rho, u)
-        theta_history.append(theta)
-        inner_iterations.append(iterations)
+        eig = eigensolve(rho, u)
+        u = eig.u
+        theta_history.append(eig.theta)
+        inner_iterations.append(eig.iterations)
         mass_errors.append(abs(rho.grid._integral(rho.values) - rho.M))
         rho_prev = rho
         rho, t = optimal_density(u, rho.h, rho.H, rho.M)
         if np.array_equal(rho.values, rho_prev.values):
             termination = "rho-fixed"
             break
-        tol = THETA_TOL * abs(theta)
-        if len(theta_history) >= 2 and abs(theta - theta_history[-2]) <= tol:
+        tol = THETA_TOL * abs(eig.theta)
+        if len(theta_history) >= 2 and abs(eig.theta - theta_history[-2]) <= tol:
             termination = "theta-converged"
             break
 
@@ -150,4 +149,5 @@ def _alternate(rho, eigensolve):
         wall_time=time.perf_counter() - t0,
         restart_thetas=(),
     )
-    return rho, u, v, t, report
+    theta = _quotient(u.values, eig.v.values, rho.values, rho.grid)  # at the returned rho
+    return OptimalPair(u=u, v=eig.v, rho=rho, theta=theta, t=t), report

@@ -2,12 +2,13 @@
 
 Shares all but its map with the 2-D code: the driver
 ``optimizer._alternate`` (warm starts, stopping rules, the bathtub step,
-the mass error, report), ``rearrange``'s density rules and the
-eigen-iteration ``eigensolver._principal``, which read the path off its
-``RadialGrid``: ring-area weights and their node sum. Its result is an
-``OptimalPair`` on that grid, whose nodes are ``(r, 0)``. Its own
-numerics are the radial reduction ``u'' + u'/r`` (planar case) on a
-uniform radius grid. The operator is second order, but theta converges at first
+the mass error, the pair and its theta, report), ``rearrange``'s density
+rules and the eigen-iteration ``eigensolver._principal`` (its unit
+weighted norm too), which read the path off its ``RadialGrid``:
+ring-area weights and their node sum. Its result is an ``OptimalPair``
+on that grid, whose nodes are ``(r, 0)``. Its own numerics are the
+radial reduction ``u'' + u'/r`` (planar case) on a uniform radius grid.
+The operator is second order, but theta converges at first
 order in the radial spacing: M is laid on the rings' ``discrete_area``,
 which misses the half rings next to the Dirichlet radii (pi (1 - dr/2)^2
 on the unit disk); ``M - h (area - discrete_area)`` is second order
@@ -34,8 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .eigensolver import _principal, _quotient
-from .fields import ScalarField
+from .eigensolver import _principal
 from .geometry import DomainSpec, GeometryError, _integer
 from .optimizer import OptimalPair, _alternate
 from .rearrange import uniform_density
@@ -129,16 +129,9 @@ def radial_optimize(kind, radii, h, H, M, n_r=1024):
             v = solve_banded((1, 1), ab, rho.values * x)
             return solve_banded((1, 1), ab, v), v
 
-        theta, iterations, u, v, _ = _principal(apply, rho, u0)
-        return theta, iterations, ScalarField(grid, u), ScalarField(grid, v)
+        return _principal(apply, rho, u0)
 
-    rho, u, v, t, report = _alternate(uniform_density(grid, h, H, M), eigensolve)
-    # unit weighted norm, matching the 2-D convention
-    c = math.sqrt(grid._integral(rho.values * u.values * u.values))
-    u = u.values / c
-    v = v.values / c
-    return RadialResult(
-        u=ScalarField(grid, u), v=ScalarField(grid, v), rho=rho,
-        theta=_quotient(u, v, rho.values, grid), t=t / c, termination=report.termination,
-        outer_iterations=report.outer_iterations, theta_history=report.theta_history,
-    )
+    pair, report = _alternate(uniform_density(grid, h, H, M), eigensolve)
+    return RadialResult(**vars(pair), termination=report.termination,
+                        outer_iterations=report.outer_iterations,
+                        theta_history=report.theta_history)

@@ -1068,6 +1068,34 @@ class TestSweep:
             "error: --steps 1 sweeps one radius; --inner-to must equal --inner-from\n")
         assert not out.exists()
 
+    def test_sweep_reaches_thin_annuli(self, tmp_path):
+        # exited 2 with "Krylov eigenvector is not strictly positive" on the
+        # a = 0.9 row and wrote no CSV
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep-annulus", "--inner-from", "0.85", "--inner-to", "0.9", "--steps", "2",
+                    "--grid", "97", "--out", str(out)]) == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["inner_radius"]) for r in rows] == [0.85, 0.9]
+
+    def test_a_row_that_raises_ends_the_sweep(self, tmp_path, monkeypatch, capsys):
+        solve = cli.optimize
+        calls = []
+
+        def second_raises(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise pl.eigensolver.EigenError("planted")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "optimize", second_raises)
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep-annulus", "--inner-from", "0.3", "--inner-to", "0.6", "--steps", "3",
+                    "--grid", "33", "--nr", "64", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: planted\n"
+        assert len(calls) == 2  # the third row is not solved
+        assert not out.exists()
+
     def test_unconverged_radial_solve_exits_2(self, tmp_path, monkeypatch):
         # each solve has its termination column, and the exit code reads both,
         # so an unconverged theta_radial is not passed as converged

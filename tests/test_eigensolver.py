@@ -428,16 +428,18 @@ class TestKrylovHandOff:
         calls = []
         arnoldi = eigensolver._arnoldi
         monkeypatch.setattr(eigensolver, "_arnoldi", lambda m, x: calls.append(1) or arnoldi(m, x))
-        theta, iterations, u, v, history = solve()
-        assert len(calls) == 1 and iterations > len(history)  # handed off
-        assert iterations < 1000
+        res = solve()
+        u, v = res.u.values, res.v.values
+        assert len(calls) == 1 and res.iterations > len(res.theta_history)  # handed off
+        assert res.iterations < 1000
         w = B @ (B @ u)
         theta_l = float(u @ u) / float(u @ w)
         assert np.linalg.norm(theta_l * w - u) / np.linalg.norm(u) <= KRYLOV_RESIDUAL
-        assert abs(theta * mu[-1] - 1.0) <= 1e-12
-        assert np.max(u) == 1.0 and (u > 0).all() and (v > 0).all()
+        assert abs(res.theta * mu[-1] - 1.0) <= 1e-12
+        # unit weighted norm on the unit density
+        assert float(u @ u) == pytest.approx(1.0, rel=1e-14) and (u > 0).all() and (v > 0).all()
         perron = np.abs(vectors[:, -1])
-        assert np.max(np.abs(u - perron / np.max(perron))) <= 1e-6
+        assert np.max(np.abs(u / np.max(u) - perron / np.max(perron))) <= 1e-6
         # power iteration alone spends the cap
         monkeypatch.setattr(eigensolver, "KRYLOV_AFTER", math.inf)
         with pytest.raises(EigenError, match="no convergence in 1000 iterations"):

@@ -1,13 +1,14 @@
 import itertools
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
 from scipy.linalg import eigh
 
 import platelab as pl
-from platelab import optimizer
+from platelab import optimizer, radial
 from platelab.eigensolver import _quotient, principal_pair
 from platelab.fields import ScalarField
 from platelab.optimizer import OptimizeError, optimize
@@ -179,6 +180,32 @@ class TestStopConstants:
         monkeypatch.setattr(optimizer, "THETA_TOL", 1.0)
         assert self._stops() == [("theta-converged", 2)] * 2
 
+    @pytest.mark.parametrize("name, value, termination", [
+        ("THETA_TOL", 1.0, "theta-converged"), ("MAX_OUTER", 1, "max-outer"),
+    ], ids=["theta-converged", "max-outer"])
+    def test_stale_stop_scales_u_on_the_solved_density(self, monkeypatch, name, value,
+                                                        termination):
+        # these stops return the last bathtub's rho with the u solved at the
+        # density before it; the radial u was scaled on the returned rho
+        solved = []
+        pair_2d, principal = optimizer.principal_pair, radial._principal
+        monkeypatch.setattr(optimizer, "principal_pair", lambda op, rho, u0=None: (
+            solved.append(rho) or pair_2d(op, rho, u0=u0)))
+        monkeypatch.setattr(radial, "_principal", lambda apply, rho, u0: (
+            solved.append(rho) or principal(apply, rho, u0)))
+        monkeypatch.setattr(optimizer, name, value)
+        spec = pl.annulus(0.5)
+        mass = 1.5 * spec.area()
+        pair, report = optimize(spec, 33, 1.0, 2.0, mass)
+        last_2d = solved[-1]
+        res = pl.radial_optimize("annulus", (0.5, 1.0), 1.0, 2.0, mass, n_r=256)
+        assert (report.termination, res.termination) == (termination, termination)
+        for p, rho in ((pair, last_2d), (res, solved[-1])):
+            u, v = p.u.values, p.v.values
+            assert not np.array_equal(rho.values, p.rho.values)  # a stale stop
+            assert p.grid._integral(rho.values * u * u) == pytest.approx(1.0, rel=1e-14, abs=0.0)
+            assert p.theta == _quotient(u, v, p.rho.values, p.grid)
+
 
 class TestCallGraph:
     """The call sites the benchmark's probe wraps in ``optimizer``: every
@@ -227,6 +254,21 @@ class TestCallGraph:
         optimize(spec, 33, 1.0, 2.0, 1.5 * spec.area(), restarts=3, seed=4)
         assert events == ["alternate", "draw", "alternate", "draw", "alternate"]
 
+    def test_each_start_is_scored_once_in_the_alternation(self, monkeypatch):
+        # optimize and radial_optimize each took their own quotient of the pair
+        callers = []
+        quotient = optimizer._quotient
+
+        def scored(*args):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return quotient(*args)
+
+        monkeypatch.setattr(optimizer, "_quotient", scored)
+        spec = pl.annulus(0.5)
+        optimize(spec, 33, 1.0, 2.0, 1.5 * spec.area(), restarts=3, seed=4)
+        pl.radial_optimize("annulus", (0.5, 1.0), 1.0, 2.0, 1.5 * spec.area(), n_r=256)
+        assert callers == ["_alternate"] * 4
+
     def test_radial_bathtub_is_the_drivers(self, counts):
         spec = pl.annulus(0.5)
         res = pl.radial_optimize("annulus", (0.5, 1.0), 1.0, 2.0, 1.5 * spec.area(), n_r=256)
@@ -254,6 +296,16 @@ class TestAnnulusRegimes:
         M = 1.5 * grid.discrete_area  # half fill of the [1, 2] bracket
         _, report = optimize(grid.spec, 41, 1.0, 2.0, M)
         assert report.termination == "rho-fixed"
+
+    @pytest.mark.parametrize("inner", [0.9, 0.95])
+    def test_localized_eigenvector_is_accepted(self, inner):
+        # the heavy set sits in one sector of the ring and the eigenvector
+        # decays along it to rounding size: the Arnoldi hand-off's vector was
+        # refused as "not strictly positive" over noise of either sign
+        spec = pl.annulus(inner)
+        pair, report = optimize(spec, 97, 1.0, 2.0, 1.5 * spec.area())
+        assert report.termination in ("rho-fixed", "theta-converged")
+        assert (pair.u.values > 0).all() and (pair.v.values > 0).all()
 
     def test_thin_annulus_reports_lower_of_the_two_states(self):
         # exploratory regime: whichever fixed point wins is reported with
