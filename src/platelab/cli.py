@@ -10,7 +10,8 @@ with the gray scale recorded in the report.
 theta_2d, theta_radial, rotation_asymmetry, termination,
 termination_radial``, the last two the 2-D and the radial solve's. No
 column compares the two thetas: they come from two discretizations, so
-the radial one was the larger on every row.
+the radial one was the larger on every row. ``rotation_asymmetry`` reads
+``nan`` where the lattice has no rotated node to compare.
 
 Exit codes: 0 converged / all checks pass, 1 usage or input error (a
 file that cannot be opened included), 2 non-convergence or failed
@@ -465,11 +466,15 @@ def _sweep_row(args, idx, a, spec, mass_val):
     seed = int(np.random.SeedSequence((args.seed, idx)).generate_state(1)[0])
     pair, rep = optimize(spec, args.grid, args.h, args.Hd, mass_val, args.restarts, seed)
     radial_res = radial_optimize(spec.kind, spec.params, args.h, args.Hd, mass_val, n_r=args.nr)
+    try:
+        asymmetry = diagnostics.rotation_asymmetry(pair)
+    except diagnostics.DiagnosticsError:  # the measure cannot be taken on this lattice
+        asymmetry = math.nan
     return (
         _fmt(a),
         _fmt(pair.theta),
         _fmt(radial_res.theta),
-        _fmt(diagnostics.rotation_asymmetry(pair)),
+        _fmt(asymmetry),
         rep.termination,
         radial_res.termination,
     )

@@ -243,24 +243,25 @@ def rotation_asymmetry(pair):
     rotated about the domain center, over ``ROTATION_ANGLES`` equal rotations.
 
     Radially symmetric fields give interpolation-level values; broken
-    states give O(1).
+    states give O(1). Raises ``DiagnosticsError`` when no rotated node has
+    a full stencil on the grid (a ring under three nodes across), where
+    nothing is compared.
     """
     grid = pair.grid
     cx, cy = pair.grid.spec.center
     x = grid.node_x - cx
     y = grid.node_y - cy
-    worst = 0.0
-    scale = pair.u.norm_inf
+    devs = []
     for k in range(1, ROTATION_ANGLES):
         a = 2.0 * math.pi * k / ROTATION_ANGLES
         ca, sa = math.cos(a), math.sin(a)
         q = np.column_stack([cx + ca * x - sa * y, cy + sa * x + ca * y])
         vals, ok = interpolate(grid, pair.u.values, q, order=2)
-        if not ok.any():
-            continue
-        dev = float(np.max(np.abs(vals[ok] - pair.u.values[ok])))
-        worst = max(worst, relative(dev, scale, "u"))
-    return worst
+        if ok.any():
+            devs.append(float(np.max(np.abs(vals[ok] - pair.u.values[ok]))))
+    if not devs:
+        raise DiagnosticsError("no rotated node has a full stencil")
+    return relative(max(devs), pair.u.norm_inf, "u")
 
 
 @dataclass(frozen=True)

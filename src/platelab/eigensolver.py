@@ -28,16 +28,17 @@ contraction ``q = d_k / d_{k-1}`` of its quotient increments; once
 ``log(DEFAULT_TOL theta / d_k) / log q`` predicts more than ``KRYLOV_AFTER``
 further steps, it hands its iterate to a short Arnoldi loop on the same
 map (``_arnoldi``), which tests its dominant Ritz pair after every map
-and stops on the map where the pair converges. One counted closure
-applies the map for every power step, every Arnoldi step and the closing
-step that maps the Ritz vector, sign-fixed and clipped at 0, to (u, v);
+and stops on the map where the pair converges. Its Ritz vector,
+sign-fixed and clipped at 0, becomes the power loop's iterate, whose
+steps then stop once the residual ``||theta_l A^-2 rho x - x|| / ||x||``
+of the iterate x, ``theta_l = <x, x> / <x, A^-2 rho x>``, is at most
+``KRYLOV_RESIDUAL``. Every map must be positive. One counted closure
+applies the map for every power and Arnoldi step, and
 ``DEFAULT_MAX_ITER`` caps that count in every eigensolve. This loop,
 ``_principal``, is the eigensolve of both paths, each passing its own
-map and its density, which gives the quotient. The closing map must be
-positive, and the residual ``||theta_l A^-2 rho x - x|| / ||x||`` with
-``theta_l = <x, x> / <x, A^-2 rho x>`` must be below ``KRYLOV_RESIDUAL``.
-Where the increments contract fast (disks, squares, thick annuli) the
-switch never fires and the result is the power loop's, bitwise.
+map and its density, which gives the quotient. Where the increments
+contract fast (disks, squares, thick annuli) the switch never fires and
+the result is the power loop's, bitwise.
 
 The reported theta is the energy quotient ``sum(v^2) / sum(rho u^2)``.
 The Shortley-Weller operator is not symmetric, so that quotient is not
@@ -66,14 +67,14 @@ DEFAULT_MAX_ITER = 10000
 # Hand-off to the Arnoldi loop: more predicted power steps than
 # KRYLOV_AFTER switch to it. Its basis holds at most KRYLOV_NCV vectors
 # (then it restarts from its Ritz vector), it stops once the dominant
-# Ritz pair's residual is at most KRYLOV_TOL * |mu|, and the returned pair
-# must meet the eigen-residual bound KRYLOV_RESIDUAL. A hand-off stops on
-# the map where it converges: on the 16 annulus rows at grid 97 a cycle
-# makes 285 hand-offs, which take 13 maps in the median, 4-39 without a
-# restart and at most 64 with one. The prediction, read off
-# early increments, undershoots on a crawl, so a switch point of 10 pays;
-# the disk at grid 257 and the squares and rectangles at grid 129 predict
-# at most about 4 further steps, so they never switch.
+# Ritz pair's residual is at most KRYLOV_TOL * |mu|, and the power steps
+# from its Ritz vector stop on the eigen-residual bound KRYLOV_RESIDUAL.
+# A hand-off stops on the map where it converges: on the 16 annulus rows
+# at grid 97 a cycle makes 285 hand-offs, which take 13 maps in the
+# median, 4-39 without a restart and at most 64 with one. The prediction,
+# read off early increments, undershoots on a crawl, so a switch point of
+# 10 pays; the disk at grid 257 and the squares and rectangles at grid
+# 129 predict at most about 4 further steps, so they never switch.
 KRYLOV_AFTER = 10
 KRYLOV_NCV = 40
 KRYLOV_TOL = 1e-10
@@ -112,10 +113,10 @@ def principal_pair(op, rho, u0=None):
     given (warm starts from a previous outer iterate). Stops when the
     relative quotient increment falls below ``DEFAULT_TOL``, or hands the
     iterate to ``_arnoldi`` once the observed contraction predicts more
-    than ``KRYLOV_AFTER`` further steps. ``iterations`` counts
-    applications of the two-solve map over both phases, and
-    ``DEFAULT_MAX_ITER`` caps every one, the closing application after the
-    Arnoldi loop included.
+    than ``KRYLOV_AFTER`` further steps; power steps from its Ritz vector
+    then stop on the eigen-residual. ``iterations`` counts applications of
+    the two-solve map over both phases, and ``DEFAULT_MAX_ITER`` caps
+    every one.
     """
     _check_grid(op, rho)
     if u0 is not None:
@@ -135,9 +136,10 @@ def _principal(apply, rho, u0):
     values or, if ``u0`` is None, the ones: ``apply(x)`` gives the
     two-solve map's ``(A^-1 A^-1 rho x, A^-1 rho x)``, and the density
     ``rho`` (its values and its grid) the energy quotient.
-    ``DEFAULT_TOL`` and ``DEFAULT_MAX_ITER``, read at call time, set the
-    stopping tolerance and cap the maps applied. Returns the
-    ``EigenResult``, its u and v of unit weighted norm on ``rho``."""
+    ``DEFAULT_TOL``, or ``KRYLOV_RESIDUAL`` after the hand-off, stops it
+    and ``DEFAULT_MAX_ITER`` caps the maps applied, all read at call
+    time. Returns the ``EigenResult``, its u and v of unit weighted norm
+    on ``rho``."""
     u = np.ones(rho.grid.n) if u0 is None else u0.values
     u = u / np.max(np.abs(u))
     history = []
@@ -154,40 +156,34 @@ def _principal(apply, rho, u0):
         calls += 1
         return apply(x)
 
-    def scaled(w, v):
+    theta_prev = step_prev = None
+    krylov = False
+    while True:
+        x = u
+        w, v = counted(x)
+        if np.any(w <= 0.0):
+            raise fail("Krylov eigenvector is not strictly positive" if krylov
+                       else "iterate lost positivity")
         scale = np.max(np.abs(w))
         u, v = w / scale, v / scale
-        history.append(_quotient(u, v, rho.values, rho.grid))
-        return u, v, history[-1]
-
-    theta_prev = step_prev = None
-    while True:
-        w, v = counted(u)
-        if np.any(w <= 0.0):
-            raise fail("iterate lost positivity")
-        u, v, theta = scaled(w, v)
-        if theta_prev is not None:
+        theta = _quotient(u, v, rho.values, rho.grid)
+        history.append(theta)
+        if krylov:
+            theta_l = float(x @ x) / float(x @ w)
+            if np.linalg.norm(theta_l * w - x) / np.linalg.norm(x) <= KRYLOV_RESIDUAL:
+                break
+        elif theta_prev is not None:
             step = abs(theta - theta_prev)
             if step <= DEFAULT_TOL * theta:
                 break
             if _crawls(step, step_prev, DEFAULT_TOL * theta):
-                x = _arnoldi(lambda y: counted(y)[0], u)
-                if np.sum(x) < 0.0:
-                    x = -x
+                u = _arnoldi(lambda y: counted(y)[0], u)
+                if np.sum(u) < 0.0:
+                    u = -u
                 # a localized vector is rounding noise of either sign where it
                 # decays; the LU of the M-matrix A, pivots on the diagonal,
                 # substitutes a nonnegative x by adding nonnegative terms only
-                x = np.maximum(x, 0.0)
-                w, v = counted(x)
-                if np.any(w <= 0.0):
-                    raise fail("Krylov eigenvector is not strictly positive")
-                theta_l = float(x @ x) / float(x @ w)
-                residual = float(np.linalg.norm(theta_l * w - x) / np.linalg.norm(x))
-                if not residual <= KRYLOV_RESIDUAL:
-                    raise fail("Krylov eigen-residual %.3e exceeds %.0e"
-                               % (residual, KRYLOV_RESIDUAL))
-                u, v, theta = scaled(w, v)
-                break
+                u, krylov = np.maximum(u, 0.0), True
             step_prev = step
         theta_prev = theta
 

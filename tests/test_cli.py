@@ -1078,6 +1078,30 @@ class TestSweep:
             rows = list(csv.DictReader(fh))
         assert [float(r["inner_radius"]) for r in rows] == [0.85, 0.9]
 
+    def test_sweep_reaches_the_high_contrast_thin_annulus(self, tmp_path):
+        # exited 2 with "Krylov eigen-residual 1.578e-08 exceeds 1e-09" and
+        # wrote no CSV
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep-annulus", "--h", "1", "--H", "1000", "--mass-fraction", "0.7",
+                    "--inner-from", "0.95", "--inner-to", "0.95", "--steps", "1",
+                    "--grid", "97", "--nr", "256", "--out", str(out)]) == 0
+        with open(out) as fh:
+            [row] = list(csv.DictReader(fh))
+        assert float(row["inner_radius"]) == 0.95
+        assert row["termination"] == "theta-converged"
+
+    def test_rotation_asymmetry_that_cannot_be_taken_is_nan(self, tmp_path):
+        # under three lattice nodes across the ring no rotated node has a
+        # full stencil; the cell read 0, a perfectly radial row
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep-annulus", "--inner-from", "0.95", "--inner-to", "0.95", "--steps", "1",
+                    "--grid", "97", "--nr", "256", "--out", str(out)]) == 0
+        with open(out) as fh:
+            [row] = list(csv.DictReader(fh))
+        assert row["rotation_asymmetry"] == "nan"
+        assert float(row["theta_2d"]) > 0.0 and float(row["theta_radial"]) > 0.0
+        assert (row["termination"], row["termination_radial"]) == ("theta-converged", "rho-fixed")
+
     def test_a_row_that_raises_ends_the_sweep(self, tmp_path, monkeypatch, capsys):
         solve = cli.optimize
         calls = []

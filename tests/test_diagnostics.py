@@ -350,6 +350,16 @@ class TestRotationAsymmetry:
         pair = OptimalPair(u=u, v=u, rho=rho, theta=1.0, t=0.5)
         assert dg.rotation_asymmetry(pair) > 0.1
 
+    def test_ring_without_a_full_stencil_is_refused(self):
+        # about two lattice nodes across the ring: no rotated node has a
+        # full biquadratic stencil, so nothing is compared
+        g = pl.build_grid(pl.annulus(0.95, 1.0), 97)
+        u = ScalarField(g, np.sin(np.pi * (np.hypot(g.node_x, g.node_y) - 0.95) / 0.05))
+        rho = uniform_density(g, 1.0, 1.0, g.discrete_area)
+        pair = OptimalPair(u=u, v=u, rho=rho, theta=1.0, t=0.5)
+        with pytest.raises(dg.DiagnosticsError, match="no rotated node has a full stencil"):
+            dg.rotation_asymmetry(pair)
+
 
 class TestToleranceScaling:
     def test_refinement_does_not_inflate_violations(self, disk_pair_64, disk_pair_128):

@@ -390,11 +390,34 @@ class TestKrylovHandOff:
         assert _eigen_residual(op, rho, res.u.values) <= 1e-12
 
     def test_residual_above_the_bound_raises(self, thin_annulus, monkeypatch):
+        # no step meets a zero bound: the power steps from the Ritz vector
+        # run until the cap, which raises as in the power phase
         op, rho = thin_annulus
+        full = principal_pair(op, rho)
+        max_iter = full.iterations + 5
         monkeypatch.setattr(eigensolver, "KRYLOV_RESIDUAL", 0.0)
-        with pytest.raises(EigenError, match="eigen-residual") as err:
+        monkeypatch.setattr(eigensolver, "DEFAULT_MAX_ITER", max_iter)
+        with pytest.raises(EigenError, match="^no convergence in %d iterations" % max_iter) as err:
             principal_pair(op, rho)
-        assert err.value.last_theta is not None
+        assert err.value.iterations == max_iter
+        assert err.value.last_theta == pytest.approx(full.theta, rel=1e-12)
+
+    def test_closing_residual_above_the_bound_takes_another_power_step(self, thin_annulus,
+                                                                       monkeypatch):
+        # the first map after the hand-off leaves its Ritz vector a residual
+        # of 7.7e-11 and the next 4.4e-11: under a 5e-11 bound the loop
+        # maps once more and returns that pair
+        op, rho = thin_annulus
+        full = principal_pair(op, rho)
+        bound = 5e-11
+        assert _eigen_residual(op, rho, full.u.values) <= bound
+        monkeypatch.setattr(eigensolver, "KRYLOV_RESIDUAL", bound)
+        res = principal_pair(op, rho)
+        assert res.iterations == full.iterations + 1
+        assert res.theta_history[:-1] == full.theta_history
+        assert res.theta_history[-1] == res.theta
+        assert _eigen_residual(op, rho, res.u.values) <= bound
+        assert (res.u.values > 0).all() and (res.v.values > 0).all()
 
     @pytest.mark.parametrize("max_iter", [10, 25])
     def test_max_iter_caps_the_total_map_applications(self, thin_annulus, monkeypatch, max_iter):

@@ -307,6 +307,18 @@ class TestAnnulusRegimes:
         assert report.termination in ("rho-fixed", "theta-converged")
         assert (pair.u.values > 0).all() and (pair.v.values > 0).all()
 
+    def test_high_contrast_thin_annulus_converges(self):
+        # H = 1000 at fill 0.7: one hand-off's first closing map left its
+        # Ritz vector a residual of 1.6e-8, above the bound, and the solve
+        # raised; one more power step from it meets the bound
+        spec = pl.annulus(0.95)
+        area = spec.area()
+        pair, report = optimize(spec, 97, 1.0, 1000.0, area + 0.7 * 999.0 * area)
+        assert pair.theta == pytest.approx(14138.232990228762, rel=1e-12, abs=0.0)
+        assert report.termination == "theta-converged"
+        assert report.outer_iterations == 5
+        assert report.inner_iterations == (30, 126, 7243, 220, 107)
+
     def test_thin_annulus_reports_lower_of_the_two_states(self):
         # exploratory regime: whichever fixed point wins is reported with
         # its asymmetry attached; no quantitative threshold is asserted
