@@ -15,11 +15,12 @@ the radial one was the larger on every row. ``rotation_asymmetry`` reads
 
 Exit codes: 0 converged / all checks pass, 1 usage or input error (a
 file that cannot be opened included), 2 non-convergence or failed
-checks. A sweep exits 2, after writing every row, unless both
-termination columns of every row read ``rho-fixed`` or
-``theta-converged``; a row that raises ends it with exit 2, one
-``error:`` line and no CSV. A check that cannot be taken on the fields fails,
-and the remaining checks still run.
+checks. A sweep admits every row, then opens ``--out`` and writes each
+row as it is solved, so its CSV holds every row solved. It exits 2
+unless both termination columns of every row read ``rho-fixed`` or
+``theta-converged``; a row that raises ends it with exit 2 and one
+``error:`` line. A check that cannot be taken on the fields fails, and
+the remaining checks still run.
 """
 
 from __future__ import annotations
@@ -450,19 +451,17 @@ def _run_sweep(args):
         uniform_density(build_grid(spec, args.grid), args.h, args.Hd, mass_val)
         uniform_density(radial_grid(spec.kind, spec.params, args.nr), args.h, args.Hd, mass_val)
         jobs.append((a, spec, mass_val))
-    rows = [_sweep_row(args, idx, *job) for idx, job in enumerate(jobs)]
     with open(args.out, "w", newline="\n") as fh:
         fh.write(",".join(SWEEP_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-    # a row has converged when both of its solves have: its two termination columns
-    return 0 if all(term in CONVERGED for row in rows for term in row[-2:]) else 2
+        # a list, not a generator: all() stops at its first False, and every row is solved
+        return 0 if all([_sweep_row(args, fh, idx, *job) for idx, job in enumerate(jobs)]) else 2
 
 
-def _sweep_row(args, idx, a, spec, mass_val):
-    """One sweep row's CSV values, in ``SWEEP_COLUMNS`` order; its pair,
-    and with it its grid and factorization, is released when the row
-    returns, before the next row's grid is built."""
+def _sweep_row(args, fh, idx, a, spec, mass_val):
+    """Solve one sweep row, write its line to ``fh`` in ``SWEEP_COLUMNS``
+    order, flushed, and return whether both of its solves converged. Its
+    pair, and with it its grid and factorization, is released when the
+    row returns, before the next row's grid is built."""
     seed = int(np.random.SeedSequence((args.seed, idx)).generate_state(1)[0])
     pair, rep = optimize(spec, args.grid, args.h, args.Hd, mass_val, args.restarts, seed)
     radial_res = radial_optimize(spec.kind, spec.params, args.h, args.Hd, mass_val, n_r=args.nr)
@@ -470,14 +469,11 @@ def _sweep_row(args, idx, a, spec, mass_val):
         asymmetry = diagnostics.rotation_asymmetry(pair)
     except diagnostics.DiagnosticsError:  # the measure cannot be taken on this lattice
         asymmetry = math.nan
-    return (
-        _fmt(a),
-        _fmt(pair.theta),
-        _fmt(radial_res.theta),
-        _fmt(asymmetry),
-        rep.termination,
-        radial_res.termination,
-    )
+    terms = (rep.termination, radial_res.termination)
+    fh.write(",".join((_fmt(a), _fmt(pair.theta), _fmt(radial_res.theta), _fmt(asymmetry),
+                       *terms)) + "\n")
+    fh.flush()
+    return all(term in CONVERGED for term in terms)
 
 
 _COMMANDS = {"solve": _run_solve, "verify": _run_verify, "sweep-annulus": _run_sweep}

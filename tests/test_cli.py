@@ -1046,17 +1046,18 @@ class TestSweep:
         assert not out.exists()
 
     def test_unconverged_row_exits_2(self, tmp_path, monkeypatch):
+        # an unconverged row does not end the sweep: the later rows are solved
         monkeypatch.setattr(optimizer, "MAX_OUTER", 1)
         out = tmp_path / "sweep.csv"
         rc = run([
-            "sweep-annulus", "--inner-from", "0.5", "--inner-to", "0.5",
-            "--steps", "1", "--grid", "33", "--nr", "64", "--out", str(out),
+            "sweep-annulus", "--inner-from", "0.5", "--inner-to", "0.6",
+            "--steps", "2", "--grid", "33", "--nr", "64", "--out", str(out),
         ])
         assert rc == 2
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
-        assert [r["termination"] for r in rows] == ["max-outer"]
-        assert [r["termination_radial"] for r in rows] == ["max-outer"]
+        assert [r["termination"] for r in rows] == ["max-outer"] * 2
+        assert [r["termination_radial"] for r in rows] == ["max-outer"] * 2
 
     def test_one_step_over_two_radii_exits_1(self, tmp_path, capsys):
         # wrote the one row at --inner-from and exited 0, --inner-to dropped
@@ -1118,7 +1119,49 @@ class TestSweep:
                     "--grid", "33", "--nr", "64", "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: planted\n"
         assert len(calls) == 2  # the third row is not solved
-        assert not out.exists()
+        # the CSV keeps the row solved before the raise: it wrote none
+        one = tmp_path / "one.csv"
+        assert run(["sweep-annulus", "--inner-from", "0.3", "--inner-to", "0.3", "--steps", "1",
+                    "--grid", "33", "--nr", "64", "--out", str(one)]) == 0
+        assert out.read_bytes() == one.read_bytes()
+        assert len(out.read_text().splitlines()) == 2
+
+    def test_an_interrupt_keeps_the_rows_solved(self, tmp_path, monkeypatch):
+        # an interrupt in row 2 left no CSV
+        solve = cli.optimize
+        calls, seen = [], []
+        out = tmp_path / "sweep.csv"
+
+        def second_interrupted(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                seen.append(out.read_text())  # row 1 is on disk while row 2 runs
+                raise KeyboardInterrupt
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "optimize", second_interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run(["sweep-annulus", "--inner-from", "0.3", "--inner-to", "0.6", "--steps", "3",
+                 "--grid", "33", "--nr", "64", "--out", str(out)])
+        assert seen == [out.read_text()]
+        lines = out.read_text().splitlines()
+        assert lines[0] == ",".join(cli.SWEEP_COLUMNS)
+        assert [float(line.split(",")[0]) for line in lines[1:]] == [0.3]
+
+    def test_out_into_a_missing_directory_exits_1_before_a_solve(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        # every row was solved before the open failed
+        calls = []
+        monkeypatch.setattr(cli, "optimize", lambda *args, **kwargs: calls.append(args))
+        monkeypatch.setattr(cli, "radial_optimize", lambda *args, **kwargs: calls.append(args))
+        out = tmp_path / "no-such-dir" / "sweep.csv"
+        rc = run(["sweep-annulus", "--inner-from", "0.3", "--inner-to", "0.6", "--steps", "3",
+                  "--grid", "33", "--nr", "64", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(out) in captured.err
+        assert calls == []
 
     def test_unconverged_radial_solve_exits_2(self, tmp_path, monkeypatch):
         # each solve has its termination column, and the exit code reads both,

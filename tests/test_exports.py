@@ -316,7 +316,8 @@ def _unread_imports(source):
 def test_no_module_imports_a_name_it_never_reads():
     # catches a refactor's leftovers: an import kept after its last reader went
     unread = ["%s:%d %s" % (path.relative_to(ROOT), line, name)
-              for top in ("src", "platebench") for path in sorted((ROOT / top).rglob("*.py"))
+              for top in ("src", "platebench", "tests")
+              for path in sorted((ROOT / top).rglob("*.py"))
               for line, name in _unread_imports(path.read_text())]
     assert unread == []
 
